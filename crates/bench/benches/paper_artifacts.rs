@@ -12,7 +12,7 @@ use sparseweaver_core::algorithms::{Algorithm, Bfs, ConnectedComponents, Gcn, Pa
 use sparseweaver_core::{analytic, autotune, Schedule, Session};
 use sparseweaver_graph::{generators, Csr, Direction};
 use sparseweaver_isa::{encode, Instr, Reg};
-use sparseweaver_mem::{Hierarchy, HierarchyConfig};
+use sparseweaver_mem::{Hierarchy, HierarchyConfig, Hooks};
 use sparseweaver_sim::GpuConfig;
 use sparseweaver_weaver::{area, SparseTable, StEntry, WeaverFsm};
 
@@ -157,10 +157,11 @@ fn memory_sweeps(c: &mut Criterion) {
         let mut cfg = HierarchyConfig::vortex_default(2);
         cfg.dram_freq_ratio = 6;
         let mut h = Hierarchy::new(cfg);
+        let mut hooks = Hooks::default();
         let mut t = 0u64;
         b.iter(|| {
             t += 1;
-            black_box(h.access(0, (t * 64) % 100_000, false, t))
+            black_box(h.access(0, (t * 64) % 100_000, false, t, &mut hooks))
         })
     });
     c.bench_function("fig15_cache_sweep_run", |b| {

@@ -66,14 +66,15 @@ pub struct CampaignConfig {
 }
 
 impl CampaignConfig {
-    /// A campaign with `spec`, `seed`, and `runs`, serial execution, one
-    /// Weaver retry, and fallback enabled — the `swfault` defaults.
+    /// A campaign with `spec`, `seed`, and `runs`, serial execution,
+    /// [`DEFAULT_WEAVER_RETRIES`](crate::runtime::DEFAULT_WEAVER_RETRIES)
+    /// Weaver retries, and fallback enabled — the `swfault` defaults.
     pub fn new(spec: FaultSpec, seed: u64, runs: u32) -> Self {
         CampaignConfig {
             spec,
             seed,
             runs,
-            max_weaver_retries: 1,
+            max_weaver_retries: crate::runtime::DEFAULT_WEAVER_RETRIES,
             jobs: 1,
             fallback: true,
             profile: false,
@@ -689,7 +690,6 @@ mod tests {
             7,
             30,
         );
-        campaign.max_weaver_retries = crate::runtime::DEFAULT_WEAVER_RETRIES;
         campaign.fallback = false;
         let r = run_campaign(&cfg, &g, &Bfs::new(0), Schedule::SparseWeaver, &campaign).unwrap();
         assert!(r.summary.is_classified(), "summary: {:?}", r.summary);

@@ -292,26 +292,37 @@ pub fn trace_fingerprint(bytes: &[u8]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sparseweaver_mem::mtrace::{parse, MemRecorderHandle};
-    use sparseweaver_mem::Hierarchy;
+    use sparseweaver_mem::mtrace::{parse, Recorder};
+    use sparseweaver_mem::{Hierarchy, Hooks};
 
     fn captured() -> (Vec<u8>, MemTrace) {
         let mut cfg = HierarchyConfig::vortex_default(2);
         cfg.l1 = CacheConfig::new(1024, 2);
         cfg.l2 = CacheConfig::new(8192, 4);
         let mut live = Hierarchy::new(cfg);
-        let rec = MemRecorderHandle::in_memory(&cfg);
-        live.set_recorder(Some(rec.clone()));
-        rec.kernel_launch("k");
+        let mut hooks = Hooks {
+            recorder: Some(Recorder::in_memory(&cfg)),
+            ..Hooks::default()
+        };
+        fn rec(hooks: &mut Hooks) -> &mut Recorder {
+            hooks.recorder.as_mut().expect("recording")
+        }
+        rec(&mut hooks).kernel_launch("k");
         for i in 0..400u64 {
-            rec.set_warp((i % 4) as u32);
-            live.access((i % 2) as usize, (i * 192) % 16384, i % 5 == 0, i * 2);
+            rec(&mut hooks).set_warp((i % 4) as u32);
+            live.access(
+                (i % 2) as usize,
+                (i * 192) % 16384,
+                i % 5 == 0,
+                i * 2,
+                &mut hooks,
+            );
             if i % 13 == 0 {
-                live.atomic(1, (i * 64) % 4096, i * 2);
+                live.atomic(1, (i * 64) % 4096, i * 2, &mut hooks);
             }
         }
-        rec.finalize(&live.stats());
-        let bytes = rec.take_bytes().unwrap();
+        rec(&mut hooks).finalize(&live.stats());
+        let bytes = rec(&mut hooks).take_bytes().unwrap();
         let trace = parse(&bytes).unwrap();
         (bytes, trace)
     }

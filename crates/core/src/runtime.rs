@@ -6,11 +6,11 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use sparseweaver_fault::FaultHandle;
 use sparseweaver_graph::{Csr, Direction};
 use sparseweaver_isa::Program;
+use sparseweaver_mem::Hooks;
 use sparseweaver_sim::{Gpu, KernelStats, SimError};
-use sparseweaver_trace::{CounterSnapshot, EventData, ProfileHandle, TraceHandle};
+use sparseweaver_trace::{CounterSnapshot, EventData};
 use sparseweaver_weaver::eghw::EghwLayout;
 
 use sparseweaver_lint::LintLevel;
@@ -133,9 +133,6 @@ pub struct Runtime<'a> {
     per_kernel: Vec<(String, KernelStats)>,
     total: KernelStats,
     compiler: Compiler,
-    tracer: Option<TraceHandle>,
-    profiler: Option<ProfileHandle>,
-    fault: Option<FaultHandle>,
     max_weaver_retries: u32,
     weaver_retries: u64,
     launches: u64,
@@ -183,9 +180,6 @@ impl<'a> Runtime<'a> {
             per_kernel: Vec::new(),
             total: KernelStats::default(),
             compiler: Compiler::default(),
-            tracer: None,
-            profiler: None,
-            fault: None,
             max_weaver_retries: DEFAULT_WEAVER_RETRIES,
             weaver_retries: 0,
             launches: 0,
@@ -222,41 +216,30 @@ impl<'a> Runtime<'a> {
         &self.gpu
     }
 
-    /// Attaches (or detaches) a structured-event tracer on the GPU; all
-    /// subsequent launches through this runtime are traced.
-    pub fn set_tracer(&mut self, tracer: Option<TraceHandle>) {
-        self.gpu.set_tracer(tracer.clone());
-        self.tracer = tracer;
-    }
-
-    /// Attaches (or detaches) a latency profiler on the GPU; all
-    /// subsequent launches through this runtime feed its histograms. A
-    /// retried launch (after a Weaver timeout) keeps recording into the
-    /// same profiler: the retry's work is part of the run's cost.
-    pub fn set_profiler(&mut self, profiler: Option<ProfileHandle>) {
-        self.gpu.set_profiler(profiler.clone());
-        self.profiler = profiler;
-    }
-
-    /// Attaches (or detaches) a memory-trace recorder on the GPU; all
-    /// subsequent launches through this runtime append `swmtrace-v1`
-    /// records (hierarchy requests in service order, kernel launches,
-    /// barrier arrivals) into it. A retried launch keeps recording into
-    /// the same capture: the retry's traffic is part of the run's memory
-    /// behavior.
-    pub fn set_mem_recorder(&mut self, recorder: Option<sparseweaver_mem::MemRecorderHandle>) {
-        self.gpu.set_mem_recorder(recorder);
-    }
-
-    /// Attaches (or detaches) a deterministic fault injector on the GPU.
+    /// Attaches the run's observers to the GPU (see [`Gpu::attach_hooks`]);
+    /// all subsequent launches through this runtime feed them, a launch
+    /// retried after a Weaver timeout included: the retry's work is part
+    /// of the run's cost.
     ///
     /// With an injector whose spec can drop Weaver responses, every launch
     /// snapshots device memory first, so a [`SimError::WeaverTimeout`] can
     /// be retried from a clean functional state (see
     /// [`Runtime::set_max_weaver_retries`]).
-    pub fn set_fault_injector(&mut self, fault: Option<FaultHandle>) {
-        self.gpu.set_fault_injector(fault.clone());
-        self.fault = fault;
+    pub fn attach_hooks(&mut self, hooks: Hooks) {
+        self.gpu.attach_hooks(hooks);
+    }
+
+    /// Detaches and returns the observers (see [`Gpu::take_hooks`]).
+    pub fn take_hooks(&mut self) -> Hooks {
+        self.gpu.take_hooks()
+    }
+
+    /// Lends the attached observers to `f` between launches.
+    fn with_hooks<R>(&mut self, f: impl FnOnce(&mut Hooks) -> R) -> R {
+        let mut hooks = self.gpu.take_hooks();
+        let r = f(&mut hooks);
+        self.gpu.attach_hooks(hooks);
+        r
     }
 
     /// Bounds how many times a launch is retried after a Weaver response
@@ -291,9 +274,10 @@ impl<'a> Runtime<'a> {
     /// the log drains at the checkpoint boundary, at which point live
     /// simulation continues bit-identically to an uninterrupted run.
     ///
-    /// Must be called after the tracer/profiler/fault handles are
-    /// attached and before the algorithm runs. The caller is responsible
-    /// for fingerprint verification ([`Checkpoint::verify`]).
+    /// Must be called after the observers are attached
+    /// ([`Runtime::attach_hooks`]) and before the algorithm runs. The
+    /// caller is responsible for fingerprint verification
+    /// ([`Checkpoint::verify`]).
     ///
     /// # Errors
     ///
@@ -303,60 +287,23 @@ impl<'a> Runtime<'a> {
     pub fn resume_from(&mut self, ck: &Checkpoint) -> Result<(), FrameworkError> {
         let restore = |what: String| FrameworkError::Checkpoint(CheckpointError::Restore { what });
         self.gpu.restore_state(&ck.gpu).map_err(restore)?;
-        match (&self.tracer, &ck.tracer) {
-            (Some(t), Some(state)) => t
-                .restore_state(state)
-                .map_err(|e| restore(format!("tracer: {e}")))?,
-            (None, None) => {}
-            (have, _) => {
-                return Err(restore(format!(
-                    "tracer mismatch: checkpoint {} tracer state but the rebuilt \
-                     session {} a tracer",
-                    if ck.tracer.is_some() { "has" } else { "has no" },
-                    if have.is_some() {
-                        "attached"
-                    } else {
-                        "did not attach"
-                    },
-                )))
+        self.with_hooks(|hooks| -> Result<(), FrameworkError> {
+            if let Some((t, state)) = paired("tracer", hooks.tracer.as_mut(), ck.tracer.as_ref())? {
+                t.restore_state(state)
+                    .map_err(|e| restore(format!("tracer: {e}")))?;
             }
-        }
-        match (&self.profiler, &ck.profile) {
-            (Some(p), Some(report)) => p.restore_state(report),
-            (None, None) => {}
-            (have, _) => {
-                return Err(restore(format!(
-                    "profiler mismatch: checkpoint {} profiler state but the rebuilt \
-                     session {} a profiler",
-                    if ck.profile.is_some() {
-                        "has"
-                    } else {
-                        "has no"
-                    },
-                    if have.is_some() {
-                        "attached"
-                    } else {
-                        "did not attach"
-                    },
-                )))
+            if let Some((p, report)) =
+                paired("profiler", hooks.profiler.as_mut(), ck.profile.as_ref())?
+            {
+                p.restore_state(report);
             }
-        }
-        match (&self.fault, &ck.fault) {
-            (Some(f), Some(state)) => f.restore_state(state),
-            (None, None) => {}
-            (have, _) => {
-                return Err(restore(format!(
-                    "fault-injector mismatch: checkpoint {} injector state but the \
-                     rebuilt session {} an injector",
-                    if ck.fault.is_some() { "has" } else { "has no" },
-                    if have.is_some() {
-                        "attached"
-                    } else {
-                        "did not attach"
-                    },
-                )))
+            if let Some((f, state)) =
+                paired("fault-injector", hooks.fault.as_mut(), ck.fault.as_ref())?
+            {
+                f.restore_state(state);
             }
-        }
+            Ok(())
+        })?;
         self.launches = ck.launches;
         self.weaver_retries = ck.weaver_retries;
         self.total = ck.total.clone();
@@ -404,8 +351,9 @@ impl<'a> Runtime<'a> {
     }
 
     /// Assembles a complete checkpoint of the current (launch-boundary)
-    /// state under the policy `ctl`.
-    fn make_checkpoint(&self, ctl: &CheckpointCtl) -> Checkpoint {
+    /// state under the policy `ctl`, with the observers detached into
+    /// `hooks`.
+    fn make_checkpoint(&self, ctl: &CheckpointCtl, hooks: &mut Hooks) -> Checkpoint {
         Checkpoint {
             config_fp: ctl.config_fp,
             graph_fp: ctl.graph_fp,
@@ -419,15 +367,15 @@ impl<'a> Runtime<'a> {
             per_kernel: self.per_kernel.clone(),
             host_log: self.host.borrow().log.clone(),
             gpu: self.gpu.save_state(),
-            tracer: self.tracer.as_ref().map(|t| t.save_state()),
-            profile: self.profiler.as_ref().map(|p| p.save_state()),
-            fault: self.fault.as_ref().map(|f| f.save_state()),
+            tracer: hooks.tracer.as_mut().map(|t| t.save_state()),
+            profile: hooks.profiler.as_ref().map(|p| p.save_state()),
+            fault: hooks.fault.as_ref().map(|f| f.save_state()),
         }
     }
 
     /// Launch-boundary policy hook: periodic checkpoints, cooperative
     /// stop, and the deterministic `--stop-after-launches` bound.
-    fn after_launch(&self) -> Result<(), FrameworkError> {
+    fn after_launch(&mut self) -> Result<(), FrameworkError> {
         let Some(ctl) = &self.ckpt else {
             return Ok(());
         };
@@ -436,7 +384,10 @@ impl<'a> Runtime<'a> {
         let cadence_hit = ctl.every > 0 && self.launches.is_multiple_of(ctl.every);
         if let Some(out) = &ctl.out {
             if cadence_hit || stop_hit || bound_hit {
-                self.make_checkpoint(ctl).save(out)?;
+                let mut hooks = self.gpu.take_hooks();
+                let ck = self.make_checkpoint(ctl, &mut hooks);
+                self.gpu.attach_hooks(hooks);
+                ck.save(out)?;
             }
         }
         if stop_hit || bound_hit {
@@ -724,6 +675,8 @@ impl<'a> Runtime<'a> {
         // functional-memory snapshot so the launch can be retried from
         // clean state after a timeout.
         let snapshot = self
+            .gpu
+            .hooks()
             .fault
             .as_ref()
             .filter(|f| f.spec().weaver_drop_rate > 0.0)
@@ -740,16 +693,18 @@ impl<'a> Runtime<'a> {
                     if let Some(m) = &snapshot {
                         *self.gpu.mem_mut() = m.clone();
                     }
-                    if let Some(f) = &self.fault {
-                        f.clear_weaver_faulty();
-                    }
-                    if let Some(tr) = &self.tracer {
-                        tr.emit(0, 0, EventData::WeaverRetry { kernel, attempt });
-                        tr.add_totals(&CounterSnapshot {
-                            weaver_retries: 1,
-                            ..CounterSnapshot::default()
-                        });
-                    }
+                    self.with_hooks(|hooks| {
+                        if let Some(f) = &mut hooks.fault {
+                            f.clear_weaver_faulty();
+                        }
+                        if let Some(tr) = &mut hooks.tracer {
+                            tr.emit(0, 0, EventData::WeaverRetry { kernel, attempt });
+                            tr.add_totals(&CounterSnapshot {
+                                weaver_retries: 1,
+                                ..CounterSnapshot::default()
+                            });
+                        }
+                    });
                 }
                 Err(e) => return Err(e.into()),
             }
@@ -824,6 +779,30 @@ impl<'a> Runtime<'a> {
     /// Consumes the runtime, returning `(total, per-kernel)` stats.
     pub fn into_stats(self) -> (KernelStats, Vec<(String, KernelStats)>) {
         (self.total, self.per_kernel)
+    }
+}
+
+/// Pairs a rebuilt observer with its checkpointed state; the checkpoint
+/// and the rebuilt session must agree on whether the observer exists.
+fn paired<'o, 's, O, S>(
+    what: &str,
+    rebuilt: Option<&'o mut O>,
+    saved: Option<&'s S>,
+) -> Result<Option<(&'o mut O, &'s S)>, FrameworkError> {
+    match (rebuilt, saved) {
+        (Some(o), Some(s)) => Ok(Some((o, s))),
+        (None, None) => Ok(None),
+        (rebuilt, _) => Err(FrameworkError::Checkpoint(CheckpointError::Restore {
+            what: format!(
+                "{what} mismatch: checkpoint {} {what} state but the rebuilt session {} one",
+                if saved.is_some() { "has" } else { "has no" },
+                if rebuilt.is_some() {
+                    "attached"
+                } else {
+                    "did not attach"
+                },
+            ),
+        })),
     }
 }
 

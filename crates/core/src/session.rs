@@ -2,13 +2,13 @@
 
 use std::path::PathBuf;
 
-use sparseweaver_fault::{FaultCounts, FaultHandle, FaultInjector, FaultSpec};
+use sparseweaver_fault::{FaultCounts, FaultInjector, FaultSpec};
 use sparseweaver_graph::{Csr, Direction};
 use sparseweaver_lint::{AnalyzeGeom, LintLevel};
+use sparseweaver_mem::{Hooks, Recorder};
 use sparseweaver_sim::{Gpu, GpuConfig, KernelStats, Occupancy, SimError, WeaverMode};
 use sparseweaver_trace::{
-    CounterSnapshot, EventData, FileSink, ProfileHandle, ProfileReport, TraceConfig, TraceHandle,
-    TraceReport,
+    CounterSnapshot, EventData, FileSink, ProfileReport, Profiler, TraceConfig, TraceReport, Tracer,
 };
 
 use crate::algorithms::Algorithm;
@@ -331,11 +331,8 @@ impl Session {
         algorithm: &dyn Algorithm,
         schedule: Schedule,
     ) -> Result<RunReport, FrameworkError> {
-        let fault = self
-            .inject
-            .filter(|s| s.is_active())
-            .map(|spec| FaultHandle::new(FaultInjector::new(spec, self.inject_seed)));
-        let result = match self.run_once(graph, algorithm, schedule, fault.clone(), None, None) {
+        let mut fault = self.injector();
+        let result = match self.run_once(graph, algorithm, schedule, &mut fault, None, None) {
             Err(FrameworkError::Sim(SimError::WeaverTimeout { kernel, .. }))
                 if self.fallback && schedule.uses_unit() =>
             {
@@ -347,7 +344,7 @@ impl Session {
                     graph,
                     algorithm,
                     Schedule::Swm,
-                    fault.clone(),
+                    &mut fault,
                     Some((schedule, kernel)),
                     None,
                 )
@@ -387,16 +384,13 @@ impl Session {
         algorithm: &dyn Algorithm,
         ck: &Checkpoint,
     ) -> Result<RunReport, FrameworkError> {
-        let fault = self
-            .inject
-            .filter(|s| s.is_active())
-            .map(|spec| FaultHandle::new(FaultInjector::new(spec, self.inject_seed)));
+        let mut fault = self.injector();
         let fallback_from = ck.fell_back_from.clone();
         let result = match self.run_once(
             graph,
             algorithm,
             ck.schedule,
-            fault.clone(),
+            &mut fault,
             fallback_from.clone(),
             Some(ck),
         ) {
@@ -410,7 +404,7 @@ impl Session {
                     graph,
                     algorithm,
                     Schedule::Swm,
-                    fault.clone(),
+                    &mut fault,
                     Some((ck.schedule, kernel)),
                     None,
                 )
@@ -434,19 +428,32 @@ impl Session {
         result
     }
 
+    /// A fresh injector for one [`Session::run`], when
+    /// [`Session::inject`] is active.
+    fn injector(&self) -> Option<FaultInjector> {
+        self.inject
+            .filter(|s| s.is_active())
+            .map(|spec| FaultInjector::new(spec, self.inject_seed))
+    }
+
     /// One attempt of [`Session::run`] under exactly `schedule`.
     /// `fallback_from` marks this as the graceful-degradation re-run:
     /// `(originally requested schedule, kernel that exhausted retries)`.
     /// With `resume` set, the machine is restored from that checkpoint
-    /// after all observability handles are attached, and the side effects
-    /// that the restored state already contains (the fallback-entry trace
-    /// event and totals) are not re-applied.
+    /// after all observers are attached, and the side effects that the
+    /// restored state already contains (the fallback-entry trace event and
+    /// totals) are not re-applied.
+    ///
+    /// The run borrows the injector in `fault` and hands it back on every
+    /// exit path, `Ok` or `Err`: its RNG cursor and counts carry from a
+    /// timed-out attempt into the fallback re-run and into
+    /// [`Session::last_faults`].
     fn run_once(
         &mut self,
         graph: &Csr,
         algorithm: &dyn Algorithm,
         schedule: Schedule,
-        fault: Option<FaultHandle>,
+        fault: &mut Option<FaultInjector>,
         fallback_from: Option<(Schedule, String)>,
         resume: Option<&Checkpoint>,
     ) -> Result<RunReport, FrameworkError> {
@@ -479,7 +486,7 @@ impl Session {
             rt.set_analyze(Some(geom_of(&eff)));
         }
         rt.set_regalloc(self.regalloc);
-        let tracer = match &self.trace_out {
+        let mut tracer = match &self.trace_out {
             Some(path) => {
                 let cfg = self.trace.unwrap_or_default();
                 // A resume appends to the existing trace file: the restored
@@ -494,33 +501,24 @@ impl Session {
                 .map_err(|e| FrameworkError::Io {
                     what: format!("creating trace file {}: {e}", path.display()),
                 })?;
-                Some(TraceHandle::with_sink(cfg, Box::new(sink)))
+                Some(Tracer::with_sink(cfg, Box::new(sink)))
             }
-            None => self.trace.map(TraceHandle::new),
+            None => self.trace.map(Tracer::new),
         };
-        rt.set_tracer(tracer.clone());
-        // The fallback re-run gets its own fresh profiler (only the
-        // schedule that actually executed is profiled): the failed
-        // attempt's handle died with its runtime.
-        let profiler = self.profile.then(ProfileHandle::new);
-        rt.set_profiler(profiler.clone());
-        rt.set_fault_injector(fault.clone());
         rt.set_max_weaver_retries(self.max_weaver_retries);
         rt.set_fast_forward(self.fast_forward);
         // Created after the machine: the capture header carries the
         // effective (clamped, penalty-applied) hierarchy configuration,
         // which is what a replay must rebuild for bit-identity.
-        let recorder = match &self.mem_trace_out {
-            Some(path) => Some(
-                sparseweaver_mem::MemRecorderHandle::create(path, &eff.hierarchy).map_err(|e| {
+        let recorder =
+            match &self.mem_trace_out {
+                Some(path) => Some(Recorder::create(path, &eff.hierarchy).map_err(|e| {
                     FrameworkError::Io {
                         what: format!("creating memory trace file {}: {e}", path.display()),
                     }
-                })?,
-            ),
-            None => None,
-        };
-        rt.set_mem_recorder(recorder.clone());
+                })?),
+                None => None,
+            };
         if let Some(policy) = &self.checkpoint {
             let mut ctl = policy.clone();
             let (cfp, gfp) = fps.expect("fingerprints computed when a policy is set");
@@ -532,42 +530,53 @@ impl Session {
         // On a resume the restored tracer state already contains the
         // fallback-entry event and totals — re-applying them here would
         // double-count the degradation.
-        if resume.is_none() {
-            if let (Some(tr), Some((from, kernel))) = (&tracer, &fallback_from) {
-                tr.emit(
-                    0,
-                    0,
-                    EventData::WeaverFallback {
-                        kernel: kernel.clone(),
-                        schedule: schedule.paper_name().to_string(),
-                    },
-                );
-                // The failed attempt's tracer died with it; carry what the
-                // injector did to that run (the drops that exhausted the
-                // retry budget) into this run's totals so `metrics.json`
-                // explains the fallback it reports.
-                let pre = fault.as_ref().map(|f| f.counts()).unwrap_or_default();
-                tr.add_totals(&CounterSnapshot {
-                    faults_injected: pre.total(),
-                    weaver_drops: pre.weaver_drops,
-                    weaver_retries: self.max_weaver_retries as u64,
-                    weaver_fallbacks: 1,
-                    ..CounterSnapshot::default()
-                });
-                let _ = from;
-            }
+        if let (None, Some(tr), Some((_, kernel))) = (resume, &mut tracer, &fallback_from) {
+            tr.emit(
+                0,
+                0,
+                EventData::WeaverFallback {
+                    kernel: kernel.clone(),
+                    schedule: schedule.paper_name().to_string(),
+                },
+            );
+            // The failed attempt's tracer died with it; carry what the
+            // injector did to that run (the drops that exhausted the
+            // retry budget) into this run's totals so `metrics.json`
+            // explains the fallback it reports.
+            let pre = fault.as_ref().map(|f| f.counts()).unwrap_or_default();
+            tr.add_totals(&CounterSnapshot {
+                faults_injected: pre.total(),
+                weaver_drops: pre.weaver_drops,
+                weaver_retries: self.max_weaver_retries as u64,
+                weaver_fallbacks: 1,
+                ..CounterSnapshot::default()
+            });
         }
-        if let Some(ck) = resume {
-            rt.resume_from(ck)?;
-        }
-        let output = algorithm.run(&mut rt)?;
+        rt.attach_hooks(Hooks {
+            tracer,
+            // The fallback re-run gets its own fresh profiler (only the
+            // schedule that actually executed is profiled): the failed
+            // attempt's profiler died with its runtime.
+            profiler: self.profile.then(Profiler::default),
+            recorder,
+            fault: fault.take(),
+        });
+        let output = match resume {
+            Some(ck) => rt.resume_from(ck).and_then(|()| algorithm.run(&mut rt)),
+            None => algorithm.run(&mut rt),
+        };
+        let mut hooks = rt.take_hooks();
+        *fault = hooks.fault.take();
+        let output = output?;
         let occupancy = rt.gpu().occupancy();
-        let mem_trace = recorder.map(|r| r.finalize(&rt.gpu().mem_stats()));
+        let mem_trace = hooks
+            .recorder
+            .map(|mut r| r.finalize(&rt.gpu().mem_stats()));
         let weaver_retries = rt.weaver_retries();
         let (stats, per_kernel) = rt.into_stats();
-        let trace = tracer.map(|t| t.report());
+        let trace = hooks.tracer.map(|mut t| t.take_report());
         let sink_error = trace.as_ref().and_then(|t| t.sink_error);
-        let profile = profiler.map(|p| p.report());
+        let profile = hooks.profiler.map(|mut p| p.take_report());
         Ok(RunReport {
             schedule,
             algorithm: algorithm.name().to_string(),
@@ -582,7 +591,7 @@ impl Session {
             occupancy,
             weaver_retries,
             fell_back_from: fallback_from.map(|(from, _)| from),
-            faults: fault.map(|f| f.counts()),
+            faults: fault.as_ref().map(FaultInjector::counts),
             mem_trace,
         })
     }
@@ -646,6 +655,33 @@ mod tests {
         assert_eq!(r.algorithm, "pagerank");
         assert_eq!(r.output.len(), 40);
         assert!(r.trace.is_none());
+    }
+
+    /// The injector is lent to each attempt and handed back on every exit
+    /// path: the drops of the timed-out Weaver attempt reach the fallback
+    /// report, and [`Session::last_faults`] survives an erroring run.
+    #[test]
+    fn fault_counts_survive_fallback_and_errors() {
+        use crate::algorithms::Bfs;
+
+        let g = sparseweaver_graph::generators::uniform(24, 72, 7);
+        let mut s = Session::new(GpuConfig::small_test());
+        s.inject = Some(FaultSpec::parse("weaver-drop=1.0").unwrap());
+        let retries = u64::from(s.max_weaver_retries);
+
+        let report = s.run(&g, &Bfs::new(0), Schedule::SparseWeaver).unwrap();
+        assert_eq!(report.fell_back_from, Some(Schedule::SparseWeaver));
+        let faults = report.faults.expect("injector attached");
+        assert!(faults.weaver_drops > retries, "{faults:?}");
+
+        s.fallback = false;
+        let err = s.run(&g, &Bfs::new(0), Schedule::SparseWeaver).unwrap_err();
+        assert!(
+            matches!(err, FrameworkError::Sim(SimError::WeaverTimeout { .. })),
+            "{err}"
+        );
+        let faults = s.last_faults().expect("kept when the run errors");
+        assert!(faults.weaver_drops > retries, "{faults:?}");
     }
 
     #[test]

@@ -17,12 +17,12 @@
 //!
 //! Everything is driven by one [`SplitMix64`] stream seeded from the
 //! campaign seed, so a given `(spec, seed)` pair replays byte-identically.
-//! The crate deliberately has **no dependencies**: `mem`, `weaver`, and
-//! `sim` all link it without cycles.
+//! The crate depends only on `sparseweaver-trace` (for its JSON string
+//! escaper): `mem`, `weaver`, and `sim` all link it without cycles.
 
-use std::cell::RefCell;
 use std::fmt;
-use std::rc::Rc;
+
+use sparseweaver_trace::json::escape;
 
 /// The classic splitmix64 generator — tiny, fast, and fully deterministic.
 ///
@@ -260,9 +260,9 @@ impl FaultCounts {
 
 /// The deterministic fault injector shared across the device model.
 ///
-/// One injector (behind a [`FaultHandle`]) is distributed to the memory,
-/// Weaver unit, and cores — mirroring how `TraceHandle` is wired — so a
-/// single RNG stream decides every event in device order.
+/// One injector rides in the hooks the GPU lends to device memory, the
+/// Weaver units and the cores at call time, so a single RNG stream decides
+/// every event in device order.
 #[derive(Debug, Clone)]
 pub struct FaultInjector {
     spec: FaultSpec,
@@ -387,53 +387,6 @@ pub struct FaultInjectorState {
     pub weaver_faulty: bool,
 }
 
-/// A cloneable shared handle to one [`FaultInjector`], mirroring
-/// `sparseweaver_trace::TraceHandle` (the simulator is single-threaded).
-#[derive(Debug, Clone)]
-pub struct FaultHandle(Rc<RefCell<FaultInjector>>);
-
-impl FaultHandle {
-    /// Wrap an injector in a shared handle.
-    pub fn new(injector: FaultInjector) -> Self {
-        FaultHandle(Rc::new(RefCell::new(injector)))
-    }
-
-    /// Borrow the injector mutably for one event decision.
-    pub fn with<R>(&self, f: impl FnOnce(&mut FaultInjector) -> R) -> R {
-        f(&mut self.0.borrow_mut())
-    }
-
-    /// Cumulative injection counters.
-    pub fn counts(&self) -> FaultCounts {
-        self.0.borrow().counts()
-    }
-
-    /// Whether a response drop has marked the Weaver unit faulty.
-    pub fn weaver_faulty(&self) -> bool {
-        self.0.borrow().weaver_faulty()
-    }
-
-    /// Clear the faulty mark before a retry attempt.
-    pub fn clear_weaver_faulty(&self) {
-        self.0.borrow_mut().clear_weaver_faulty();
-    }
-
-    /// The active spec.
-    pub fn spec(&self) -> FaultSpec {
-        self.0.borrow().spec()
-    }
-
-    /// See [`FaultInjector::save_state`].
-    pub fn save_state(&self) -> FaultInjectorState {
-        self.0.borrow().save_state()
-    }
-
-    /// See [`FaultInjector::restore_state`].
-    pub fn restore_state(&self, state: &FaultInjectorState) {
-        self.0.borrow_mut().restore_state(state);
-    }
-}
-
 /// The four-way classification of one fault-campaign run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Outcome {
@@ -541,19 +494,6 @@ impl CampaignSummary {
             self.fallbacks,
         )
     }
-}
-
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -692,15 +632,6 @@ mod tests {
         let mut inj = FaultInjector::new(spec, 5);
         assert_eq!(inj.weaver_response(), WeaverFault::Delay(123));
         assert!(!inj.weaver_faulty());
-    }
-
-    #[test]
-    fn handle_shares_one_injector() {
-        let spec = FaultSpec::parse("fetch=1").unwrap();
-        let h = FaultHandle::new(FaultInjector::new(spec, 11));
-        let h2 = h.clone();
-        h.with(|i| i.corrupt_fetch(0));
-        assert_eq!(h2.counts().fetch_flips, 1);
     }
 
     #[test]

@@ -55,6 +55,7 @@ pub use facts::DataflowFacts;
 use std::fmt;
 
 use sparseweaver_isa::Program;
+use sparseweaver_trace::json::escape;
 
 /// How bad a finding is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -377,16 +378,16 @@ impl LintReport {
         use fmt::Write as _;
         let mut ctx = String::new();
         if let Some(k) = &self.kernel {
-            ctx.push_str(&format!(",\"kernel\":\"{}\"", escape_json(k)));
+            ctx.push_str(&format!(",\"kernel\":\"{}\"", escape(k)));
         }
         if let Some(s) = &self.schedule {
-            ctx.push_str(&format!(",\"schedule\":\"{}\"", escape_json(s)));
+            ctx.push_str(&format!(",\"schedule\":\"{}\"", escape(s)));
         }
         let mut out = String::new();
         let _ = write!(
             out,
             "{{\"program\":\"{}\"{ctx},\"errors\":{},\"warnings\":{},\"advice\":{},\"diagnostics\":[",
-            escape_json(&self.program),
+            escape(&self.program),
             self.error_count(),
             self.warning_count(),
             self.advice_count()
@@ -401,30 +402,12 @@ impl LintReport {
                 d.rule.id(),
                 d.severity(),
                 d.pc,
-                escape_json(&d.message)
+                escape(&d.message)
             );
         }
         out.push_str("]}");
         out
     }
-}
-
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Lints `program`, running every analysis layer.

@@ -2,10 +2,10 @@
 
 use std::fmt;
 
-use sparseweaver_trace::{EventData, MemLevel, ProfileHandle, TraceHandle};
+use sparseweaver_trace::{EventData, MemLevel};
 
 use crate::cache::{Cache, CacheConfig, CacheConfigError, CacheState, CacheStats};
-use crate::mtrace::MemRecorderHandle;
+use crate::hooks::Hooks;
 
 /// Configuration of the whole hierarchy.
 ///
@@ -311,11 +311,12 @@ pub struct PortOccupancy {
 /// # Examples
 ///
 /// ```
-/// use sparseweaver_mem::{Hierarchy, HierarchyConfig};
+/// use sparseweaver_mem::{Hierarchy, HierarchyConfig, Hooks};
 ///
 /// let mut h = Hierarchy::new(HierarchyConfig::vortex_default(2));
-/// let cold = h.access(0, 0x1000, false, 0);
-/// let warm = h.access(0, 0x1000, false, 10);
+/// let hooks = &mut Hooks::default();
+/// let cold = h.access(0, 0x1000, false, 0, hooks);
+/// let warm = h.access(0, 0x1000, false, 10, hooks);
 /// assert!(warm.latency < cold.latency);
 /// ```
 #[derive(Debug, Clone)]
@@ -329,9 +330,6 @@ pub struct Hierarchy {
     dram_port: Port,
     atomic_port: Port,
     dram_accesses: u64,
-    tracer: Option<TraceHandle>,
-    profiler: Option<ProfileHandle>,
-    recorder: Option<MemRecorderHandle>,
 }
 
 impl Hierarchy {
@@ -348,55 +346,7 @@ impl Hierarchy {
             dram_port: Port::with_stride(cfg.dram_ports, cfg.dram_freq_ratio),
             atomic_port: Port::new(cfg.atomic_ports),
             dram_accesses: 0,
-            tracer: None,
-            profiler: None,
-            recorder: None,
             cfg,
-        }
-    }
-
-    /// Attaches (or detaches) a tracer. With a handle attached, [`access`]
-    /// emits one [`EventData::CacheAccess`] per request and every DRAM
-    /// transaction in the timing path emits [`EventData::DramTransaction`].
-    /// [`access_unqueued`] (the EGHW unit port) carries no timestamp and
-    /// emits no events; its activity still lands in [`Hierarchy::stats`].
-    ///
-    /// [`access`]: Hierarchy::access
-    /// [`access_unqueued`]: Hierarchy::access_unqueued
-    pub fn set_tracer(&mut self, tracer: Option<TraceHandle>) {
-        self.tracer = tracer;
-    }
-
-    /// Attaches (or detaches) a latency profiler. With a handle attached,
-    /// [`access`] and [`atomic`] record each request's issue→fill latency
-    /// (queueing included) into the per-level histograms.
-    /// [`access_unqueued`] (the EGHW unit port) carries no timestamp and
-    /// is excluded, mirroring its exclusion from the event stream.
-    ///
-    /// [`access`]: Hierarchy::access
-    /// [`atomic`]: Hierarchy::atomic
-    /// [`access_unqueued`]: Hierarchy::access_unqueued
-    pub fn set_profiler(&mut self, profiler: Option<ProfileHandle>) {
-        self.profiler = profiler;
-    }
-
-    /// Attaches (or detaches) a memory-trace recorder
-    /// ([`crate::mtrace`]). With a handle attached, every [`access`],
-    /// [`access_unqueued`], and [`atomic`] appends one `swmtrace-v1`
-    /// record in service order — the sequence [`crate::replay`] feeds
-    /// back to reproduce this hierarchy's stats bit for bit. Purely
-    /// observational: timing and stats are unchanged.
-    ///
-    /// [`access`]: Hierarchy::access
-    /// [`access_unqueued`]: Hierarchy::access_unqueued
-    /// [`atomic`]: Hierarchy::atomic
-    pub fn set_recorder(&mut self, recorder: Option<MemRecorderHandle>) {
-        self.recorder = recorder;
-    }
-
-    fn emit_dram(&self, t: u64, write: bool) {
-        if let Some(tr) = &self.tracer {
-            tr.emit(t, 0, EventData::DramTransaction { write });
         }
     }
 
@@ -454,10 +404,24 @@ impl Hierarchy {
     /// One load/store from `core` to the line containing `addr` at time
     /// `now`.
     ///
+    /// The observers in `hooks` see the request: the tracer gets one
+    /// [`EventData::CacheAccess`] plus an [`EventData::DramTransaction`]
+    /// per DRAM transaction in the timing path, the profiler the
+    /// issue→fill latency (queueing included), and the recorder one
+    /// `swmtrace-v1` record in service order. None of them changes
+    /// timing or stats.
+    ///
     /// # Panics
     ///
     /// Panics if `core` is out of range.
-    pub fn access(&mut self, core: usize, addr: u64, write: bool, now: u64) -> AccessResult {
+    pub fn access(
+        &mut self,
+        core: usize,
+        addr: u64,
+        write: bool,
+        now: u64,
+        hooks: &mut Hooks,
+    ) -> AccessResult {
         let queue_delay = self.l1_ports[core].acquire(now);
         let t = now + queue_delay;
         let mut latency = queue_delay + self.cfg.l1_latency;
@@ -476,14 +440,14 @@ impl Hierarchy {
             }
         } else {
             latency += self.l2_port.acquire(t) + self.cfg.l2_latency;
-            let (level, below) = self.descend_from_l2(addr, t);
+            let (level, below) = self.descend(addr, t, false, hooks);
             AccessResult {
                 latency: latency + below,
                 queue_delay,
                 level,
             }
         };
-        if let Some(tr) = &self.tracer {
+        if let Some(tr) = &mut hooks.tracer {
             tr.emit(
                 now,
                 core as u32,
@@ -494,10 +458,10 @@ impl Hierarchy {
                 },
             );
         }
-        if let Some(p) = &self.profiler {
+        if let Some(p) = &mut hooks.profiler {
             p.mem_latency(result.level.trace_level(), result.latency);
         }
-        if let Some(r) = &self.recorder {
+        if let Some(r) = &mut hooks.recorder {
             r.access(core, addr, write, now, result.level);
         }
         result
@@ -507,9 +471,19 @@ impl Hierarchy {
     /// (the EGHW baseline): full cache-lookup latency, but no GPU port
     /// queueing. Units run ahead of the GPU clock, so routing them through
     /// the shared (monotonic) port models would corrupt the port clocks.
-    pub fn access_unqueued(&mut self, core: usize, addr: u64, write: bool) -> AccessResult {
+    ///
+    /// Only the recorder in `hooks` sees it: the request carries no
+    /// timestamp, so it emits no trace events and no profiled latency; its
+    /// activity still lands in [`Hierarchy::stats`].
+    pub fn access_unqueued(
+        &mut self,
+        core: usize,
+        addr: u64,
+        write: bool,
+        hooks: &mut Hooks,
+    ) -> AccessResult {
         let result = self.access_unqueued_inner(core, addr, write);
-        if let Some(r) = &self.recorder {
+        if let Some(r) = &mut hooks.recorder {
             r.access_unqueued(core, addr, write, result.level);
         }
         result
@@ -572,13 +546,13 @@ impl Hierarchy {
     /// # Panics
     ///
     /// Panics if `core` is out of range.
-    pub fn atomic(&mut self, core: usize, addr: u64, now: u64) -> AccessResult {
+    pub fn atomic(&mut self, core: usize, addr: u64, now: u64, hooks: &mut Hooks) -> AccessResult {
         let queue_delay = self.atomic_port.acquire(now);
         let t = now + queue_delay;
         let mut latency = queue_delay + self.cfg.l1_latency + self.cfg.l2_latency;
-        let (level, below) = self.descend_from_l2_write(addr, t);
+        let (level, below) = self.descend(addr, t, true, hooks);
         latency += below;
-        if let Some(tr) = &self.tracer {
+        if let Some(tr) = &mut hooks.tracer {
             tr.emit(
                 now,
                 core as u32,
@@ -589,10 +563,10 @@ impl Hierarchy {
                 },
             );
         }
-        if let Some(p) = &self.profiler {
+        if let Some(p) = &mut hooks.profiler {
             p.mem_latency(level.trace_level(), latency);
         }
-        if let Some(r) = &self.recorder {
+        if let Some(r) = &mut hooks.recorder {
             r.atomic(core, addr, now, level);
         }
         AccessResult {
@@ -602,22 +576,21 @@ impl Hierarchy {
         }
     }
 
-    fn descend_from_l2(&mut self, addr: u64, t: u64) -> (HitLevel, u64) {
-        self.descend(addr, t, false)
-    }
-
-    fn descend_from_l2_write(&mut self, addr: u64, t: u64) -> (HitLevel, u64) {
-        self.descend(addr, t, true)
-    }
-
-    fn descend(&mut self, addr: u64, t: u64, write: bool) -> (HitLevel, u64) {
+    /// The L2-and-below part of a timed request issued at `t`; returns
+    /// the serving level and the latency below the L2.
+    fn descend(&mut self, addr: u64, t: u64, write: bool, hooks: &mut Hooks) -> (HitLevel, u64) {
+        let mut emit_dram = |write: bool| {
+            if let Some(tr) = &mut hooks.tracer {
+                tr.emit(t, 0, EventData::DramTransaction { write });
+            }
+        };
         let a2 = self.l2.access(addr, write);
         if let Some(victim) = a2.evicted_dirty {
             if let Some(l3) = &mut self.l3 {
                 l3.access(victim, true);
             } else {
                 self.dram_accesses += 1;
-                self.emit_dram(t, true);
+                emit_dram(true);
             }
         }
         if a2.hit {
@@ -627,14 +600,14 @@ impl Hierarchy {
             let a3 = l3.access(addr, write);
             if a3.evicted_dirty.is_some() {
                 self.dram_accesses += 1;
-                self.emit_dram(t, true);
+                emit_dram(true);
             }
             if a3.hit {
                 return (HitLevel::L3, self.cfg.l3_latency);
             }
             let dq = self.dram_port.acquire(t);
             self.dram_accesses += 1;
-            self.emit_dram(t, false);
+            emit_dram(false);
             (
                 HitLevel::Dram,
                 self.cfg.l3_latency + dq + self.dram_cycles(),
@@ -642,7 +615,7 @@ impl Hierarchy {
         } else {
             let dq = self.dram_port.acquire(t);
             self.dram_accesses += 1;
-            self.emit_dram(t, false);
+            emit_dram(false);
             (HitLevel::Dram, dq + self.dram_cycles())
         }
     }
@@ -767,8 +740,8 @@ mod tests {
     #[test]
     fn l1_hit_is_cheap() {
         let mut h = tiny();
-        h.access(0, 64, false, 0);
-        let r = h.access(0, 64, false, 5);
+        h.access(0, 64, false, 0, &mut Hooks::default());
+        let r = h.access(0, 64, false, 5, &mut Hooks::default());
         assert_eq!(r.level, HitLevel::L1);
         assert_eq!(r.latency, h.config().l1_latency);
     }
@@ -785,7 +758,7 @@ mod tests {
         let mut h = tiny();
         // Saturate core 0's L1 port window at cycle 10.
         for _ in 0..h.config().l1_ports {
-            h.access(0, 64, false, 10);
+            h.access(0, 64, false, 10, &mut Hooks::default());
         }
         let predicted = h.next_ready_cycle(0, 10);
         assert!(predicted > 10, "a full window must push the bound out");
@@ -793,14 +766,14 @@ mod tests {
         assert_eq!(h.next_ready_cycle(0, 10), predicted);
         // The predicted cycle admits a request with no L1 queue delay
         // (the address is an L1 hit, so only the L1 port is exercised).
-        let r = h.access(0, 64, false, predicted);
+        let r = h.access(0, 64, false, predicted, &mut Hooks::default());
         assert_eq!(r.queue_delay, 0, "bound should clear the queue");
     }
 
     #[test]
     fn cold_miss_reaches_dram() {
         let mut h = tiny();
-        let r = h.access(0, 64, false, 0);
+        let r = h.access(0, 64, false, 0, &mut Hooks::default());
         assert_eq!(r.level, HitLevel::Dram);
         assert!(r.latency >= h.dram_cycles());
     }
@@ -808,8 +781,8 @@ mod tests {
     #[test]
     fn l2_services_other_cores_miss() {
         let mut h = tiny();
-        h.access(0, 64, false, 0); // brings line into L2 (and core 0's L1)
-        let r = h.access(1, 64, false, 100);
+        h.access(0, 64, false, 0, &mut Hooks::default()); // brings line into L2 (and core 0's L1)
+        let r = h.access(1, 64, false, 100, &mut Hooks::default());
         assert_eq!(r.level, HitLevel::L2);
     }
 
@@ -825,12 +798,12 @@ mod tests {
     fn port_contention_queues() {
         let mut h = tiny();
         // Warm the line so both accesses are L1 hits.
-        h.access(0, 64, false, 0);
+        h.access(0, 64, false, 0, &mut Hooks::default());
         h.reset(); // reset ports but keep... actually flushes; re-warm below.
-        h.access(0, 64, false, 0);
+        h.access(0, 64, false, 0, &mut Hooks::default());
         // Two hits issued the same cycle with 1 port: second queues.
-        let a = h.access(0, 64, false, 50);
-        let b = h.access(0, 64, false, 50);
+        let a = h.access(0, 64, false, 50, &mut Hooks::default());
+        let b = h.access(0, 64, false, 50, &mut Hooks::default());
         assert_eq!(a.queue_delay, 0);
         assert_eq!(b.queue_delay, 1);
     }
@@ -842,12 +815,12 @@ mod tests {
         cfg.l2 = CacheConfig::new(1024, 2);
         cfg.l3 = Some(CacheConfig::new(64 * 1024, 16));
         let mut h = Hierarchy::new(cfg);
-        h.access(0, 64, false, 0); // into all levels
-                                   // Evict from L1 and L2 with conflicting lines, then re-access: L3 hit.
+        h.access(0, 64, false, 0, &mut Hooks::default()); // into all levels
+                                                          // Evict from L1 and L2 with conflicting lines, then re-access: L3 hit.
         for i in 1..40u64 {
-            h.access(0, 64 + i * 1024, false, i * 10);
+            h.access(0, 64 + i * 1024, false, i * 10, &mut Hooks::default());
         }
-        let r = h.access(0, 64, false, 10_000);
+        let r = h.access(0, 64, false, 10_000, &mut Hooks::default());
         assert!(
             matches!(r.level, HitLevel::L3 | HitLevel::L2),
             "expected L2/L3 hit, got {:?}",
@@ -858,8 +831,8 @@ mod tests {
     #[test]
     fn atomics_bypass_l1() {
         let mut h = tiny();
-        h.access(0, 64, false, 0); // L1-resident
-        let r = h.atomic(0, 64, 10);
+        h.access(0, 64, false, 0, &mut Hooks::default()); // L1-resident
+        let r = h.atomic(0, 64, 10, &mut Hooks::default());
         assert_ne!(r.level, HitLevel::L1);
         assert!(r.latency >= h.config().l2_latency);
     }
@@ -867,8 +840,8 @@ mod tests {
     #[test]
     fn stats_aggregate() {
         let mut h = tiny();
-        h.access(0, 0, false, 0);
-        h.access(1, 4096, false, 0);
+        h.access(0, 0, false, 0, &mut Hooks::default());
+        h.access(1, 4096, false, 0, &mut Hooks::default());
         let s = h.stats();
         assert_eq!(s.l1.accesses, 2);
         assert_eq!(s.l1.misses, 2);
@@ -878,13 +851,13 @@ mod tests {
     #[test]
     fn reset_clears_everything() {
         let mut h = tiny();
-        h.access(0, 0, false, 0);
+        h.access(0, 0, false, 0, &mut Hooks::default());
         h.reset();
         let s = h.stats();
         assert_eq!(s.l1.accesses, 0);
         assert_eq!(s.dram_accesses, 0);
         // Line is gone after flush.
-        let r = h.access(0, 0, false, 0);
+        let r = h.access(0, 0, false, 0, &mut Hooks::default());
         assert_eq!(r.level, HitLevel::Dram);
     }
 
@@ -930,30 +903,37 @@ mod tests {
 
     #[test]
     fn tracer_records_cache_and_dram_events() {
-        use sparseweaver_trace::{TraceConfig, TraceHandle};
+        use sparseweaver_trace::{TraceConfig, Tracer};
 
         let mut h = tiny();
-        let t = TraceHandle::new(TraceConfig::default());
+        let mut hooks = Hooks {
+            tracer: Some(Tracer::new(TraceConfig::default())),
+            ..Hooks::default()
+        };
+        let t = hooks.tracer.as_mut().unwrap();
         t.kernel_begin("k");
-        h.set_tracer(Some(t.clone()));
-        h.access(0, 64, false, 0); // cold miss: CacheAccess(DRAM) + DramTransaction
-        h.access(0, 64, false, 10); // warm: CacheAccess(L1)
+        h.access(0, 64, false, 0, &mut hooks); // cold miss: CacheAccess(DRAM) + DramTransaction
+        h.access(0, 64, false, 10, &mut hooks); // warm: CacheAccess(L1)
+        let t = hooks.tracer.as_mut().unwrap();
         t.kernel_end(20, &Default::default());
-        let r = t.report();
+        let r = t.take_report();
         assert_eq!(r.events.len(), 5); // launch, 2 cache, 1 dram, end
     }
 
     #[test]
     fn tracer_does_not_change_timing() {
-        use sparseweaver_trace::{TraceConfig, TraceHandle};
+        use sparseweaver_trace::{TraceConfig, Tracer};
 
         let mut plain = tiny();
         let mut traced = tiny();
-        traced.set_tracer(Some(TraceHandle::new(TraceConfig::default())));
+        let mut hooks = Hooks {
+            tracer: Some(Tracer::new(TraceConfig::default())),
+            ..Hooks::default()
+        };
         for i in 0..50u64 {
             let addr = (i * 192) % 4096;
-            let a = plain.access(0, addr, i % 3 == 0, i * 2);
-            let b = traced.access(0, addr, i % 3 == 0, i * 2);
+            let a = plain.access(0, addr, i % 3 == 0, i * 2, &mut Hooks::default());
+            let b = traced.access(0, addr, i % 3 == 0, i * 2, &mut hooks);
             assert_eq!(a, b);
         }
         assert_eq!(plain.stats(), traced.stats());

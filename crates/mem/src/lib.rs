@@ -17,12 +17,15 @@
 //! - [`Hierarchy`] — per-core L1s in front of a shared L2, optional L3,
 //!   then DRAM; each level has a port model whose queueing delay produces
 //!   the "wait for L1 queue (LG throttle)" stalls of Fig. 4.
+//! - [`Hooks`] — the optional observers (tracer, profiler, memory-trace
+//!   recorder, fault injector) the GPU lends down each call.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cache;
 pub mod hierarchy;
+pub mod hooks;
 pub mod main_memory;
 pub mod mtrace;
 pub mod replay;
@@ -32,8 +35,9 @@ pub use hierarchy::{
     AccessResult, Hierarchy, HierarchyConfig, HierarchyConfigError, HierarchyState, HitLevel,
     LevelStats, PortOccupancy, PortState,
 };
+pub use hooks::Hooks;
 pub use main_memory::{MainMemory, MemFault};
-pub use mtrace::{MemRecord, MemRecorderHandle, MemTrace, MemTraceError, RecorderSummary};
+pub use mtrace::{MemRecord, MemTrace, MemTraceError, Recorder, RecorderSummary};
 pub use replay::{ReplayError, VerifyOutcome};
 
 /// Cache line size in bytes, fixed at 64 as on Vortex.

@@ -3,7 +3,7 @@
 use std::cell::Cell;
 use std::fmt;
 
-use sparseweaver_fault::FaultHandle;
+use sparseweaver_fault::FaultInjector;
 
 /// A typed device-memory access fault (out-of-bounds or bad width),
 /// raised by [`MainMemory::try_read`]/[`MainMemory::try_write`] so the
@@ -60,7 +60,6 @@ pub struct MainMemory {
     data: Vec<u8>,
     reads: Cell<u64>,
     writes: Cell<u64>,
-    fault: Option<FaultHandle>,
 }
 
 /// Equality is over the *contents* only: the traffic counters are
@@ -87,16 +86,7 @@ impl MainMemory {
             data: vec![0; size],
             reads: Cell::new(0),
             writes: Cell::new(0),
-            fault: None,
         }
-    }
-
-    /// Attach (or detach) the fault injector. Only the *device-side*
-    /// access path ([`try_read`](MainMemory::try_read)) consults it; host
-    /// helpers like [`read_u32_slice`](MainMemory::read_u32_slice) stay
-    /// fault-free so golden comparisons read true device state.
-    pub fn set_fault_injector(&mut self, fault: Option<FaultHandle>) {
-        self.fault = fault;
     }
 
     /// Cumulative `(reads, writes)` access counts since construction or
@@ -150,13 +140,20 @@ impl MainMemory {
 
     /// Device-side read of `width` bytes (1, 2, 4 or 8) at `addr`,
     /// zero-extended. This is the path simulated loads take: it returns a
-    /// typed [`MemFault`] instead of panicking, and an attached fault
-    /// injector may flip one bit of the returned word.
+    /// typed [`MemFault`] instead of panicking, and a lent `fault` injector
+    /// may flip one bit of the returned word. Host helpers like
+    /// [`read_u32_slice`](MainMemory::read_u32_slice) never see an
+    /// injector, so golden comparisons read true device state.
     ///
     /// # Errors
     ///
     /// Returns [`MemFault`] on out-of-bounds access or unsupported width.
-    pub fn try_read(&self, addr: u64, width: u64) -> Result<u64, MemFault> {
+    pub fn try_read(
+        &self,
+        addr: u64,
+        width: u64,
+        fault: Option<&mut FaultInjector>,
+    ) -> Result<u64, MemFault> {
         self.reads.set(self.reads.get() + 1);
         let a = addr as usize;
         let w = width as usize;
@@ -180,10 +177,10 @@ impl MainMemory {
         let mut buf = [0u8; 8];
         buf[..w].copy_from_slice(slice);
         let value = u64::from_le_bytes(buf);
-        match &self.fault {
-            Some(h) => Ok(h.with(|i| i.corrupt_mem(value, w))),
-            None => Ok(value),
-        }
+        Ok(match fault {
+            Some(f) => f.corrupt_mem(value, w),
+            None => value,
+        })
     }
 
     /// Device-side write of the low `width` bytes of `value` at `addr`.
@@ -398,14 +395,14 @@ mod tests {
     #[test]
     fn try_read_returns_typed_fault() {
         let m = MainMemory::new(4);
-        let e = m.try_read(2, 4).unwrap_err();
+        let e = m.try_read(2, 4, None).unwrap_err();
         assert!(!e.write);
         assert_eq!(e.addr, 2);
         assert!(e.to_string().contains("out of bounds"));
-        let e = m.try_read(0, 3).unwrap_err();
+        let e = m.try_read(0, 3, None).unwrap_err();
         assert!(e.to_string().contains("unsupported width"));
         // Address arithmetic that would overflow usize is a fault, not a panic.
-        assert!(m.try_read(u64::MAX, 8).is_err());
+        assert!(m.try_read(u64::MAX, 8, None).is_err());
     }
 
     #[test]
@@ -416,17 +413,17 @@ mod tests {
         assert!(e.to_string().contains("out of bounds"));
         assert!(m.try_write(0, 0, 5).is_err());
         m.try_write(0, 0xaa, 1).unwrap();
-        assert_eq!(m.try_read(0, 1).unwrap(), 0xaa);
+        assert_eq!(m.try_read(0, 1, None).unwrap(), 0xaa);
     }
 
     #[test]
     fn fault_injector_corrupts_device_reads_only() {
-        use sparseweaver_fault::{FaultHandle, FaultInjector, FaultSpec};
+        use sparseweaver_fault::FaultSpec;
         let spec = FaultSpec::parse("mem=1").unwrap();
         let mut m = MainMemory::new(64);
         m.write(0, 0x55, 8);
-        m.set_fault_injector(Some(FaultHandle::new(FaultInjector::new(spec, 1))));
-        let device = m.try_read(0, 8).unwrap();
+        let mut fault = FaultInjector::new(spec, 1);
+        let device = m.try_read(0, 8, Some(&mut fault)).unwrap();
         assert_ne!(device, 0x55, "device read should see a flipped bit");
         // The host path reads true state.
         assert_eq!(m.read(0, 8), 0x55);

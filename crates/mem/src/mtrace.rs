@@ -1,8 +1,9 @@
 //! `swmtrace-v1`: a compact binary per-warp memory-access trace.
 //!
 //! The capture side of the trace-capture/replay memory-study mode. A
-//! [`MemRecorderHandle`] rides next to the tracer/profiler hooks in
-//! [`crate::Hierarchy`] and the simulator cores, and records every
+//! [`Recorder`] rides next to the tracer and profiler in the
+//! [`crate::Hooks`] the GPU lends to [`crate::Hierarchy`] and the
+//! simulator cores, and records every
 //! timing-path memory-hierarchy request — coalesced line accesses, EGHW
 //! unit lookups, atomics — plus kernel-launch and barrier records, in
 //! exactly the order the hierarchy served them. Replaying that sequence
@@ -45,11 +46,9 @@
 //! configuration — diagnostic only; a replay under a different geometry
 //! recomputes levels from scratch.
 
-use std::cell::RefCell;
 use std::fmt;
 use std::io::{self, Write};
 use std::path::Path;
-use std::rc::Rc;
 
 use crate::cache::CacheConfig;
 use crate::hierarchy::{HierarchyConfig, HitLevel, LevelStats};
@@ -517,7 +516,10 @@ fn tmp_path(dest: &Path) -> std::path::PathBuf {
     dest.with_file_name(name)
 }
 
-struct Recorder {
+/// The `swmtrace-v1` capture writer. It rides in the hooks the GPU lends
+/// to the hierarchy and every core at call time; with none attached the
+/// hooks are single `Option` checks and the cycle model is untouched.
+pub struct Recorder {
     sink: RecorderSink,
     /// Scratch buffer: each record is encoded here, then written once.
     scratch: Vec<u8>,
@@ -530,46 +532,17 @@ struct Recorder {
     finalized: bool,
 }
 
-impl Recorder {
-    fn emit(&mut self) {
-        if self.err.is_some() || self.finalized {
-            self.scratch.clear();
-            return;
-        }
-        self.bytes += self.scratch.len() as u64;
-        if let Err(e) = {
-            let scratch = std::mem::take(&mut self.scratch);
-            let r = self.sink.write_all(&scratch);
-            self.scratch = scratch;
-            r
-        } {
-            // Latch the first error; later writes are skipped so one
-            // full disk does not spam, mirroring the trace FileSink.
-            self.err = Some(e.kind());
-        }
-        self.scratch.clear();
-    }
-}
-
-/// The cloneable capture handle, distributed to the hierarchy and every
-/// core like the tracer/profiler handles. All clones share one writer;
-/// with no handle attached the hooks are single `Option` checks and the
-/// cycle model is untouched.
-#[derive(Clone)]
-pub struct MemRecorderHandle(Rc<RefCell<Recorder>>);
-
-impl fmt::Debug for MemRecorderHandle {
+impl fmt::Debug for Recorder {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let r = self.0.borrow();
-        f.debug_struct("MemRecorderHandle")
-            .field("records", &r.records)
-            .field("bytes", &r.bytes)
-            .field("err", &r.err)
+        f.debug_struct("Recorder")
+            .field("records", &self.records)
+            .field("bytes", &self.bytes)
+            .field("err", &self.err)
             .finish()
     }
 }
 
-impl MemRecorderHandle {
+impl Recorder {
     fn with_sink(sink: RecorderSink, cfg: &HierarchyConfig) -> Self {
         let mut scratch = Vec::with_capacity(256);
         scratch.extend_from_slice(MTRACE_MAGIC);
@@ -611,7 +584,7 @@ impl MemRecorderHandle {
             finalized: false,
         };
         rec.emit();
-        MemRecorderHandle(Rc::new(RefCell::new(rec)))
+        rec
     }
 
     /// Creates a recorder streaming to `path` (`-` for stdout) and
@@ -620,8 +593,8 @@ impl MemRecorderHandle {
     /// # Errors
     ///
     /// Returns the I/O error if the file cannot be created. Write errors
-    /// *after* creation latch into [`MemRecorderHandle::summary`]
-    /// instead, so a run is never aborted mid-flight by a full disk.
+    /// *after* creation latch into [`Recorder::summary`] instead, so a
+    /// run is never aborted mid-flight by a full disk.
     pub fn create(path: &Path, cfg: &HierarchyConfig) -> io::Result<Self> {
         let sink = if path == Path::new("-") {
             RecorderSink::Stdout(io::stdout())
@@ -637,41 +610,55 @@ impl MemRecorderHandle {
     }
 
     /// Creates a recorder capturing into memory (for tests); retrieve
-    /// the document with [`MemRecorderHandle::take_bytes`].
+    /// the document with [`Recorder::take_bytes`].
     pub fn in_memory(cfg: &HierarchyConfig) -> Self {
         Self::with_sink(RecorderSink::Memory(Vec::new()), cfg)
+    }
+
+    /// Writes the encoded record in `scratch` to the sink.
+    fn emit(&mut self) {
+        if self.err.is_some() || self.finalized {
+            self.scratch.clear();
+            return;
+        }
+        self.bytes += self.scratch.len() as u64;
+        if let Err(e) = self.sink.write_all(&self.scratch) {
+            // Latch the first error; later writes are skipped so one
+            // full disk does not spam, mirroring the trace FileSink.
+            self.err = Some(e.kind());
+        }
+        self.scratch.clear();
     }
 
     /// Sets the warp context for subsequent hierarchy records. Called by
     /// the issuing core once per executed instruction, because the
     /// hierarchy hooks don't know which warp is behind a request.
-    pub fn set_warp(&self, warp: u32) {
-        self.0.borrow_mut().warp = warp;
+    pub fn set_warp(&mut self, warp: u32) {
+        self.warp = warp;
     }
 
     /// Records a kernel launch (replay resets port clocks here).
-    pub fn kernel_launch(&self, name: &str) {
-        let mut r = self.0.borrow_mut();
-        r.scratch.push(TAG_KERNEL);
-        push_varint(&mut r.scratch, name.len() as u64);
-        r.scratch.extend_from_slice(name.as_bytes());
-        r.records += 1;
-        r.emit();
+    pub fn kernel_launch(&mut self, name: &str) {
+        self.scratch.push(TAG_KERNEL);
+        push_varint(&mut self.scratch, name.len() as u64);
+        self.scratch.extend_from_slice(name.as_bytes());
+        self.records += 1;
+        self.emit();
     }
 
     /// Records one queued line access served at `level`.
-    pub fn access(&self, core: usize, addr: u64, write: bool, cycle: u64, level: HitLevel) {
+    pub fn access(&mut self, core: usize, addr: u64, write: bool, cycle: u64, level: HitLevel) {
         self.record_access(core, addr, write, cycle, level, false);
     }
 
     /// Records one EGHW unit-port lookup (no timestamp) served at
     /// `level`.
-    pub fn access_unqueued(&self, core: usize, addr: u64, write: bool, level: HitLevel) {
+    pub fn access_unqueued(&mut self, core: usize, addr: u64, write: bool, level: HitLevel) {
         self.record_access(core, addr, write, 0, level, true);
     }
 
     fn record_access(
-        &self,
+        &mut self,
         core: usize,
         addr: u64,
         write: bool,
@@ -679,7 +666,6 @@ impl MemRecorderHandle {
         level: HitLevel,
         unqueued: bool,
     ) {
-        let mut r = self.0.borrow_mut();
         let mut flags = level_code(level) << 2;
         if write {
             flags |= FLAG_WRITE;
@@ -687,98 +673,87 @@ impl MemRecorderHandle {
         if unqueued {
             flags |= FLAG_UNQUEUED;
         }
-        r.scratch.push(TAG_ACCESS);
-        r.scratch.push(flags);
-        push_varint(&mut r.scratch, core as u64);
-        let warp = r.warp;
-        push_varint(&mut r.scratch, u64::from(warp));
-        push_varint(&mut r.scratch, cycle);
-        push_varint(&mut r.scratch, addr);
-        r.records += 1;
-        r.emit();
+        self.scratch.push(TAG_ACCESS);
+        self.scratch.push(flags);
+        self.push_request(core, cycle, addr);
     }
 
     /// Records one atomic read-modify-write served at `level`.
-    pub fn atomic(&self, core: usize, addr: u64, cycle: u64, level: HitLevel) {
-        let mut r = self.0.borrow_mut();
-        let flags = level_code(level) << 2;
-        r.scratch.push(TAG_ATOMIC);
-        r.scratch.push(flags);
-        push_varint(&mut r.scratch, core as u64);
-        let warp = r.warp;
-        push_varint(&mut r.scratch, u64::from(warp));
-        push_varint(&mut r.scratch, cycle);
-        push_varint(&mut r.scratch, addr);
-        r.records += 1;
-        r.emit();
+    pub fn atomic(&mut self, core: usize, addr: u64, cycle: u64, level: HitLevel) {
+        self.scratch.push(TAG_ATOMIC);
+        self.scratch.push(level_code(level) << 2);
+        self.push_request(core, cycle, addr);
+    }
+
+    /// Appends the `core, warp, cycle, addr` tail shared by access and
+    /// atomic records and emits the record.
+    fn push_request(&mut self, core: usize, cycle: u64, addr: u64) {
+        push_varint(&mut self.scratch, core as u64);
+        push_varint(&mut self.scratch, u64::from(self.warp));
+        push_varint(&mut self.scratch, cycle);
+        push_varint(&mut self.scratch, addr);
+        self.records += 1;
+        self.emit();
     }
 
     /// Records a warp arriving at a barrier.
-    pub fn barrier(&self, core: usize, warp: u32, cycle: u64) {
-        let mut r = self.0.borrow_mut();
-        r.scratch.push(TAG_BARRIER);
-        push_varint(&mut r.scratch, core as u64);
-        push_varint(&mut r.scratch, u64::from(warp));
-        push_varint(&mut r.scratch, cycle);
-        r.records += 1;
-        r.emit();
+    pub fn barrier(&mut self, core: usize, warp: u32, cycle: u64) {
+        self.scratch.push(TAG_BARRIER);
+        push_varint(&mut self.scratch, core as u64);
+        push_varint(&mut self.scratch, u64::from(warp));
+        push_varint(&mut self.scratch, cycle);
+        self.records += 1;
+        self.emit();
     }
 
     /// Writes the footer carrying the live run's final cumulative
     /// `stats`, flushes the sink, and returns the capture summary.
     /// Records after finalization are dropped.
-    pub fn finalize(&self, stats: &LevelStats) -> RecorderSummary {
-        let mut r = self.0.borrow_mut();
-        if !r.finalized {
-            r.scratch.push(TAG_FOOTER);
-            let records = r.records;
-            push_varint(&mut r.scratch, records);
+    pub fn finalize(&mut self, stats: &LevelStats) -> RecorderSummary {
+        if !self.finalized {
+            let out = &mut self.scratch;
+            out.push(TAG_FOOTER);
+            push_varint(out, self.records);
             let push_stats = |out: &mut Vec<u8>, s: &CacheStats| {
                 push_varint(out, s.accesses);
                 push_varint(out, s.hits);
                 push_varint(out, s.misses);
                 push_varint(out, s.writebacks);
             };
-            push_stats(&mut r.scratch, &stats.l1);
-            push_stats(&mut r.scratch, &stats.l2);
+            push_stats(out, &stats.l1);
+            push_stats(out, &stats.l2);
             match &stats.l3 {
                 Some(l3) => {
-                    r.scratch.push(1);
-                    push_stats(&mut r.scratch, l3);
+                    out.push(1);
+                    push_stats(out, l3);
                 }
-                None => r.scratch.push(0),
+                None => out.push(0),
             }
-            push_varint(&mut r.scratch, stats.dram_accesses);
-            r.emit();
-            if r.err.is_none() {
-                if let Err(e) = r.sink.flush().and_then(|()| r.sink.commit()) {
-                    r.err = Some(e.kind());
+            push_varint(out, stats.dram_accesses);
+            self.emit();
+            if self.err.is_none() {
+                if let Err(e) = self.sink.flush().and_then(|()| self.sink.commit()) {
+                    self.err = Some(e.kind());
                 }
             }
-            r.finalized = true;
+            self.finalized = true;
         }
-        RecorderSummary {
-            records: r.records,
-            bytes: r.bytes,
-            sink_error: r.err,
-        }
+        self.summary()
     }
 
     /// The capture summary so far (records, bytes, latched I/O error).
     pub fn summary(&self) -> RecorderSummary {
-        let r = self.0.borrow();
         RecorderSummary {
-            records: r.records,
-            bytes: r.bytes,
-            sink_error: r.err,
+            records: self.records,
+            bytes: self.bytes,
+            sink_error: self.err,
         }
     }
 
     /// Takes the captured bytes out of an in-memory recorder (`None`
     /// for file/stdout sinks).
-    pub fn take_bytes(&self) -> Option<Vec<u8>> {
-        let mut r = self.0.borrow_mut();
-        match &mut r.sink {
+    pub fn take_bytes(&mut self) -> Option<Vec<u8>> {
+        match &mut self.sink {
             RecorderSink::Memory(v) => Some(std::mem::take(v)),
             _ => None,
         }
@@ -797,7 +772,7 @@ mod tests {
 
     fn sample_bytes() -> Vec<u8> {
         let cfg = capture_cfg();
-        let rec = MemRecorderHandle::in_memory(&cfg);
+        let mut rec = Recorder::in_memory(&cfg);
         rec.kernel_launch("gather");
         rec.set_warp(3);
         rec.access(0, 0x1c0, false, 7, HitLevel::Dram);
@@ -888,7 +863,7 @@ mod tests {
     #[test]
     fn missing_footer_is_reported() {
         let cfg = capture_cfg();
-        let rec = MemRecorderHandle::in_memory(&cfg);
+        let mut rec = Recorder::in_memory(&cfg);
         rec.kernel_launch("k");
         // No finalize: the capture is incomplete.
         let bytes = rec.take_bytes().unwrap();
@@ -914,7 +889,7 @@ mod tests {
     #[test]
     fn core_out_of_range_is_typed() {
         let cfg = HierarchyConfig::vortex_default(1);
-        let rec = MemRecorderHandle::in_memory(&cfg);
+        let mut rec = Recorder::in_memory(&cfg);
         rec.access(5, 0x40, false, 0, HitLevel::L1); // core 5 of 1
         rec.finalize(&LevelStats::default());
         let bytes = rec.take_bytes().unwrap();

@@ -23,6 +23,7 @@
 use std::fmt;
 
 use crate::hierarchy::{Hierarchy, HierarchyConfig, HierarchyConfigError, LevelStats};
+use crate::hooks::Hooks;
 use crate::mtrace::{MemRecord, MemTrace};
 
 /// Why a replay could not run (distinct from a stats mismatch, which
@@ -90,6 +91,7 @@ pub fn replay(trace: &MemTrace, cfg: &HierarchyConfig) -> Result<LevelStats, Rep
         });
     }
     let mut hier = Hierarchy::new(*cfg);
+    let hooks = &mut Hooks::default();
     for record in &trace.records {
         match record {
             MemRecord::KernelLaunch { .. } => hier.reset_ports(),
@@ -102,15 +104,15 @@ pub fn replay(trace: &MemTrace, cfg: &HierarchyConfig) -> Result<LevelStats, Rep
                 ..
             } => {
                 if *unqueued {
-                    hier.access_unqueued(*core as usize, *addr, *write);
+                    hier.access_unqueued(*core as usize, *addr, *write, hooks);
                 } else {
-                    hier.access(*core as usize, *addr, *write, *cycle);
+                    hier.access(*core as usize, *addr, *write, *cycle, hooks);
                 }
             }
             MemRecord::Atomic {
                 core, addr, cycle, ..
             } => {
-                hier.atomic(*core as usize, *addr, *cycle);
+                hier.atomic(*core as usize, *addr, *cycle, hooks);
             }
             MemRecord::Barrier { .. } => {}
         }
@@ -154,7 +156,18 @@ mod tests {
     use super::*;
     use crate::cache::CacheConfig;
     use crate::hierarchy::HitLevel;
-    use crate::mtrace::{parse, MemRecorderHandle};
+    use crate::mtrace::{parse, Recorder};
+
+    fn recording(cfg: &HierarchyConfig) -> Hooks {
+        Hooks {
+            recorder: Some(Recorder::in_memory(cfg)),
+            ..Hooks::default()
+        }
+    }
+
+    fn rec(hooks: &mut Hooks) -> &mut Recorder {
+        hooks.recorder.as_mut().expect("recording hooks")
+    }
 
     /// Drives a live hierarchy through a mixed workload with a recorder
     /// attached, then checks the replay reproduces its stats exactly.
@@ -164,31 +177,30 @@ mod tests {
         cfg.l1 = CacheConfig::new(512, 2);
         cfg.l2 = CacheConfig::new(2048, 2);
         let mut live = Hierarchy::new(cfg);
-        let rec = MemRecorderHandle::in_memory(&cfg);
-        live.set_recorder(Some(rec.clone()));
+        let mut hooks = recording(&cfg);
 
-        rec.kernel_launch("k0");
+        rec(&mut hooks).kernel_launch("k0");
         for i in 0..200u64 {
             let addr = (i * 192) % 8192;
-            rec.set_warp((i % 8) as u32);
-            live.access((i % 2) as usize, addr, i % 3 == 0, i * 2);
+            rec(&mut hooks).set_warp((i % 8) as u32);
+            live.access((i % 2) as usize, addr, i % 3 == 0, i * 2, &mut hooks);
             if i % 7 == 0 {
-                live.atomic(0, addr, i * 2 + 1);
+                live.atomic(0, addr, i * 2 + 1, &mut hooks);
             }
             if i % 11 == 0 {
-                live.access_unqueued(1, addr ^ 0x40, false);
+                live.access_unqueued(1, addr ^ 0x40, false, &mut hooks);
             }
         }
         // Second launch: port clocks reset, caches stay warm.
-        rec.kernel_launch("k1");
+        rec(&mut hooks).kernel_launch("k1");
         live.reset_ports();
         for i in 0..50u64 {
-            live.access(1, (i * 64) % 4096, false, i);
+            live.access(1, (i * 64) % 4096, false, i, &mut hooks);
         }
         let stats = live.stats();
-        rec.finalize(&stats);
+        rec(&mut hooks).finalize(&stats);
 
-        let trace = parse(&rec.take_bytes().unwrap()).expect("well-formed");
+        let trace = parse(&rec(&mut hooks).take_bytes().unwrap()).expect("well-formed");
         let outcome = verify(&trace).expect("valid capture config");
         assert_eq!(outcome.live, stats);
         assert_eq!(outcome.replayed, stats, "replay must be bit-identical");
@@ -201,17 +213,16 @@ mod tests {
         cfg.l1 = CacheConfig::new(256, 2);
         cfg.l2 = CacheConfig::new(2048, 2);
         let mut live = Hierarchy::new(cfg);
-        let rec = MemRecorderHandle::in_memory(&cfg);
-        live.set_recorder(Some(rec.clone()));
-        rec.kernel_launch("k");
+        let mut hooks = recording(&cfg);
+        rec(&mut hooks).kernel_launch("k");
         // Working set larger than the tiny L1 but smaller than a big one.
         for round in 0..4u64 {
             for i in 0..16u64 {
-                live.access(0, i * 64, false, round * 100 + i);
+                live.access(0, i * 64, false, round * 100 + i, &mut hooks);
             }
         }
-        rec.finalize(&live.stats());
-        let trace = parse(&rec.take_bytes().unwrap()).unwrap();
+        rec(&mut hooks).finalize(&live.stats());
+        let trace = parse(&rec(&mut hooks).take_bytes().unwrap()).unwrap();
 
         let mut big = cfg;
         big.l1 = CacheConfig::new(4096, 4);
@@ -236,12 +247,11 @@ mod tests {
     fn bad_sweep_config_is_typed_not_silent_aliasing() {
         let cfg = HierarchyConfig::vortex_default(1);
         let mut live = Hierarchy::new(cfg);
-        let rec = MemRecorderHandle::in_memory(&cfg);
-        live.set_recorder(Some(rec.clone()));
-        rec.kernel_launch("k");
-        live.access(0, 0, false, 0);
-        rec.finalize(&live.stats());
-        let trace = parse(&rec.take_bytes().unwrap()).unwrap();
+        let mut hooks = recording(&cfg);
+        rec(&mut hooks).kernel_launch("k");
+        live.access(0, 0, false, 0, &mut hooks);
+        rec(&mut hooks).finalize(&live.stats());
+        let trace = parse(&rec(&mut hooks).take_bytes().unwrap()).unwrap();
 
         // 192 bytes x 1 way = 3 sets: the config that used to alias
         // silently through the pow2 mask now refuses to replay.
@@ -258,7 +268,7 @@ mod tests {
     #[test]
     fn too_few_cores_is_typed() {
         let cfg = HierarchyConfig::vortex_default(4);
-        let rec = MemRecorderHandle::in_memory(&cfg);
+        let mut rec = Recorder::in_memory(&cfg);
         rec.finalize(&LevelStats::default());
         let trace = parse(&rec.take_bytes().unwrap()).unwrap();
         let small = HierarchyConfig::vortex_default(2);
@@ -278,15 +288,23 @@ mod tests {
         cfg.l1 = CacheConfig::new(512, 2);
         let mut plain = Hierarchy::new(cfg);
         let mut recorded = Hierarchy::new(cfg);
-        let rec = MemRecorderHandle::in_memory(&cfg);
-        recorded.set_recorder(Some(rec));
+        let mut hooks = recording(&cfg);
         for i in 0..100u64 {
             let addr = (i * 320) % 4096;
-            let a = plain.access((i % 2) as usize, addr, i % 4 == 0, i * 3);
-            let b = recorded.access((i % 2) as usize, addr, i % 4 == 0, i * 3);
+            let a = plain.access(
+                (i % 2) as usize,
+                addr,
+                i % 4 == 0,
+                i * 3,
+                &mut Hooks::default(),
+            );
+            let b = recorded.access((i % 2) as usize, addr, i % 4 == 0, i * 3, &mut hooks);
             assert_eq!(a, b);
             if i % 9 == 0 {
-                assert_eq!(plain.atomic(0, addr, i), recorded.atomic(0, addr, i));
+                assert_eq!(
+                    plain.atomic(0, addr, i, &mut Hooks::default()),
+                    recorded.atomic(0, addr, i, &mut hooks)
+                );
             }
         }
         assert_eq!(plain.stats(), recorded.stats());
@@ -296,13 +314,12 @@ mod tests {
     fn level_hints_match_capture_levels() {
         let cfg = HierarchyConfig::vortex_default(1);
         let mut live = Hierarchy::new(cfg);
-        let rec = MemRecorderHandle::in_memory(&cfg);
-        live.set_recorder(Some(rec.clone()));
-        rec.kernel_launch("k");
-        live.access(0, 64, false, 0); // cold: DRAM
-        live.access(0, 64, false, 10); // warm: L1
-        rec.finalize(&live.stats());
-        let trace = parse(&rec.take_bytes().unwrap()).unwrap();
+        let mut hooks = recording(&cfg);
+        rec(&mut hooks).kernel_launch("k");
+        live.access(0, 64, false, 0, &mut hooks); // cold: DRAM
+        live.access(0, 64, false, 10, &mut hooks); // warm: L1
+        rec(&mut hooks).finalize(&live.stats());
+        let trace = parse(&rec(&mut hooks).take_bytes().unwrap()).unwrap();
         let levels: Vec<HitLevel> = trace
             .records
             .iter()

@@ -3,7 +3,7 @@
 //! hierarchy must maintain basic accounting invariants.
 
 use proptest::prelude::*;
-use sparseweaver_mem::{Cache, CacheConfig, Hierarchy, HierarchyConfig, LINE_BYTES};
+use sparseweaver_mem::{Cache, CacheConfig, Hierarchy, HierarchyConfig, Hooks, LINE_BYTES};
 
 /// A naive LRU model: per set, a most-recent-first list of tags.
 struct RefModel {
@@ -83,7 +83,7 @@ proptest! {
         let mut h = Hierarchy::new(cfg);
         let mut now = 0u64;
         for &a in &addrs {
-            let r = h.access(0, a, false, now);
+            let r = h.access(0, a, false, now, &mut Hooks::default());
             let floor = match r.level {
                 sparseweaver_mem::hierarchy::HitLevel::L1 => cfg.l1_latency,
                 sparseweaver_mem::hierarchy::HitLevel::L2 => cfg.l1_latency + cfg.l2_latency,
@@ -115,7 +115,8 @@ proptest! {
         let mut h = Hierarchy::new(cfg);
         let run = |h: &mut Hierarchy| -> Vec<u64> {
             addrs.iter().enumerate().map(|(i, &a)| {
-                h.access(0, a, i % 2 == 0, i as u64 * 3).latency
+                h.access(0, a, i % 2 == 0, i as u64 * 3, &mut Hooks::default())
+                    .latency
             }).collect()
         };
         let first = run(&mut h);

@@ -1,12 +1,11 @@
 //! One SIMT core: warp scheduler, instruction execution, barriers,
 //! shared memory, and the Weaver/EGHW functional-unit port.
 
-use sparseweaver_fault::FaultHandle;
 use sparseweaver_isa::{
     DecodedInstr, DecodedProgram, Instr, Program, Space, VoteOp, Width, NUM_REGS,
 };
-use sparseweaver_mem::{Hierarchy, MainMemory, MemRecorderHandle};
-use sparseweaver_trace::{Category, EventData, ProfileHandle, TraceHandle};
+use sparseweaver_mem::{Hierarchy, Hooks, MainMemory};
+use sparseweaver_trace::{Category, EventData};
 use sparseweaver_weaver::eghw::{EghwLayout, EghwUnit};
 use sparseweaver_weaver::{WeaverUnit, EMPTY_WORK_ID};
 
@@ -43,23 +42,6 @@ pub enum IssueOutcome {
     Finished,
 }
 
-/// One issued instruction, as recorded by the tracer.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TraceRecord {
-    /// Issue cycle.
-    pub cycle: u64,
-    /// Core index.
-    pub core: usize,
-    /// Warp index within the core.
-    pub warp: usize,
-    /// Program counter of the issued instruction.
-    pub pc: u32,
-    /// The instruction.
-    pub instr: Instr,
-    /// Active lane mask at issue.
-    pub active: u64,
-}
-
 /// Per-core counters.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct CoreStats {
@@ -75,9 +57,7 @@ pub struct CoreStats {
     pub finish_cycle: u64,
 }
 
-/// A complete snapshot of one core's mutable state. The debugging-only
-/// per-instruction trace buffer ([`Core::enable_trace`]) is not part of
-/// the snapshot; it is cleared at every launch anyway.
+/// A complete snapshot of one core's mutable state.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CoreState {
     /// All warp contexts, in warp order.
@@ -121,15 +101,6 @@ pub struct Core {
     active_warps: usize,
     /// Counters for the current launch.
     pub stats: CoreStats,
-    trace: Option<(Vec<TraceRecord>, usize)>,
-    tracer: Option<TraceHandle>,
-    profiler: Option<ProfileHandle>,
-    recorder: Option<MemRecorderHandle>,
-    fault: Option<FaultHandle>,
-    /// Cached `spec.fetch_rate > 0` / `spec.reg_rate > 0`, so the
-    /// fault-free hot path pays no per-instruction borrow.
-    fault_fetch: bool,
-    fault_reg: bool,
     lanes: usize,
     shared_latency: u64,
     alu_latency: u64,
@@ -154,13 +125,6 @@ impl Core {
             resident: cfg.warps_per_core,
             active_warps: cfg.warps_per_core,
             stats: CoreStats::default(),
-            trace: None,
-            tracer: None,
-            profiler: None,
-            recorder: None,
-            fault: None,
-            fault_fetch: false,
-            fault_reg: false,
             lanes: cfg.threads_per_warp,
             shared_latency: cfg.shared_latency,
             alu_latency: cfg.alu_latency,
@@ -196,40 +160,6 @@ impl Core {
     /// Installs the EGHW graph layout for the next launch.
     pub fn set_eghw_layout(&mut self, layout: EghwLayout) {
         self.eghw.set_layout(layout);
-    }
-
-    /// Attaches (or detaches) a structured-event tracer; the handle is
-    /// forwarded to the core's Weaver unit. With a handle attached, the
-    /// core emits warp issues, phase boundaries, and divergence events.
-    pub fn set_tracer(&mut self, tracer: Option<TraceHandle>) {
-        self.weaver.set_tracer(tracer.clone(), self.id as u32);
-        self.tracer = tracer;
-    }
-
-    /// Attaches (or detaches) a latency profiler. With a handle attached,
-    /// the core records per-warp issues and `WEAVER_DEC_ID`
-    /// request→response latencies; with `None`, the hooks are single
-    /// `Option` branches and the cycle model is untouched.
-    pub fn set_profiler(&mut self, profiler: Option<ProfileHandle>) {
-        self.profiler = profiler;
-    }
-
-    /// Attaches (or detaches) a memory-trace recorder. The core's share
-    /// of the capture is context, not accesses: it stamps the executing
-    /// warp before each instruction (the hierarchy hooks don't know the
-    /// requester's warp) and records barrier arrivals.
-    pub fn set_mem_recorder(&mut self, recorder: Option<MemRecorderHandle>) {
-        self.recorder = recorder;
-    }
-
-    /// Attaches (or detaches) the fault injector; the handle is forwarded
-    /// to the core's Weaver unit for the protocol sites.
-    pub fn set_fault_injector(&mut self, fault: Option<FaultHandle>) {
-        self.weaver.set_fault_injector(fault.clone());
-        let spec = fault.as_ref().map(|f| f.spec());
-        self.fault_fetch = spec.is_some_and(|s| s.fetch_rate > 0.0);
-        self.fault_reg = spec.is_some_and(|s| s.reg_rate > 0.0);
-        self.fault = fault;
     }
 
     /// A structured snapshot of this core for a [`crate::HangReport`].
@@ -277,17 +207,6 @@ impl Core {
         }
     }
 
-    /// Enables instruction tracing: up to `cap` issued instructions are
-    /// recorded per launch (tracing survives launches until disabled).
-    pub fn enable_trace(&mut self, cap: usize) {
-        self.trace = Some((Vec::new(), cap));
-    }
-
-    /// Disables tracing and returns whatever was recorded.
-    pub fn take_trace(&mut self) -> Vec<TraceRecord> {
-        self.trace.take().map(|(v, _)| v).unwrap_or_default()
-    }
-
     /// Warps taking part in the current launch. Below the physical warp
     /// count when the register-file occupancy cap parked the rest.
     pub fn active_warps(&self) -> usize {
@@ -317,9 +236,6 @@ impl Core {
         self.stats = CoreStats::default();
         self.weaver.reset();
         self.eghw.reset();
-        if let Some((records, _)) = &mut self.trace {
-            records.clear();
-        }
         for row in &mut self.eghw_dt {
             row.iter_mut().for_each(|e| *e = EMPTY_WORK_ID);
         }
@@ -415,6 +331,7 @@ impl Core {
         warp: usize,
         decoded: &'p DecodedProgram,
         cycle: u64,
+        hooks: &mut Hooks,
     ) -> Option<&'p DecodedInstr> {
         loop {
             if self.warps[warp].state != WarpState::Running {
@@ -439,7 +356,7 @@ impl Core {
                         _ => Phase::Other,
                     };
                     if self.warps[warp].phase != phase {
-                        if let Some(tr) = &self.tracer {
+                        if let Some(tr) = &mut hooks.tracer {
                             tr.emit(
                                 cycle,
                                 self.id as u32,
@@ -457,7 +374,10 @@ impl Core {
         }
     }
 
-    /// Attempts to issue one instruction at `cycle`.
+    /// Attempts to issue one instruction at `cycle`. The observers in
+    /// `hooks` see the issue (warp issues, phase boundaries, divergence,
+    /// barrier arrivals), and the call lends them on to the hierarchy,
+    /// device memory and the Weaver unit.
     ///
     /// # Errors
     ///
@@ -472,6 +392,7 @@ impl Core {
         args: &[u64],
         hier: &mut Hierarchy,
         mem: &mut MainMemory,
+        hooks: &mut Hooks,
         num_cores: usize,
     ) -> Result<IssueOutcome, SimError> {
         if self.finished() {
@@ -481,7 +402,7 @@ impl Core {
         // Round-robin scan for a ready warp.
         for i in 0..n {
             let w = (self.next_warp + i) % n;
-            let Some(d) = self.resolve_front(w, decoded, cycle) else {
+            let Some(d) = self.resolve_front(w, decoded, cycle, hooks) else {
                 continue;
             };
             // Scoreboard: all sources and the destination must be ready
@@ -491,20 +412,7 @@ impl Core {
             if !ready {
                 continue;
             }
-            let instr = d.instr;
-            if let Some((records, cap)) = &mut self.trace {
-                if records.len() < *cap {
-                    records.push(TraceRecord {
-                        cycle,
-                        core: self.id,
-                        warp: w,
-                        pc: self.warps[w].pc,
-                        instr,
-                        active: self.warps[w].active,
-                    });
-                }
-            }
-            if let Some(tr) = &self.tracer {
+            if let Some(tr) = &mut hooks.tracer {
                 if tr.enabled(Category::Warp) {
                     tr.emit(
                         cycle,
@@ -517,11 +425,11 @@ impl Core {
                     );
                 }
             }
-            if let Some(p) = &self.profiler {
+            if let Some(p) = &mut hooks.profiler {
                 p.warp_issue(self.id, w);
             }
-            let instr = self.fetch_with_faults(instr, w, program)?;
-            self.exec(w, instr, cycle, args, hier, mem, num_cores, program)?;
+            let instr = self.fetch_with_faults(d.instr, w, program, hooks)?;
+            self.exec(w, instr, cycle, args, hier, mem, hooks, num_cores, program)?;
             self.next_warp = (w + 1) % n;
             self.stats.instructions += 1;
             self.stats.phase_cycles[self.warps[w].phase as usize] += 1;
@@ -588,15 +496,13 @@ impl Core {
         instr: Instr,
         w: usize,
         program: &Program,
+        hooks: &mut Hooks,
     ) -> Result<Instr, SimError> {
-        if !self.fault_fetch {
-            return Ok(instr);
-        }
-        let Some(f) = &self.fault else {
+        let Some(f) = hooks.fault.as_mut().filter(|f| f.spec().fetch_rate > 0.0) else {
             return Ok(instr);
         };
         let (word, payload) = sparseweaver_isa::encode::encode_instr(&instr);
-        let corrupt = f.with(|i| i.corrupt_fetch(word));
+        let corrupt = f.corrupt_fetch(word);
         if corrupt == word {
             return Ok(instr);
         }
@@ -618,6 +524,7 @@ impl Core {
         args: &[u64],
         hier: &mut Hierarchy,
         mem: &mut MainMemory,
+        hooks: &mut Hooks,
         num_cores: usize,
         program: &Program,
     ) -> Result<(), SimError> {
@@ -626,18 +533,14 @@ impl Core {
         let lanes = self.lanes;
         let core_id = self.id;
         self.stats.thread_instructions += self.warps[w].active_count() as u64;
-        if let Some(r) = &self.recorder {
+        if let Some(r) = &mut hooks.recorder {
             r.set_warp(w as u32);
         }
         // Transient register-file upset: one bit of one register word of
         // the executing warp may flip, visible to all subsequent reads.
-        if self.fault_reg {
-            if let Some(f) = &self.fault {
-                if let Some((lane, reg, bit)) =
-                    f.with(|i| i.reg_event(lanes as u64, NUM_REGS as u64))
-                {
-                    self.warps[w].flip_bit(lane, reg, bit);
-                }
+        if let Some(f) = &mut hooks.fault {
+            if let Some((lane, reg, bit)) = f.reg_event(lanes as u64, NUM_REGS as u64) {
+                self.warps[w].flip_bit(lane, reg, bit);
             }
         }
         let warp = &mut self.warps[w];
@@ -649,7 +552,7 @@ impl Core {
                 self.halt_warp(w);
             }
             Instr::Bar => {
-                if let Some(r) = &self.recorder {
+                if let Some(r) = &mut hooks.recorder {
                     r.barrier(core_id, w as u32, cycle);
                 }
                 self.warps[w].state = WarpState::AtBarrier;
@@ -740,7 +643,9 @@ impl Core {
                 width,
                 space,
             } => {
-                self.exec_load(w, rd, addr, offset, width, space, cycle, hier, mem, program)?;
+                self.exec_load(
+                    w, rd, addr, offset, width, space, cycle, hier, mem, hooks, program,
+                )?;
             }
             Instr::St {
                 src,
@@ -750,7 +655,7 @@ impl Core {
                 space,
             } => {
                 self.exec_store(
-                    w, src, addr, offset, width, space, cycle, hier, mem, program,
+                    w, src, addr, offset, width, space, cycle, hier, mem, hooks, program,
                 )?;
             }
             Instr::Atom {
@@ -767,9 +672,11 @@ impl Core {
                         for l in lanes_of(mask) {
                             let a = self.warps[w].read(l, addr);
                             let operand = self.warps[w].read(l, src);
-                            let r = hier.atomic(core_id, a, cycle);
+                            let r = hier.atomic(core_id, a, cycle, hooks);
                             max_done = max_done.max(cycle + r.latency);
-                            let old = mem.try_read(a, 8).map_err(|e| mem_fault(program, &e))?;
+                            let old = mem
+                                .try_read(a, 8, hooks.fault.as_mut())
+                                .map_err(|e| mem_fault(program, &e))?;
                             mem.try_write(a, op.combine(old, operand), 8)
                                 .map_err(|e| mem_fault(program, &e))?;
                             self.warps[w].write(l, rd, old);
@@ -785,7 +692,7 @@ impl Core {
                             let operand = self.warps[w].read(l, src);
                             let old = self
                                 .shared
-                                .try_read(a, 8)
+                                .try_read(a, 8, None)
                                 .map_err(|e| mem_fault(program, &e))?;
                             self.shared
                                 .try_write(a, op.combine(old, operand), 8)
@@ -855,7 +762,7 @@ impl Core {
                 warp.simt.push(entry);
                 // A split only diverges when both sides have lanes.
                 if t != 0 && f != 0 {
-                    if let Some(tr) = &self.tracer {
+                    if let Some(tr) = &mut hooks.tracer {
                         tr.emit(
                             cycle,
                             core_id as u32,
@@ -932,7 +839,7 @@ impl Core {
                             })
                             .collect();
                         self.weaver
-                            .reg(w, &records, cycle)
+                            .reg(w, &records, cycle, core_id as u32, hooks)
                             .map_err(|e| SimError::Fault {
                                 kernel: program.name().to_string(),
                                 what: e.to_string(),
@@ -948,8 +855,8 @@ impl Core {
             }
             Instr::WeaverDecId { rd } => match self.weaver_mode {
                 WeaverMode::Weaver => {
-                    let resp = self.weaver.dec_id(w, cycle);
-                    if let Some(p) = &self.profiler {
+                    let resp = self.weaver.dec_id(w, cycle, core_id as u32, hooks);
+                    if let Some(p) = &mut hooks.profiler {
                         p.weaver_dec(core_id, w, cycle, resp.ready_at);
                     }
                     let warp = &mut self.warps[w];
@@ -965,10 +872,10 @@ impl Core {
                     let batch = self.eghw.dec(cycle, |a, wd, _unit_now| {
                         // The unit has its own memory port (SCU/GraphPEG
                         // style): full lookup latency, no GPU port queue.
-                        let lat = hier.access_unqueued(core_id, a, false).latency;
+                        let lat = hier.access_unqueued(core_id, a, false, hooks).latency;
                         // The unit's port cannot raise a bus error; an
                         // out-of-bounds lookup reads as zero.
-                        (mem.try_read(a, wd).unwrap_or(0), lat)
+                        (mem.try_read(a, wd, hooks.fault.as_mut()).unwrap_or(0), lat)
                     });
                     let staging = eghw_staging_base(self.shared.len(), self.warps.len(), lanes);
                     for l in 0..lanes {
@@ -984,7 +891,7 @@ impl Core {
                             .map_err(|e| mem_fault(program, &e))?;
                     }
                     self.eghw_dt[w].copy_from_slice(&batch.eids);
-                    if let Some(p) = &self.profiler {
+                    if let Some(p) = &mut hooks.profiler {
                         p.weaver_dec(core_id, w, cycle, batch.ready_at);
                     }
                     let warp = &mut self.warps[w];
@@ -1005,7 +912,7 @@ impl Core {
             },
             Instr::WeaverDecLoc { rd } => match self.weaver_mode {
                 WeaverMode::Weaver => {
-                    let (eids, ready) = self.weaver.dec_loc(w, cycle);
+                    let (eids, ready) = self.weaver.dec_loc(w, cycle, core_id as u32, hooks);
                     let warp = &mut self.warps[w];
                     for (l, &eid) in eids.iter().enumerate().take(lanes) {
                         warp.write(l, rd, eid as u64);
@@ -1045,6 +952,7 @@ impl Core {
         cycle: u64,
         hier: &mut Hierarchy,
         mem: &mut MainMemory,
+        hooks: &mut Hooks,
         program: &Program,
     ) -> Result<(), SimError> {
         let mask = self.warps[w].active;
@@ -1056,7 +964,7 @@ impl Core {
                         .wrapping_add(offset as i64 as u64);
                     let v = self
                         .shared
-                        .try_read(a, width.bytes())
+                        .try_read(a, width.bytes(), None)
                         .map_err(|e| mem_fault(program, &e))?;
                     self.warps[w].write(l, rd, v);
                 }
@@ -1085,7 +993,7 @@ impl Core {
                         continue;
                     }
                     prev = Some(line);
-                    let r = hier.access(self.id, line, false, cycle);
+                    let r = hier.access(self.id, line, false, cycle, hooks);
                     max_lat = max_lat.max(r.latency);
                     self.stats.stalls.l1_queue += r.queue_delay;
                 }
@@ -1094,7 +1002,7 @@ impl Core {
                         .read(l, addr)
                         .wrapping_add(offset as i64 as u64);
                     let v = mem
-                        .try_read(a, width.bytes())
+                        .try_read(a, width.bytes(), hooks.fault.as_mut())
                         .map_err(|e| mem_fault(program, &e))?;
                     self.warps[w].write(l, rd, v);
                 }
@@ -1116,6 +1024,7 @@ impl Core {
         cycle: u64,
         hier: &mut Hierarchy,
         mem: &mut MainMemory,
+        hooks: &mut Hooks,
         program: &Program,
     ) -> Result<(), SimError> {
         let mask = self.warps[w].active;
@@ -1150,7 +1059,7 @@ impl Core {
                         continue;
                     }
                     prev = Some(line);
-                    let r = hier.access(self.id, line, true, cycle);
+                    let r = hier.access(self.id, line, true, cycle, hooks);
                     self.stats.stalls.l1_queue += r.queue_delay;
                 }
                 for l in lanes_of(mask) {

@@ -1,9 +1,9 @@
 //! The whole GPU: cores + memory hierarchy + the global cycle loop.
 
-use sparseweaver_fault::FaultHandle;
+use sparseweaver_fault::{FaultCounts, FaultInjector};
 use sparseweaver_isa::{DecodedProgram, Program};
-use sparseweaver_mem::{Hierarchy, LevelStats, MainMemory, MemRecorderHandle};
-use sparseweaver_trace::{CounterSnapshot, EventData, ProfileHandle, StallCause, TraceHandle};
+use sparseweaver_mem::{Hierarchy, Hooks, LevelStats, MainMemory};
+use sparseweaver_trace::{CounterSnapshot, EventData, StallCause};
 use sparseweaver_weaver::eghw::EghwLayout;
 
 use sparseweaver_mem::HierarchyState;
@@ -49,10 +49,7 @@ pub struct Gpu {
     mem: MainMemory,
     hierarchy: Hierarchy,
     cores: Vec<Core>,
-    tracer: Option<TraceHandle>,
-    profiler: Option<ProfileHandle>,
-    recorder: Option<MemRecorderHandle>,
-    fault: Option<FaultHandle>,
+    hooks: Hooks,
     occupancy: Occupancy,
     configured_warps_per_core: usize,
     fast_forward: bool,
@@ -84,9 +81,9 @@ pub struct Occupancy {
 /// state (warps, Weaver/EGHW units, shared memory), the cache
 /// hierarchy's arrays and port clocks, device-memory contents and
 /// traffic counters, and the occupancy gauges of the most recent
-/// launch. Configuration and attached handles (tracer, profiler,
-/// fault injector) are *not* part of the state — a restore target is
-/// rebuilt from the same configuration first.
+/// launch. Configuration and attached [`Hooks`] (tracer, profiler,
+/// recorder, fault injector) are *not* part of the state — a restore
+/// target is rebuilt from the same configuration first.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GpuState {
     /// Per-core state, in core-ID order.
@@ -116,10 +113,7 @@ impl Gpu {
             cores: (0..cfg.num_cores).map(|i| Core::new(i, &cfg)).collect(),
             configured_warps_per_core: cfg.warps_per_core,
             cfg,
-            tracer: None,
-            profiler: None,
-            recorder: None,
-            fault: None,
+            hooks: Hooks::default(),
             occupancy: Occupancy::default(),
             fast_forward: true,
         }
@@ -160,71 +154,28 @@ impl Gpu {
         self.configured_warps_per_core = configured.max(self.cfg.warps_per_core);
     }
 
-    /// Attaches (or detaches, with `None`) a structured-event tracer.
+    /// Attaches the run's observers, replacing (and dropping) any attached
+    /// before.
     ///
-    /// The handle is distributed to the memory hierarchy and every core,
-    /// so all subsequent launches emit events and counter samples into it.
-    /// With no tracer attached — the default — the hooks are `None` checks
-    /// on hot paths and the cycle model is untouched.
-    pub fn set_tracer(&mut self, tracer: Option<TraceHandle>) {
-        self.hierarchy.set_tracer(tracer.clone());
-        for c in &mut self.cores {
-            c.set_tracer(tracer.clone());
-        }
-        self.tracer = tracer;
+    /// Every launch lends them as `&mut Hooks` to the components it calls:
+    /// the tracer and profiler see the cores, the memory hierarchy and the
+    /// Weaver units; the recorder captures every hierarchy request plus
+    /// launches and barriers; the fault injector corrupts device reads,
+    /// register files and instruction fetches and drops or delays Weaver
+    /// responses. With [`Hooks::default`] attached — the default — every
+    /// hook is a `None` check and the cycle model is untouched.
+    pub fn attach_hooks(&mut self, hooks: Hooks) {
+        self.hooks = hooks;
     }
 
-    /// Attaches (or detaches, with `None`) a latency profiler.
-    ///
-    /// The handle is distributed to the memory hierarchy and every core:
-    /// subsequent launches record per-level memory latencies, Weaver
-    /// request→response latencies, gather-iteration gaps, and per-warp
-    /// issue counts into it. With no profiler attached — the default —
-    /// the hooks are `None` checks on hot paths and the cycle model is
-    /// untouched.
-    pub fn set_profiler(&mut self, profiler: Option<ProfileHandle>) {
-        self.hierarchy.set_profiler(profiler.clone());
-        for c in &mut self.cores {
-            c.set_profiler(profiler.clone());
-        }
-        self.profiler = profiler;
+    /// Detaches and returns the observers, leaving none attached.
+    pub fn take_hooks(&mut self) -> Hooks {
+        std::mem::take(&mut self.hooks)
     }
 
-    /// Attaches (or detaches, with `None`) a memory-trace recorder.
-    ///
-    /// The handle is distributed to the memory hierarchy (which appends
-    /// one `swmtrace-v1` record per request, in service order) and every
-    /// core (which stamps warp context and barrier arrivals); the GPU
-    /// itself records each kernel launch, so a replay resets the port
-    /// clocks exactly where the live machine did. With no recorder
-    /// attached — the default — the hooks are `None` checks and the
-    /// cycle model is untouched.
-    pub fn set_mem_recorder(&mut self, recorder: Option<MemRecorderHandle>) {
-        self.hierarchy.set_recorder(recorder.clone());
-        for c in &mut self.cores {
-            c.set_mem_recorder(recorder.clone());
-        }
-        self.recorder = recorder;
-    }
-
-    /// Attaches (or detaches, with `None`) a deterministic fault injector.
-    ///
-    /// The handle is distributed to device memory (word corruption on
-    /// device reads), every core (register-file and instruction-fetch bit
-    /// flips), and each core's Weaver unit (Table-II response drops and
-    /// delays). With no injector attached — the default — every hook is a
-    /// `None` check and the machine is exactly the fault-free simulator.
-    pub fn set_fault_injector(&mut self, fault: Option<FaultHandle>) {
-        self.mem.set_fault_injector(fault.clone());
-        for c in &mut self.cores {
-            c.set_fault_injector(fault.clone());
-        }
-        self.fault = fault;
-    }
-
-    /// The attached fault injector, if any.
-    pub fn fault_injector(&self) -> Option<&FaultHandle> {
-        self.fault.as_ref()
+    /// The attached observers.
+    pub fn hooks(&self) -> &Hooks {
+        &self.hooks
     }
 
     /// The machine configuration.
@@ -258,22 +209,6 @@ impl Gpu {
         for c in &mut self.cores {
             c.set_eghw_layout(layout);
         }
-    }
-
-    /// Enables instruction tracing on every core (up to `cap_per_core`
-    /// records each per launch).
-    pub fn enable_trace(&mut self, cap_per_core: usize) {
-        for c in &mut self.cores {
-            c.enable_trace(cap_per_core);
-        }
-    }
-
-    /// Collects and clears the trace from every core, merged and sorted
-    /// by `(cycle, core)`.
-    pub fn take_trace(&mut self) -> Vec<crate::core::TraceRecord> {
-        let mut all: Vec<_> = self.cores.iter_mut().flat_map(|c| c.take_trace()).collect();
-        all.sort_by_key(|r| (r.cycle, r.core, r.warp));
-        all
     }
 
     /// Captures the complete dynamic machine state for a checkpoint.
@@ -359,16 +294,16 @@ impl Gpu {
             c.reset_for_launch(resident);
         }
         self.hierarchy.reset_ports();
-        if let Some(r) = &self.recorder {
+        if let Some(r) = &mut self.hooks.recorder {
             r.kernel_launch(program.name());
         }
         let mem_before = self.hierarchy.stats();
         let traffic_before = self.mem.traffic();
-        let fault_before = self.fault.as_ref().map(|f| f.counts()).unwrap_or_default();
-        if let Some(tr) = &self.tracer {
+        let fault_before = self.fault_counts();
+        if let Some(tr) = &mut self.hooks.tracer {
             tr.kernel_begin(program.name());
         }
-        if let Some(p) = &self.profiler {
+        if let Some(p) = &mut self.hooks.profiler {
             p.launch_begin();
         }
         let num_cores = self.cores.len();
@@ -416,6 +351,7 @@ impl Gpu {
                         args,
                         &mut self.hierarchy,
                         &mut self.mem,
+                        &mut self.hooks,
                         num_cores,
                     )?
                 };
@@ -458,7 +394,12 @@ impl Gpu {
                     // response is a protocol timeout: the runtime can retry
                     // the launch and fall back to the software `S_wm`
                     // schedule, neither of which helps a true deadlock.
-                    if self.fault.as_ref().is_some_and(|f| f.weaver_faulty()) {
+                    if self
+                        .hooks
+                        .fault
+                        .as_ref()
+                        .is_some_and(FaultInjector::weaver_faulty)
+                    {
                         return Err(SimError::WeaverTimeout {
                             kernel,
                             cycle,
@@ -488,7 +429,7 @@ impl Gpu {
                     }
                 }
                 s.phase_cycles[b.phase as usize] += n;
-                if let Some(tr) = &self.tracer {
+                if let Some(tr) = &mut self.hooks.tracer {
                     tr.emit(
                         cycle,
                         i as u32,
@@ -508,14 +449,19 @@ impl Gpu {
                 }
             }
             cycle += delta;
-            if let Some(tr) = &self.tracer {
-                if tr.sample_due(cycle) {
-                    let snap = self.launch_snapshot(
-                        barrier_warp_cycles,
-                        &mem_before,
-                        traffic_before,
-                        &fault_before,
-                    );
+            if self
+                .hooks
+                .tracer
+                .as_ref()
+                .is_some_and(|t| t.sample_due(cycle))
+            {
+                let snap = self.launch_snapshot(
+                    barrier_warp_cycles,
+                    &mem_before,
+                    traffic_before,
+                    &fault_before,
+                );
+                if let Some(tr) = &mut self.hooks.tracer {
                     tr.record_sample(cycle, &snap);
                 }
             }
@@ -551,16 +497,27 @@ impl Gpu {
             },
             dram_accesses: mem_after.dram_accesses - mem_before.dram_accesses,
         };
-        if let Some(tr) = &self.tracer {
+        if self.hooks.tracer.is_some() {
             let snap = self.launch_snapshot(
                 barrier_warp_cycles,
                 &mem_before,
                 traffic_before,
                 &fault_before,
             );
-            tr.kernel_end(cycle, &snap);
+            if let Some(tr) = &mut self.hooks.tracer {
+                tr.kernel_end(cycle, &snap);
+            }
         }
         Ok(stats)
+    }
+
+    /// Cumulative injection counters (zeros with no injector attached).
+    fn fault_counts(&self) -> FaultCounts {
+        self.hooks
+            .fault
+            .as_ref()
+            .map(FaultInjector::counts)
+            .unwrap_or_default()
     }
 
     /// Snapshots the whole machine for hang diagnostics: per-warp
@@ -582,7 +539,7 @@ impl Gpu {
         barrier_warp_cycles: u64,
         mem_before: &LevelStats,
         traffic_before: (u64, u64),
-        fault_before: &sparseweaver_fault::FaultCounts,
+        fault_before: &FaultCounts,
     ) -> CounterSnapshot {
         let mut snap = CounterSnapshot::default();
         for c in &self.cores {
@@ -616,11 +573,9 @@ impl Gpu {
             snap.l3_hits = a.hits - b.hits;
         }
         snap.dram_accesses = now.dram_accesses - mem_before.dram_accesses;
-        if let Some(f) = &self.fault {
-            let counts = f.counts();
-            snap.faults_injected = counts.total() - fault_before.total();
-            snap.weaver_drops = counts.weaver_drops - fault_before.weaver_drops;
-        }
+        let counts = self.fault_counts();
+        snap.faults_injected = counts.total() - fault_before.total();
+        snap.weaver_drops = counts.weaver_drops - fault_before.weaver_drops;
         let (mr, mw) = self.mem.traffic();
         snap.mem_reads = mr - traffic_before.0;
         snap.mem_writes = mw - traffic_before.1;
@@ -667,6 +622,26 @@ mod tests {
         let mut g = Gpu::new(GpuConfig::small_test());
         g.mem_mut().grow_to(1 << 20);
         g
+    }
+
+    /// Hooks with only a tracer, sampling every `sample_every` cycles.
+    fn tracing(sample_every: u64) -> Hooks {
+        Hooks {
+            tracer: Some(sparseweaver_trace::Tracer::new(
+                sparseweaver_trace::TraceConfig {
+                    sample_every,
+                    ..sparseweaver_trace::TraceConfig::default()
+                },
+            )),
+            ..Hooks::default()
+        }
+    }
+
+    fn take_trace_report(g: &mut Gpu) -> sparseweaver_trace::TraceReport {
+        g.take_hooks()
+            .tracer
+            .expect("attached tracer")
+            .take_report()
     }
 
     #[test]
@@ -794,7 +769,7 @@ mod tests {
 
     #[test]
     fn mem_recorder_capture_replays_bit_identically() {
-        use sparseweaver_mem::{mtrace, replay, MemRecorderHandle};
+        use sparseweaver_mem::{mtrace, replay, Recorder};
 
         // A kernel mixing loads, stores, atomics, and a barrier; two
         // launches so the capture crosses a port-clock reset.
@@ -815,11 +790,14 @@ mod tests {
         let p = a.finish();
 
         let mut g = gpu();
-        let rec = MemRecorderHandle::in_memory(&g.config().hierarchy);
-        g.set_mem_recorder(Some(rec.clone()));
+        g.attach_hooks(Hooks {
+            recorder: Some(Recorder::in_memory(&g.config().hierarchy)),
+            ..Hooks::default()
+        });
         g.launch(&p, &[]).unwrap();
         g.launch(&p, &[]).unwrap();
         let live = g.mem_stats();
+        let mut rec = g.take_hooks().recorder.expect("attached recorder");
         let summary = rec.finalize(&live);
         assert!(summary.sink_error.is_none());
         assert!(summary.records > 0);
@@ -835,7 +813,7 @@ mod tests {
 
     #[test]
     fn mem_recorder_does_not_change_stats_or_output() {
-        use sparseweaver_mem::MemRecorderHandle;
+        use sparseweaver_mem::Recorder;
 
         let mut a = Asm::new("rec_neutral");
         let tid = a.reg();
@@ -849,8 +827,10 @@ mod tests {
         let mut plain = gpu();
         let s1 = plain.launch(&p, &[]).unwrap();
         let mut recorded = gpu();
-        let rec = MemRecorderHandle::in_memory(&recorded.config().hierarchy);
-        recorded.set_mem_recorder(Some(rec));
+        recorded.attach_hooks(Hooks {
+            recorder: Some(Recorder::in_memory(&recorded.config().hierarchy)),
+            ..Hooks::default()
+        });
         let s2 = recorded.launch(&p, &[]).unwrap();
         assert_eq!(s1.cycles, s2.cycles);
         assert_eq!(s1.mem, s2.mem);
@@ -1058,41 +1038,9 @@ mod tests {
     }
 
     #[test]
-    fn tracing_records_issued_instructions() {
-        let mut g = gpu();
-        g.enable_trace(1000);
-        let mut a = Asm::new("traced");
-        let r = a.reg();
-        a.li(r, 7);
-        a.halt();
-        let p = a.finish();
-        let s = g.launch(&p, &[]).unwrap();
-        let trace = g.take_trace();
-        assert_eq!(trace.len() as u64, s.instructions);
-        // Cycles are non-decreasing and every warp issued both instrs.
-        for w in trace.windows(2) {
-            assert!(w[0].cycle <= w[1].cycle);
-        }
-        let lis = trace
-            .iter()
-            .filter(|r| matches!(r.instr, sparseweaver_isa::Instr::LdImm { .. }))
-            .count();
-        assert_eq!(lis, g.config().num_cores * g.config().warps_per_core);
-        // Tracing disabled after take_trace.
-        g.launch(&p, &[]).unwrap();
-        assert!(g.take_trace().is_empty());
-    }
-
-    #[test]
     fn tracer_collects_events_and_samples() {
-        use sparseweaver_trace::{TraceConfig, TraceHandle};
-
         let mut g = gpu();
-        let tr = TraceHandle::new(TraceConfig {
-            sample_every: 4,
-            ..TraceConfig::default()
-        });
-        g.set_tracer(Some(tr.clone()));
+        g.attach_hooks(tracing(4));
         let mut a = Asm::new("traced_kernel");
         let r = a.reg();
         let addr = a.reg();
@@ -1103,7 +1051,7 @@ mod tests {
         a.halt();
         let p = a.finish();
         let s = g.launch(&p, &[]).unwrap();
-        let report = tr.report();
+        let report = take_trace_report(&mut g);
         assert_eq!(report.kernels.len(), 1);
         assert_eq!(report.kernels[0].name, "traced_kernel");
         assert_eq!(report.kernels[0].cycles, s.cycles);
@@ -1132,8 +1080,6 @@ mod tests {
 
     #[test]
     fn tracing_does_not_change_kernel_stats() {
-        use sparseweaver_trace::{TraceConfig, TraceHandle};
-
         let program = {
             let mut a = Asm::new("identical");
             let tid = a.reg();
@@ -1152,10 +1098,7 @@ mod tests {
         let run = |traced: bool| {
             let mut g = gpu();
             if traced {
-                g.set_tracer(Some(TraceHandle::new(TraceConfig {
-                    sample_every: 2,
-                    ..TraceConfig::default()
-                })));
+                g.attach_hooks(tracing(2));
             }
             g.launch(&program, &[]).unwrap()
         };
@@ -1164,7 +1107,7 @@ mod tests {
 
     #[test]
     fn profiling_does_not_change_kernel_stats_and_is_ff_invariant() {
-        use sparseweaver_trace::ProfileHandle;
+        use sparseweaver_trace::Profiler;
 
         let program = {
             let mut a = Asm::new("profiled");
@@ -1184,10 +1127,13 @@ mod tests {
         let run = |profiled: bool, fast_forward: bool| {
             let mut g = gpu();
             g.set_fast_forward(fast_forward);
-            let p = profiled.then(ProfileHandle::new);
-            g.set_profiler(p.clone());
+            g.attach_hooks(Hooks {
+                profiler: profiled.then(Profiler::default),
+                ..Hooks::default()
+            });
             let stats = g.launch(&program, &[]).unwrap();
-            (stats, p.map(|p| p.report()))
+            let profiler = g.take_hooks().profiler;
+            (stats, profiler.map(|mut p| p.take_report()))
         };
         let (plain, none) = run(false, true);
         let (profiled_ff, prof_ff) = run(true, true);
@@ -1237,8 +1183,6 @@ mod tests {
 
     #[test]
     fn fast_forward_traces_are_identical() {
-        use sparseweaver_trace::{TraceConfig, TraceHandle};
-
         let program = {
             let mut a = Asm::new("ff_traced");
             let tid = a.reg();
@@ -1256,13 +1200,9 @@ mod tests {
         let run = |ff: bool| {
             let mut g = gpu();
             g.set_fast_forward(ff);
-            let tr = TraceHandle::new(TraceConfig {
-                sample_every: 2,
-                ..TraceConfig::default()
-            });
-            g.set_tracer(Some(tr.clone()));
+            g.attach_hooks(tracing(2));
             g.launch(&program, &[]).unwrap();
-            let report = tr.report();
+            let report = take_trace_report(&mut g);
             (
                 format!("{:?}", report.events),
                 format!("{:?}", report.samples),
@@ -1343,15 +1283,12 @@ mod tests {
 
     #[test]
     fn occupancy_gauges_reach_the_trace_samples() {
-        use sparseweaver_trace::{TraceConfig, TraceHandle};
-
         let mut g = Gpu::new(GpuConfig::regfile_limited());
         g.mem_mut().grow_to(1 << 20);
-        let tr = TraceHandle::new(TraceConfig::default());
-        g.set_tracer(Some(tr.clone()));
+        g.attach_hooks(tracing(0));
         let p = hungry_tid_kernel(14);
         g.launch(&p, &[]).unwrap();
-        let report = tr.report();
+        let report = take_trace_report(&mut g);
         let last = report.samples.last().expect("kernel-end sample");
         assert_eq!(last.counters.kernel_high_water, 16);
         assert_eq!(last.counters.occupancy_cap, 2);

@@ -11,6 +11,7 @@
 use std::fmt::Write as _;
 
 use sparseweaver_mem::PortOccupancy;
+use sparseweaver_trace::json::escape;
 
 /// One warp's scheduling state at the moment of the hang.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -122,21 +123,6 @@ impl HangReport {
         s.push_str("]}");
         s
     }
-}
-
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]

@@ -31,7 +31,7 @@ pub mod stats;
 pub mod warp;
 
 pub use config::{GpuConfig, WeaverMode};
-pub use core::{CoreState, TraceRecord};
+pub use core::CoreState;
 pub use gpu::{Gpu, GpuState, Occupancy};
 pub use hang::{CoreHang, HangReport, WarpHang};
 pub use stats::{KernelStats, Phase, StallBreakdown};

@@ -25,12 +25,12 @@ use crate::Phase;
 /// # Examples
 ///
 /// ```
-/// use sparseweaver_trace::{export, json, TraceConfig, TraceHandle};
+/// use sparseweaver_trace::{export, json, TraceConfig, Tracer};
 ///
-/// let t = TraceHandle::new(TraceConfig::default());
+/// let mut t = Tracer::new(TraceConfig::default());
 /// t.kernel_begin("demo");
 /// t.kernel_end(10, &Default::default());
-/// let doc = export::chrome_trace_json(&t.report());
+/// let doc = export::chrome_trace_json(&t.take_report());
 /// let v = json::parse(&doc).unwrap();
 /// assert!(!v.get("traceEvents").unwrap().as_arr().unwrap().is_empty());
 /// ```
@@ -353,12 +353,12 @@ pub fn event_json(e: &TraceEvent) -> String {
 /// # Examples
 ///
 /// ```
-/// use sparseweaver_trace::{export, json, TraceConfig, TraceHandle};
+/// use sparseweaver_trace::{export, json, TraceConfig, Tracer};
 ///
-/// let t = TraceHandle::new(TraceConfig::default());
+/// let mut t = Tracer::new(TraceConfig::default());
 /// t.kernel_begin("demo");
 /// t.kernel_end(10, &Default::default());
-/// let v = json::parse(&export::metrics_json(&t.report())).unwrap();
+/// let v = json::parse(&export::metrics_json(&t.take_report())).unwrap();
 /// assert_eq!(v.get("total_cycles").unwrap().as_num(), Some(10.0));
 /// ```
 pub fn metrics_json(report: &TraceReport) -> String {
@@ -464,10 +464,10 @@ mod tests {
     use super::*;
     use crate::event::{EventData, MemLevel, StallCause, TableOp, WeaverState};
     use crate::json;
-    use crate::tracer::{TraceConfig, TraceHandle};
+    use crate::tracer::{TraceConfig, Tracer};
 
     fn sample_report() -> TraceReport {
-        let t = TraceHandle::new(TraceConfig {
+        let mut t = Tracer::new(TraceConfig {
             sample_every: 5,
             ..TraceConfig::default()
         });
@@ -523,7 +523,7 @@ mod tests {
         counters.phase_cycles[Phase::GatherSum as usize] = 4;
         t.record_sample(5, &counters);
         t.kernel_end(10, &counters);
-        t.report()
+        t.take_report()
     }
 
     #[test]
@@ -590,7 +590,7 @@ mod tests {
 
     #[test]
     fn warp_residency_track_is_derived_from_issue_and_stall_events() {
-        let t = TraceHandle::new(TraceConfig::default());
+        let mut t = Tracer::new(TraceConfig::default());
         t.kernel_begin("k");
         for w in 0..2 {
             t.emit(
@@ -623,7 +623,7 @@ mod tests {
             },
         );
         t.kernel_end(12, &CounterSnapshot::default());
-        let doc = chrome_trace_json(&t.report());
+        let doc = chrome_trace_json(&t.take_report());
         let v = json::parse(&doc).unwrap();
         let track: Vec<_> = v
             .get("traceEvents")
@@ -657,7 +657,7 @@ mod tests {
 
     #[test]
     fn occupancy_gauges_reach_both_documents() {
-        let t = TraceHandle::new(TraceConfig::default());
+        let mut t = Tracer::new(TraceConfig::default());
         t.kernel_begin("k");
         let counters = CounterSnapshot {
             kernel_high_water: 16,
@@ -667,7 +667,7 @@ mod tests {
             ..CounterSnapshot::default()
         };
         t.kernel_end(10, &counters);
-        let report = t.report();
+        let report = t.take_report();
         let chrome = json::parse(&chrome_trace_json(&report)).unwrap();
         let occ = chrome
             .get("traceEvents")
@@ -690,10 +690,10 @@ mod tests {
 
     #[test]
     fn escaped_kernel_names_survive_round_trip() {
-        let t = TraceHandle::new(TraceConfig::default());
+        let mut t = Tracer::new(TraceConfig::default());
         t.kernel_begin("odd \"name\"\n");
         t.kernel_end(1, &CounterSnapshot::default());
-        let doc = chrome_trace_json(&t.report());
+        let doc = chrome_trace_json(&t.take_report());
         assert!(json::parse(&doc).is_ok());
     }
 }

@@ -1,10 +1,11 @@
 //! Structured tracing and metrics for the SparseWeaver simulator.
 //!
-//! The simulator crates (`sparseweaver-sim`, `-mem`, `-weaver`) carry
-//! optional [`TraceHandle`]s on their hot paths. With no handle attached
-//! every hook is a single `Option` branch, so the cycle model and its
-//! statistics are bit-identical to an uninstrumented build. With a handle
-//! attached, instrumentation emits typed [`TraceEvent`]s into a bounded
+//! The simulator crates (`sparseweaver-sim`, `-mem`, `-weaver`) reach an
+//! optional [`Tracer`] on their hot paths through the hooks the GPU lends
+//! down each call. With no tracer attached every hook is a single
+//! `Option` branch, so the cycle model and its statistics are
+//! bit-identical to an uninstrumented build. With one attached,
+//! instrumentation emits typed [`TraceEvent`]s into a bounded
 //! [`TraceSink`] and the GPU launch loop records periodic
 //! [`MetricSample`]s of the counter registry.
 //!
@@ -20,15 +21,15 @@
 //! # Example
 //!
 //! ```
-//! use sparseweaver_trace::{Category, EventData, TraceConfig, TraceHandle};
+//! use sparseweaver_trace::{Category, EventData, TraceConfig, Tracer};
 //!
-//! let t = TraceHandle::new(TraceConfig::default());
+//! let mut t = Tracer::new(TraceConfig::default());
 //! t.kernel_begin("demo");
 //! if t.enabled(Category::Warp) {
 //!     t.emit(3, 0, EventData::WarpIssue { warp: 1, pc: 0, active: 4 });
 //! }
 //! t.kernel_end(10, &Default::default());
-//! let report = t.report();
+//! let report = t.take_report();
 //! assert_eq!(report.kernels[0].cycles, 10);
 //! assert_eq!(report.events.len(), 3); // launch, issue, end
 //! ```
@@ -43,8 +44,6 @@ pub mod tracer;
 
 pub use event::{EventData, MemLevel, Phase, StallCause, TableOp, TraceEvent, WeaverState};
 pub use metrics::{CounterSnapshot, KernelSpan, MetricSample};
-pub use profile::{ImbalanceSummary, LatencyHistogram, ProfileHandle, ProfileReport, Profiler};
+pub use profile::{ImbalanceSummary, LatencyHistogram, ProfileReport, Profiler};
 pub use sink::{FileSink, RingSink, SinkState, TraceSink};
-pub use tracer::{
-    Category, CategoryMask, TraceConfig, TraceHandle, TraceReport, Tracer, TracerState,
-};
+pub use tracer::{Category, CategoryMask, TraceConfig, TraceReport, Tracer, TracerState};

@@ -1,10 +1,11 @@
 //! Deterministic latency profiling: fixed-bucket histograms and
 //! load-imbalance counters.
 //!
-//! The simulator crates carry an optional [`ProfileHandle`] next to the
-//! existing `TraceHandle`: with no handle attached every hook is a single
-//! `Option` branch, so profiling is zero-cost when off and the cycle model
-//! is bit-identical either way. With a handle attached, the hooks record
+//! The simulator carries an optional [`Profiler`] next to the tracer in
+//! the hooks the GPU lends down each call: with none attached every hook
+//! is a single `Option` branch, so profiling is zero-cost when off and the
+//! cycle model is bit-identical either way. With one attached, the hooks
+//! record
 //!
 //! - per-level memory request latency (issue→fill, queueing included),
 //! - Weaver request→response latency (`WEAVER_DEC_ID` issue to ready),
@@ -17,9 +18,6 @@
 //! drained [`ProfileReport`] — and any JSON rendered from it — is
 //! byte-deterministic for a deterministic simulation, independent of
 //! wall-clock time, thread count, or fast-forward mode.
-
-use std::cell::RefCell;
-use std::rc::Rc;
 
 use crate::event::MemLevel;
 
@@ -192,7 +190,7 @@ impl ImbalanceSummary {
 }
 
 /// Everything a [`Profiler`] collected, drained via
-/// [`ProfileHandle::report`]. Plain data: `Clone + PartialEq + Send`, so
+/// [`Profiler::take_report`]. Plain data: `Clone + PartialEq + Send`, so
 /// campaign workers can ship it across threads and tests can compare
 /// runs structurally.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -268,8 +266,8 @@ fn merge_counts(dst: &mut Vec<u64>, src: &[u64]) {
     }
 }
 
-/// The profiling collector. Like [`crate::Tracer`], it is owned behind a
-/// [`ProfileHandle`] and fed by hooks on the simulator's hot paths.
+/// The profiling collector. Like [`crate::Tracer`], it is fed by hooks on
+/// the simulator's hot paths.
 #[derive(Debug, Default)]
 pub struct Profiler {
     report: ProfileReport,
@@ -350,61 +348,6 @@ impl Profiler {
     }
 }
 
-/// Shared handle to a [`Profiler`], cloned into every component that
-/// profiles (cores, the memory hierarchy). The simulator is
-/// single-threaded, so `Rc<RefCell<_>>` suffices — the same pattern as
-/// `TraceHandle`.
-#[derive(Clone, Default)]
-pub struct ProfileHandle(Rc<RefCell<Profiler>>);
-
-impl std::fmt::Debug for ProfileHandle {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        self.0.borrow().fmt(f)
-    }
-}
-
-impl ProfileHandle {
-    /// A handle to a fresh, empty profiler.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// See [`Profiler::launch_begin`].
-    pub fn launch_begin(&self) {
-        self.0.borrow_mut().launch_begin();
-    }
-
-    /// See [`Profiler::mem_latency`].
-    pub fn mem_latency(&self, level: MemLevel, latency: u64) {
-        self.0.borrow_mut().mem_latency(level, latency);
-    }
-
-    /// See [`Profiler::weaver_dec`].
-    pub fn weaver_dec(&self, core: usize, warp: usize, cycle: u64, ready_at: u64) {
-        self.0.borrow_mut().weaver_dec(core, warp, cycle, ready_at);
-    }
-
-    /// See [`Profiler::warp_issue`].
-    pub fn warp_issue(&self, core: usize, warp: usize) {
-        self.0.borrow_mut().warp_issue(core, warp);
-    }
-
-    /// Drains and returns the collected [`ProfileReport`].
-    pub fn report(&self) -> ProfileReport {
-        self.0.borrow_mut().take_report()
-    }
-
-    /// See [`Profiler::save_state`].
-    pub fn save_state(&self) -> ProfileReport {
-        self.0.borrow().save_state()
-    }
-
-    /// See [`Profiler::restore_state`].
-    pub fn restore_state(&self, report: &ProfileReport) {
-        self.0.borrow_mut().restore_state(report);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -475,14 +418,14 @@ mod tests {
 
     #[test]
     fn gather_iteration_gaps_reset_at_launch_boundaries() {
-        let p = ProfileHandle::new();
+        let mut p = Profiler::default();
         p.launch_begin();
         p.weaver_dec(0, 1, 100, 104);
         p.weaver_dec(0, 1, 130, 133); // gap 30
         p.launch_begin();
         p.weaver_dec(0, 1, 500, 505); // no gap: new launch
         p.weaver_dec(0, 1, 520, 525); // gap 20
-        let r = p.report();
+        let r = p.take_report();
         assert_eq!(r.weaver.count, 4);
         assert_eq!(r.weaver.min, 3);
         assert_eq!(r.weaver.max, 5);
@@ -493,30 +436,30 @@ mod tests {
 
     #[test]
     fn issue_counts_grow_per_core_and_warp() {
-        let p = ProfileHandle::new();
+        let mut p = Profiler::default();
         p.warp_issue(0, 0);
         p.warp_issue(0, 2);
         p.warp_issue(1, 0);
         p.warp_issue(1, 0);
-        let r = p.report();
+        let r = p.take_report();
         assert_eq!(r.core_issues, vec![2, 2]);
         assert_eq!(r.warp_issues, vec![vec![1, 0, 1], vec![2]]);
         assert_eq!(r.core_imbalance().imbalance_permille, 1000);
         // A second report() call finds a drained profiler.
-        assert_eq!(p.report(), ProfileReport::default());
+        assert_eq!(p.take_report(), ProfileReport::default());
     }
 
     #[test]
     fn report_merge_is_elementwise() {
-        let a_handle = ProfileHandle::new();
-        a_handle.warp_issue(0, 0);
-        a_handle.mem_latency(MemLevel::L1, 4);
-        let mut a = a_handle.report();
-        let b_handle = ProfileHandle::new();
-        b_handle.warp_issue(1, 1);
-        b_handle.mem_latency(MemLevel::L1, 8);
-        b_handle.mem_latency(MemLevel::Dram, 100);
-        let b = b_handle.report();
+        let mut a_prof = Profiler::default();
+        a_prof.warp_issue(0, 0);
+        a_prof.mem_latency(MemLevel::L1, 4);
+        let mut a = a_prof.take_report();
+        let mut b_prof = Profiler::default();
+        b_prof.warp_issue(1, 1);
+        b_prof.mem_latency(MemLevel::L1, 8);
+        b_prof.mem_latency(MemLevel::Dram, 100);
+        let b = b_prof.take_report();
         a.merge(&b);
         assert_eq!(a.core_issues, vec![1, 1]);
         assert_eq!(a.mem[0].count, 2);

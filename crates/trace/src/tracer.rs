@@ -1,9 +1,7 @@
-//! The tracer: categories, configuration, the shared handle the
-//! simulator crates hold, and the final report.
+//! The tracer: categories, configuration, the collector the simulator
+//! feeds, and the final report.
 
-use std::cell::RefCell;
 use std::fmt;
-use std::rc::Rc;
 
 use crate::event::{EventData, TraceEvent};
 use crate::metrics::{CounterSnapshot, KernelSpan, MetricSample};
@@ -84,7 +82,8 @@ impl Default for TraceConfig {
     }
 }
 
-/// The collecting tracer. Usually accessed through a [`TraceHandle`].
+/// The collecting tracer. The simulator reaches it through the
+/// `tracer` field of the hooks the GPU lends down each call.
 pub struct Tracer {
     mask: CategoryMask,
     sink: Box<dyn TraceSink>,
@@ -275,89 +274,6 @@ impl Tracer {
     }
 }
 
-/// A cheaply clonable, shared handle to a [`Tracer`].
-///
-/// The simulator is single-threaded, so `Rc<RefCell<_>>` suffices; every
-/// instrumented structure (GPU, cores, hierarchy, Weaver units) holds a
-/// clone of the same handle.
-#[derive(Clone)]
-pub struct TraceHandle(Rc<RefCell<Tracer>>);
-
-impl fmt::Debug for TraceHandle {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        self.0.borrow().fmt(f)
-    }
-}
-
-impl TraceHandle {
-    /// Creates a handle over a fresh [`Tracer`].
-    pub fn new(cfg: TraceConfig) -> Self {
-        TraceHandle(Rc::new(RefCell::new(Tracer::new(cfg))))
-    }
-
-    /// Creates a handle over a tracer writing into a caller-provided sink
-    /// (e.g. a streaming [`crate::FileSink`]) instead of the default ring.
-    pub fn with_sink(cfg: TraceConfig, sink: Box<dyn TraceSink>) -> Self {
-        TraceHandle(Rc::new(RefCell::new(Tracer::with_sink(cfg, sink))))
-    }
-
-    /// Whether events of `cat` are being recorded (fast pre-check so
-    /// callers can skip building event payloads).
-    pub fn enabled(&self, cat: Category) -> bool {
-        self.0.borrow().enabled(cat)
-    }
-
-    /// See [`Tracer::emit`].
-    pub fn emit(&self, cycle: u64, core: u32, data: EventData) {
-        self.0.borrow_mut().emit(cycle, core, data);
-    }
-
-    /// See [`Tracer::sample_due`].
-    pub fn sample_due(&self, cycle: u64) -> bool {
-        self.0.borrow().sample_due(cycle)
-    }
-
-    /// See [`Tracer::record_sample`].
-    pub fn record_sample(&self, cycle: u64, launch_counters: &CounterSnapshot) {
-        self.0.borrow_mut().record_sample(cycle, launch_counters);
-    }
-
-    /// See [`Tracer::kernel_begin`].
-    pub fn kernel_begin(&self, name: &str) {
-        self.0.borrow_mut().kernel_begin(name);
-    }
-
-    /// See [`Tracer::kernel_end`].
-    pub fn kernel_end(&self, cycles: u64, final_counters: &CounterSnapshot) {
-        self.0.borrow_mut().kernel_end(cycles, final_counters);
-    }
-
-    /// See [`Tracer::add_totals`].
-    pub fn add_totals(&self, extra: &CounterSnapshot) {
-        self.0.borrow_mut().add_totals(extra);
-    }
-
-    /// Drains the collected data. Later reports only contain data
-    /// recorded since the previous call.
-    pub fn report(&self) -> TraceReport {
-        self.0.borrow_mut().take_report()
-    }
-
-    /// See [`Tracer::save_state`].
-    pub fn save_state(&self) -> TracerState {
-        self.0.borrow_mut().save_state()
-    }
-
-    /// See [`Tracer::restore_state`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a description when the sink state does not fit.
-    pub fn restore_state(&self, state: &TracerState) -> Result<(), String> {
-        self.0.borrow_mut().restore_state(state)
-    }
-}
-
 /// Resumable state of a [`Tracer`], captured into checkpoints: the
 /// global time base, committed counter totals, collected samples and
 /// kernel spans, and the sink's own state.
@@ -435,7 +351,7 @@ mod tests {
 
     #[test]
     fn sampling_cadence_hits_every_interval() {
-        let t = TraceHandle::new(cfg(100));
+        let mut t = Tracer::new(cfg(100));
         t.kernel_begin("k");
         let mut sampled = Vec::new();
         let mut counters = CounterSnapshot::default();
@@ -450,7 +366,7 @@ mod tests {
         }
         assert_eq!(sampled, vec![100, 320, 400, 990]);
         t.kernel_end(1000, &counters);
-        let r = t.report();
+        let r = t.take_report();
         // 4 periodic samples + 1 kernel-end sample.
         assert_eq!(r.samples.len(), 5);
         assert_eq!(r.samples.last().unwrap().cycle, 1000);
@@ -462,23 +378,23 @@ mod tests {
 
     #[test]
     fn no_sampling_when_interval_is_zero() {
-        let t = TraceHandle::new(cfg(0));
+        let mut t = Tracer::new(cfg(0));
         t.kernel_begin("k");
         assert!(!t.sample_due(1_000_000));
         t.kernel_end(10, &CounterSnapshot::default());
-        assert_eq!(t.report().samples.len(), 1); // kernel-end only
+        assert_eq!(t.take_report().samples.len(), 1); // kernel-end only
     }
 
     #[test]
     fn global_timeline_spans_launches() {
-        let t = TraceHandle::new(cfg(0));
+        let mut t = Tracer::new(cfg(0));
         t.kernel_begin("a");
         t.emit(3, 1, EventData::DramTransaction { write: false });
         t.kernel_end(10, &CounterSnapshot::default());
         t.kernel_begin("b");
         t.emit(2, 0, EventData::DramTransaction { write: true });
         t.kernel_end(20, &CounterSnapshot::default());
-        let r = t.report();
+        let r = t.take_report();
         assert_eq!(r.total_cycles, 30);
         assert_eq!(r.kernels[1].start, 10);
         let cycles: Vec<u64> = r.events.iter().map(|e| e.cycle).collect();
@@ -488,7 +404,7 @@ mod tests {
 
     #[test]
     fn committed_totals_accumulate_across_launches() {
-        let t = TraceHandle::new(cfg(0));
+        let mut t = Tracer::new(cfg(0));
         let one = CounterSnapshot {
             instructions: 7,
             ..CounterSnapshot::default()
@@ -497,7 +413,7 @@ mod tests {
         t.kernel_end(10, &one);
         t.kernel_begin("b");
         t.kernel_end(10, &one);
-        let r = t.report();
+        let r = t.take_report();
         assert_eq!(r.totals.instructions, 14);
         assert_eq!(r.samples[0].counters.instructions, 7);
         assert_eq!(r.samples[1].counters.instructions, 14);

@@ -14,8 +14,9 @@
 
 use std::fmt;
 
-use sparseweaver_fault::{FaultHandle, WeaverFault};
-use sparseweaver_trace::{EventData, TableOp, TraceHandle, WeaverState};
+use sparseweaver_fault::WeaverFault;
+use sparseweaver_mem::Hooks;
+use sparseweaver_trace::{EventData, TableOp, WeaverState};
 
 use crate::fsm::{DecodeBatch, FsmSnapshot, WeaverFsm};
 use crate::tables::{DenseTable, SparseTable, StEntry};
@@ -106,11 +107,13 @@ pub struct DecResponse {
 /// # Examples
 ///
 /// ```
+/// use sparseweaver_mem::Hooks;
 /// use sparseweaver_weaver::{WeaverConfig, WeaverUnit};
 ///
 /// let mut w = WeaverUnit::new(WeaverConfig::default(), 8, 4);
-/// w.reg(0, &[(0, 3, 0, 2), (1, 5, 2, 1)], 0).unwrap();
-/// let resp = w.dec_id(1, 10);
+/// let hooks = &mut Hooks::default();
+/// w.reg(0, &[(0, 3, 0, 2), (1, 5, 2, 1)], 0, 0, hooks).unwrap();
+/// let resp = w.dec_id(1, 10, 0, hooks);
 /// assert_eq!(resp.batch.vids, vec![3, 3, 5, -1]);
 /// ```
 #[derive(Debug, Clone)]
@@ -129,10 +132,6 @@ pub struct WeaverUnit {
     dec_requests: u64,
     /// Total registered entries.
     registrations: u64,
-    tracer: Option<TraceHandle>,
-    fault: Option<FaultHandle>,
-    /// Core index stamped on emitted events.
-    core: u32,
 }
 
 impl WeaverUnit {
@@ -148,32 +147,13 @@ impl WeaverUnit {
             st_fetches: 0,
             dec_requests: 0,
             registrations: 0,
-            tracer: None,
-            fault: None,
-            core: 0,
             cfg,
         }
-    }
-
-    /// Attaches (or detaches) the fault injector. With a handle attached,
-    /// each decode response consults the injector's Weaver protocol sites
-    /// (drops and delays per Table II).
-    pub fn set_fault_injector(&mut self, fault: Option<FaultHandle>) {
-        self.fault = fault;
     }
 
     /// The FSM's current state id (0–8), for hang diagnostics.
     pub fn fsm_state_id(&self) -> u8 {
         self.fsm.state().state_id()
-    }
-
-    /// Attaches (or detaches) a tracer; `core` is stamped on every event
-    /// this unit emits. With a handle attached, registrations and decodes
-    /// emit [`EventData::WeaverTable`] operations and each decode emits the
-    /// FSM transitions it took as [`EventData::WeaverTransition`]s.
-    pub fn set_tracer(&mut self, tracer: Option<TraceHandle>, core: u32) {
-        self.tracer = tracer;
-        self.core = core;
     }
 
     /// The unit's configuration.
@@ -198,11 +178,17 @@ impl WeaverUnit {
     /// Returns [`StOverflow`] if a computed slot exceeds the ST capacity —
     /// the compiler's chunked registration loop must prevent this, so a
     /// violation (e.g. a corrupted warp index) is a detected crash.
+    ///
+    /// Like every entry point, it takes the owning `core`'s index, which
+    /// it stamps on the [`EventData::WeaverTable`] operations it emits
+    /// into the tracer in `hooks`.
     pub fn reg(
         &mut self,
         warp: usize,
         records: &[(usize, u32, u32, u32)],
         now: u64,
+        core: u32,
+        hooks: &mut Hooks,
     ) -> Result<u64, StOverflow> {
         if !self.in_registration {
             self.staging.clear();
@@ -219,10 +205,10 @@ impl WeaverUnit {
             self.staging.register(index, StEntry { vid, loc, deg });
             self.registrations += 1;
         }
-        if let Some(tr) = &self.tracer {
+        if let Some(tr) = &mut hooks.tracer {
             tr.emit(
                 now,
-                self.core,
+                core,
                 EventData::WeaverTable {
                     op: TableOp::StWrite,
                     count: records.len() as u32,
@@ -239,7 +225,11 @@ impl WeaverUnit {
     /// Services a `WEAVER_DEC_ID` from `warp`: runs the FSM to fill one OD
     /// buffer, stores the edge IDs in the warp's DT row, and returns the
     /// per-lane vertex IDs plus the thread mask.
-    pub fn dec_id(&mut self, warp: usize, now: u64) -> DecResponse {
+    ///
+    /// The tracer in `hooks` sees the FSM transitions the request took and
+    /// its table operations; the fault injector decides whether the
+    /// response is dropped or delayed (Table II).
+    pub fn dec_id(&mut self, warp: usize, now: u64, core: u32, hooks: &mut Hooks) -> DecResponse {
         if self.in_registration {
             // Synchronization point passed: install the registered ST.
             let st = std::mem::replace(&mut self.staging, SparseTable::new(self.cfg.st_capacity));
@@ -249,19 +239,18 @@ impl WeaverUnit {
         self.dec_requests += 1;
         // Capture the FSM position before decoding so the transitions this
         // request causes can be replayed into the trace.
-        let pre = self
+        let pre = hooks
             .tracer
             .as_ref()
             .map(|_| (self.fsm.state(), self.fsm.trace().len()));
         let batch = self.fsm.decode();
         self.dt.store_row(warp, &batch.eids);
         self.st_fetches += batch.st_fetches as u64;
-        if let Some((mut from, taken)) = pre {
-            let tr = self.tracer.as_ref().expect("tracer present");
+        if let (Some((mut from, taken)), Some(tr)) = (pre, &mut hooks.tracer) {
             for &to in &self.fsm.trace()[taken..] {
                 tr.emit(
                     now,
-                    self.core,
+                    core,
                     EventData::WeaverTransition {
                         from: WeaverState::from_id(from.state_id()),
                         to: WeaverState::from_id(to.state_id()),
@@ -272,7 +261,7 @@ impl WeaverUnit {
             if batch.st_fetches > 0 {
                 tr.emit(
                     now,
-                    self.core,
+                    core,
                     EventData::WeaverTable {
                         op: TableOp::StFetch,
                         count: batch.st_fetches,
@@ -283,7 +272,7 @@ impl WeaverUnit {
             if filled > 0 {
                 tr.emit(
                     now,
-                    self.core,
+                    core,
                     EventData::WeaverTable {
                         op: TableOp::DtWrite,
                         count: filled,
@@ -304,8 +293,8 @@ impl WeaverUnit {
         // arrives (the requesting warp's scoreboard entry stays pending
         // forever); a delayed one arrives late.
         let mut dropped = false;
-        if let Some(h) = &self.fault {
-            match h.with(|i| i.weaver_response()) {
+        if let Some(f) = &mut hooks.fault {
+            match f.weaver_response() {
                 WeaverFault::None => {}
                 WeaverFault::Drop => {
                     ready_at = u64::MAX;
@@ -323,14 +312,20 @@ impl WeaverUnit {
 
     /// Services a `WEAVER_DEC_LOC` from `warp`: reads the warp's DT row.
     /// Returns `(eids, ready_at)`.
-    pub fn dec_loc(&mut self, warp: usize, now: u64) -> (Vec<i64>, u64) {
+    pub fn dec_loc(
+        &mut self,
+        warp: usize,
+        now: u64,
+        core: u32,
+        hooks: &mut Hooks,
+    ) -> (Vec<i64>, u64) {
         // A DT row read is one (wide) shared-memory access; it does not
         // occupy the FSM.
         let eids = self.dt.load_row(warp).to_vec();
-        if let Some(tr) = &self.tracer {
+        if let Some(tr) = &mut hooks.tracer {
             tr.emit(
                 now,
-                self.core,
+                core,
                 EventData::WeaverTable {
                     op: TableOp::DtRead,
                     count: eids.len() as u32,
@@ -430,14 +425,22 @@ mod tests {
     fn register_then_decode() {
         let mut w = unit();
         // Warp 0 lanes 0..2 register vertices 0 and 2.
-        w.reg(0, &[(0, 0, 2, 1), (1, 2, 10, 2)], 0).unwrap();
+        w.reg(
+            0,
+            &[(0, 0, 2, 1), (1, 2, 10, 2)],
+            0,
+            0,
+            &mut Hooks::default(),
+        )
+        .unwrap();
         // Warp 1 lane 0 registers vertex 4 (out-of-order warps).
-        w.reg(1, &[(0, 4, 30, 5)], 3).unwrap();
-        let r = w.dec_id(2, 20);
+        w.reg(1, &[(0, 4, 30, 5)], 3, 0, &mut Hooks::default())
+            .unwrap();
+        let r = w.dec_id(2, 20, 0, &mut Hooks::default());
         assert_eq!(r.batch.vids, vec![0, 2, 2, 4]);
         assert_eq!(r.batch.eids, vec![2, 10, 11, 30]);
         // DEC_LOC reads the same row back.
-        let (eids, _) = w.dec_loc(2, 25);
+        let (eids, _) = w.dec_loc(2, 25, 0, &mut Hooks::default());
         assert_eq!(eids, vec![2, 10, 11, 30]);
     }
 
@@ -446,9 +449,11 @@ mod tests {
         let mut w = unit();
         // Registrations arrive warp 1 first, then warp 0; the scan must
         // still be in (warp, thread) index order.
-        w.reg(1, &[(0, 9, 0, 1)], 0).unwrap();
-        w.reg(0, &[(0, 3, 1, 1)], 1).unwrap();
-        let r = w.dec_id(0, 10);
+        w.reg(1, &[(0, 9, 0, 1)], 0, 0, &mut Hooks::default())
+            .unwrap();
+        w.reg(0, &[(0, 3, 1, 1)], 1, 0, &mut Hooks::default())
+            .unwrap();
+        let r = w.dec_id(0, 10, 0, &mut Hooks::default());
         assert_eq!(r.batch.vids[0], 3);
         assert_eq!(r.batch.vids[1], 9);
     }
@@ -456,13 +461,15 @@ mod tests {
     #[test]
     fn new_registration_restarts_round() {
         let mut w = unit();
-        w.reg(0, &[(0, 1, 0, 1)], 0).unwrap();
-        let r = w.dec_id(0, 5);
+        w.reg(0, &[(0, 1, 0, 1)], 0, 0, &mut Hooks::default())
+            .unwrap();
+        let r = w.dec_id(0, 5, 0, &mut Hooks::default());
         assert_eq!(r.batch.vids[0], 1);
-        assert!(w.dec_id(0, 6).batch.exhausted);
+        assert!(w.dec_id(0, 6, 0, &mut Hooks::default()).batch.exhausted);
         // Next round.
-        w.reg(0, &[(0, 7, 3, 1)], 10).unwrap();
-        let r = w.dec_id(0, 15);
+        w.reg(0, &[(0, 7, 3, 1)], 10, 0, &mut Hooks::default())
+            .unwrap();
+        let r = w.dec_id(0, 15, 0, &mut Hooks::default());
         assert_eq!(r.batch.vids[0], 7);
         assert_eq!(r.batch.eids[0], 3);
     }
@@ -470,10 +477,17 @@ mod tests {
     #[test]
     fn occupancy_serializes_but_latency_pipelines() {
         let mut w = unit();
-        w.reg(0, &[(0, 0, 0, 8), (1, 1, 8, 8)], 0).unwrap();
+        w.reg(
+            0,
+            &[(0, 0, 0, 8), (1, 1, 8, 8)],
+            0,
+            0,
+            &mut Hooks::default(),
+        )
+        .unwrap();
         let t0 = 100;
-        let a = w.dec_id(0, t0);
-        let b = w.dec_id(1, t0);
+        let a = w.dec_id(0, t0, 0, &mut Hooks::default());
+        let b = w.dec_id(1, t0, 0, &mut Hooks::default());
         // Second request starts after the first's occupancy, not after its
         // full latency (pipelined unit).
         assert!(b.ready_at > a.ready_at);
@@ -491,8 +505,9 @@ mod tests {
                 2,
                 4,
             );
-            w.reg(0, &[(0, 0, 0, 4)], 0).unwrap();
-            w.dec_id(0, 10).ready_at
+            w.reg(0, &[(0, 0, 0, 4)], 0, 0, &mut Hooks::default())
+                .unwrap();
+            w.dec_id(0, 10, 0, &mut Hooks::default()).ready_at
         };
         let fast = mk(4);
         let slow = mk(160);
@@ -502,18 +517,26 @@ mod tests {
     #[test]
     fn skip_reaches_fsm() {
         let mut w = unit();
-        w.reg(0, &[(0, 5, 0, 100)], 0).unwrap();
-        let r = w.dec_id(0, 5);
+        w.reg(0, &[(0, 5, 0, 100)], 0, 0, &mut Hooks::default())
+            .unwrap();
+        let r = w.dec_id(0, 5, 0, &mut Hooks::default());
         assert_eq!(r.batch.vids, vec![5, 5, 5, 5]);
         w.skip(&[5], 6);
-        assert!(w.dec_id(0, 7).batch.exhausted);
+        assert!(w.dec_id(0, 7, 0, &mut Hooks::default()).batch.exhausted);
     }
 
     #[test]
     fn counters_track_activity() {
         let mut w = unit();
-        w.reg(0, &[(0, 0, 0, 1), (1, 1, 1, 1)], 0).unwrap();
-        let _ = w.dec_id(0, 5);
+        w.reg(
+            0,
+            &[(0, 0, 0, 1), (1, 1, 1, 1)],
+            0,
+            0,
+            &mut Hooks::default(),
+        )
+        .unwrap();
+        let _ = w.dec_id(0, 5, 0, &mut Hooks::default());
         let (fetches, decs, regs) = w.counters();
         assert_eq!(regs, 2);
         assert_eq!(decs, 1);
@@ -522,17 +545,21 @@ mod tests {
 
     #[test]
     fn tracer_sees_tables_and_fsm_transitions() {
-        use sparseweaver_trace::{TraceConfig, TraceHandle};
+        use sparseweaver_trace::{TraceConfig, Tracer};
 
         let mut w = unit();
-        let t = TraceHandle::new(TraceConfig::default());
-        t.kernel_begin("k");
-        w.set_tracer(Some(t.clone()), 3);
-        w.reg(0, &[(0, 0, 2, 1), (1, 2, 10, 2)], 0).unwrap();
-        let _ = w.dec_id(0, 10);
-        let _ = w.dec_loc(0, 20);
+        let mut hooks = Hooks {
+            tracer: Some(Tracer::new(TraceConfig::default())),
+            ..Hooks::default()
+        };
+        hooks.tracer.as_mut().unwrap().kernel_begin("k");
+        w.reg(0, &[(0, 0, 2, 1), (1, 2, 10, 2)], 0, 3, &mut hooks)
+            .unwrap();
+        let _ = w.dec_id(0, 10, 3, &mut hooks);
+        let _ = w.dec_loc(0, 20, 3, &mut hooks);
+        let t = hooks.tracer.as_mut().unwrap();
         t.kernel_end(30, &Default::default());
-        let r = t.report();
+        let r = t.take_report();
         let ops: Vec<&EventData> = r.events.iter().map(|e| &e.data).collect();
         assert!(ops.iter().any(|d| matches!(
             d,
@@ -592,17 +619,18 @@ mod tests {
     fn tracer_does_not_change_unit_behavior() {
         let mut plain = unit();
         let mut traced = unit();
-        traced.set_tracer(
-            Some(sparseweaver_trace::TraceHandle::new(
+        let mut hooks = Hooks {
+            tracer: Some(sparseweaver_trace::Tracer::new(
                 sparseweaver_trace::TraceConfig::default(),
             )),
-            0,
-        );
-        plain.reg(0, &[(0, 0, 0, 5), (1, 7, 5, 3)], 0).unwrap();
-        traced.reg(0, &[(0, 0, 0, 5), (1, 7, 5, 3)], 0).unwrap();
+            ..Hooks::default()
+        };
+        let records = [(0, 0, 0, 5), (1, 7, 5, 3)];
+        plain.reg(0, &records, 0, 0, &mut Hooks::default()).unwrap();
+        traced.reg(0, &records, 0, 0, &mut hooks).unwrap();
         for i in 0..4u64 {
-            let a = plain.dec_id(0, 10 + i);
-            let b = traced.dec_id(0, 10 + i);
+            let a = plain.dec_id(0, 10 + i, 0, &mut Hooks::default());
+            let b = traced.dec_id(0, 10 + i, 0, &mut hooks);
             assert_eq!(a, b);
         }
         assert_eq!(plain.counters(), traced.counters());
@@ -611,10 +639,11 @@ mod tests {
     #[test]
     fn reset_clears_state() {
         let mut w = unit();
-        w.reg(0, &[(0, 0, 0, 1)], 0).unwrap();
-        let _ = w.dec_id(0, 5);
+        w.reg(0, &[(0, 0, 0, 1)], 0, 0, &mut Hooks::default())
+            .unwrap();
+        let _ = w.dec_id(0, 5, 0, &mut Hooks::default());
         w.reset();
         assert_eq!(w.counters(), (0, 0, 0));
-        assert!(w.dec_id(0, 0).batch.exhausted);
+        assert!(w.dec_id(0, 0, 0, &mut Hooks::default()).batch.exhausted);
     }
 }

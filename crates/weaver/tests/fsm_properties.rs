@@ -4,6 +4,7 @@
 //! make SparseWeaver's sparse-to-dense conversion correct.
 
 use proptest::prelude::*;
+use sparseweaver_mem::Hooks;
 use sparseweaver_weaver::{SparseTable, StEntry, WeaverConfig, WeaverFsm, WeaverUnit};
 
 /// An arbitrary registration round: per-slot optional `(vid, deg)`;
@@ -134,12 +135,13 @@ proptest! {
             4,
             lanes,
         );
+        let hooks = &mut Hooks::default();
         let mut loc = 0u32;
         for (i, s) in slots.iter().enumerate() {
             if let Some((vid, deg)) = s {
                 let warp = i / lanes;
                 let lane = i % lanes;
-                unit.reg(warp, &[(lane, *vid, loc, *deg)], i as u64)
+                unit.reg(warp, &[(lane, *vid, loc, *deg)], i as u64, 0, hooks)
                     .expect("record fits the ST");
                 loc += deg;
             }
@@ -149,12 +151,12 @@ proptest! {
         let mut t = 1000;
         loop {
             let w = order.next().expect("cycled");
-            let resp = unit.dec_id(w, t);
+            let resp = unit.dec_id(w, t, 0, hooks);
             t += 10;
             if resp.batch.exhausted {
                 break;
             }
-            let (eids, _) = unit.dec_loc(w, t);
+            let (eids, _) = unit.dec_loc(w, t, 0, hooks);
             for (&vid, &eid) in resp.batch.vids.iter().zip(&eids).take(lanes) {
                 if vid >= 0 {
                     got.push((vid as u32, eid as u32));

@@ -9,6 +9,7 @@
 //! cargo run --release --example weaver_microscope
 //! ```
 
+use sparseweaver::mem::Hooks;
 use sparseweaver::weaver::{SparseTable, StEntry, WeaverConfig, WeaverFsm, WeaverUnit};
 
 fn main() {
@@ -93,14 +94,15 @@ fn main() {
             ..WeaverConfig::default()
         };
         let mut unit = WeaverUnit::new(cfg, 8, 4);
-        unit.reg(0, &[(0, 0, 0, 64), (1, 1, 64, 64)], 0)
+        let hooks = &mut Hooks::default();
+        unit.reg(0, &[(0, 0, 0, 64), (1, 1, 64, 64)], 0, 0, hooks)
             .expect("two records fit the ST");
         // Back-to-back decode requests from different warps: occupancy
         // (one table read per slot) serializes them, but the table READ
         // LATENCY only adds to each response's depth - it pipelines.
         let t0 = 100;
-        let a = unit.dec_id(0, t0);
-        let b = unit.dec_id(1, t0);
+        let a = unit.dec_id(0, t0, 0, hooks);
+        let b = unit.dec_id(1, t0, 0, hooks);
         println!(
             "table latency {lat:>3}: warp0 ready at {}, warp1 at {} (gap {})",
             a.ready_at,

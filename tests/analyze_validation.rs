@@ -11,8 +11,9 @@
 
 use sparseweaver::isa::{Asm, CsrKind, Program, Width};
 use sparseweaver::lint::{analyze, AnalyzeGeom};
+use sparseweaver::mem::Hooks;
 use sparseweaver::sim::{Gpu, GpuConfig};
-use sparseweaver::trace::ProfileHandle;
+use sparseweaver::trace::Profiler;
 
 /// Loads per thread; each round starts past every line the previous one
 /// touched so no round rides the last one's fills.
@@ -53,10 +54,12 @@ fn geom_of(cfg: &GpuConfig) -> AnalyzeGeom {
 /// latency over every hierarchy level).
 fn measure(cfg: GpuConfig, program: &Program) -> (u64, f64) {
     let mut g = Gpu::new(cfg);
-    let p = ProfileHandle::new();
-    g.set_profiler(Some(p.clone()));
+    g.attach_hooks(Hooks {
+        profiler: Some(Profiler::default()),
+        ..Hooks::default()
+    });
     g.launch(program, &[]).expect("kernel runs clean");
-    let report = p.report();
+    let report = g.take_hooks().profiler.expect("attached").take_report();
     let dram = report.mem[3].count;
     let (sum, count) = report
         .mem

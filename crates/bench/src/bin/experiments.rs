@@ -98,14 +98,11 @@ fn main() {
         println!("{}", "=".repeat(78));
         if let Some(dir) = &out_dir {
             let path = format!("{dir}/{id}.txt");
-            sparseweaver_core::checkpoint::write_atomic(
-                std::path::Path::new(&path),
-                report.as_bytes(),
-            )
-            .unwrap_or_else(|e| {
-                eprintln!("cannot write report to {path}: {e}");
-                std::process::exit(1)
-            });
+            sparseweaver_trace::codec::write_atomic(std::path::Path::new(&path), report.as_bytes())
+                .unwrap_or_else(|e| {
+                    eprintln!("cannot write report to {path}: {e}");
+                    std::process::exit(1)
+                });
         }
     }
 }

@@ -40,7 +40,7 @@ pub fn expected_warp_iterations(view: &Csr, schedule: Schedule, tpw: usize, bloc
 
 /// One row of Table I: the implementation characteristics of a scheduling
 /// scheme. `|V|`, `|E|`, `|B|` appear symbolically as in the paper.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SchemeRow {
     /// Scheme name in paper notation.
     pub name: &'static str,

@@ -1,4 +1,4 @@
-//! Crash-safe simulation checkpoints: the `swckpt-v1` binary format.
+//! Crash-safe simulation checkpoints: the `swckpt` binary format.
 //!
 //! A [`Checkpoint`] captures the complete mid-run state of a simulation at
 //! a kernel-launch boundary — every warp context (PC, active mask,
@@ -15,52 +15,45 @@
 //!
 //! # Wire format
 //!
-//! Hand-rolled little-endian binary, mirroring the `swmtrace-v1` codec in
-//! `sparseweaver-mem` (the vendored `serde` is a no-op marker stub, so
-//! nothing here derives its serialization from it):
+//! Every field goes through the shared little-endian codec in
+//! [`sparseweaver_trace::codec`]:
 //!
 //! ```text
 //! magic   b"swckpt-v1"          9 bytes
-//! version u32                   currently 1
-//! payload field-ordered codec   see [`Checkpoint::encode`]
+//! version u32                   currently 2
+//! header  host state            see [`Checkpoint::encode`]
+//! machine u64 length + bytes    the GPU's `Snapshot`, then the tracer,
+//!                               profiler and fault injector, each
+//!                               behind a presence byte
 //! ```
 //!
-//! Integers are fixed-width little-endian. `Vec<T>` is a `u64` length
-//! followed by the items; `Option<T>` is a presence byte (0/1) followed
-//! by the payload; strings are length-prefixed UTF-8. Fixed-size arrays
-//! carry no length prefix. The decoder verifies that the payload is
-//! consumed exactly; corrupt or truncated inputs yield a typed
-//! [`CheckpointError`], never a panic.
+//! [`Checkpoint::decode`] parses the header and takes the machine section
+//! as opaque, length-checked bytes: every truncation and any trailing
+//! bytes are refused before a machine is built. The machine section is
+//! decoded only by `Runtime::resume_from`, in place into the freshly built
+//! machine, so its errors (`Truncated`, `Corrupt`, or `Restore` with a
+//! layered `core 3: warp 1: …` path) surface during resume, into a machine
+//! that is then thrown away. Nothing here panics on malformed input.
 //!
-//! The payload embeds the FNV-1a fingerprints of the effective GPU
+//! The header embeds the FNV-1a fingerprints of the effective GPU
 //! configuration and the input graph (the same fingerprints `swprof`
 //! stamps into `metrics.json`); [`Checkpoint::verify`] refuses to restore
 //! into a mismatched machine or graph.
 
 use std::fmt;
 use std::fs;
-use std::io::{self, Write as _};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
-use sparseweaver_fault::{FaultCounts, FaultInjectorState};
-use sparseweaver_mem::{CacheState, CacheStats, HierarchyState, LevelStats, LineState, PortState};
-use sparseweaver_sim::core::CoreStats;
-use sparseweaver_sim::warp::SimtEntry;
-use sparseweaver_sim::{CoreState, GpuState, KernelStats, Occupancy, StallBreakdown, WarpSnapshot};
-use sparseweaver_trace::{
-    CounterSnapshot, EventData, KernelSpan, LatencyHistogram, MemLevel, MetricSample, Phase,
-    ProfileReport, SinkState, StallCause, TableOp, TraceEvent, TracerState, WeaverState,
-};
-use sparseweaver_weaver::eghw::{EghwLayout, EghwState};
-use sparseweaver_weaver::{CedState, FsmSnapshot, StEntry, WeaverUnitState};
+use sparseweaver_sim::KernelStats;
+use sparseweaver_trace::codec::{write_atomic, CodecError, Dec, Enc, Snapshot};
 
 use crate::schedule::Schedule;
 
-/// File magic, leading every checkpoint.
+/// File magic, leading every checkpoint. The format version follows it.
 pub const CHECKPOINT_MAGIC: &[u8; 9] = b"swckpt-v1";
 
 /// Current format version.
-pub const CHECKPOINT_VERSION: u32 = 1;
+pub const CHECKPOINT_VERSION: u32 = 2;
 
 /// One host-side interaction recorded for deterministic resume.
 ///
@@ -112,14 +105,11 @@ pub struct Checkpoint {
     pub per_kernel: Vec<(String, KernelStats)>,
     /// The ordered host-interaction log up to this checkpoint.
     pub host_log: Vec<HostEvent>,
-    /// The complete GPU machine state.
-    pub gpu: GpuState,
-    /// Tracer accumulators and sink position, when tracing is on.
-    pub tracer: Option<TracerState>,
-    /// Profiler report, when profiling is on.
-    pub profile: Option<ProfileReport>,
-    /// Fault-injector RNG cursor and counters, when injection is on.
-    pub fault: Option<FaultInjectorState>,
+    /// The machine section: the GPU's [`Snapshot`], then the tracer,
+    /// profiler and fault injector, each behind a presence byte. Only
+    /// `Runtime::resume_from` decodes it, in place into a rebuilt machine
+    /// (see [`Checkpoint::machine_decoder`]).
+    pub machine: Vec<u8>,
 }
 
 /// Why a checkpoint could not be written, read, or restored.
@@ -137,7 +127,8 @@ pub enum CheckpointError {
         /// The version the file declared.
         found: u32,
     },
-    /// The payload ended before a field was fully read.
+    /// The payload ended before a field was fully read (in the machine
+    /// section: a field ran past the section's declared length).
     Truncated {
         /// Byte offset (within the payload) at which decoding stopped.
         offset: usize,
@@ -162,8 +153,9 @@ pub enum CheckpointError {
         /// Fingerprint embedded in the checkpoint.
         found: u64,
     },
-    /// The decoded machine state does not fit the rebuilt machine
-    /// (wrong core count, warp width, table capacity, ...).
+    /// The machine section does not fit the rebuilt machine (wrong core
+    /// count, warp width, table capacity, an observer present on one side
+    /// only, ...).
     Restore {
         /// The layered restore error (`"core 3: warp 1: ..."`).
         what: String,
@@ -206,69 +198,44 @@ impl fmt::Display for CheckpointError {
 
 impl std::error::Error for CheckpointError {}
 
-/// Writes `bytes` to `path` atomically: the data lands in a same-directory
-/// temporary file, is flushed to disk, and is then renamed over the
-/// destination. A reader (or a crash) never observes a half-written file.
-///
-/// All artifact writers in the workspace (`metrics.json`, `profile.json`,
-/// checkpoints, campaign summaries, ...) share this helper; `-` stdout
-/// streaming is handled by callers and never routed here.
-pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
-    let tmp = tmp_path(path);
-    let result = (|| {
-        let mut f = fs::File::create(&tmp)?;
-        f.write_all(bytes)?;
-        f.sync_all()?;
-        fs::rename(&tmp, path)
-    })();
-    if result.is_err() {
-        // Best effort: do not leave the temporary behind on failure.
-        let _ = fs::remove_file(&tmp);
+impl From<CodecError> for CheckpointError {
+    fn from(e: CodecError) -> Self {
+        match e {
+            CodecError::Truncated { offset } => CheckpointError::Truncated { offset },
+            CodecError::Corrupt { what } => CheckpointError::Corrupt { what },
+            CodecError::Restore { what } => CheckpointError::Restore { what },
+        }
     }
-    result
-}
-
-/// The sibling temporary path used by [`write_atomic`] for `path`.
-fn tmp_path(path: &Path) -> PathBuf {
-    let mut name = path
-        .file_name()
-        .map(|n| n.to_os_string())
-        .unwrap_or_default();
-    name.push(format!(".tmp.{}", std::process::id()));
-    path.with_file_name(name)
 }
 
 impl Checkpoint {
-    /// Serializes the checkpoint to the `swckpt-v1` wire format.
+    /// Serializes the checkpoint: magic, version, the host header, then
+    /// the length-prefixed machine section.
     pub fn encode(&self) -> Vec<u8> {
-        let mut e = Enc::default();
+        let mut e = Enc::new();
         e.raw(CHECKPOINT_MAGIC);
+        self.encode_header(&mut e);
+        e.bytes(&self.machine);
+        e.into_bytes()
+    }
+
+    /// Everything after the magic up to the machine section.
+    fn encode_header(&self, e: &mut Enc) {
         e.u32(CHECKPOINT_VERSION);
         e.u64(self.config_fp);
         e.u64(self.graph_fp);
-        e.u64(self.argv.len() as u64);
-        for a in &self.argv {
-            e.str(a);
-        }
+        self.argv.save(e);
         e.u8(self.schedule.stable_id());
-        match &self.fell_back_from {
-            None => e.u8(0),
-            Some((s, kernel)) => {
-                e.u8(1);
-                e.u8(s.stable_id());
-                e.str(kernel);
-            }
-        }
+        e.opt(self.fell_back_from.as_ref(), |(s, kernel), e| {
+            e.u8(s.stable_id());
+            e.str(kernel);
+        });
         e.u64(self.launches);
         e.u64(self.next_alloc);
         e.u64(self.weaver_retries);
-        enc_kernel_stats(&mut e, &self.total);
-        e.u64(self.per_kernel.len() as u64);
-        for (name, stats) in &self.per_kernel {
-            e.str(name);
-            enc_kernel_stats(&mut e, stats);
-        }
-        e.u64(self.host_log.len() as u64);
+        self.total.save(e);
+        self.per_kernel.save(e);
+        e.usize(self.host_log.len());
         for ev in &self.host_log {
             match ev {
                 HostEvent::Read(bits) => {
@@ -277,98 +244,51 @@ impl Checkpoint {
                 }
                 HostEvent::LaunchDone(stats) => {
                     e.u8(1);
-                    enc_kernel_stats(&mut e, stats);
+                    stats.save(e);
                 }
             }
         }
-        enc_gpu_state(&mut e, &self.gpu);
-        e.opt(self.tracer.as_ref(), enc_tracer_state);
-        e.opt(self.profile.as_ref(), enc_profile_report);
-        e.opt(self.fault.as_ref(), |e, s: &FaultInjectorState| {
-            e.u64(s.rng);
-            enc_fault_counts(e, &s.counts);
-            e.bool(s.weaver_faulty);
-        });
-        e.buf
     }
 
-    /// Decodes a checkpoint from `bytes`.
+    /// Decodes a checkpoint from `bytes`. The machine section is checked
+    /// for length only; its contents are decoded on resume.
     pub fn decode(bytes: &[u8]) -> Result<Checkpoint, CheckpointError> {
-        if bytes.len() < CHECKPOINT_MAGIC.len() {
+        let Some(payload) = bytes.strip_prefix(CHECKPOINT_MAGIC) else {
             return Err(CheckpointError::BadMagic);
-        }
-        if &bytes[..CHECKPOINT_MAGIC.len()] != CHECKPOINT_MAGIC {
-            return Err(CheckpointError::BadMagic);
-        }
-        let mut d = Dec::new(&bytes[CHECKPOINT_MAGIC.len()..]);
+        };
+        let mut d = Dec::new(payload);
         let version = d.u32()?;
         if version != CHECKPOINT_VERSION {
             return Err(CheckpointError::BadVersion { found: version });
         }
-        let config_fp = d.u64()?;
-        let graph_fp = d.u64()?;
-        let argv_len = d.seq_len(1)?;
-        let mut argv = Vec::with_capacity(argv_len);
-        for _ in 0..argv_len {
-            argv.push(d.str()?);
-        }
-        let schedule = dec_schedule(&mut d)?;
-        let fell_back_from = match d.u8()? {
-            0 => None,
-            1 => {
-                let s = dec_schedule(&mut d)?;
-                let kernel = d.str()?;
-                Some((s, kernel))
-            }
-            t => return Err(corrupt(format!("bad fallback presence byte {t}"))),
+        let ck = Checkpoint {
+            config_fp: d.u64()?,
+            graph_fp: d.u64()?,
+            argv: d.list(8, Dec::str)?,
+            schedule: decode_schedule(&mut d)?,
+            fell_back_from: d.opt(|d| Ok((decode_schedule(d)?, d.str()?)))?,
+            launches: d.u64()?,
+            next_alloc: d.u64()?,
+            weaver_retries: d.u64()?,
+            total: d.value()?,
+            per_kernel: d.value()?,
+            host_log: d.list(1, |d| match d.u8()? {
+                0 => Ok(HostEvent::Read(d.u64()?)),
+                1 => Ok(HostEvent::LaunchDone(d.value()?)),
+                t => Err(d.corrupt(format!("bad host-event tag {t}"))),
+            })?,
+            machine: d.bytes()?.to_vec(),
         };
-        let launches = d.u64()?;
-        let next_alloc = d.u64()?;
-        let weaver_retries = d.u64()?;
-        let total = dec_kernel_stats(&mut d)?;
-        let pk_len = d.seq_len(1)?;
-        let mut per_kernel = Vec::with_capacity(pk_len);
-        for _ in 0..pk_len {
-            let name = d.str()?;
-            per_kernel.push((name, dec_kernel_stats(&mut d)?));
-        }
-        let log_len = d.seq_len(1)?;
-        let mut host_log = Vec::with_capacity(log_len);
-        for _ in 0..log_len {
-            host_log.push(match d.u8()? {
-                0 => HostEvent::Read(d.u64()?),
-                1 => HostEvent::LaunchDone(dec_kernel_stats(&mut d)?),
-                t => return Err(corrupt(format!("bad host-event tag {t}"))),
-            });
-        }
-        let gpu = dec_gpu_state(&mut d)?;
-        let tracer = d.opt(dec_tracer_state)?;
-        let profile = d.opt(dec_profile_report)?;
-        let fault = d.opt(|d| {
-            Ok(FaultInjectorState {
-                rng: d.u64()?,
-                counts: dec_fault_counts(d)?,
-                weaver_faulty: d.bool()?,
-            })
-        })?;
         d.finish()?;
-        Ok(Checkpoint {
-            config_fp,
-            graph_fp,
-            argv,
-            schedule,
-            fell_back_from,
-            launches,
-            next_alloc,
-            weaver_retries,
-            total,
-            per_kernel,
-            host_log,
-            gpu,
-            tracer,
-            profile,
-            fault,
-        })
+        Ok(ck)
+    }
+
+    /// A decoder over the machine section whose errors name payload
+    /// offsets, as the header's do.
+    pub fn machine_decoder(&self) -> Dec<'_> {
+        let mut header = Enc::new();
+        self.encode_header(&mut header);
+        Dec::at(&self.machine, header.into_bytes().len() + 8)
     }
 
     /// Writes the checkpoint to `path` atomically (temp file + rename),
@@ -406,1396 +326,32 @@ impl Checkpoint {
     }
 }
 
-fn corrupt(what: String) -> CheckpointError {
-    CheckpointError::Corrupt { what }
-}
-
-// ---------------------------------------------------------------------------
-// Wire primitives
-// ---------------------------------------------------------------------------
-
-#[derive(Debug, Default)]
-struct Enc {
-    buf: Vec<u8>,
-}
-
-impl Enc {
-    fn raw(&mut self, b: &[u8]) {
-        self.buf.extend_from_slice(b);
-    }
-    fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-    fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn i64(&mut self, v: i64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn bool(&mut self, v: bool) {
-        self.buf.push(v as u8);
-    }
-    fn bytes(&mut self, b: &[u8]) {
-        self.u64(b.len() as u64);
-        self.buf.extend_from_slice(b);
-    }
-    fn str(&mut self, s: &str) {
-        self.bytes(s.as_bytes());
-    }
-    fn u64s(&mut self, v: &[u64]) {
-        self.u64(v.len() as u64);
-        for x in v {
-            self.u64(*x);
-        }
-    }
-    fn opt<T>(&mut self, v: Option<&T>, f: impl FnOnce(&mut Enc, &T)) {
-        match v {
-            None => self.u8(0),
-            Some(x) => {
-                self.u8(1);
-                f(self, x);
-            }
-        }
-    }
-}
-
-#[derive(Debug)]
-struct Dec<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Dec<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Dec { buf, pos: 0 }
-    }
-    fn take(&mut self, n: usize) -> Result<&'a [u8], CheckpointError> {
-        if self.buf.len() - self.pos < n {
-            return Err(CheckpointError::Truncated { offset: self.pos });
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-    fn u8(&mut self) -> Result<u8, CheckpointError> {
-        Ok(self.take(1)?[0])
-    }
-    fn u32(&mut self) -> Result<u32, CheckpointError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-    fn u64(&mut self) -> Result<u64, CheckpointError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-    fn i64(&mut self) -> Result<i64, CheckpointError> {
-        Ok(i64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-    fn bool(&mut self) -> Result<bool, CheckpointError> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            b => Err(corrupt(format!(
-                "bad bool byte {b} at offset {}",
-                self.pos - 1
-            ))),
-        }
-    }
-    /// Reads a sequence length and sanity-checks it against the remaining
-    /// payload (each item occupies at least `min_item_bytes`), so a
-    /// corrupt length cannot drive a huge allocation.
-    fn seq_len(&mut self, min_item_bytes: usize) -> Result<usize, CheckpointError> {
-        let at = self.pos;
-        let len = self.u64()?;
-        let remaining = (self.buf.len() - self.pos) as u64;
-        let need = len.checked_mul(min_item_bytes.max(1) as u64);
-        if need.is_none() || need.unwrap() > remaining {
-            return Err(corrupt(format!(
-                "implausible sequence length {len} at offset {at}"
-            )));
-        }
-        Ok(len as usize)
-    }
-    fn bytes(&mut self) -> Result<Vec<u8>, CheckpointError> {
-        let len = self.seq_len(1)?;
-        Ok(self.take(len)?.to_vec())
-    }
-    fn str(&mut self) -> Result<String, CheckpointError> {
-        let at = self.pos;
-        let raw = self.bytes()?;
-        String::from_utf8(raw).map_err(|_| corrupt(format!("invalid UTF-8 string at offset {at}")))
-    }
-    fn u64s(&mut self) -> Result<Vec<u64>, CheckpointError> {
-        let len = self.seq_len(8)?;
-        let mut v = Vec::with_capacity(len);
-        for _ in 0..len {
-            v.push(self.u64()?);
-        }
-        Ok(v)
-    }
-    fn opt<T>(
-        &mut self,
-        f: impl FnOnce(&mut Dec<'a>) -> Result<T, CheckpointError>,
-    ) -> Result<Option<T>, CheckpointError> {
-        match self.u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(f(self)?)),
-            b => Err(corrupt(format!(
-                "bad presence byte {b} at offset {}",
-                self.pos - 1
-            ))),
-        }
-    }
-    fn finish(self) -> Result<(), CheckpointError> {
-        if self.pos != self.buf.len() {
-            return Err(corrupt(format!(
-                "{} trailing bytes after payload",
-                self.buf.len() - self.pos
-            )));
-        }
-        Ok(())
-    }
-}
-
-fn dec_schedule(d: &mut Dec<'_>) -> Result<Schedule, CheckpointError> {
+fn decode_schedule(d: &mut Dec<'_>) -> Result<Schedule, CodecError> {
     let id = d.u8()?;
-    Schedule::from_stable_id(id).ok_or_else(|| corrupt(format!("unknown schedule id {id}")))
-}
-
-// ---------------------------------------------------------------------------
-// Statistics codecs
-// ---------------------------------------------------------------------------
-
-fn enc_phase_cycles(e: &mut Enc, p: &[u64; Phase::COUNT]) {
-    for x in p {
-        e.u64(*x);
-    }
-}
-
-fn dec_phase_cycles(d: &mut Dec<'_>) -> Result<[u64; Phase::COUNT], CheckpointError> {
-    let mut p = [0u64; Phase::COUNT];
-    for x in &mut p {
-        *x = d.u64()?;
-    }
-    Ok(p)
-}
-
-fn enc_stalls(e: &mut Enc, s: &StallBreakdown) {
-    e.u64(s.memory);
-    e.u64(s.shared);
-    e.u64(s.exec_dep);
-    e.u64(s.l1_queue);
-    e.u64(s.barrier);
-    e.u64(s.weaver);
-}
-
-fn dec_stalls(d: &mut Dec<'_>) -> Result<StallBreakdown, CheckpointError> {
-    Ok(StallBreakdown {
-        memory: d.u64()?,
-        shared: d.u64()?,
-        exec_dep: d.u64()?,
-        l1_queue: d.u64()?,
-        barrier: d.u64()?,
-        weaver: d.u64()?,
-    })
-}
-
-fn enc_cache_stats(e: &mut Enc, s: &CacheStats) {
-    e.u64(s.accesses);
-    e.u64(s.hits);
-    e.u64(s.misses);
-    e.u64(s.writebacks);
-}
-
-fn dec_cache_stats(d: &mut Dec<'_>) -> Result<CacheStats, CheckpointError> {
-    Ok(CacheStats {
-        accesses: d.u64()?,
-        hits: d.u64()?,
-        misses: d.u64()?,
-        writebacks: d.u64()?,
-    })
-}
-
-fn enc_level_stats(e: &mut Enc, s: &LevelStats) {
-    enc_cache_stats(e, &s.l1);
-    enc_cache_stats(e, &s.l2);
-    e.opt(s.l3.as_ref(), enc_cache_stats);
-    e.u64(s.dram_accesses);
-}
-
-fn dec_level_stats(d: &mut Dec<'_>) -> Result<LevelStats, CheckpointError> {
-    Ok(LevelStats {
-        l1: dec_cache_stats(d)?,
-        l2: dec_cache_stats(d)?,
-        l3: d.opt(dec_cache_stats)?,
-        dram_accesses: d.u64()?,
-    })
-}
-
-fn enc_kernel_stats(e: &mut Enc, s: &KernelStats) {
-    e.u64(s.cycles);
-    e.u64(s.instructions);
-    e.u64(s.thread_instructions);
-    enc_stalls(e, &s.stalls);
-    enc_phase_cycles(e, &s.phase_cycles);
-    enc_level_stats(e, &s.mem);
-    e.u64(s.weaver_counters.0);
-    e.u64(s.weaver_counters.1);
-    e.u64(s.weaver_counters.2);
-    e.u64(s.warp_cycles);
-    e.u64(s.launches);
-}
-
-fn dec_kernel_stats(d: &mut Dec<'_>) -> Result<KernelStats, CheckpointError> {
-    Ok(KernelStats {
-        cycles: d.u64()?,
-        instructions: d.u64()?,
-        thread_instructions: d.u64()?,
-        stalls: dec_stalls(d)?,
-        phase_cycles: dec_phase_cycles(d)?,
-        mem: dec_level_stats(d)?,
-        weaver_counters: (d.u64()?, d.u64()?, d.u64()?),
-        warp_cycles: d.u64()?,
-        launches: d.u64()?,
-    })
-}
-
-fn enc_counter_snapshot(e: &mut Enc, s: &CounterSnapshot) {
-    e.u64(s.instructions);
-    e.u64(s.thread_instructions);
-    e.u64(s.stall_memory);
-    e.u64(s.stall_shared);
-    e.u64(s.stall_exec_dep);
-    e.u64(s.stall_l1_queue);
-    e.u64(s.stall_barrier);
-    e.u64(s.stall_weaver);
-    enc_phase_cycles(e, &s.phase_cycles);
-    e.u64(s.l1_accesses);
-    e.u64(s.l1_hits);
-    e.u64(s.l2_accesses);
-    e.u64(s.l2_hits);
-    e.u64(s.l3_accesses);
-    e.u64(s.l3_hits);
-    e.u64(s.dram_accesses);
-    e.u64(s.shared_reads);
-    e.u64(s.shared_writes);
-    e.u64(s.mem_reads);
-    e.u64(s.mem_writes);
-    e.u64(s.weaver_st_fetches);
-    e.u64(s.weaver_dec_requests);
-    e.u64(s.weaver_registrations);
-    e.u64(s.faults_injected);
-    e.u64(s.weaver_drops);
-    e.u64(s.weaver_retries);
-    e.u64(s.weaver_fallbacks);
-    e.u64(s.kernel_high_water);
-    e.u64(s.occupancy_cap);
-    e.u64(s.warps_resident);
-    e.u64(s.warps_configured);
-}
-
-fn dec_counter_snapshot(d: &mut Dec<'_>) -> Result<CounterSnapshot, CheckpointError> {
-    Ok(CounterSnapshot {
-        instructions: d.u64()?,
-        thread_instructions: d.u64()?,
-        stall_memory: d.u64()?,
-        stall_shared: d.u64()?,
-        stall_exec_dep: d.u64()?,
-        stall_l1_queue: d.u64()?,
-        stall_barrier: d.u64()?,
-        stall_weaver: d.u64()?,
-        phase_cycles: dec_phase_cycles(d)?,
-        l1_accesses: d.u64()?,
-        l1_hits: d.u64()?,
-        l2_accesses: d.u64()?,
-        l2_hits: d.u64()?,
-        l3_accesses: d.u64()?,
-        l3_hits: d.u64()?,
-        dram_accesses: d.u64()?,
-        shared_reads: d.u64()?,
-        shared_writes: d.u64()?,
-        mem_reads: d.u64()?,
-        mem_writes: d.u64()?,
-        weaver_st_fetches: d.u64()?,
-        weaver_dec_requests: d.u64()?,
-        weaver_registrations: d.u64()?,
-        faults_injected: d.u64()?,
-        weaver_drops: d.u64()?,
-        weaver_retries: d.u64()?,
-        weaver_fallbacks: d.u64()?,
-        kernel_high_water: d.u64()?,
-        occupancy_cap: d.u64()?,
-        warps_resident: d.u64()?,
-        warps_configured: d.u64()?,
-    })
-}
-
-fn enc_fault_counts(e: &mut Enc, c: &FaultCounts) {
-    e.u64(c.reg_flips);
-    e.u64(c.mem_flips);
-    e.u64(c.fetch_flips);
-    e.u64(c.weaver_drops);
-    e.u64(c.weaver_delays);
-}
-
-fn dec_fault_counts(d: &mut Dec<'_>) -> Result<FaultCounts, CheckpointError> {
-    Ok(FaultCounts {
-        reg_flips: d.u64()?,
-        mem_flips: d.u64()?,
-        fetch_flips: d.u64()?,
-        weaver_drops: d.u64()?,
-        weaver_delays: d.u64()?,
-    })
-}
-
-// ---------------------------------------------------------------------------
-// Trace codecs
-// ---------------------------------------------------------------------------
-
-fn enc_event_data(e: &mut Enc, data: &EventData) {
-    match data {
-        EventData::KernelLaunch { name } => {
-            e.u8(0);
-            e.str(name);
-        }
-        EventData::KernelEnd { name, cycles } => {
-            e.u8(1);
-            e.str(name);
-            e.u64(*cycles);
-        }
-        EventData::PhaseBegin { warp, phase } => {
-            e.u8(2);
-            e.u32(*warp);
-            e.u8(*phase as u8);
-        }
-        EventData::WarpIssue { warp, pc, active } => {
-            e.u8(3);
-            e.u32(*warp);
-            e.u32(*pc);
-            e.u32(*active);
-        }
-        EventData::WarpStall {
-            cause,
-            phase,
-            cycles,
-        } => {
-            e.u8(4);
-            e.u8(cause.cause_id());
-            e.u8(*phase as u8);
-            e.u64(*cycles);
-        }
-        EventData::Divergence {
-            warp,
-            pc,
-            taken,
-            not_taken,
-        } => {
-            e.u8(5);
-            e.u32(*warp);
-            e.u32(*pc);
-            e.u32(*taken);
-            e.u32(*not_taken);
-        }
-        EventData::CacheAccess {
-            level,
-            write,
-            queue_delay,
-        } => {
-            e.u8(6);
-            e.u8(level.level_id());
-            e.bool(*write);
-            e.u64(*queue_delay);
-        }
-        EventData::DramTransaction { write } => {
-            e.u8(7);
-            e.bool(*write);
-        }
-        EventData::WeaverTransition { from, to } => {
-            e.u8(8);
-            e.u8(*from as u8);
-            e.u8(*to as u8);
-        }
-        EventData::WeaverTable { op, count } => {
-            e.u8(9);
-            e.u8(op.op_id());
-            e.u32(*count);
-        }
-        EventData::WeaverRetry { kernel, attempt } => {
-            e.u8(10);
-            e.str(kernel);
-            e.u32(*attempt);
-        }
-        EventData::WeaverFallback { kernel, schedule } => {
-            e.u8(11);
-            e.str(kernel);
-            e.str(schedule);
-        }
-    }
-}
-
-fn dec_phase(d: &mut Dec<'_>) -> Result<Phase, CheckpointError> {
-    let id = d.u8()?;
-    Phase::ALL
-        .get(id as usize)
-        .copied()
-        .ok_or_else(|| corrupt(format!("unknown phase id {id}")))
-}
-
-fn dec_event_data(d: &mut Dec<'_>) -> Result<EventData, CheckpointError> {
-    Ok(match d.u8()? {
-        0 => EventData::KernelLaunch { name: d.str()? },
-        1 => EventData::KernelEnd {
-            name: d.str()?,
-            cycles: d.u64()?,
-        },
-        2 => EventData::PhaseBegin {
-            warp: d.u32()?,
-            phase: dec_phase(d)?,
-        },
-        3 => EventData::WarpIssue {
-            warp: d.u32()?,
-            pc: d.u32()?,
-            active: d.u32()?,
-        },
-        4 => {
-            let cause_id = d.u8()?;
-            let cause = StallCause::from_id(cause_id)
-                .ok_or_else(|| corrupt(format!("unknown stall cause id {cause_id}")))?;
-            EventData::WarpStall {
-                cause,
-                phase: dec_phase(d)?,
-                cycles: d.u64()?,
-            }
-        }
-        5 => EventData::Divergence {
-            warp: d.u32()?,
-            pc: d.u32()?,
-            taken: d.u32()?,
-            not_taken: d.u32()?,
-        },
-        6 => {
-            let level_id = d.u8()?;
-            let level = MemLevel::from_id(level_id)
-                .ok_or_else(|| corrupt(format!("unknown memory level id {level_id}")))?;
-            EventData::CacheAccess {
-                level,
-                write: d.bool()?,
-                queue_delay: d.u64()?,
-            }
-        }
-        7 => EventData::DramTransaction { write: d.bool()? },
-        8 => {
-            let from = dec_weaver_state(d)?;
-            let to = dec_weaver_state(d)?;
-            EventData::WeaverTransition { from, to }
-        }
-        9 => {
-            let op_id = d.u8()?;
-            let op = TableOp::from_id(op_id)
-                .ok_or_else(|| corrupt(format!("unknown table op id {op_id}")))?;
-            EventData::WeaverTable {
-                op,
-                count: d.u32()?,
-            }
-        }
-        10 => EventData::WeaverRetry {
-            kernel: d.str()?,
-            attempt: d.u32()?,
-        },
-        11 => EventData::WeaverFallback {
-            kernel: d.str()?,
-            schedule: d.str()?,
-        },
-        t => return Err(corrupt(format!("unknown trace-event tag {t}"))),
-    })
-}
-
-fn dec_weaver_state(d: &mut Dec<'_>) -> Result<WeaverState, CheckpointError> {
-    let id = d.u8()?;
-    WeaverState::try_from_id(id).ok_or_else(|| corrupt(format!("unknown weaver state id {id}")))
-}
-
-fn enc_trace_event(e: &mut Enc, ev: &TraceEvent) {
-    e.u64(ev.cycle);
-    e.u32(ev.core);
-    enc_event_data(e, &ev.data);
-}
-
-fn dec_trace_event(d: &mut Dec<'_>) -> Result<TraceEvent, CheckpointError> {
-    Ok(TraceEvent {
-        cycle: d.u64()?,
-        core: d.u32()?,
-        data: dec_event_data(d)?,
-    })
-}
-
-fn enc_sink_state(e: &mut Enc, s: &SinkState) {
-    match s {
-        SinkState::Ring { events, dropped } => {
-            e.u8(0);
-            e.u64(events.len() as u64);
-            for ev in events {
-                enc_trace_event(e, ev);
-            }
-            e.u64(*dropped);
-        }
-        SinkState::File { written, bytes } => {
-            e.u8(1);
-            e.u64(*written);
-            e.u64(*bytes);
-        }
-    }
-}
-
-fn dec_sink_state(d: &mut Dec<'_>) -> Result<SinkState, CheckpointError> {
-    Ok(match d.u8()? {
-        0 => {
-            let len = d.seq_len(13)?;
-            let mut events = Vec::with_capacity(len);
-            for _ in 0..len {
-                events.push(dec_trace_event(d)?);
-            }
-            SinkState::Ring {
-                events,
-                dropped: d.u64()?,
-            }
-        }
-        1 => SinkState::File {
-            written: d.u64()?,
-            bytes: d.u64()?,
-        },
-        t => return Err(corrupt(format!("unknown sink-state tag {t}"))),
-    })
-}
-
-fn enc_tracer_state(e: &mut Enc, s: &TracerState) {
-    e.u64(s.base);
-    enc_counter_snapshot(e, &s.committed);
-    e.u64(s.samples.len() as u64);
-    for sample in &s.samples {
-        e.u64(sample.cycle);
-        enc_counter_snapshot(e, &sample.counters);
-    }
-    e.u64(s.kernels.len() as u64);
-    for span in &s.kernels {
-        e.str(&span.name);
-        e.u64(span.start);
-        e.u64(span.cycles);
-    }
-    enc_sink_state(e, &s.sink);
-}
-
-fn dec_tracer_state(d: &mut Dec<'_>) -> Result<TracerState, CheckpointError> {
-    let base = d.u64()?;
-    let committed = dec_counter_snapshot(d)?;
-    let sample_len = d.seq_len(8)?;
-    let mut samples = Vec::with_capacity(sample_len);
-    for _ in 0..sample_len {
-        samples.push(MetricSample {
-            cycle: d.u64()?,
-            counters: dec_counter_snapshot(d)?,
-        });
-    }
-    let span_len = d.seq_len(8)?;
-    let mut kernels = Vec::with_capacity(span_len);
-    for _ in 0..span_len {
-        kernels.push(KernelSpan {
-            name: d.str()?,
-            start: d.u64()?,
-            cycles: d.u64()?,
-        });
-    }
-    Ok(TracerState {
-        base,
-        committed,
-        samples,
-        kernels,
-        sink: dec_sink_state(d)?,
-    })
-}
-
-fn enc_histogram(e: &mut Enc, h: &LatencyHistogram) {
-    for b in &h.buckets {
-        e.u64(*b);
-    }
-    e.u64(h.count);
-    e.u64(h.sum);
-    e.u64(h.min);
-    e.u64(h.max);
-}
-
-fn dec_histogram(d: &mut Dec<'_>) -> Result<LatencyHistogram, CheckpointError> {
-    let mut h = LatencyHistogram::default();
-    for b in &mut h.buckets {
-        *b = d.u64()?;
-    }
-    h.count = d.u64()?;
-    h.sum = d.u64()?;
-    h.min = d.u64()?;
-    h.max = d.u64()?;
-    Ok(h)
-}
-
-fn enc_profile_report(e: &mut Enc, r: &ProfileReport) {
-    for h in &r.mem {
-        enc_histogram(e, h);
-    }
-    enc_histogram(e, &r.weaver);
-    enc_histogram(e, &r.gather_iteration);
-    e.u64s(&r.core_issues);
-    e.u64(r.warp_issues.len() as u64);
-    for w in &r.warp_issues {
-        e.u64s(w);
-    }
-}
-
-fn dec_profile_report(d: &mut Dec<'_>) -> Result<ProfileReport, CheckpointError> {
-    let mut r = ProfileReport::default();
-    for h in &mut r.mem {
-        *h = dec_histogram(d)?;
-    }
-    r.weaver = dec_histogram(d)?;
-    r.gather_iteration = dec_histogram(d)?;
-    r.core_issues = d.u64s()?;
-    let len = d.seq_len(8)?;
-    r.warp_issues = Vec::with_capacity(len);
-    for _ in 0..len {
-        r.warp_issues.push(d.u64s()?);
-    }
-    Ok(r)
-}
-
-// ---------------------------------------------------------------------------
-// Machine-state codecs
-// ---------------------------------------------------------------------------
-
-fn enc_gpu_state(e: &mut Enc, g: &GpuState) {
-    e.u64(g.cores.len() as u64);
-    for c in &g.cores {
-        enc_core_state(e, c);
-    }
-    enc_hierarchy_state(e, &g.hierarchy);
-    e.bytes(&g.mem_data);
-    e.u64(g.mem_traffic.0);
-    e.u64(g.mem_traffic.1);
-    e.u64(g.occupancy.kernel_high_water as u64);
-    e.u64(g.occupancy.cap as u64);
-    e.u64(g.occupancy.resident as u64);
-    e.u64(g.occupancy.configured as u64);
-}
-
-fn dec_gpu_state(d: &mut Dec<'_>) -> Result<GpuState, CheckpointError> {
-    let core_len = d.seq_len(8)?;
-    let mut cores = Vec::with_capacity(core_len);
-    for _ in 0..core_len {
-        cores.push(dec_core_state(d)?);
-    }
-    Ok(GpuState {
-        cores,
-        hierarchy: dec_hierarchy_state(d)?,
-        mem_data: d.bytes()?,
-        mem_traffic: (d.u64()?, d.u64()?),
-        occupancy: Occupancy {
-            kernel_high_water: d.u64()? as usize,
-            cap: d.u64()? as usize,
-            resident: d.u64()? as usize,
-            configured: d.u64()? as usize,
-        },
-    })
-}
-
-fn enc_core_state(e: &mut Enc, c: &CoreState) {
-    e.u64(c.warps.len() as u64);
-    for w in &c.warps {
-        enc_warp_snapshot(e, w);
-    }
-    e.bytes(&c.shared_data);
-    e.u64(c.shared_traffic.0);
-    e.u64(c.shared_traffic.1);
-    enc_weaver_unit_state(e, &c.weaver);
-    enc_eghw_state(e, &c.eghw);
-    e.u64(c.eghw_dt.len() as u64);
-    for row in &c.eghw_dt {
-        enc_i64s(e, row);
-    }
-    e.u64(c.next_warp);
-    e.u64(c.resident);
-    e.u64(c.active_warps);
-    enc_core_stats(e, &c.stats);
-}
-
-fn dec_core_state(d: &mut Dec<'_>) -> Result<CoreState, CheckpointError> {
-    let warp_len = d.seq_len(8)?;
-    let mut warps = Vec::with_capacity(warp_len);
-    for _ in 0..warp_len {
-        warps.push(dec_warp_snapshot(d)?);
-    }
-    let shared_data = d.bytes()?;
-    let shared_traffic = (d.u64()?, d.u64()?);
-    let weaver = dec_weaver_unit_state(d)?;
-    let eghw = dec_eghw_state(d)?;
-    let dt_len = d.seq_len(8)?;
-    let mut eghw_dt = Vec::with_capacity(dt_len);
-    for _ in 0..dt_len {
-        eghw_dt.push(dec_i64s(d)?);
-    }
-    Ok(CoreState {
-        warps,
-        shared_data,
-        shared_traffic,
-        weaver,
-        eghw,
-        eghw_dt,
-        next_warp: d.u64()?,
-        resident: d.u64()?,
-        active_warps: d.u64()?,
-        stats: dec_core_stats(d)?,
-    })
-}
-
-fn enc_core_stats(e: &mut Enc, s: &CoreStats) {
-    e.u64(s.instructions);
-    e.u64(s.thread_instructions);
-    enc_stalls(e, &s.stalls);
-    enc_phase_cycles(e, &s.phase_cycles);
-    e.u64(s.finish_cycle);
-}
-
-fn dec_core_stats(d: &mut Dec<'_>) -> Result<CoreStats, CheckpointError> {
-    Ok(CoreStats {
-        instructions: d.u64()?,
-        thread_instructions: d.u64()?,
-        stalls: dec_stalls(d)?,
-        phase_cycles: dec_phase_cycles(d)?,
-        finish_cycle: d.u64()?,
-    })
-}
-
-fn enc_warp_snapshot(e: &mut Enc, w: &WarpSnapshot) {
-    e.u32(w.pc);
-    e.u64(w.active);
-    e.u8(w.state_id);
-    e.u64(w.simt.len() as u64);
-    for s in &w.simt {
-        e.u64(s.saved_mask);
-        e.u64(s.else_mask);
-        e.u32(s.else_pc);
-        e.u32(s.end_pc);
-        e.bool(s.in_else);
-    }
-    e.u8(w.phase_id);
-    e.u64s(&w.regs);
-    e.u64s(&w.ready);
-    e.bytes(&w.pend);
-}
-
-fn dec_warp_snapshot(d: &mut Dec<'_>) -> Result<WarpSnapshot, CheckpointError> {
-    let pc = d.u32()?;
-    let active = d.u64()?;
-    let state_id = d.u8()?;
-    let simt_len = d.seq_len(25)?;
-    let mut simt = Vec::with_capacity(simt_len);
-    for _ in 0..simt_len {
-        simt.push(SimtEntry {
-            saved_mask: d.u64()?,
-            else_mask: d.u64()?,
-            else_pc: d.u32()?,
-            end_pc: d.u32()?,
-            in_else: d.bool()?,
-        });
-    }
-    Ok(WarpSnapshot {
-        pc,
-        active,
-        state_id,
-        simt,
-        phase_id: d.u8()?,
-        regs: d.u64s()?,
-        ready: d.u64s()?,
-        pend: d.bytes()?,
-    })
-}
-
-fn enc_i64s(e: &mut Enc, v: &[i64]) {
-    e.u64(v.len() as u64);
-    for x in v {
-        e.i64(*x);
-    }
-}
-
-fn dec_i64s(d: &mut Dec<'_>) -> Result<Vec<i64>, CheckpointError> {
-    let len = d.seq_len(8)?;
-    let mut v = Vec::with_capacity(len);
-    for _ in 0..len {
-        v.push(d.i64()?);
-    }
-    Ok(v)
-}
-
-fn enc_st_entry(e: &mut Enc, s: &StEntry) {
-    e.u32(s.vid);
-    e.u32(s.loc);
-    e.u32(s.deg);
-}
-
-fn dec_st_entry(d: &mut Dec<'_>) -> Result<StEntry, CheckpointError> {
-    Ok(StEntry {
-        vid: d.u32()?,
-        loc: d.u32()?,
-        deg: d.u32()?,
-    })
-}
-
-fn enc_weaver_unit_state(e: &mut Enc, w: &WeaverUnitState) {
-    enc_fsm_snapshot(e, &w.fsm);
-    e.u64(w.dt.len() as u64);
-    for row in &w.dt {
-        enc_i64s(e, row);
-    }
-    e.u64(w.staging.len() as u64);
-    for slot in &w.staging {
-        e.opt(slot.as_ref(), enc_st_entry);
-    }
-    e.bool(w.in_registration);
-    e.u64(w.busy_until);
-    e.u64(w.st_fetches);
-    e.u64(w.dec_requests);
-    e.u64(w.registrations);
-}
-
-fn dec_weaver_unit_state(d: &mut Dec<'_>) -> Result<WeaverUnitState, CheckpointError> {
-    let fsm = dec_fsm_snapshot(d)?;
-    let dt_len = d.seq_len(8)?;
-    let mut dt = Vec::with_capacity(dt_len);
-    for _ in 0..dt_len {
-        dt.push(dec_i64s(d)?);
-    }
-    let staging_len = d.seq_len(1)?;
-    let mut staging = Vec::with_capacity(staging_len);
-    for _ in 0..staging_len {
-        staging.push(d.opt(dec_st_entry)?);
-    }
-    Ok(WeaverUnitState {
-        fsm,
-        dt,
-        staging,
-        in_registration: d.bool()?,
-        busy_until: d.u64()?,
-        st_fetches: d.u64()?,
-        dec_requests: d.u64()?,
-        registrations: d.u64()?,
-    })
-}
-
-fn enc_fsm_snapshot(e: &mut Enc, f: &FsmSnapshot) {
-    e.u64(f.st.len() as u64);
-    for slot in &f.st {
-        e.opt(slot.as_ref(), enc_st_entry);
-    }
-    e.u64(f.st_pos);
-    e.opt(f.ced.as_ref(), |e, c: &CedState| {
-        e.u32(c.vid);
-        e.u32(c.next_eid);
-        e.u32(c.remaining);
-    });
-    e.u64(f.skip.len() as u64);
-    for v in &f.skip {
-        e.u32(*v);
-    }
-    e.u8(f.state_id);
-    e.bytes(&f.trace);
-}
-
-fn dec_fsm_snapshot(d: &mut Dec<'_>) -> Result<FsmSnapshot, CheckpointError> {
-    let st_len = d.seq_len(1)?;
-    let mut st = Vec::with_capacity(st_len);
-    for _ in 0..st_len {
-        st.push(d.opt(dec_st_entry)?);
-    }
-    let st_pos = d.u64()?;
-    let ced = d.opt(|d| {
-        Ok(CedState {
-            vid: d.u32()?,
-            next_eid: d.u32()?,
-            remaining: d.u32()?,
-        })
-    })?;
-    let skip_len = d.seq_len(4)?;
-    let mut skip = Vec::with_capacity(skip_len);
-    for _ in 0..skip_len {
-        skip.push(d.u32()?);
-    }
-    Ok(FsmSnapshot {
-        st,
-        st_pos,
-        ced,
-        skip,
-        state_id: d.u8()?,
-        trace: d.bytes()?,
-    })
-}
-
-fn enc_eghw_state(e: &mut Enc, s: &EghwState) {
-    e.u64(s.layout.offsets_base);
-    e.u64(s.layout.edges_base);
-    e.u64(s.layout.weights_base);
-    e.u64(s.slots.len() as u64);
-    for slot in &s.slots {
-        e.opt(slot.as_ref(), |e, v| e.u32(*v));
-    }
-    e.u64(s.cursor);
-    e.opt(s.current.as_ref(), |e, (vid, eid, rem)| {
-        e.u32(*vid);
-        e.u32(*eid);
-        e.u32(*rem);
-    });
-    e.bool(s.in_registration);
-    e.u64(s.busy_until);
-    for b in &s.line_buf {
-        e.opt(b.as_ref(), |e, v| e.u64(*v));
-    }
-    e.u64(s.total_reads);
-}
-
-fn dec_eghw_state(d: &mut Dec<'_>) -> Result<EghwState, CheckpointError> {
-    let layout = EghwLayout {
-        offsets_base: d.u64()?,
-        edges_base: d.u64()?,
-        weights_base: d.u64()?,
-    };
-    let slot_len = d.seq_len(1)?;
-    let mut slots = Vec::with_capacity(slot_len);
-    for _ in 0..slot_len {
-        slots.push(d.opt(|d| d.u32())?);
-    }
-    let cursor = d.u64()?;
-    let current = d.opt(|d| Ok((d.u32()?, d.u32()?, d.u32()?)))?;
-    let in_registration = d.bool()?;
-    let busy_until = d.u64()?;
-    let mut line_buf = [None; 3];
-    for b in &mut line_buf {
-        *b = d.opt(|d| d.u64())?;
-    }
-    Ok(EghwState {
-        layout,
-        slots,
-        cursor,
-        current,
-        in_registration,
-        busy_until,
-        line_buf,
-        total_reads: d.u64()?,
-    })
-}
-
-fn enc_line_state(e: &mut Enc, l: &LineState) {
-    e.bool(l.valid);
-    e.bool(l.dirty);
-    e.u64(l.tag);
-    e.u64(l.last_use);
-}
-
-fn dec_line_state(d: &mut Dec<'_>) -> Result<LineState, CheckpointError> {
-    Ok(LineState {
-        valid: d.bool()?,
-        dirty: d.bool()?,
-        tag: d.u64()?,
-        last_use: d.u64()?,
-    })
-}
-
-fn enc_cache_state(e: &mut Enc, c: &CacheState) {
-    e.u64(c.lines.len() as u64);
-    for l in &c.lines {
-        enc_line_state(e, l);
-    }
-    e.u64(c.tick);
-    enc_cache_stats(e, &c.stats);
-}
-
-fn dec_cache_state(d: &mut Dec<'_>) -> Result<CacheState, CheckpointError> {
-    let line_len = d.seq_len(18)?;
-    let mut lines = Vec::with_capacity(line_len);
-    for _ in 0..line_len {
-        lines.push(dec_line_state(d)?);
-    }
-    Ok(CacheState {
-        lines,
-        tick: d.u64()?,
-        stats: dec_cache_stats(d)?,
-    })
-}
-
-fn enc_port_state(e: &mut Enc, p: &PortState) {
-    e.u64(p.cycle);
-    e.u64(p.used);
-}
-
-fn dec_port_state(d: &mut Dec<'_>) -> Result<PortState, CheckpointError> {
-    Ok(PortState {
-        cycle: d.u64()?,
-        used: d.u64()?,
-    })
-}
-
-fn enc_hierarchy_state(e: &mut Enc, h: &HierarchyState) {
-    e.u64(h.l1.len() as u64);
-    for c in &h.l1 {
-        enc_cache_state(e, c);
-    }
-    enc_cache_state(e, &h.l2);
-    e.opt(h.l3.as_ref(), enc_cache_state);
-    e.u64(h.l1_ports.len() as u64);
-    for p in &h.l1_ports {
-        enc_port_state(e, p);
-    }
-    enc_port_state(e, &h.l2_port);
-    enc_port_state(e, &h.dram_port);
-    enc_port_state(e, &h.atomic_port);
-    e.u64(h.dram_accesses);
-}
-
-fn dec_hierarchy_state(d: &mut Dec<'_>) -> Result<HierarchyState, CheckpointError> {
-    let l1_len = d.seq_len(8)?;
-    let mut l1 = Vec::with_capacity(l1_len);
-    for _ in 0..l1_len {
-        l1.push(dec_cache_state(d)?);
-    }
-    let l2 = dec_cache_state(d)?;
-    let l3 = d.opt(dec_cache_state)?;
-    let port_len = d.seq_len(16)?;
-    let mut l1_ports = Vec::with_capacity(port_len);
-    for _ in 0..port_len {
-        l1_ports.push(dec_port_state(d)?);
-    }
-    Ok(HierarchyState {
-        l1,
-        l2,
-        l3,
-        l1_ports,
-        l2_port: dec_port_state(d)?,
-        dram_port: dec_port_state(d)?,
-        atomic_port: dec_port_state(d)?,
-        dram_accesses: d.u64()?,
-    })
+    Schedule::from_stable_id(id).ok_or_else(|| d.corrupt(format!("unknown schedule id {id}")))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// A checkpoint exercising every codec branch: both `Option` arms,
-    /// every `EventData` variant, both sink kinds (via two checkpoints),
-    /// non-empty divergence stacks, tables and histograms.
+    /// A checkpoint exercising every header branch: both `Option` arms of
+    /// the fallback (via two checkpoints) and both host-event kinds. The
+    /// machine section is opaque to `decode`; its codec is covered next to
+    /// each component and by the restore→save identity test in
+    /// `runtime.rs`.
     fn sample() -> Checkpoint {
-        let warp = WarpSnapshot {
-            pc: 17,
-            active: 0b1011,
-            state_id: 1,
-            simt: vec![SimtEntry {
-                saved_mask: 0b1111,
-                else_mask: 0b0100,
-                else_pc: 21,
-                end_pc: 30,
-                in_else: true,
-            }],
-            phase_id: 4,
-            regs: vec![1, 2, 3, u64::MAX],
-            ready: vec![0, 9],
-            pend: vec![0, 3],
-        };
-        let weaver = WeaverUnitState {
-            fsm: FsmSnapshot {
-                st: vec![
-                    Some(StEntry {
-                        vid: 5,
-                        loc: 9,
-                        deg: 2,
-                    }),
-                    None,
-                ],
-                st_pos: 1,
-                ced: Some(CedState {
-                    vid: 5,
-                    next_eid: 10,
-                    remaining: 1,
-                }),
-                skip: vec![3, 8],
-                state_id: 2,
-                trace: vec![0, 1, 2],
-            },
-            dt: vec![vec![-1, 7], vec![]],
-            staging: vec![
-                None,
-                Some(StEntry {
-                    vid: 1,
-                    loc: 0,
-                    deg: 4,
-                }),
-            ],
-            in_registration: true,
-            busy_until: 99,
-            st_fetches: 4,
-            dec_requests: 3,
-            registrations: 2,
-        };
-        let eghw = EghwState {
-            layout: EghwLayout {
-                offsets_base: 64,
-                edges_base: 128,
-                weights_base: 256,
-            },
-            slots: vec![Some(7), None],
-            cursor: 1,
-            current: Some((7, 2, 5)),
-            in_registration: false,
-            busy_until: 11,
-            line_buf: [Some(64), None, Some(192)],
-            total_reads: 6,
-        };
-        let core = CoreState {
-            warps: vec![warp],
-            shared_data: vec![0xAB; 16],
-            shared_traffic: (3, 4),
-            weaver,
-            eghw,
-            eghw_dt: vec![vec![1, -2]],
-            next_warp: 1,
-            resident: 1,
-            active_warps: 1,
-            stats: CoreStats {
-                instructions: 10,
-                thread_instructions: 40,
-                stalls: StallBreakdown {
-                    memory: 1,
-                    shared: 2,
-                    exec_dep: 3,
-                    l1_queue: 4,
-                    barrier: 5,
-                    weaver: 6,
-                },
-                phase_cycles: [1, 2, 3, 4, 5, 6],
-                finish_cycle: 123,
-            },
-        };
-        let cache = CacheState {
-            lines: vec![
-                LineState {
-                    valid: true,
-                    dirty: false,
-                    tag: 0x40,
-                    last_use: 7,
-                },
-                LineState {
-                    valid: false,
-                    dirty: false,
-                    tag: 0,
-                    last_use: 0,
-                },
-            ],
-            tick: 9,
-            stats: CacheStats {
-                accesses: 5,
-                hits: 3,
-                misses: 2,
-                writebacks: 1,
-            },
-        };
-        let hierarchy = HierarchyState {
-            l1: vec![cache.clone()],
-            l2: cache.clone(),
-            l3: None,
-            l1_ports: vec![PortState { cycle: 3, used: 1 }],
-            l2_port: PortState { cycle: 4, used: 2 },
-            dram_port: PortState { cycle: 5, used: 0 },
-            atomic_port: PortState { cycle: 0, used: 0 },
-            dram_accesses: 17,
-        };
-        let gpu = GpuState {
-            cores: vec![core],
-            hierarchy,
-            mem_data: (0u8..64).collect(),
-            mem_traffic: (100, 50),
-            occupancy: Occupancy {
-                kernel_high_water: 8,
-                cap: 6,
-                resident: 4,
-                configured: 8,
-            },
-        };
         let stats = KernelStats {
             cycles: 1000,
             instructions: 500,
-            thread_instructions: 2000,
-            stalls: StallBreakdown {
-                memory: 10,
-                shared: 20,
-                exec_dep: 30,
-                l1_queue: 40,
-                barrier: 50,
-                weaver: 60,
-            },
-            phase_cycles: [9, 8, 7, 6, 5, 4],
-            mem: LevelStats {
-                l1: CacheStats {
-                    accesses: 1,
-                    hits: 1,
-                    misses: 0,
-                    writebacks: 0,
-                },
-                l2: CacheStats {
-                    accesses: 2,
-                    hits: 0,
-                    misses: 2,
-                    writebacks: 1,
-                },
-                l3: Some(CacheStats {
-                    accesses: 3,
-                    hits: 2,
-                    misses: 1,
-                    writebacks: 0,
-                }),
-                dram_accesses: 4,
-            },
             weaver_counters: (11, 12, 13),
-            warp_cycles: 777,
             launches: 2,
+            ..KernelStats::default()
         };
-        let events = vec![
-            TraceEvent {
-                cycle: 0,
-                core: 0,
-                data: EventData::KernelLaunch { name: "k".into() },
-            },
-            TraceEvent {
-                cycle: 1,
-                core: 1,
-                data: EventData::PhaseBegin {
-                    warp: 0,
-                    phase: Phase::GatherSum,
-                },
-            },
-            TraceEvent {
-                cycle: 2,
-                core: 0,
-                data: EventData::WarpIssue {
-                    warp: 1,
-                    pc: 2,
-                    active: 3,
-                },
-            },
-            TraceEvent {
-                cycle: 3,
-                core: 0,
-                data: EventData::WarpStall {
-                    cause: StallCause::Memory,
-                    phase: Phase::Init,
-                    cycles: 4,
-                },
-            },
-            TraceEvent {
-                cycle: 4,
-                core: 1,
-                data: EventData::Divergence {
-                    warp: 0,
-                    pc: 9,
-                    taken: 2,
-                    not_taken: 2,
-                },
-            },
-            TraceEvent {
-                cycle: 5,
-                core: 0,
-                data: EventData::CacheAccess {
-                    level: MemLevel::L2,
-                    write: true,
-                    queue_delay: 1,
-                },
-            },
-            TraceEvent {
-                cycle: 6,
-                core: 0,
-                data: EventData::DramTransaction { write: false },
-            },
-            TraceEvent {
-                cycle: 7,
-                core: 0,
-                data: EventData::WeaverTransition {
-                    from: WeaverState::from_id(0),
-                    to: WeaverState::from_id(1),
-                },
-            },
-            TraceEvent {
-                cycle: 8,
-                core: 0,
-                data: EventData::WeaverTable {
-                    op: TableOp::StFetch,
-                    count: 4,
-                },
-            },
-            TraceEvent {
-                cycle: 9,
-                core: 0,
-                data: EventData::WeaverRetry {
-                    kernel: "k".into(),
-                    attempt: 1,
-                },
-            },
-            TraceEvent {
-                cycle: 10,
-                core: 0,
-                data: EventData::WeaverFallback {
-                    kernel: "k".into(),
-                    schedule: "S_wm".into(),
-                },
-            },
-            TraceEvent {
-                cycle: 11,
-                core: 0,
-                data: EventData::KernelEnd {
-                    name: "k".into(),
-                    cycles: 11,
-                },
-            },
-        ];
-        let committed = CounterSnapshot {
-            instructions: 500,
-            warps_resident: 4,
-            ..CounterSnapshot::default()
-        };
-        let tracer = TracerState {
-            base: 1000,
-            committed,
-            samples: vec![MetricSample {
-                cycle: 100,
-                counters: CounterSnapshot::default(),
-            }],
-            kernels: vec![KernelSpan {
-                name: "k".into(),
-                start: 0,
-                cycles: 11,
-            }],
-            sink: SinkState::Ring { events, dropped: 3 },
-        };
-        let mut hist = LatencyHistogram::default();
-        hist.record(12);
-        hist.record(90);
-        let mut profile = ProfileReport::default();
-        profile.mem[0] = hist.clone();
-        profile.weaver = hist.clone();
-        profile.gather_iteration = hist;
-        profile.core_issues = vec![10, 20];
-        profile.warp_issues = vec![vec![5, 5], vec![12, 8]];
         Checkpoint {
             config_fp: 0xDEAD_BEEF_CAFE_F00D,
             graph_fp: 0x0123_4567_89AB_CDEF,
-            argv: vec![
-                "--algo".into(),
-                "bfs".into(),
-                "--schedule".into(),
-                "sw".into(),
-            ],
+            argv: vec!["--algo".into(), "bfs".into()],
             schedule: Schedule::SparseWeaver,
             fell_back_from: Some((Schedule::SparseWeaver, "scatter".into())),
             launches: 7,
@@ -1808,54 +364,29 @@ mod tests {
                 HostEvent::LaunchDone(stats),
                 HostEvent::Read(u64::MAX),
             ],
-            gpu,
-            tracer: Some(tracer),
-            profile: Some(profile),
-            fault: Some(FaultInjectorState {
-                rng: 0x9E37_79B9_7F4A_7C15,
-                counts: FaultCounts {
-                    reg_flips: 1,
-                    mem_flips: 2,
-                    fetch_flips: 3,
-                    weaver_drops: 4,
-                    weaver_delays: 5,
-                },
-                weaver_faulty: true,
-            }),
+            machine: (0u8..64).collect(),
         }
     }
 
     #[test]
-    fn round_trip_is_identity() {
-        let ck = sample();
-        let bytes = ck.encode();
-        let back = Checkpoint::decode(&bytes).expect("decode");
-        assert_eq!(back, ck);
-    }
-
-    #[test]
-    fn round_trip_with_absent_options_and_file_sink() {
+    fn header_round_trips_and_machine_section_is_length_prefixed() {
         let mut ck = sample();
+        assert_eq!(Checkpoint::decode(&ck.encode()).unwrap(), ck);
         ck.fell_back_from = None;
-        ck.profile = None;
-        ck.fault = None;
-        ck.tracer = Some(TracerState {
-            base: 0,
-            committed: CounterSnapshot::default(),
-            samples: vec![],
-            kernels: vec![],
-            sink: SinkState::File {
-                written: 12,
-                bytes: 340,
-            },
-        });
-        ck.gpu.hierarchy.l3 = Some(CacheState {
-            lines: vec![],
-            tick: 0,
-            stats: CacheStats::default(),
-        });
-        let back = Checkpoint::decode(&ck.encode()).expect("decode");
-        assert_eq!(back, ck);
+        let bytes = ck.encode();
+        assert_eq!(Checkpoint::decode(&bytes).unwrap(), ck);
+        // The machine section closes the file, behind its u64 length, and
+        // its decoder names payload offsets (the payload follows the magic).
+        let section = bytes.len() - ck.machine.len();
+        assert_eq!(&bytes[section..], &ck.machine[..]);
+        assert_eq!(
+            bytes[section - 8..section],
+            (ck.machine.len() as u64).to_le_bytes()
+        );
+        assert_eq!(
+            ck.machine_decoder().offset(),
+            section - CHECKPOINT_MAGIC.len()
+        );
     }
 
     #[test]
@@ -1885,6 +416,13 @@ mod tests {
             Checkpoint::decode(&bytes),
             Err(CheckpointError::BadVersion { found: 99 })
         ));
+        // A version-1 file (same magic, per-field machine payload) is
+        // refused by its version word alone.
+        bytes[at..at + 4].copy_from_slice(&1u32.to_le_bytes());
+        assert!(matches!(
+            Checkpoint::decode(&bytes),
+            Err(CheckpointError::BadVersion { found: 1 })
+        ));
     }
 
     #[test]
@@ -1892,7 +430,7 @@ mod tests {
         let bytes = sample().encode();
         // Every strict prefix must fail loudly — never panic, never
         // succeed. Step through all lengths; this also covers mid-field
-        // cuts.
+        // cuts and cuts inside the machine section.
         for len in 0..bytes.len() {
             match Checkpoint::decode(&bytes[..len]) {
                 Err(

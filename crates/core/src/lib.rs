@@ -132,6 +132,12 @@ impl From<checkpoint::CheckpointError> for FrameworkError {
     }
 }
 
+impl From<sparseweaver_trace::codec::CodecError> for FrameworkError {
+    fn from(e: sparseweaver_trace::codec::CodecError) -> Self {
+        FrameworkError::Checkpoint(e.into())
+    }
+}
+
 /// Convenient imports for framework users.
 pub mod prelude {
     pub use crate::algorithms::{Bfs, ConnectedComponents, PageRank, Spmv, Sssp};

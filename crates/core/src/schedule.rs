@@ -3,7 +3,7 @@
 use std::fmt;
 
 /// A workload-to-thread mapping scheme (Table I, Fig. 10).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Schedule {
     /// Vertex mapping (`S_vm`): each thread owns a vertex and walks its
     /// whole neighbor list — the naive scheme whose warp time is set by

@@ -81,18 +81,9 @@ impl SplitMix64 {
         let mut g = SplitMix64::new(campaign_seed ^ index.wrapping_mul(0xa076_1d64_78bd_642f));
         g.next_u64()
     }
-
-    /// The raw generator state (for checkpointing). Restoring it with
-    /// [`SplitMix64::set_state`] resumes the stream at the same position.
-    pub fn state(&self) -> u64 {
-        self.state
-    }
-
-    /// Restores a raw generator state captured with [`SplitMix64::state`].
-    pub fn set_state(&mut self, state: u64) {
-        self.state = state;
-    }
 }
+
+sparseweaver_trace::snapshot_fields!(SplitMix64 { state });
 
 /// Which rates are active, parsed from `--inject <spec>`.
 ///
@@ -251,6 +242,14 @@ pub struct FaultCounts {
     pub weaver_delays: u64,
 }
 
+sparseweaver_trace::snapshot_fields!(FaultCounts {
+    reg_flips,
+    mem_flips,
+    fetch_flips,
+    weaver_drops,
+    weaver_delays,
+});
+
 impl FaultCounts {
     /// Total injections across all sites.
     pub fn total(&self) -> u64 {
@@ -353,39 +352,18 @@ impl FaultInjector {
     pub fn clear_weaver_faulty(&mut self) {
         self.weaver_faulty = false;
     }
-
-    /// Captures the injector's mutable state — RNG cursor, cumulative
-    /// counters, and the sticky faulty mark — for a checkpoint. The spec
-    /// is not part of the state: a restored injector must be built from
-    /// the same spec, which the checkpoint layer fingerprints separately.
-    pub fn save_state(&self) -> FaultInjectorState {
-        FaultInjectorState {
-            rng: self.rng.state(),
-            counts: self.counts,
-            weaver_faulty: self.weaver_faulty,
-        }
-    }
-
-    /// Restores a state captured with [`FaultInjector::save_state`]; the
-    /// RNG stream resumes exactly where the snapshot was taken.
-    pub fn restore_state(&mut self, state: &FaultInjectorState) {
-        self.rng.set_state(state.rng);
-        self.counts = state.counts;
-        self.weaver_faulty = state.weaver_faulty;
-    }
 }
 
-/// The mutable state of a [`FaultInjector`], as captured by
-/// [`FaultInjector::save_state`] for crash-safe checkpoints.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FaultInjectorState {
-    /// Raw [`SplitMix64`] cursor.
-    pub rng: u64,
-    /// Cumulative injection counters at snapshot time.
-    pub counts: FaultCounts,
-    /// Whether a response drop had marked the Weaver unit faulty.
-    pub weaver_faulty: bool,
-}
+// The injector's mutable state — RNG cursor, cumulative counters, and the
+// sticky faulty mark. The spec is not part of the state: a restored
+// injector is built from the same spec, which the checkpoint layer
+// fingerprints separately, and its RNG stream resumes exactly where the
+// state was saved.
+sparseweaver_trace::snapshot_fields!(FaultInjector {
+    rng,
+    counts,
+    weaver_faulty
+});
 
 /// The four-way classification of one fault-campaign run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

@@ -14,7 +14,7 @@ use crate::{EdgeId, VertexId};
 ///
 /// `Push` traverses outgoing edges of active sources; `Pull` traverses
 /// incoming edges of destinations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Direction {
     /// Traverse outgoing edges (scatter from sources).
     Push,
@@ -46,7 +46,7 @@ impl fmt::Display for Direction {
 /// assert_eq!(g.degree(0), 2);
 /// assert_eq!(g.neighbors(2), &[1]);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Csr {
     offsets: Vec<EdgeId>,
     targets: Vec<VertexId>,

@@ -28,7 +28,7 @@ use crate::csr::Csr;
 use crate::generators;
 
 /// Identifier of one of the nine Table III datasets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DatasetId {
     /// `bio-human-gene1` (D_bh): 22,284 vertices / 24,691,926 edges.
     BioHuman,

@@ -20,7 +20,7 @@ use crate::csr::Csr;
 /// assert_eq!(s.max, 2);
 /// assert!((s.mean - 1.0).abs() < 1e-9);
 /// ```
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DegreeStats {
     /// Minimum out-degree.
     pub min: usize,

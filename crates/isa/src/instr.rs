@@ -10,9 +10,7 @@ use std::fmt;
 
 /// An architectural register index (`x0..x63`). `x0` reads as zero and
 /// ignores writes.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Reg(pub u8);
 
 impl fmt::Display for Reg {
@@ -23,7 +21,7 @@ impl fmt::Display for Reg {
 
 /// Integer ALU operation. Values are 64-bit words; signedness is encoded in
 /// the operation, as in RISC-V.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[allow(missing_docs)]
 pub enum AluOp {
     Add,
@@ -105,7 +103,7 @@ impl AluOp {
 }
 
 /// Floating-point operation on `f64` values carried in 64-bit registers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[allow(missing_docs)]
 pub enum FpuOp {
     Add,
@@ -144,7 +142,7 @@ impl FpuOp {
 }
 
 /// Floating-point comparison producing 0/1.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[allow(missing_docs)]
 pub enum FCmpOp {
     Lt,
@@ -172,7 +170,7 @@ impl FCmpOp {
 /// Uniform branch condition. All active lanes must agree; divergent
 /// branches are a compile error surfaced by the simulator (divergence is
 /// expressed with `split`/`join`, as on Vortex).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[allow(missing_docs)]
 pub enum BrCond {
     Eq,
@@ -208,7 +206,7 @@ impl BrCond {
 }
 
 /// Memory access width in bytes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Width {
     /// 1 byte (frontier flags).
     B1,
@@ -233,7 +231,7 @@ impl Width {
 }
 
 /// Address space of a memory access.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Space {
     /// Device global memory, through the cache hierarchy.
     Global,
@@ -242,7 +240,7 @@ pub enum Space {
 }
 
 /// Atomic read-modify-write operation on global memory.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AtomOp {
     /// Integer add; returns the old value.
     Add,
@@ -280,7 +278,7 @@ impl AtomOp {
 }
 
 /// Warp vote operations (Vortex `vote`/`ballot`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum VoteOp {
     /// 1 if **all** active lanes have a non-zero source.
     All,
@@ -296,7 +294,7 @@ impl VoteOp {
 }
 
 /// Read-only control/status registers (Vortex exposes these as CSRs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CsrKind {
     /// Lane index within the warp.
     LaneId,
@@ -340,7 +338,7 @@ impl CsrKind {
 ///
 /// Branch/jump/split targets are absolute instruction indices within a
 /// [`crate::Program`]; the assembler resolves labels to these.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Instr {
     /// No operation.
     Nop,

@@ -2,6 +2,8 @@
 
 use std::fmt;
 
+use sparseweaver_trace::codec::{CodecError, Dec, Enc, Snapshot};
+
 use crate::{line_of, LINE_BYTES};
 
 /// Why a cache geometry is unusable, reported by
@@ -57,7 +59,7 @@ impl fmt::Display for CacheConfigError {
 impl std::error::Error for CacheConfigError {}
 
 /// Geometry of one cache.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheConfig {
     /// Total capacity in bytes.
     pub size_bytes: u64,
@@ -128,7 +130,7 @@ impl CacheConfig {
 }
 
 /// Hit/miss counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Total accesses.
     pub accesses: u64,
@@ -139,6 +141,13 @@ pub struct CacheStats {
     /// Dirty lines written back on eviction.
     pub writebacks: u64,
 }
+
+sparseweaver_trace::snapshot_fields!(CacheStats {
+    accesses,
+    hits,
+    misses,
+    writebacks
+});
 
 impl CacheStats {
     /// Adds another set of counters field-wise.
@@ -167,32 +176,12 @@ struct Line {
     last_use: u64,
 }
 
-/// One cache line's checkpointable state (tag array entry).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LineState {
-    /// Whether the line holds a tag.
-    pub valid: bool,
-    /// Whether the line is dirty (would write back on eviction).
-    pub dirty: bool,
-    /// The stored tag.
-    pub tag: u64,
-    /// LRU timestamp (value of `tick` at last touch).
-    pub last_use: u64,
-}
-
-/// A complete snapshot of one cache's mutable state: the tag array in
-/// set-major order, the LRU clock, and the hit/miss counters. Geometry is
-/// *not* included — it belongs to the configuration the owner was built
-/// from, which checkpoint restore validates separately.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct CacheState {
-    /// All lines, flattened set-major (`sets * ways` entries).
-    pub lines: Vec<LineState>,
-    /// The LRU clock.
-    pub tick: u64,
-    /// Accumulated counters.
-    pub stats: CacheStats,
-}
+sparseweaver_trace::snapshot_fields!(Line {
+    valid,
+    dirty,
+    tag,
+    last_use
+});
 
 /// The outcome of a cache access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -230,8 +219,8 @@ impl Cache {
     ///
     /// Panics if [`CacheConfig::validate`] rejects `cfg`. The geometry
     /// is re-checked here — not only in [`CacheConfig::new`] — because
-    /// the config type has public fields and derives `Deserialize`: a
-    /// hand-built or deserialized geometry must never reach
+    /// the config type has public fields and is decoded from trace
+    /// headers: a hand-built or decoded geometry must never reach
     /// [`Cache::access`]'s power-of-two set mask and silently alias
     /// sets. Fallible callers validate the config up front and surface
     /// the typed error instead.
@@ -311,58 +300,6 @@ impl Cache {
         }
     }
 
-    /// Captures the complete mutable state (tag array, LRU clock,
-    /// counters) for checkpointing.
-    pub fn save_state(&self) -> CacheState {
-        CacheState {
-            lines: self
-                .sets
-                .iter()
-                .flat_map(|set| set.iter())
-                .map(|l| LineState {
-                    valid: l.valid,
-                    dirty: l.dirty,
-                    tag: l.tag,
-                    last_use: l.last_use,
-                })
-                .collect(),
-            tick: self.tick,
-            stats: self.stats,
-        }
-    }
-
-    /// Restores state captured with [`Cache::save_state`] into a cache of
-    /// the *same geometry*.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the mismatch if the snapshot's line count
-    /// does not match this cache's `sets * ways`.
-    pub fn restore_state(&mut self, state: &CacheState) -> Result<(), String> {
-        let expect = self.sets.len() * self.cfg.ways as usize;
-        if state.lines.len() != expect {
-            return Err(format!(
-                "cache snapshot has {} lines, geometry needs {expect}",
-                state.lines.len()
-            ));
-        }
-        let ways = self.cfg.ways as usize;
-        for (i, set) in self.sets.iter_mut().enumerate() {
-            for (j, line) in set.iter_mut().enumerate() {
-                let s = &state.lines[i * ways + j];
-                *line = Line {
-                    valid: s.valid,
-                    dirty: s.dirty,
-                    tag: s.tag,
-                    last_use: s.last_use,
-                };
-            }
-        }
-        self.tick = state.tick;
-        self.stats = state.stats;
-        Ok(())
-    }
-
     /// Invalidates everything (e.g. when reconfiguring between runs).
     pub fn flush(&mut self) {
         for set in &mut self.sets {
@@ -370,6 +307,29 @@ impl Cache {
                 *line = Line::default();
             }
         }
+    }
+}
+
+/// The tag array in set-major order, the LRU clock, and the counters.
+/// Geometry is configuration: the restoring cache must have the same line
+/// count.
+impl Snapshot for Cache {
+    fn save(&self, e: &mut Enc) {
+        e.usize(self.sets.len() * self.cfg.ways as usize);
+        for line in self.sets.iter().flatten() {
+            line.save(e);
+        }
+        self.tick.save(e);
+        self.stats.save(e);
+    }
+
+    fn restore(&mut self, d: &mut Dec<'_>) -> Result<(), CodecError> {
+        d.expect_len("lines", self.sets.len() * self.cfg.ways as usize)?;
+        for line in self.sets.iter_mut().flatten() {
+            line.restore(d)?;
+        }
+        self.tick.restore(d)?;
+        self.stats.restore(d)
     }
 }
 
@@ -397,7 +357,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "power of two")]
     fn hand_built_bad_config_cannot_reach_cache() {
-        // Bypass CacheConfig::new entirely (the serde/sweep path): the
+        // Bypass CacheConfig::new entirely (the decode/sweep path): the
         // struct literal used to slip straight into Cache::new and alias
         // sets through the `& (num_sets - 1)` mask. 192 bytes / 1 way =
         // 3 sets; the mask would fold set 2 into set 0 silently.

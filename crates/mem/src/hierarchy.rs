@@ -2,9 +2,10 @@
 
 use std::fmt;
 
+use sparseweaver_trace::codec::{CodecError, Dec, Enc, Snapshot};
 use sparseweaver_trace::{EventData, MemLevel};
 
-use crate::cache::{Cache, CacheConfig, CacheConfigError, CacheState, CacheStats};
+use crate::cache::{Cache, CacheConfig, CacheConfigError, CacheStats};
 use crate::hooks::Hooks;
 
 /// Configuration of the whole hierarchy.
@@ -12,7 +13,7 @@ use crate::hooks::Hooks;
 /// Defaults mirror the paper's Vortex setup (Section V): 64KB L1 per core
 /// and a 1MB shared L2; Fig. 14 adds an optional L3 and Fig. 12 sweeps
 /// `dram_freq_ratio` from 1 to 6.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HierarchyConfig {
     /// Number of cores (one L1 each).
     pub num_cores: usize,
@@ -138,7 +139,7 @@ impl std::error::Error for HierarchyConfigError {
 }
 
 /// Which level serviced an access.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HitLevel {
     /// Serviced by the core's L1.
     L1,
@@ -175,7 +176,7 @@ pub struct AccessResult {
 }
 
 /// Aggregated statistics of the hierarchy.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LevelStats {
     /// Sum of all per-core L1 stats.
     pub l1: CacheStats,
@@ -186,6 +187,13 @@ pub struct LevelStats {
     /// DRAM requests.
     pub dram_accesses: u64,
 }
+
+sparseweaver_trace::snapshot_fields!(LevelStats {
+    l1,
+    l2,
+    l3,
+    dram_accesses
+});
 
 impl LevelStats {
     /// Adds another set of level statistics field-wise.
@@ -260,37 +268,8 @@ impl Port {
     }
 }
 
-/// One port's mutable queue state (checkpointable). Capacity and stride
-/// come from the configuration.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PortState {
-    /// The cycle the current service window ends.
-    pub cycle: u64,
-    /// Slots consumed in the current window.
-    pub used: u64,
-}
-
-/// A complete snapshot of the hierarchy's mutable state: every tag array,
-/// every port queue, and the DRAM access counter.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct HierarchyState {
-    /// Per-core L1 snapshots.
-    pub l1: Vec<CacheState>,
-    /// Shared L2 snapshot.
-    pub l2: CacheState,
-    /// Shared L3 snapshot, if configured.
-    pub l3: Option<CacheState>,
-    /// Per-core L1 port queues.
-    pub l1_ports: Vec<PortState>,
-    /// Shared L2 port queue.
-    pub l2_port: PortState,
-    /// DRAM port queue.
-    pub dram_port: PortState,
-    /// Atomic-bank port queue.
-    pub atomic_port: PortState,
-    /// Total DRAM requests so far.
-    pub dram_accesses: u64,
-}
+// A port's queue state; capacity and stride come from the configuration.
+sparseweaver_trace::snapshot_fields!(Port { cycle, used });
 
 /// One port's queue state at a point in time, reported by
 /// [`Hierarchy::port_occupancy`] for hang diagnostics.
@@ -638,66 +617,6 @@ impl Hierarchy {
         }
     }
 
-    /// Captures the complete mutable state for checkpointing.
-    pub fn save_state(&self) -> HierarchyState {
-        let port = |p: &Port| PortState {
-            cycle: p.cycle,
-            used: p.used,
-        };
-        HierarchyState {
-            l1: self.l1.iter().map(Cache::save_state).collect(),
-            l2: self.l2.save_state(),
-            l3: self.l3.as_ref().map(Cache::save_state),
-            l1_ports: self.l1_ports.iter().map(port).collect(),
-            l2_port: port(&self.l2_port),
-            dram_port: port(&self.dram_port),
-            atomic_port: port(&self.atomic_port),
-            dram_accesses: self.dram_accesses,
-        }
-    }
-
-    /// Restores state captured with [`Hierarchy::save_state`] into a
-    /// hierarchy built from the *same configuration*.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the mismatch if the snapshot's shape
-    /// (core count, L3 presence, line counts) does not match this
-    /// hierarchy's configuration.
-    pub fn restore_state(&mut self, state: &HierarchyState) -> Result<(), String> {
-        if state.l1.len() != self.l1.len() || state.l1_ports.len() != self.l1_ports.len() {
-            return Err(format!(
-                "hierarchy snapshot has {} cores, configuration needs {}",
-                state.l1.len(),
-                self.l1.len()
-            ));
-        }
-        if state.l3.is_some() != self.l3.is_some() {
-            return Err("hierarchy snapshot disagrees with configuration about L3".into());
-        }
-        for (cache, snap) in self.l1.iter_mut().zip(&state.l1) {
-            cache.restore_state(snap).map_err(|e| format!("l1: {e}"))?;
-        }
-        self.l2
-            .restore_state(&state.l2)
-            .map_err(|e| format!("l2: {e}"))?;
-        if let (Some(l3), Some(snap)) = (&mut self.l3, &state.l3) {
-            l3.restore_state(snap).map_err(|e| format!("l3: {e}"))?;
-        }
-        let restore = |p: &mut Port, s: &PortState| {
-            p.cycle = s.cycle;
-            p.used = s.used;
-        };
-        for (p, s) in self.l1_ports.iter_mut().zip(&state.l1_ports) {
-            restore(p, s);
-        }
-        restore(&mut self.l2_port, &state.l2_port);
-        restore(&mut self.dram_port, &state.dram_port);
-        restore(&mut self.atomic_port, &state.atomic_port);
-        self.dram_accesses = state.dram_accesses;
-        Ok(())
-    }
-
     /// Resets the port clocks (between kernel launches: simulated time
     /// restarts at zero while cache *contents* stay warm).
     pub fn reset_ports(&mut self) {
@@ -723,6 +642,33 @@ impl Hierarchy {
         }
         self.dram_accesses = 0;
         self.reset_ports();
+    }
+}
+
+/// Every tag array, every port queue, and the DRAM access counter. The
+/// restoring hierarchy must be built from the same configuration: same
+/// core count, L3 presence and cache geometries.
+impl Snapshot for Hierarchy {
+    fn save(&self, e: &mut Enc) {
+        e.seq(&self.l1);
+        self.l2.save(e);
+        e.opt(self.l3.as_ref(), Cache::save);
+        e.seq(&self.l1_ports);
+        self.l2_port.save(e);
+        self.dram_port.save(e);
+        self.atomic_port.save(e);
+        self.dram_accesses.save(e);
+    }
+
+    fn restore(&mut self, d: &mut Dec<'_>) -> Result<(), CodecError> {
+        d.restore_seq("l1", &mut self.l1)?;
+        self.l2.restore(d).map_err(|e| e.within("l2"))?;
+        d.restore_opt("l3", self.l3.as_mut())?;
+        d.restore_seq("l1 port", &mut self.l1_ports)?;
+        self.l2_port.restore(d)?;
+        self.dram_port.restore(d)?;
+        self.atomic_port.restore(d)?;
+        self.dram_accesses.restore(d)
     }
 }
 

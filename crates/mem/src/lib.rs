@@ -30,10 +30,10 @@ pub mod main_memory;
 pub mod mtrace;
 pub mod replay;
 
-pub use cache::{Cache, CacheConfig, CacheConfigError, CacheState, CacheStats, LineState};
+pub use cache::{Cache, CacheConfig, CacheConfigError, CacheStats};
 pub use hierarchy::{
-    AccessResult, Hierarchy, HierarchyConfig, HierarchyConfigError, HierarchyState, HitLevel,
-    LevelStats, PortOccupancy, PortState,
+    AccessResult, Hierarchy, HierarchyConfig, HierarchyConfigError, HitLevel, LevelStats,
+    PortOccupancy,
 };
 pub use hooks::Hooks;
 pub use main_memory::{MainMemory, MemFault};

@@ -4,6 +4,7 @@ use std::cell::Cell;
 use std::fmt;
 
 use sparseweaver_fault::FaultInjector;
+use sparseweaver_trace::codec::{CodecError, Dec, Enc, Snapshot};
 
 /// A typed device-memory access fault (out-of-bounds or bad width),
 /// raised by [`MainMemory::try_read`]/[`MainMemory::try_write`] so the
@@ -100,25 +101,6 @@ impl MainMemory {
     pub fn reset_traffic(&self) {
         self.reads.set(0);
         self.writes.set(0);
-    }
-
-    /// Sets the traffic counters to previously captured values (checkpoint
-    /// restore).
-    pub fn restore_traffic(&self, reads: u64, writes: u64) {
-        self.reads.set(reads);
-        self.writes.set(writes);
-    }
-
-    /// The raw contents, for bulk checkpointing.
-    pub fn bytes(&self) -> &[u8] {
-        &self.data
-    }
-
-    /// Replaces the contents wholesale (checkpoint restore). The memory
-    /// adopts `bytes` exactly — including its length.
-    pub fn restore_contents(&mut self, bytes: &[u8]) {
-        self.data.clear();
-        self.data.extend_from_slice(bytes);
     }
 
     /// Size in bytes.
@@ -308,6 +290,24 @@ impl MainMemory {
         for (i, &v) in values.iter().enumerate() {
             self.write_f64(addr + 8 * i as u64, v);
         }
+    }
+}
+
+/// The contents and the traffic counters. Device memory grows on demand,
+/// so restore adopts the saved length.
+impl Snapshot for MainMemory {
+    fn save(&self, e: &mut Enc) {
+        e.bytes(&self.data);
+        self.reads.get().save(e);
+        self.writes.get().save(e);
+    }
+
+    fn restore(&mut self, d: &mut Dec<'_>) -> Result<(), CodecError> {
+        self.data.clear();
+        self.data.extend_from_slice(d.bytes()?);
+        self.reads.set(d.u64()?);
+        self.writes.set(d.u64()?);
+        Ok(())
     }
 }
 

@@ -50,6 +50,8 @@ use std::fmt;
 use std::io::{self, Write};
 use std::path::Path;
 
+use sparseweaver_trace::codec::tmp_path;
+
 use crate::cache::CacheConfig;
 use crate::hierarchy::{HierarchyConfig, HitLevel, LevelStats};
 use crate::CacheStats;
@@ -503,17 +505,6 @@ impl RecorderSink {
             RecorderSink::Stdout(_) | RecorderSink::Memory(_) => Ok(()),
         }
     }
-}
-
-/// The sibling temporary path a file capture streams into before the
-/// finalize-time rename (same scheme as `write_atomic` in the core crate).
-fn tmp_path(dest: &Path) -> std::path::PathBuf {
-    let mut name = dest
-        .file_name()
-        .map(|n| n.to_os_string())
-        .unwrap_or_default();
-    name.push(format!(".tmp.{}", std::process::id()));
-    dest.with_file_name(name)
 }
 
 /// The `swmtrace-v1` capture writer. It rides in the hooks the GPU lends

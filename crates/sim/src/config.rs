@@ -4,7 +4,7 @@ use sparseweaver_mem::HierarchyConfig;
 use sparseweaver_weaver::WeaverConfig;
 
 /// Which unit sits behind the `WEAVER_*` instructions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WeaverMode {
     /// The SparseWeaver Weaver unit (registration carries vid/loc/deg;
     /// the GPU performs edge-information loads itself).
@@ -16,7 +16,7 @@ pub enum WeaverMode {
 }
 
 /// Full machine configuration.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GpuConfig {
     /// Number of cores (the paper uses 2 sockets x 3 cores = 6).
     pub num_cores: usize,

@@ -5,16 +5,14 @@ use sparseweaver_isa::{
     DecodedInstr, DecodedProgram, Instr, Program, Space, VoteOp, Width, NUM_REGS,
 };
 use sparseweaver_mem::{Hierarchy, Hooks, MainMemory};
+use sparseweaver_trace::codec::{CodecError, Dec, Enc, Snapshot};
 use sparseweaver_trace::{Category, EventData};
 use sparseweaver_weaver::eghw::{EghwLayout, EghwUnit};
-use sparseweaver_weaver::{WeaverUnit, EMPTY_WORK_ID};
-
-use sparseweaver_weaver::eghw::EghwState;
-use sparseweaver_weaver::WeaverUnitState;
+use sparseweaver_weaver::{DenseTable, WeaverUnit, EMPTY_WORK_ID};
 
 use crate::config::{GpuConfig, WeaverMode};
 use crate::stats::{PendKind, Phase, StallBreakdown};
-use crate::warp::{full_mask, lanes_of, SimtEntry, Warp, WarpSnapshot, WarpState};
+use crate::warp::{full_mask, lanes_of, SimtEntry, Warp, WarpState};
 use crate::SimError;
 
 /// Why a core could not issue this cycle, and when it can retry.
@@ -57,30 +55,13 @@ pub struct CoreStats {
     pub finish_cycle: u64,
 }
 
-/// A complete snapshot of one core's mutable state.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CoreState {
-    /// All warp contexts, in warp order.
-    pub warps: Vec<WarpSnapshot>,
-    /// Scratchpad memory contents.
-    pub shared_data: Vec<u8>,
-    /// Scratchpad `(reads, writes)` traffic counters.
-    pub shared_traffic: (u64, u64),
-    /// The Weaver unit.
-    pub weaver: WeaverUnitState,
-    /// The EGHW baseline unit.
-    pub eghw: EghwState,
-    /// EGHW per-warp DT mirror rows.
-    pub eghw_dt: Vec<Vec<i64>>,
-    /// Round-robin scheduler cursor.
-    pub next_warp: u64,
-    /// Non-halted warp count.
-    pub resident: u64,
-    /// Warps participating in the current launch.
-    pub active_warps: u64,
-    /// Per-launch counters.
-    pub stats: CoreStats,
-}
+sparseweaver_trace::snapshot_fields!(CoreStats {
+    instructions,
+    thread_instructions,
+    stalls,
+    phase_cycles,
+    finish_cycle
+});
 
 /// One SIMT core.
 #[derive(Debug)]
@@ -93,7 +74,7 @@ pub struct Core {
     pub weaver: WeaverUnit,
     /// The EGHW baseline unit.
     pub eghw: EghwUnit,
-    eghw_dt: Vec<Vec<i64>>,
+    eghw_dt: DenseTable,
     next_warp: usize,
     resident: usize,
     /// Warps participating in the current launch (the rest are parked by
@@ -120,7 +101,7 @@ impl Core {
             shared: MainMemory::new(cfg.shared_mem_bytes),
             weaver: WeaverUnit::new(cfg.weaver, cfg.warps_per_core, cfg.threads_per_warp),
             eghw: EghwUnit::new(cfg.warps_per_core, cfg.threads_per_warp),
-            eghw_dt: vec![vec![EMPTY_WORK_ID; cfg.threads_per_warp]; cfg.warps_per_core],
+            eghw_dt: DenseTable::new(cfg.warps_per_core, cfg.threads_per_warp),
             next_warp: 0,
             resident: cfg.warps_per_core,
             active_warps: cfg.warps_per_core,
@@ -236,66 +217,7 @@ impl Core {
         self.stats = CoreStats::default();
         self.weaver.reset();
         self.eghw.reset();
-        for row in &mut self.eghw_dt {
-            row.iter_mut().for_each(|e| *e = EMPTY_WORK_ID);
-        }
-    }
-
-    /// Captures the complete mutable state for checkpointing.
-    pub fn save_state(&self) -> CoreState {
-        CoreState {
-            warps: self.warps.iter().map(Warp::save_state).collect(),
-            shared_data: self.shared.bytes().to_vec(),
-            shared_traffic: self.shared.traffic(),
-            weaver: self.weaver.save_state(),
-            eghw: self.eghw.save_state(),
-            eghw_dt: self.eghw_dt.clone(),
-            next_warp: self.next_warp as u64,
-            resident: self.resident as u64,
-            active_warps: self.active_warps as u64,
-            stats: self.stats.clone(),
-        }
-    }
-
-    /// Restores state captured with [`Core::save_state`] into a core built
-    /// from the same configuration.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the mismatch if the snapshot's shape does
-    /// not match this core's configuration.
-    pub fn restore_state(&mut self, state: &CoreState) -> Result<(), String> {
-        if state.warps.len() != self.warps.len() {
-            return Err(format!(
-                "core snapshot has {} warps, configuration needs {}",
-                state.warps.len(),
-                self.warps.len()
-            ));
-        }
-        if state.eghw_dt.len() != self.eghw_dt.len()
-            || state.eghw_dt.iter().any(|r| r.len() != self.lanes)
-        {
-            return Err("core snapshot EGHW DT shape mismatch".into());
-        }
-        for (i, (warp, snap)) in self.warps.iter_mut().zip(&state.warps).enumerate() {
-            warp.restore_state(snap)
-                .map_err(|e| format!("warp {i}: {e}"))?;
-        }
-        self.weaver
-            .restore_state(&state.weaver)
-            .map_err(|e| format!("weaver: {e}"))?;
-        self.eghw
-            .restore_state(&state.eghw)
-            .map_err(|e| format!("eghw: {e}"))?;
-        self.shared.restore_contents(&state.shared_data);
-        self.shared
-            .restore_traffic(state.shared_traffic.0, state.shared_traffic.1);
-        self.eghw_dt.clone_from(&state.eghw_dt);
-        self.next_warp = state.next_warp as usize;
-        self.resident = state.resident as usize;
-        self.active_warps = state.active_warps as usize;
-        self.stats = state.stats.clone();
-        Ok(())
+        self.eghw_dt.clear();
     }
 
     fn maybe_release_barrier(&mut self) {
@@ -856,7 +778,9 @@ impl Core {
             Instr::WeaverDecId { rd } => match self.weaver_mode {
                 WeaverMode::Weaver => {
                     let resp = self.weaver.dec_id(w, cycle, core_id as u32, hooks);
-                    if let Some(p) = &mut hooks.profiler {
+                    // A dropped response never arrives (`ready_at` is
+                    // `u64::MAX`): it has no latency to record.
+                    if let (Some(p), false) = (&mut hooks.profiler, resp.dropped) {
                         p.weaver_dec(core_id, w, cycle, resp.ready_at);
                     }
                     let warp = &mut self.warps[w];
@@ -890,7 +814,7 @@ impl Core {
                             .try_write(slot + 4, batch.weights[l].max(0) as u64, 4)
                             .map_err(|e| mem_fault(program, &e))?;
                     }
-                    self.eghw_dt[w].copy_from_slice(&batch.eids);
+                    self.eghw_dt.store_row(w, &batch.eids);
                     if let Some(p) = &mut hooks.profiler {
                         p.weaver_dec(core_id, w, cycle, batch.ready_at);
                     }
@@ -920,7 +844,7 @@ impl Core {
                     warp.set_pending(rd, ready, PendKind::Weaver);
                 }
                 WeaverMode::Eghw => {
-                    let eids = self.eghw_dt[w].clone();
+                    let eids = self.eghw_dt.load_row(w).to_vec();
                     let warp = &mut self.warps[w];
                     for (l, &eid) in eids.iter().enumerate().take(lanes) {
                         warp.write(l, rd, eid as u64);
@@ -1089,4 +1013,33 @@ fn mem_fault(program: &Program, e: &sparseweaver_mem::MemFault) -> SimError {
 /// `warps x lanes x 8` bytes.
 pub fn eghw_staging_base(shared_bytes: usize, warps: usize, lanes: usize) -> u64 {
     (shared_bytes - warps * lanes * 8) as u64
+}
+
+/// Every warp context, the scratchpad, the Weaver and EGHW units, the
+/// EGHW DT mirror, the scheduler cursors and the per-launch counters. The
+/// restoring core must be built from the same configuration.
+impl Snapshot for Core {
+    fn save(&self, e: &mut Enc) {
+        e.seq(&self.warps);
+        self.shared.save(e);
+        self.weaver.save(e);
+        self.eghw.save(e);
+        self.eghw_dt.save(e);
+        self.next_warp.save(e);
+        self.resident.save(e);
+        self.active_warps.save(e);
+        self.stats.save(e);
+    }
+
+    fn restore(&mut self, d: &mut Dec<'_>) -> Result<(), CodecError> {
+        d.restore_seq("warp", &mut self.warps)?;
+        self.shared.restore(d)?;
+        self.weaver.restore(d).map_err(|e| e.within("weaver"))?;
+        self.eghw.restore(d).map_err(|e| e.within("eghw"))?;
+        self.eghw_dt.restore(d).map_err(|e| e.within("eghw dt"))?;
+        self.next_warp.restore(d)?;
+        self.resident.restore(d)?;
+        self.active_warps.restore(d)?;
+        self.stats.restore(d)
+    }
 }

@@ -3,13 +3,12 @@
 use sparseweaver_fault::{FaultCounts, FaultInjector};
 use sparseweaver_isa::{DecodedProgram, Program};
 use sparseweaver_mem::{Hierarchy, Hooks, LevelStats, MainMemory};
+use sparseweaver_trace::codec::{CodecError, Dec, Enc, Snapshot};
 use sparseweaver_trace::{CounterSnapshot, EventData, StallCause};
 use sparseweaver_weaver::eghw::EghwLayout;
 
-use sparseweaver_mem::HierarchyState;
-
 use crate::config::GpuConfig;
-use crate::core::{Blocked, Core, CoreState, IssueOutcome};
+use crate::core::{Blocked, Core, IssueOutcome};
 use crate::stats::{KernelStats, PendKind};
 use crate::SimError;
 
@@ -74,29 +73,12 @@ pub struct Occupancy {
     pub configured: usize,
 }
 
-/// Complete dynamic state of a [`Gpu`], as captured by
-/// [`Gpu::save_state`] for checkpointing.
-///
-/// Everything the machine mutates across launches is here: per-core
-/// state (warps, Weaver/EGHW units, shared memory), the cache
-/// hierarchy's arrays and port clocks, device-memory contents and
-/// traffic counters, and the occupancy gauges of the most recent
-/// launch. Configuration and attached [`Hooks`] (tracer, profiler,
-/// recorder, fault injector) are *not* part of the state — a restore
-/// target is rebuilt from the same configuration first.
-#[derive(Debug, Clone, PartialEq)]
-pub struct GpuState {
-    /// Per-core state, in core-ID order.
-    pub cores: Vec<CoreState>,
-    /// Cache arrays, port clocks, and DRAM access count.
-    pub hierarchy: HierarchyState,
-    /// Device-memory contents.
-    pub mem_data: Vec<u8>,
-    /// Device-memory `(reads, writes)` traffic counters.
-    pub mem_traffic: (u64, u64),
-    /// Occupancy gauges of the most recent launch.
-    pub occupancy: Occupancy,
-}
+sparseweaver_trace::snapshot_fields!(Occupancy {
+    kernel_high_water,
+    cap,
+    resident,
+    configured
+});
 
 impl Gpu {
     /// Builds a GPU from `cfg`.
@@ -209,55 +191,6 @@ impl Gpu {
         for c in &mut self.cores {
             c.set_eghw_layout(layout);
         }
-    }
-
-    /// Captures the complete dynamic machine state for a checkpoint.
-    ///
-    /// Taken between launches (the cycle loop is not re-entrant), the
-    /// snapshot plus the original configuration fully determines every
-    /// subsequent launch: restoring it onto a freshly built `Gpu` of
-    /// the same configuration is bit-identical to never having stopped.
-    pub fn save_state(&self) -> GpuState {
-        GpuState {
-            cores: self.cores.iter().map(Core::save_state).collect(),
-            hierarchy: self.hierarchy.save_state(),
-            mem_data: self.mem.bytes().to_vec(),
-            mem_traffic: self.mem.traffic(),
-            occupancy: self.occupancy,
-        }
-    }
-
-    /// Restores machine state captured by [`Gpu::save_state`].
-    ///
-    /// The target must be built from the same configuration the state
-    /// was captured under; shape mismatches (core count, warp count,
-    /// cache geometry, table sizes) are rejected with a description of
-    /// the first offending component.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the mismatch; the machine may be left
-    /// partially restored and should be discarded.
-    pub fn restore_state(&mut self, state: &GpuState) -> Result<(), String> {
-        if state.cores.len() != self.cores.len() {
-            return Err(format!(
-                "core count mismatch: state has {}, machine has {}",
-                state.cores.len(),
-                self.cores.len()
-            ));
-        }
-        for (i, (core, cs)) in self.cores.iter_mut().zip(&state.cores).enumerate() {
-            core.restore_state(cs)
-                .map_err(|e| format!("core {i}: {e}"))?;
-        }
-        self.hierarchy
-            .restore_state(&state.hierarchy)
-            .map_err(|e| format!("hierarchy: {e}"))?;
-        self.mem.restore_contents(&state.mem_data);
-        self.mem
-            .restore_traffic(state.mem_traffic.0, state.mem_traffic.1);
-        self.occupancy = state.occupancy;
-        Ok(())
     }
 
     /// Runs `program` to completion on all cores and returns its stats.
@@ -610,6 +543,36 @@ fn diff_cache(
         hits: a.hits - b.hits,
         misses: a.misses - b.misses,
         writebacks: a.writebacks - b.writebacks,
+    }
+}
+
+/// The complete dynamic machine state: per-core state (warps, Weaver/EGHW
+/// units, shared memory), the cache hierarchy's arrays and port clocks,
+/// device-memory contents and traffic counters, and the occupancy gauges
+/// of the most recent launch.
+///
+/// Saved between launches (the cycle loop is not re-entrant), the state
+/// plus the configuration determines every later launch: restoring it
+/// into a freshly built `Gpu` of the same configuration is bit-identical
+/// to never having stopped. Configuration and the attached [`Hooks`] are
+/// not part of the state; a shape mismatch (core count, warp count, cache
+/// geometry, table sizes) is a [`CodecError::Restore`] naming the first
+/// offending component.
+impl Snapshot for Gpu {
+    fn save(&self, e: &mut Enc) {
+        e.seq(&self.cores);
+        self.hierarchy.save(e);
+        self.mem.save(e);
+        self.occupancy.save(e);
+    }
+
+    fn restore(&mut self, d: &mut Dec<'_>) -> Result<(), CodecError> {
+        d.restore_seq("core", &mut self.cores)?;
+        self.hierarchy
+            .restore(d)
+            .map_err(|e| e.within("hierarchy"))?;
+        self.mem.restore(d)?;
+        self.occupancy.restore(d)
     }
 }
 
@@ -1373,12 +1336,14 @@ mod tests {
         for _ in 0..2 {
             resumed_stats.push(first.launch(&program, &[]).unwrap());
         }
-        let state = first.save_state();
+        let state = saved(&first);
         drop(first);
         let mut second = gpu();
-        second.restore_state(&state).unwrap();
+        let mut d = Dec::new(&state);
+        second.restore(&mut d).unwrap();
+        d.finish().unwrap();
         // The snapshot round-trips exactly.
-        assert_eq!(second.save_state(), state);
+        assert_eq!(saved(&second), state);
         for _ in 0..2 {
             resumed_stats.push(second.launch(&program, &[]).unwrap());
         }
@@ -1391,13 +1356,23 @@ mod tests {
         }
     }
 
+    fn saved(g: &Gpu) -> Vec<u8> {
+        let mut e = Enc::new();
+        g.save(&mut e);
+        e.into_bytes()
+    }
+
     #[test]
     fn restore_rejects_shape_mismatch() {
-        let g = gpu();
-        let mut state = g.save_state();
-        state.cores.pop();
+        // The state opens with the core count: claim one core fewer.
+        let mut state = saved(&gpu());
+        let cores = u64::from_le_bytes(state[..8].try_into().unwrap());
+        state[..8].copy_from_slice(&(cores - 1).to_le_bytes());
         let mut h = gpu();
-        assert!(h.restore_state(&state).is_err());
+        assert!(matches!(
+            h.restore(&mut Dec::new(&state)),
+            Err(CodecError::Restore { what }) if what.starts_with("core:")
+        ));
     }
 
     #[test]

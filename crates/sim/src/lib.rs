@@ -31,11 +31,9 @@ pub mod stats;
 pub mod warp;
 
 pub use config::{GpuConfig, WeaverMode};
-pub use core::CoreState;
-pub use gpu::{Gpu, GpuState, Occupancy};
+pub use gpu::{Gpu, Occupancy};
 pub use hang::{CoreHang, HangReport, WarpHang};
 pub use stats::{KernelStats, Phase, StallBreakdown};
-pub use warp::WarpSnapshot;
 
 /// Simulation errors: kernel bugs surfaced by the machine model.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -1,6 +1,8 @@
 //! Kernel statistics: cycles, stall breakdown, phase attribution.
 
 use sparseweaver_mem::LevelStats;
+use sparseweaver_trace::codec::{CodecError, Dec, Enc, Snapshot};
+use sparseweaver_trace::snapshot_fields;
 
 // One definition shared with the trace-event taxonomy: the statistics
 // below and the tracer's phase-cycle series index the same enum.
@@ -8,7 +10,7 @@ pub use sparseweaver_trace::Phase;
 
 /// Core-cycle stall attribution, mirroring the Nsight categories the paper
 /// lists under Fig. 4.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StallBreakdown {
     /// Waiting on a global-memory load result ("Memory / long scoreboard").
     pub memory: u64,
@@ -47,6 +49,15 @@ impl StallBreakdown {
     }
 }
 
+snapshot_fields!(StallBreakdown {
+    memory,
+    shared,
+    exec_dep,
+    l1_queue,
+    barrier,
+    weaver
+});
+
 /// What kind of producer a scoreboard entry is waiting on (drives stall
 /// attribution).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -64,34 +75,30 @@ pub enum PendKind {
     Weaver,
 }
 
-impl PendKind {
-    /// A stable index for checkpoint encoding.
-    pub fn kind_id(self) -> u8 {
-        match self {
-            PendKind::None => 0,
-            PendKind::Memory => 1,
-            PendKind::Shared => 2,
-            PendKind::Exec => 3,
-            PendKind::Weaver => 4,
-        }
+impl Snapshot for PendKind {
+    fn save(&self, e: &mut Enc) {
+        e.u8(*self as u8);
     }
 
-    /// The inverse of [`PendKind::kind_id`]; `None` for unknown ids
-    /// (a corrupt checkpoint).
-    pub fn from_id(id: u8) -> Option<Self> {
-        Some(match id {
-            0 => PendKind::None,
-            1 => PendKind::Memory,
-            2 => PendKind::Shared,
-            3 => PendKind::Exec,
-            4 => PendKind::Weaver,
-            _ => return None,
-        })
+    fn restore(&mut self, d: &mut Dec<'_>) -> Result<(), CodecError> {
+        const ALL: [PendKind; 5] = [
+            PendKind::None,
+            PendKind::Memory,
+            PendKind::Shared,
+            PendKind::Exec,
+            PendKind::Weaver,
+        ];
+        let id = d.u8()?;
+        *self = ALL
+            .get(id as usize)
+            .copied()
+            .ok_or_else(|| d.corrupt(format!("invalid producer kind id {id}")))?;
+        Ok(())
     }
 }
 
 /// Statistics for one kernel launch (or an accumulation of launches).
-#[derive(Debug, Clone, Default, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct KernelStats {
     /// Wall-clock cycles (max over cores).
     pub cycles: u64,
@@ -112,6 +119,18 @@ pub struct KernelStats {
     /// Number of kernel launches folded into these stats.
     pub launches: u64,
 }
+
+snapshot_fields!(KernelStats {
+    cycles,
+    instructions,
+    thread_instructions,
+    stalls,
+    phase_cycles,
+    mem,
+    weaver_counters,
+    warp_cycles,
+    launches,
+});
 
 impl KernelStats {
     /// Average number of resident (non-halted) warps per issued

@@ -1,11 +1,12 @@
 //! Per-warp state: registers, scoreboard, IPDOM divergence stack.
 
 use sparseweaver_isa::{Reg, NUM_REGS};
+use sparseweaver_trace::codec::{CodecError, Dec, Enc, Snapshot};
 
 use crate::stats::{PendKind, Phase};
 
 /// One IPDOM (immediate post-dominator) stack entry pushed by `split`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SimtEntry {
     /// Mask to restore at reconvergence.
     pub saved_mask: u64,
@@ -30,48 +31,27 @@ pub enum WarpState {
     Halted,
 }
 
-impl WarpState {
-    /// A stable index for checkpoint encoding.
-    pub fn state_id(self) -> u8 {
-        match self {
-            WarpState::Running => 0,
-            WarpState::AtBarrier => 1,
-            WarpState::Halted => 2,
-        }
+sparseweaver_trace::snapshot_fields!(SimtEntry {
+    saved_mask,
+    else_mask,
+    else_pc,
+    end_pc,
+    in_else
+});
+
+impl Snapshot for WarpState {
+    fn save(&self, e: &mut Enc) {
+        e.u8(*self as u8);
     }
 
-    /// The inverse of [`WarpState::state_id`]; `None` for unknown ids
-    /// (a corrupt checkpoint).
-    pub fn from_id(id: u8) -> Option<Self> {
-        Some(match id {
-            0 => WarpState::Running,
-            1 => WarpState::AtBarrier,
-            2 => WarpState::Halted,
-            _ => return None,
-        })
+    fn restore(&mut self, d: &mut Dec<'_>) -> Result<(), CodecError> {
+        let id = d.u8()?;
+        *self = [WarpState::Running, WarpState::AtBarrier, WarpState::Halted]
+            .get(id as usize)
+            .copied()
+            .ok_or_else(|| d.corrupt(format!("invalid warp state id {id}")))?;
+        Ok(())
     }
-}
-
-/// A complete snapshot of one warp's mutable state: PC, mask, divergence
-/// stack, register file and scoreboard.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WarpSnapshot {
-    /// Program counter.
-    pub pc: u32,
-    /// Active lane mask.
-    pub active: u64,
-    /// Scheduling state as its stable index.
-    pub state_id: u8,
-    /// Divergence stack, bottom first.
-    pub simt: Vec<SimtEntry>,
-    /// Current phase as its breakdown index.
-    pub phase_id: u8,
-    /// Lane-major register file (`lanes * NUM_REGS` words).
-    pub regs: Vec<u64>,
-    /// Scoreboard ready cycles (`NUM_REGS` entries).
-    pub ready: Vec<u64>,
-    /// Scoreboard producer kinds (`NUM_REGS` stable indices).
-    pub pend: Vec<u8>,
 }
 
 /// One warp: lockstep lanes with private registers and a shared program
@@ -184,68 +164,6 @@ impl Warp {
         }
     }
 
-    /// Captures the complete mutable state for checkpointing.
-    pub fn save_state(&self) -> WarpSnapshot {
-        WarpSnapshot {
-            pc: self.pc,
-            active: self.active,
-            state_id: self.state.state_id(),
-            simt: self.simt.clone(),
-            phase_id: Phase::ALL
-                .iter()
-                .position(|&p| p == self.phase)
-                .expect("phase in ALL") as u8,
-            regs: self.regs.clone(),
-            ready: self.ready.to_vec(),
-            pend: self.pend.iter().map(|k| k.kind_id()).collect(),
-        }
-    }
-
-    /// Restores state captured with [`Warp::save_state`] into a warp with
-    /// the same lane count.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the problem on shape mismatch or an
-    /// invalid state/phase/producer index.
-    pub fn restore_state(&mut self, snap: &WarpSnapshot) -> Result<(), String> {
-        if snap.regs.len() != self.regs.len() {
-            return Err(format!(
-                "warp snapshot has {} register words, {} lanes need {}",
-                snap.regs.len(),
-                self.lanes,
-                self.regs.len()
-            ));
-        }
-        if snap.ready.len() != NUM_REGS || snap.pend.len() != NUM_REGS {
-            return Err(format!(
-                "warp snapshot scoreboard has {}/{} entries, need {NUM_REGS}",
-                snap.ready.len(),
-                snap.pend.len()
-            ));
-        }
-        let state = WarpState::from_id(snap.state_id)
-            .ok_or_else(|| format!("invalid warp state id {}", snap.state_id))?;
-        let phase = Phase::ALL
-            .get(snap.phase_id as usize)
-            .copied()
-            .ok_or_else(|| format!("invalid phase id {}", snap.phase_id))?;
-        let mut pend = [PendKind::None; NUM_REGS];
-        for (slot, &id) in pend.iter_mut().zip(&snap.pend) {
-            *slot =
-                PendKind::from_id(id).ok_or_else(|| format!("invalid producer kind id {id}"))?;
-        }
-        self.pc = snap.pc;
-        self.active = snap.active;
-        self.state = state;
-        self.simt = snap.simt.clone();
-        self.phase = phase;
-        self.regs.copy_from_slice(&snap.regs);
-        self.ready.copy_from_slice(&snap.ready);
-        self.pend = pend;
-        Ok(())
-    }
-
     /// Lanes currently active, as indices.
     pub fn active_lanes(&self) -> impl Iterator<Item = usize> + '_ {
         (0..self.lanes).filter(move |&l| self.active >> l & 1 == 1)
@@ -285,6 +203,32 @@ pub fn lanes_of(mut mask: u64) -> impl Iterator<Item = usize> {
             Some(l)
         }
     })
+}
+
+/// PC, mask, scheduling state, divergence stack, phase, register file
+/// and scoreboard. The restoring warp must have the same lane count.
+impl Snapshot for Warp {
+    fn save(&self, e: &mut Enc) {
+        self.pc.save(e);
+        self.active.save(e);
+        self.state.save(e);
+        self.simt.save(e);
+        self.phase.save(e);
+        e.seq(&self.regs);
+        e.seq(&self.ready);
+        e.seq(&self.pend);
+    }
+
+    fn restore(&mut self, d: &mut Dec<'_>) -> Result<(), CodecError> {
+        self.pc.restore(d)?;
+        self.active.restore(d)?;
+        self.state.restore(d)?;
+        self.simt.restore(d)?;
+        self.phase.restore(d)?;
+        d.restore_seq("register words", &mut self.regs)?;
+        d.restore_seq("scoreboard", &mut self.ready)?;
+        d.restore_seq("scoreboard producers", &mut self.pend)
+    }
 }
 
 #[cfg(test)]

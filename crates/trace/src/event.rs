@@ -1,5 +1,6 @@
 //! The typed event taxonomy the simulator emits.
 
+use crate::codec::{CodecError, Dec, Enc, Snapshot};
 use crate::tracer::Category;
 
 /// The execution phases of the gather process, used for the breakdowns of
@@ -9,10 +10,11 @@ use crate::tracer::Category;
 /// This lives in the trace crate so that both the simulator's statistics
 /// and the trace events share one definition; `sparseweaver-sim`
 /// re-exports it as `sparseweaver_sim::stats::Phase`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 #[repr(u8)]
 pub enum Phase {
     /// Kernel prologue and property initialization.
+    #[default]
     Init = 0,
     /// Registration stage (topology investigation + `WEAVER_REG`).
     Registration = 1,
@@ -391,9 +393,191 @@ pub struct TraceEvent {
     pub data: EventData,
 }
 
+impl Snapshot for Phase {
+    fn save(&self, e: &mut Enc) {
+        e.u8(*self as u8);
+    }
+
+    fn restore(&mut self, d: &mut Dec<'_>) -> Result<(), CodecError> {
+        let id = d.u8()?;
+        *self = Phase::ALL
+            .get(id as usize)
+            .copied()
+            .ok_or_else(|| d.corrupt(format!("unknown phase id {id}")))?;
+        Ok(())
+    }
+}
+
+impl Snapshot for TraceEvent {
+    fn save(&self, e: &mut Enc) {
+        e.u64(self.cycle);
+        e.u32(self.core);
+        match &self.data {
+            EventData::KernelLaunch { name } => {
+                e.u8(0);
+                e.str(name);
+            }
+            EventData::KernelEnd { name, cycles } => {
+                e.u8(1);
+                e.str(name);
+                e.u64(*cycles);
+            }
+            EventData::PhaseBegin { warp, phase } => {
+                e.u8(2);
+                e.u32(*warp);
+                phase.save(e);
+            }
+            EventData::WarpIssue { warp, pc, active } => {
+                e.u8(3);
+                e.u32(*warp);
+                e.u32(*pc);
+                e.u32(*active);
+            }
+            EventData::WarpStall {
+                cause,
+                phase,
+                cycles,
+            } => {
+                e.u8(4);
+                e.u8(cause.cause_id());
+                phase.save(e);
+                e.u64(*cycles);
+            }
+            EventData::Divergence {
+                warp,
+                pc,
+                taken,
+                not_taken,
+            } => {
+                e.u8(5);
+                e.u32(*warp);
+                e.u32(*pc);
+                e.u32(*taken);
+                e.u32(*not_taken);
+            }
+            EventData::CacheAccess {
+                level,
+                write,
+                queue_delay,
+            } => {
+                e.u8(6);
+                e.u8(level.level_id());
+                e.bool(*write);
+                e.u64(*queue_delay);
+            }
+            EventData::DramTransaction { write } => {
+                e.u8(7);
+                e.bool(*write);
+            }
+            EventData::WeaverTransition { from, to } => {
+                e.u8(8);
+                e.u8(*from as u8);
+                e.u8(*to as u8);
+            }
+            EventData::WeaverTable { op, count } => {
+                e.u8(9);
+                e.u8(op.op_id());
+                e.u32(*count);
+            }
+            EventData::WeaverRetry { kernel, attempt } => {
+                e.u8(10);
+                e.str(kernel);
+                e.u32(*attempt);
+            }
+            EventData::WeaverFallback { kernel, schedule } => {
+                e.u8(11);
+                e.str(kernel);
+                e.str(schedule);
+            }
+        }
+    }
+
+    fn restore(&mut self, d: &mut Dec<'_>) -> Result<(), CodecError> {
+        *self = TraceEvent::decode(d)?;
+        Ok(())
+    }
+}
+
+impl TraceEvent {
+    /// Decodes one event written by its [`Snapshot::save`].
+    pub(crate) fn decode(d: &mut Dec<'_>) -> Result<TraceEvent, CodecError> {
+        let cycle = d.u64()?;
+        let core = d.u32()?;
+        let data = match d.u8()? {
+            0 => EventData::KernelLaunch { name: d.str()? },
+            1 => EventData::KernelEnd {
+                name: d.str()?,
+                cycles: d.u64()?,
+            },
+            2 => EventData::PhaseBegin {
+                warp: d.u32()?,
+                phase: d.value()?,
+            },
+            3 => EventData::WarpIssue {
+                warp: d.u32()?,
+                pc: d.u32()?,
+                active: d.u32()?,
+            },
+            4 => {
+                let id = d.u8()?;
+                EventData::WarpStall {
+                    cause: StallCause::from_id(id)
+                        .ok_or_else(|| d.corrupt(format!("unknown stall cause id {id}")))?,
+                    phase: d.value()?,
+                    cycles: d.u64()?,
+                }
+            }
+            5 => EventData::Divergence {
+                warp: d.u32()?,
+                pc: d.u32()?,
+                taken: d.u32()?,
+                not_taken: d.u32()?,
+            },
+            6 => {
+                let id = d.u8()?;
+                EventData::CacheAccess {
+                    level: MemLevel::from_id(id)
+                        .ok_or_else(|| d.corrupt(format!("unknown memory level id {id}")))?,
+                    write: d.bool()?,
+                    queue_delay: d.u64()?,
+                }
+            }
+            7 => EventData::DramTransaction { write: d.bool()? },
+            8 => EventData::WeaverTransition {
+                from: decode_weaver_state(d)?,
+                to: decode_weaver_state(d)?,
+            },
+            9 => {
+                let id = d.u8()?;
+                EventData::WeaverTable {
+                    op: TableOp::from_id(id)
+                        .ok_or_else(|| d.corrupt(format!("unknown table op id {id}")))?,
+                    count: d.u32()?,
+                }
+            }
+            10 => EventData::WeaverRetry {
+                kernel: d.str()?,
+                attempt: d.u32()?,
+            },
+            11 => EventData::WeaverFallback {
+                kernel: d.str()?,
+                schedule: d.str()?,
+            },
+            t => return Err(d.corrupt(format!("unknown trace-event tag {t}"))),
+        };
+        Ok(TraceEvent { cycle, core, data })
+    }
+}
+
+fn decode_weaver_state(d: &mut Dec<'_>) -> Result<WeaverState, CodecError> {
+    let id = d.u8()?;
+    WeaverState::try_from_id(id).ok_or_else(|| d.corrupt(format!("unknown weaver state id {id}")))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sink::{FileSink, RingSink, TraceSink};
 
     #[test]
     fn phase_labels() {
@@ -441,5 +625,135 @@ mod tests {
             .category(),
             Category::Weaver
         );
+    }
+
+    /// One event of every `EventData` variant.
+    fn every_variant() -> Vec<TraceEvent> {
+        let data = [
+            EventData::KernelLaunch { name: "k".into() },
+            EventData::KernelEnd {
+                name: "k".into(),
+                cycles: 11,
+            },
+            EventData::PhaseBegin {
+                warp: 0,
+                phase: Phase::GatherSum,
+            },
+            EventData::WarpIssue {
+                warp: 1,
+                pc: 2,
+                active: 3,
+            },
+            EventData::WarpStall {
+                cause: StallCause::Memory,
+                phase: Phase::Init,
+                cycles: 4,
+            },
+            EventData::Divergence {
+                warp: 0,
+                pc: 9,
+                taken: 2,
+                not_taken: 2,
+            },
+            EventData::CacheAccess {
+                level: MemLevel::L2,
+                write: true,
+                queue_delay: 1,
+            },
+            EventData::DramTransaction { write: false },
+            EventData::WeaverTransition {
+                from: WeaverState::from_id(0),
+                to: WeaverState::from_id(8),
+            },
+            EventData::WeaverTable {
+                op: TableOp::StFetch,
+                count: 4,
+            },
+            EventData::WeaverRetry {
+                kernel: "k".into(),
+                attempt: 1,
+            },
+            EventData::WeaverFallback {
+                kernel: "k".into(),
+                schedule: "S_wm".into(),
+            },
+        ];
+        data.into_iter()
+            .enumerate()
+            .map(|(i, data)| TraceEvent {
+                cycle: i as u64 * 7,
+                core: i as u32 % 3,
+                data,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn events_and_sinks_round_trip_through_the_codec() {
+        let events = every_variant();
+        let path =
+            std::env::temp_dir().join(format!("sw_event_codec_{}.jsonl", std::process::id()));
+        let mut ring = RingSink::new(16);
+        let mut file = FileSink::create(&path).unwrap();
+        for ev in &events {
+            ring.record(ev.clone());
+            file.record(ev.clone());
+        }
+        file.sync();
+        let mut e = Enc::new();
+        e.seq(&events);
+        e.opt(Some(&ring), RingSink::save);
+        e.opt(Some(&file), FileSink::save);
+        e.opt(None::<&RingSink>, RingSink::save);
+        let bytes = e.into_bytes();
+        // The run goes on past the checkpoint and is killed.
+        let saved_len = std::fs::metadata(&path).unwrap().len();
+        file.record(events[0].clone());
+        drop(file);
+
+        let mut d = Dec::new(&bytes);
+        assert_eq!(d.list(13, TraceEvent::decode).unwrap(), events);
+        let mut ring_back = RingSink::new(16);
+        d.restore_opt("ring", Some(&mut ring_back)).unwrap();
+        let mut file_back = FileSink::reopen(&path).unwrap();
+        d.restore_opt("file", Some(&mut file_back)).unwrap();
+        d.restore_opt::<RingSink>("absent", None).unwrap();
+        d.finish().unwrap();
+        assert_eq!(ring_back.drain(), events);
+        assert_eq!(file_back.written(), events.len() as u64);
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), saved_len);
+
+        // A sink of the other kind, or one too small, refuses the state.
+        let mut d = Dec::new(&bytes);
+        d.list(13, TraceEvent::decode).unwrap();
+        assert!(matches!(
+            d.restore_opt("ring", Some(&mut file_back)),
+            Err(CodecError::Restore { .. })
+        ));
+        let mut d = Dec::new(&bytes);
+        d.list(13, TraceEvent::decode).unwrap();
+        assert!(matches!(
+            d.restore_opt("ring", Some(&mut RingSink::new(4))),
+            Err(CodecError::Restore { .. })
+        ));
+        drop(file_back);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn unknown_event_ids_are_corrupt_not_panics() {
+        let mut e = Enc::new();
+        every_variant()[4].save(&mut e);
+        let good = e.into_bytes();
+        // Tag byte sits after cycle (8) and core (4); the stall cause id
+        // follows it.
+        for (at, value) in [(12, 12u8), (13, 200)] {
+            let mut bad = good.clone();
+            bad[at] = value;
+            assert!(matches!(
+                TraceEvent::decode(&mut Dec::new(&bad)),
+                Err(CodecError::Corrupt { .. })
+            ));
+        }
     }
 }

@@ -34,6 +34,7 @@
 //! assert_eq!(report.events.len(), 3); // launch, issue, end
 //! ```
 
+pub mod codec;
 pub mod event;
 pub mod export;
 pub mod json;
@@ -45,5 +46,5 @@ pub mod tracer;
 pub use event::{EventData, MemLevel, Phase, StallCause, TableOp, TraceEvent, WeaverState};
 pub use metrics::{CounterSnapshot, KernelSpan, MetricSample};
 pub use profile::{ImbalanceSummary, LatencyHistogram, ProfileReport, Profiler};
-pub use sink::{FileSink, RingSink, SinkState, TraceSink};
-pub use tracer::{Category, CategoryMask, TraceConfig, TraceReport, Tracer, TracerState};
+pub use sink::{FileSink, RingSink, TraceSink};
+pub use tracer::{Category, CategoryMask, TraceConfig, TraceReport, Tracer};

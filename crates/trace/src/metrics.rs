@@ -128,8 +128,42 @@ impl CounterSnapshot {
     }
 }
 
+crate::snapshot_fields!(CounterSnapshot {
+    instructions,
+    thread_instructions,
+    stall_memory,
+    stall_shared,
+    stall_exec_dep,
+    stall_l1_queue,
+    stall_barrier,
+    stall_weaver,
+    phase_cycles,
+    l1_accesses,
+    l1_hits,
+    l2_accesses,
+    l2_hits,
+    l3_accesses,
+    l3_hits,
+    dram_accesses,
+    shared_reads,
+    shared_writes,
+    mem_reads,
+    mem_writes,
+    weaver_st_fetches,
+    weaver_dec_requests,
+    weaver_registrations,
+    faults_injected,
+    weaver_drops,
+    weaver_retries,
+    weaver_fallbacks,
+    kernel_high_water,
+    occupancy_cap,
+    warps_resident,
+    warps_configured,
+});
+
 /// One periodic sample: cumulative counters at a global cycle.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct MetricSample {
     /// Global cycle of the sample.
     pub cycle: u64,
@@ -137,8 +171,10 @@ pub struct MetricSample {
     pub counters: CounterSnapshot,
 }
 
+crate::snapshot_fields!(MetricSample { cycle, counters });
+
 /// One kernel launch on the global timeline.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct KernelSpan {
     /// Kernel (program) name.
     pub name: String,
@@ -147,6 +183,12 @@ pub struct KernelSpan {
     /// Launch duration in cycles.
     pub cycles: u64,
 }
+
+crate::snapshot_fields!(KernelSpan {
+    name,
+    start,
+    cycles
+});
 
 #[cfg(test)]
 mod tests {

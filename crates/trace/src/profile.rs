@@ -46,6 +46,14 @@ pub struct LatencyHistogram {
     pub max: u64,
 }
 
+crate::snapshot_fields!(LatencyHistogram {
+    buckets,
+    count,
+    sum,
+    min,
+    max
+});
+
 impl Default for LatencyHistogram {
     fn default() -> Self {
         LatencyHistogram {
@@ -333,20 +341,19 @@ impl Profiler {
         self.last_dec.clear();
         std::mem::take(&mut self.report)
     }
-
-    /// A non-draining copy of the collected report, for checkpoints
-    /// taken at launch boundaries (the per-warp gap cursors reset at the
-    /// next `launch_begin`, so the report is the whole resumable state).
-    pub fn save_state(&self) -> ProfileReport {
-        self.report.clone()
-    }
-
-    /// Restores a report captured by [`Profiler::save_state`].
-    pub fn restore_state(&mut self, report: &ProfileReport) {
-        self.report = report.clone();
-        self.last_dec.clear();
-    }
 }
+
+crate::snapshot_fields!(ProfileReport {
+    mem,
+    weaver,
+    gather_iteration,
+    core_issues,
+    warp_issues,
+});
+
+// Checkpoints are taken at launch boundaries, where the per-warp gap
+// cursors are about to reset, so the report is the whole resumable state.
+crate::snapshot_fields!(Profiler { report });
 
 #[cfg(test)]
 mod tests {

@@ -5,37 +5,24 @@ use std::fs::{File, OpenOptions};
 use std::io::{self, BufWriter, Seek, SeekFrom, Write};
 use std::path::Path;
 
+use crate::codec::{CodecError, Dec, Enc, Snapshot};
 use crate::event::TraceEvent;
 
-/// Resumable state of a [`TraceSink`], captured into checkpoints.
-///
-/// A ring sink carries its buffered events; a streaming file sink only
-/// carries its progress counters — the events themselves already live in
-/// the file, which the resuming process truncates back to `bytes` (runs
-/// killed after the checkpoint may have written further).
-#[derive(Debug, Clone, PartialEq)]
-pub enum SinkState {
-    /// In-memory ring buffer: the retained events and the eviction count.
-    Ring {
-        /// Buffered events in arrival order.
-        events: Vec<TraceEvent>,
-        /// Events evicted to make room.
-        dropped: u64,
-    },
-    /// Streaming file sink progress.
-    File {
-        /// Events successfully written.
-        written: u64,
-        /// Bytes those events occupy on disk.
-        bytes: u64,
-    },
-}
+/// Wire tags of the two sink kinds in a saved sink state.
+const RING_TAG: u8 = 0;
+const FILE_TAG: u8 = 1;
 
 /// Destination for emitted [`TraceEvent`]s.
 ///
 /// Implementations must be cheap: `record` sits behind the hot-path hooks
 /// and runs once per enabled event.
-pub trait TraceSink {
+///
+/// A sink's [`Snapshot`] is its resumable state. A ring sink carries its
+/// buffered events; a streaming file sink only carries its progress
+/// counters — the events already live in the file, which restore
+/// truncates back to the saved byte count (a run killed after the
+/// checkpoint may have written further).
+pub trait TraceSink: Snapshot {
     /// Stores one event (possibly evicting an older one).
     fn record(&mut self, event: TraceEvent);
 
@@ -56,18 +43,9 @@ pub trait TraceSink {
         None
     }
 
-    /// Captures the sink's resumable state for a checkpoint. Streaming
-    /// sinks flush first so the captured byte count matches the file.
-    fn save_state(&mut self) -> SinkState;
-
-    /// Restores state captured by [`TraceSink::save_state`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a description when the state does not fit this sink
-    /// (wrong kind, over capacity, or the underlying file rejects the
-    /// truncation).
-    fn restore_state(&mut self, state: &SinkState) -> Result<(), String>;
+    /// Pushes buffered output to its destination, so a state saved next
+    /// matches what is on disk. In-memory sinks have nothing to push.
+    fn sync(&mut self) {}
 }
 
 /// A bounded ring buffer keeping the most recent `capacity` events.
@@ -132,31 +110,48 @@ impl TraceSink for RingSink {
     fn drain(&mut self) -> Vec<TraceEvent> {
         self.buf.drain(..).collect()
     }
+}
 
-    fn save_state(&mut self) -> SinkState {
-        SinkState::Ring {
-            events: self.buf.iter().cloned().collect(),
-            dropped: self.dropped,
+impl Snapshot for RingSink {
+    fn save(&self, e: &mut Enc) {
+        e.u8(RING_TAG);
+        e.usize(self.buf.len());
+        for ev in &self.buf {
+            ev.save(e);
         }
+        e.u64(self.dropped);
     }
 
-    fn restore_state(&mut self, state: &SinkState) -> Result<(), String> {
-        match state {
-            SinkState::Ring { events, dropped } => {
-                if events.len() > self.capacity {
-                    return Err(format!(
-                        "ring state holds {} events but capacity is {}",
-                        events.len(),
-                        self.capacity
-                    ));
-                }
-                self.buf = events.iter().cloned().collect();
-                self.dropped = *dropped;
-                Ok(())
-            }
-            SinkState::File { .. } => Err("file-sink state cannot restore a ring sink".into()),
+    fn restore(&mut self, d: &mut Dec<'_>) -> Result<(), CodecError> {
+        expect_kind(d, RING_TAG)?;
+        let len = d.seq_len(13)?;
+        if len > self.capacity {
+            return Err(restore_err(format!(
+                "ring state holds {len} events but capacity is {}",
+                self.capacity
+            )));
         }
+        self.buf.clear();
+        for _ in 0..len {
+            self.buf.push_back(TraceEvent::decode(d)?);
+        }
+        self.dropped = d.u64()?;
+        Ok(())
     }
+}
+
+/// Reads a sink-kind tag that must name the sink restoring it.
+fn expect_kind(d: &mut Dec<'_>, want: u8) -> Result<(), CodecError> {
+    match d.u8()? {
+        t if t == want => Ok(()),
+        RING_TAG => Err(restore_err("ring-sink state cannot restore a file sink")),
+        FILE_TAG => Err(restore_err("file-sink state cannot restore a ring sink")),
+        t => Err(d.corrupt(format!("unknown sink-state tag {t}"))),
+    }
+}
+
+fn restore_err(what: impl Into<String>) -> CodecError {
+    CodecError::Restore { what: what.into() }
 }
 
 /// A streaming sink writing one JSON object per event to a `.jsonl` file.
@@ -221,11 +216,11 @@ impl FileSink {
     }
 
     /// Opens the existing file at `path` *without truncating it*, for a
-    /// resume: the caller then restores a [`SinkState::File`] captured at
-    /// checkpoint time, which trims the file back to the checkpointed
-    /// byte count and continues appending. A path of `-` cannot be
-    /// resumed (already-printed stdout cannot be taken back) and is
-    /// rejected at restore time.
+    /// resume: the caller then restores the sink state saved at checkpoint
+    /// time, which trims the file back to the checkpointed byte count and
+    /// continues appending. A path of `-` cannot be resumed
+    /// (already-printed stdout cannot be taken back) and is rejected at
+    /// restore time.
     ///
     /// # Errors
     ///
@@ -296,11 +291,9 @@ impl TraceSink for FileSink {
     }
 
     fn drain(&mut self) -> Vec<TraceEvent> {
-        // A failed flush means the file on disk is missing events; latch
-        // it so the report layer surfaces the truncation.
-        if let Err(e) = self.out.flush() {
-            self.latch(&e);
-        }
+        // A failed flush means the file on disk is missing events; `sync`
+        // latches it so the report layer surfaces the truncation.
+        self.sync();
         Vec::new()
     }
 
@@ -308,35 +301,39 @@ impl TraceSink for FileSink {
         self.error
     }
 
-    fn save_state(&mut self) -> SinkState {
-        // Flush so the on-disk byte count matches the captured one; a
-        // failure latches and the report layer surfaces the truncation.
+    fn sync(&mut self) {
+        // A failure latches and the report layer surfaces the truncation.
         if let Err(e) = self.out.flush() {
             self.latch(&e);
         }
-        SinkState::File {
-            written: self.written,
-            bytes: self.bytes,
-        }
+    }
+}
+
+impl Snapshot for FileSink {
+    fn save(&self, e: &mut Enc) {
+        e.u8(FILE_TAG);
+        e.u64(self.written);
+        e.u64(self.bytes);
     }
 
-    fn restore_state(&mut self, state: &SinkState) -> Result<(), String> {
-        let SinkState::File { written, bytes } = state else {
-            return Err("ring-sink state cannot restore a file sink".into());
-        };
+    fn restore(&mut self, d: &mut Dec<'_>) -> Result<(), CodecError> {
+        expect_kind(d, FILE_TAG)?;
+        let (written, bytes) = (d.u64()?, d.u64()?);
         match &mut self.out {
             SinkOut::File(w) => {
                 let f = w.get_mut();
-                f.set_len(*bytes)
+                f.set_len(bytes)
                     .and_then(|()| f.seek(SeekFrom::End(0)))
-                    .map_err(|e| format!("truncating trace file to {bytes} bytes: {e}"))?;
+                    .map_err(|e| {
+                        restore_err(format!("truncating trace file to {bytes} bytes: {e}"))
+                    })?;
             }
             SinkOut::Stdout(_) => {
-                return Err("a trace streamed to stdout cannot be resumed".into());
+                return Err(restore_err("a trace streamed to stdout cannot be resumed"));
             }
         }
-        self.written = *written;
-        self.bytes = *bytes;
+        self.written = written;
+        self.bytes = bytes;
         Ok(())
     }
 }

@@ -5,7 +5,7 @@ use std::fmt;
 
 use crate::event::{EventData, TraceEvent};
 use crate::metrics::{CounterSnapshot, KernelSpan, MetricSample};
-use crate::sink::{RingSink, SinkState, TraceSink};
+use crate::sink::{RingSink, TraceSink};
 
 /// Event categories, selectable via `swsim run --trace-level`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -225,35 +225,10 @@ impl Tracer {
         self.committed.add(extra);
     }
 
-    /// Captures the tracer's accumulated state for a checkpoint.
-    ///
-    /// Only valid between launches (no kernel in flight); the sampling
-    /// cadence and category mask come from configuration and are rebuilt
-    /// by the resuming session, so they are not part of the state.
-    pub fn save_state(&mut self) -> TracerState {
-        TracerState {
-            base: self.base,
-            committed: self.committed,
-            samples: self.samples.clone(),
-            kernels: self.kernels.clone(),
-            sink: self.sink.save_state(),
-        }
-    }
-
-    /// Restores state captured by [`Tracer::save_state`] onto a freshly
-    /// configured tracer.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description when the sink state does not fit the
-    /// attached sink.
-    pub fn restore_state(&mut self, state: &TracerState) -> Result<(), String> {
-        self.sink.restore_state(&state.sink)?;
-        self.base = state.base;
-        self.committed = state.committed;
-        self.samples = state.samples.clone();
-        self.kernels = state.kernels.clone();
-        Ok(())
+    /// Pushes the sink's buffered output to its destination; call before
+    /// saving a checkpoint so the saved byte count matches the file.
+    pub fn sync(&mut self) {
+        self.sink.sync();
     }
 
     /// Drains everything collected so far into a [`TraceReport`].
@@ -274,22 +249,19 @@ impl Tracer {
     }
 }
 
-/// Resumable state of a [`Tracer`], captured into checkpoints: the
-/// global time base, committed counter totals, collected samples and
-/// kernel spans, and the sink's own state.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TracerState {
-    /// Total cycles of completed launches (the global-cycle base).
-    pub base: u64,
-    /// Counter totals committed by completed launches.
-    pub committed: CounterSnapshot,
-    /// Collected metric samples.
-    pub samples: Vec<MetricSample>,
-    /// Completed kernel spans.
-    pub kernels: Vec<KernelSpan>,
-    /// The event sink's state.
-    pub sink: SinkState,
-}
+// The tracer's resumable state: the global time base, committed counter
+// totals, collected samples and kernel spans, and the sink's own state.
+// Only valid between launches (no kernel in flight); the sampling cadence
+// and category mask come from configuration and are rebuilt by the
+// resuming session. `Tracer::sync` first, so a file sink's saved byte
+// count matches the file.
+crate::snapshot_fields!(Tracer {
+    base,
+    committed,
+    samples,
+    kernels,
+    sink
+});
 
 /// Everything a traced run collected, ready for export.
 #[derive(Debug, Clone, PartialEq)]

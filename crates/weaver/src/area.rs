@@ -40,7 +40,7 @@ pub mod calibration {
 }
 
 /// One row of the Table IV report.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AreaRow {
     /// Configuration label, e.g. `"1-core default"`.
     pub config: String,
@@ -120,7 +120,7 @@ pub fn table_iv(core_counts: &[u32]) -> Vec<AreaRow> {
 }
 
 /// A per-module ALM breakdown for the Fig. 16 utilization report.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BlockBreakdown {
     /// `(module name, ALMs, added by SparseWeaver?)` rows.
     pub modules: Vec<(String, u64, bool)>,

@@ -12,6 +12,8 @@
 //! latency of ordinary loads. The unit also costs extra shared-memory
 //! traffic to stage and re-read the generated edge data.
 
+use sparseweaver_trace::codec::{CodecError, Dec, Enc, Snapshot};
+
 /// Graph buffer addresses the unit dereferences.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct EghwLayout {
@@ -22,6 +24,12 @@ pub struct EghwLayout {
     /// Base address of the edge weight array (`u32` entries).
     pub weights_base: u64,
 }
+
+sparseweaver_trace::snapshot_fields!(EghwLayout {
+    offsets_base,
+    edges_base,
+    weights_base
+});
 
 /// One batch of staged edge records (one per lane).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -42,33 +50,18 @@ pub struct EghwBatch {
     pub unit_reads: u32,
 }
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 struct Current {
     vid: u32,
     next_eid: u32,
     remaining: u32,
 }
 
-/// A complete snapshot of one EGHW unit's mutable state.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct EghwState {
-    /// Installed graph buffer addresses.
-    pub layout: EghwLayout,
-    /// Registered vertex IDs by hardware slot.
-    pub slots: Vec<Option<u32>>,
-    /// Scan cursor into the slots.
-    pub cursor: u64,
-    /// The vertex being expanded: `(vid, next_eid, remaining)`.
-    pub current: Option<(u32, u32, u32)>,
-    /// Whether a registration round is open.
-    pub in_registration: bool,
-    /// The cycle the unit frees up.
-    pub busy_until: u64,
-    /// One-line stream buffers (offsets / edges / weights).
-    pub line_buf: [Option<u64>; 3],
-    /// Total unit-issued memory reads.
-    pub total_reads: u64,
-}
+sparseweaver_trace::snapshot_fields!(Current {
+    vid,
+    next_eid,
+    remaining
+});
 
 /// The EGHW unit state.
 ///
@@ -228,50 +221,6 @@ impl EghwUnit {
         }
     }
 
-    /// Captures the complete mutable state for checkpointing.
-    pub fn save_state(&self) -> EghwState {
-        EghwState {
-            layout: self.layout,
-            slots: self.slots.clone(),
-            cursor: self.cursor as u64,
-            current: self.current.map(|c| (c.vid, c.next_eid, c.remaining)),
-            in_registration: self.in_registration,
-            busy_until: self.busy_until,
-            line_buf: self.line_buf,
-            total_reads: self.total_reads,
-        }
-    }
-
-    /// Restores state captured with [`EghwUnit::save_state`] into a unit
-    /// of the same shape (warps × lanes).
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the mismatch if the snapshot's slot count
-    /// does not match this unit's.
-    pub fn restore_state(&mut self, state: &EghwState) -> Result<(), String> {
-        if state.slots.len() != self.slots.len() {
-            return Err(format!(
-                "eghw snapshot has {} slots, configuration needs {}",
-                state.slots.len(),
-                self.slots.len()
-            ));
-        }
-        self.layout = state.layout;
-        self.slots = state.slots.clone();
-        self.cursor = state.cursor as usize;
-        self.current = state.current.map(|(vid, next_eid, remaining)| Current {
-            vid,
-            next_eid,
-            remaining,
-        });
-        self.in_registration = state.in_registration;
-        self.busy_until = state.busy_until;
-        self.line_buf = state.line_buf;
-        self.total_reads = state.total_reads;
-        Ok(())
-    }
-
     /// Resets the unit between kernels.
     pub fn reset(&mut self) {
         for s in &mut self.slots {
@@ -283,6 +232,33 @@ impl EghwUnit {
         self.busy_until = 0;
         self.line_buf = [None; 3];
         self.total_reads = 0;
+    }
+}
+
+/// The installed layout, registered slots, scan cursor, expansion state,
+/// stream buffers and read counter. The restoring unit must have the same
+/// slot count (warps × lanes).
+impl Snapshot for EghwUnit {
+    fn save(&self, e: &mut Enc) {
+        self.layout.save(e);
+        e.seq(&self.slots);
+        self.cursor.save(e);
+        self.current.save(e);
+        self.in_registration.save(e);
+        self.busy_until.save(e);
+        self.line_buf.save(e);
+        self.total_reads.save(e);
+    }
+
+    fn restore(&mut self, d: &mut Dec<'_>) -> Result<(), CodecError> {
+        self.layout.restore(d)?;
+        d.restore_seq("slots", &mut self.slots)?;
+        self.cursor.restore(d)?;
+        self.current.restore(d)?;
+        self.in_registration.restore(d)?;
+        self.busy_until.restore(d)?;
+        self.line_buf.restore(d)?;
+        self.total_reads.restore(d)
     }
 }
 

@@ -15,15 +15,18 @@
 
 use std::collections::HashSet;
 
+use sparseweaver_trace::codec::{CodecError, Dec, Enc, Snapshot};
+
 use crate::tables::SparseTable;
 #[cfg(test)]
 use crate::tables::StEntry;
 use crate::EMPTY_WORK_ID;
 
 /// FSM states (Fig. 6).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum FsmState {
     /// S0: initialized, no entry loaded yet.
+    #[default]
     Init,
     /// S1: first ST entry loaded into CED.
     LoadCed,
@@ -79,41 +82,33 @@ impl FsmState {
     }
 }
 
+/// Saved as the Fig. 6 index; an unknown index is corrupt.
+impl Snapshot for FsmState {
+    fn save(&self, e: &mut Enc) {
+        e.u8(self.state_id());
+    }
+
+    fn restore(&mut self, d: &mut Dec<'_>) -> Result<(), CodecError> {
+        let id = d.u8()?;
+        *self =
+            FsmState::from_id(id).ok_or_else(|| d.corrupt(format!("invalid FSM state id {id}")))?;
+        Ok(())
+    }
+}
+
 /// Current Entry Data: the ST entry being decoded.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct Ced {
     vid: u32,
     next_eid: u32,
     remaining: u32,
 }
 
-/// The CED buffer's checkpointable contents.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CedState {
-    /// The vertex being decoded.
-    pub vid: u32,
-    /// The next edge ID to emit.
-    pub next_eid: u32,
-    /// Edges left to emit for this vertex.
-    pub remaining: u32,
-}
-
-/// A complete snapshot of the FSM's mutable state.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FsmSnapshot {
-    /// The installed ST's slots (capacity = length).
-    pub st: Vec<Option<crate::tables::StEntry>>,
-    /// Scan cursor into the ST.
-    pub st_pos: u64,
-    /// The CED buffer, if an entry is loaded.
-    pub ced: Option<CedState>,
-    /// Skipped vertex IDs, sorted (the live set is unordered).
-    pub skip: Vec<u32>,
-    /// Current state as its Fig. 6 index.
-    pub state_id: u8,
-    /// Transitions recorded since the last reset, as Fig. 6 indices.
-    pub trace: Vec<u8>,
-}
+sparseweaver_trace::snapshot_fields!(Ced {
+    vid,
+    next_eid,
+    remaining
+});
 
 /// The result of one decode request: one OD buffer worth of work items.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -344,52 +339,6 @@ impl WeaverFsm {
         }
     }
 
-    /// Captures the complete mutable state for checkpointing.
-    pub fn save_state(&self) -> FsmSnapshot {
-        let mut skip: Vec<u32> = self.skip.iter().copied().collect();
-        skip.sort_unstable();
-        FsmSnapshot {
-            st: self.st.slots().to_vec(),
-            st_pos: self.st_pos as u64,
-            ced: self.ced.map(|c| CedState {
-                vid: c.vid,
-                next_eid: c.next_eid,
-                remaining: c.remaining,
-            }),
-            skip,
-            state_id: self.state.state_id(),
-            trace: self.trace.iter().map(|s| s.state_id()).collect(),
-        }
-    }
-
-    /// Restores state captured with [`WeaverFsm::save_state`]. The lane
-    /// width is construction state and is not part of the snapshot.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the problem if a state id in the snapshot
-    /// is not a valid Fig. 6 index.
-    pub fn restore_state(&mut self, snap: &FsmSnapshot) -> Result<(), String> {
-        let state = FsmState::from_id(snap.state_id)
-            .ok_or_else(|| format!("invalid FSM state id {}", snap.state_id))?;
-        let trace = snap
-            .trace
-            .iter()
-            .map(|&id| FsmState::from_id(id).ok_or_else(|| format!("invalid FSM state id {id}")))
-            .collect::<Result<Vec<_>, _>>()?;
-        self.st = SparseTable::from_slots(snap.st.clone());
-        self.st_pos = snap.st_pos as usize;
-        self.ced = snap.ced.map(|c| Ced {
-            vid: c.vid,
-            next_eid: c.next_eid,
-            remaining: c.remaining,
-        });
-        self.skip = snap.skip.iter().copied().collect();
-        self.state = state;
-        self.trace = trace;
-        Ok(())
-    }
-
     /// Decodes everything remaining, returning all `(vid, eid)` work items
     /// in order (a host-side convenience for tests and analytic models).
     pub fn drain_all(&mut self) -> Vec<(u32, u32)> {
@@ -406,6 +355,31 @@ impl WeaverFsm {
             }
         }
         out
+    }
+}
+
+/// The installed ST, scan cursor, CED buffer, skip set (sorted, so the
+/// bytes do not depend on hash order), state and transition trace. The
+/// lane width is construction state.
+impl Snapshot for WeaverFsm {
+    fn save(&self, e: &mut Enc) {
+        self.st.save(e);
+        self.st_pos.save(e);
+        self.ced.save(e);
+        let mut skip: Vec<u32> = self.skip.iter().copied().collect();
+        skip.sort_unstable();
+        skip.save(e);
+        self.state.save(e);
+        self.trace.save(e);
+    }
+
+    fn restore(&mut self, d: &mut Dec<'_>) -> Result<(), CodecError> {
+        self.st.restore(d)?;
+        self.st_pos.restore(d)?;
+        self.ced.restore(d)?;
+        self.skip = d.list(4, Dec::u32)?.into_iter().collect();
+        self.state.restore(d)?;
+        self.trace.restore(d)
     }
 }
 

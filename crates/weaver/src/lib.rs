@@ -35,9 +35,9 @@ pub mod fsm;
 pub mod tables;
 pub mod unit;
 
-pub use fsm::{CedState, DecodeBatch, FsmSnapshot, FsmState, WeaverFsm};
+pub use fsm::{DecodeBatch, FsmState, WeaverFsm};
 pub use tables::{DenseTable, SparseTable, StEntry};
-pub use unit::{DecResponse, StOverflow, WeaverConfig, WeaverUnit, WeaverUnitState};
+pub use unit::{DecResponse, StOverflow, WeaverConfig, WeaverUnit};
 
 /// The value returned for lanes with no work: the paper's "empty Work ID".
 pub const EMPTY_WORK_ID: i64 = -1;

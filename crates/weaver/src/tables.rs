@@ -1,10 +1,12 @@
 //! The Sparse Workload Information Table (ST) and Dense Work ID Table (DT).
 
+use sparseweaver_trace::codec::{CodecError, Dec, Enc, Snapshot};
+
 use crate::EMPTY_WORK_ID;
 
 /// One registration record: the shared data each thread contributes in the
 /// registration stage (Section III-B).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StEntry {
     /// Base vertex ID.
     pub vid: u32,
@@ -13,6 +15,8 @@ pub struct StEntry {
     /// Number of neighbors (degree). Filtered vertices register degree 0.
     pub deg: u32,
 }
+
+sparseweaver_trace::snapshot_fields!(StEntry { vid, loc, deg });
 
 /// The Sparse Workload Information Table.
 ///
@@ -85,16 +89,17 @@ impl SparseTable {
             .enumerate()
             .filter_map(|(i, e)| e.map(|e| (i, e)))
     }
+}
 
-    /// All slots in index order (checkpointing). Length is the capacity.
-    pub fn slots(&self) -> &[Option<StEntry>] {
-        &self.entries
+/// All slots in index order. Restore adopts the saved capacity: the FSM
+/// holds either an empty table or an installed registration round.
+impl Snapshot for SparseTable {
+    fn save(&self, e: &mut Enc) {
+        self.entries.save(e);
     }
 
-    /// Rebuilds a table from slots captured with [`SparseTable::slots`].
-    /// The capacity is the slot count.
-    pub fn from_slots(slots: Vec<Option<StEntry>>) -> Self {
-        SparseTable { entries: slots }
+    fn restore(&mut self, d: &mut Dec<'_>) -> Result<(), CodecError> {
+        self.entries.restore(d)
     }
 }
 
@@ -143,32 +148,24 @@ impl DenseTable {
         &self.rows[warp]
     }
 
-    /// All rows in warp order (checkpointing).
-    pub fn rows(&self) -> &[Vec<i64>] {
-        &self.rows
+    /// Empties every row (between kernels).
+    pub fn clear(&mut self) {
+        for row in &mut self.rows {
+            row.fill(EMPTY_WORK_ID);
+        }
+    }
+}
+
+/// All rows in warp order; the restoring table must have the same shape.
+impl Snapshot for DenseTable {
+    fn save(&self, e: &mut Enc) {
+        e.seq(&self.rows);
     }
 
-    /// Restores rows captured with [`DenseTable::rows`] into a table of
-    /// the same shape.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the mismatch if the snapshot's shape
-    /// differs from this table's.
-    pub fn restore_rows(&mut self, rows: &[Vec<i64>]) -> Result<(), String> {
-        if rows.len() != self.rows.len()
-            || rows.iter().zip(&self.rows).any(|(a, b)| a.len() != b.len())
-        {
-            return Err(format!(
-                "dense-table snapshot shape {}x{} does not match {}x{}",
-                rows.len(),
-                rows.first().map_or(0, Vec::len),
-                self.rows.len(),
-                self.rows.first().map_or(0, Vec::len),
-            ));
-        }
-        for (row, snap) in self.rows.iter_mut().zip(rows) {
-            row.copy_from_slice(snap);
+    fn restore(&mut self, d: &mut Dec<'_>) -> Result<(), CodecError> {
+        d.expect_len("rows", self.rows.len())?;
+        for (i, row) in self.rows.iter_mut().enumerate() {
+            d.restore_seq(&format!("row {i}"), row)?;
         }
         Ok(())
     }

@@ -16,9 +16,10 @@ use std::fmt;
 
 use sparseweaver_fault::WeaverFault;
 use sparseweaver_mem::Hooks;
+use sparseweaver_trace::codec::{CodecError, Dec, Enc, Snapshot};
 use sparseweaver_trace::{EventData, TableOp, WeaverState};
 
-use crate::fsm::{DecodeBatch, FsmSnapshot, WeaverFsm};
+use crate::fsm::{DecodeBatch, WeaverFsm};
 use crate::tables::{DenseTable, SparseTable, StEntry};
 
 /// A registration addressed a Sparse Table slot past the configured
@@ -44,7 +45,7 @@ impl fmt::Display for StOverflow {
 }
 
 /// Configuration of the Weaver unit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WeaverConfig {
     /// ST capacity per core (512 in the paper's evaluation).
     pub st_capacity: usize,
@@ -67,27 +68,6 @@ impl Default for WeaverConfig {
             auto_mask: true,
         }
     }
-}
-
-/// A complete snapshot of one Weaver unit's mutable state.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WeaverUnitState {
-    /// The decode FSM (including the installed ST).
-    pub fsm: FsmSnapshot,
-    /// The DT rows.
-    pub dt: Vec<Vec<i64>>,
-    /// Pending registration slots for the current round.
-    pub staging: Vec<Option<StEntry>>,
-    /// Whether a registration round is open.
-    pub in_registration: bool,
-    /// The cycle the unit's pipeline frees up.
-    pub busy_until: u64,
-    /// Total ST fetches.
-    pub st_fetches: u64,
-    /// Total decode requests served.
-    pub dec_requests: u64,
-    /// Total registered entries.
-    pub registrations: u64,
 }
 
 /// A decode response delivered to the requesting warp.
@@ -348,50 +328,6 @@ impl WeaverUnit {
         self.fsm.is_end()
     }
 
-    /// Captures the complete mutable state for checkpointing.
-    pub fn save_state(&self) -> WeaverUnitState {
-        WeaverUnitState {
-            fsm: self.fsm.save_state(),
-            dt: self.dt.rows().to_vec(),
-            staging: self.staging.slots().to_vec(),
-            in_registration: self.in_registration,
-            busy_until: self.busy_until,
-            st_fetches: self.st_fetches,
-            dec_requests: self.dec_requests,
-            registrations: self.registrations,
-        }
-    }
-
-    /// Restores state captured with [`WeaverUnit::save_state`] into a unit
-    /// of the same shape (warps, lanes, ST capacity).
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the mismatch if the snapshot's shape does
-    /// not match this unit's configuration.
-    pub fn restore_state(&mut self, state: &WeaverUnitState) -> Result<(), String> {
-        if state.staging.len() != self.cfg.st_capacity {
-            return Err(format!(
-                "weaver snapshot has ST capacity {}, configuration needs {}",
-                state.staging.len(),
-                self.cfg.st_capacity
-            ));
-        }
-        self.dt
-            .restore_rows(&state.dt)
-            .map_err(|e| format!("dt: {e}"))?;
-        self.fsm
-            .restore_state(&state.fsm)
-            .map_err(|e| format!("fsm: {e}"))?;
-        self.staging = SparseTable::from_slots(state.staging.clone());
-        self.in_registration = state.in_registration;
-        self.busy_until = state.busy_until;
-        self.st_fetches = state.st_fetches;
-        self.dec_requests = state.dec_requests;
-        self.registrations = state.registrations;
-        Ok(())
-    }
-
     /// Resets the unit between kernels.
     pub fn reset(&mut self) {
         self.fsm = WeaverFsm::new(self.lanes);
@@ -401,6 +337,42 @@ impl WeaverUnit {
         self.st_fetches = 0;
         self.dec_requests = 0;
         self.registrations = 0;
+    }
+}
+
+/// The FSM (with its installed ST), the DT, the staging table and the
+/// counters. The restoring unit must have the same shape: warps, lanes
+/// and ST capacity.
+impl Snapshot for WeaverUnit {
+    fn save(&self, e: &mut Enc) {
+        self.fsm.save(e);
+        self.dt.save(e);
+        self.staging.save(e);
+        self.in_registration.save(e);
+        self.busy_until.save(e);
+        self.st_fetches.save(e);
+        self.dec_requests.save(e);
+        self.registrations.save(e);
+    }
+
+    fn restore(&mut self, d: &mut Dec<'_>) -> Result<(), CodecError> {
+        self.fsm.restore(d).map_err(|e| e.within("fsm"))?;
+        self.dt.restore(d).map_err(|e| e.within("dt"))?;
+        self.staging.restore(d)?;
+        if self.staging.capacity() != self.cfg.st_capacity {
+            return Err(CodecError::Restore {
+                what: format!(
+                    "staging: checkpoint has ST capacity {}, machine has {}",
+                    self.staging.capacity(),
+                    self.cfg.st_capacity
+                ),
+            });
+        }
+        self.in_registration.restore(d)?;
+        self.busy_until.restore(d)?;
+        self.st_fetches.restore(d)?;
+        self.dec_requests.restore(d)?;
+        self.registrations.restore(d)
     }
 }
 

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # CI gate for crash-safe simulation (docs/robustness.md): an interrupted
-# run resumed from its `swckpt-v1` checkpoint — and an interrupted
+# run resumed from its `swckpt` checkpoint — and an interrupted
 # journaled campaign resumed from its JSONL journal — must reproduce the
 # uninterrupted artifacts byte-for-byte.
 #
@@ -8,6 +8,12 @@
 # simulation is in flight, with the deterministic --stop-after-launches
 # bound as a fallback on very fast machines); `swsim resume` must then
 # produce a metrics.json byte-identical to the uninterrupted golden.
+#
+# Part 1b: the same kill→resume with every resumable observer attached —
+# a streamed trace file, the profiler, and a Weaver fault injector — must
+# reproduce metrics.json, the trace file and profile.json byte-for-byte
+# (the restored file sink truncates the trace back to the checkpointed
+# byte count; the injector's RNG resumes mid-stream).
 #
 # Part 2: a journaled `swfault` campaign is interrupted (journal
 # truncated to a completed-run prefix, exactly what a kill leaves
@@ -70,6 +76,46 @@ fi
 echo "ok: swsim resume after a mid-run kill reproduces metrics.json byte-for-byte"
 # Keep the proven-resumable checkpoint around for the CI artifact upload.
 cp "$WORK/run.swckpt" run.swckpt
+
+# ---- Part 1b: instrumented swsim checkpoint/resume -------------------------
+# Small enough that the full-category trace stays under ~10 MB; 7 launches,
+# so the stop at launch 5 leaves live work for the resume.
+INST_ARGS=(run --gen powerlaw:100:600:2.0:7 --algo pr --iters 3
+           --schedule sw --config small
+           --inject weaver-drop=0.02,weaver-delay=0.05 --seed 3)
+ARTIFACTS=(metrics.json trace.jsonl profile.json)
+mkdir -p "$WORK/golden" "$WORK/resumed"
+
+"$SWSIM" "${INST_ARGS[@]}" --metrics-out "$WORK/golden/metrics.json" \
+    --trace-out "$WORK/golden/trace.jsonl" \
+    --profile-out "$WORK/golden/profile.json" >/dev/null
+
+set +e
+"$SWSIM" "${INST_ARGS[@]}" --metrics-out "$WORK/resumed/metrics.json" \
+    --trace-out "$WORK/resumed/trace.jsonl" \
+    --profile-out "$WORK/resumed/profile.json" \
+    --checkpoint-out "$WORK/inst.swckpt" --checkpoint-every 1 \
+    --stop-after-launches 5 >/dev/null 2>"$WORK/inst_stop.err" &
+PID=$!
+sleep 0.2 && kill -TERM "$PID" 2>/dev/null
+wait "$PID"
+CODE=$?
+set -e
+if [ "$CODE" -ne 5 ]; then
+    echo "FAIL: interrupted instrumented run exited $CODE, expected 5" >&2
+    cat "$WORK/inst_stop.err" >&2
+    exit 1
+fi
+
+"$SWSIM" resume "$WORK/inst.swckpt" >/dev/null
+
+for F in "${ARTIFACTS[@]}"; do
+    if ! cmp -s "$WORK/golden/$F" "$WORK/resumed/$F"; then
+        echo "FAIL: resumed $F differs from the uninterrupted instrumented run" >&2
+        exit 1
+    fi
+done
+echo "ok: instrumented resume (trace file, profiler, fault injector) reproduces ${ARTIFACTS[*]} byte-for-byte"
 
 # ---- Part 2: swfault journal/resume ----------------------------------------
 CAMPAIGN=(--inject reg=0.002,mem=0.001,weaver-drop=0.02

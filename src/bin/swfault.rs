@@ -19,12 +19,12 @@ use std::process::exit;
 
 use sparseweaver::core::algorithms::{Algorithm, Bfs, ConnectedComponents, PageRank, Spmv, Sssp};
 use sparseweaver::core::campaign::{run_campaign_with, CampaignConfig, CampaignCtl};
-use sparseweaver::core::checkpoint::write_atomic;
 use sparseweaver::core::runtime::DEFAULT_WEAVER_RETRIES;
 use sparseweaver::core::{FrameworkError, Schedule};
 use sparseweaver::fault::FaultSpec;
 use sparseweaver::graph::{dataset, generators, io, Csr, DatasetId};
 use sparseweaver::sim::GpuConfig;
+use sparseweaver::trace::codec::write_atomic;
 
 fn usage() -> ! {
     eprintln!(

@@ -24,11 +24,11 @@ use std::collections::HashMap;
 use std::path::Path;
 use std::process::exit;
 
-use sparseweaver::core::checkpoint::write_atomic;
 use sparseweaver::core::replay::{render, sweep, trace_fingerprint, SweepSpec, REPLAY_SCHEMA};
 use sparseweaver::mem::mtrace::parse;
 use sparseweaver::mem::replay::verify;
 use sparseweaver::mem::{LevelStats, MemTrace};
+use sparseweaver::trace::codec::write_atomic;
 
 fn usage() -> ! {
     eprintln!(

@@ -15,13 +15,13 @@ use std::path::{Path, PathBuf};
 use std::process::exit;
 
 use sparseweaver::core::algorithms::{Algorithm, Bfs, ConnectedComponents, PageRank, Spmv, Sssp};
-use sparseweaver::core::checkpoint::write_atomic;
 use sparseweaver::core::runtime::CheckpointCtl;
 use sparseweaver::core::{Checkpoint, FrameworkError, Schedule, Session};
 use sparseweaver::fault::FaultSpec;
 use sparseweaver::graph::{dataset, generators, io, Csr, DatasetId};
 use sparseweaver::lint::LintLevel;
 use sparseweaver::sim::GpuConfig;
+use sparseweaver::trace::codec::write_atomic;
 use sparseweaver::trace::{export, CategoryMask, TraceConfig};
 
 fn usage() -> ! {
@@ -102,11 +102,12 @@ FAULT INJECTION:
                       timeout as a hang instead
 
 CHECKPOINT / RESUME:
-  --checkpoint-out FILE  write a binary `swckpt-v1` checkpoint of the
-                      complete simulator state (atomically: temp file +
-                      rename) at launch boundaries; `swsim resume FILE`
-                      continues the run bit-identically. Incompatible with
-                      --all-schedules, --mem-trace-out, and `--trace-out -`
+  --checkpoint-out FILE  write a binary `swckpt` checkpoint (format
+                      version 2) of the complete simulator state
+                      (atomically: temp file + rename) at launch
+                      boundaries; `swsim resume FILE` continues the run
+                      bit-identically. Incompatible with --all-schedules,
+                      --mem-trace-out, and `--trace-out -`
   --checkpoint-every N  checkpoint every N completed kernel launches
                       (default 0: only when the run is stopped early)
   --max-wall-secs N   wall-clock watchdog: request a graceful stop after N
@@ -120,7 +121,9 @@ CHECKPOINT / RESUME:
   the next launch boundary instead of killing the process mid-write.
   `swsim resume` rebuilds the run from the flags embedded in the
   checkpoint; only the flags listed above may be given again (stop budgets
-  are per-invocation and are not inherited).
+  are per-invocation and are not inherited). A damaged, version-1, or
+  mismatched checkpoint exits 1 with a typed error, refused before the
+  run or while the machine state is restored.
 
 EXIT CODES:
   0 success | 1 run error | 2 usage error, or a kernel rejected by the
@@ -694,7 +697,7 @@ fn cmd_run(argv: Vec<String>, flags: HashMap<String, String>, resume: Option<Che
         if json {
             summary!(
                 "{}",
-                serde_json_line(&[
+                json_line(&[
                     ("schedule", format!("{:?}", schedule.paper_name())),
                     ("algorithm", format!("{:?}", report.algorithm)),
                     ("cycles", report.cycles.to_string()),
@@ -837,7 +840,7 @@ fn cmd_resume(pos: Vec<String>, flags: HashMap<String, String>) {
     cmd_run(ck.argv.clone(), eff, Some(ck))
 }
 
-fn serde_json_line(fields: &[(&str, String)]) -> String {
+fn json_line(fields: &[(&str, String)]) -> String {
     let body: Vec<String> = fields
         .iter()
         .map(|(k, v)| {

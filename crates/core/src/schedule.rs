@@ -1,6 +1,7 @@
 //! The scheduling schemes compared in the evaluation.
 
 use std::fmt;
+use std::str::FromStr;
 
 /// A workload-to-thread mapping scheme (Table I, Fig. 10).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -91,6 +92,25 @@ impl Schedule {
     }
 }
 
+/// Parses the command-line spellings: the short names (`svm`, `em`, `wm`,
+/// `cm`, `sw`, `eghw`), their `s`-prefixed forms, the paper's notation
+/// for the software schemes, and `weaver`/`sparseweaver`.
+impl FromStr for Schedule {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        match s {
+            "svm" | "S_vm" => Ok(Schedule::Svm),
+            "em" | "sem" | "S_em" => Ok(Schedule::Sem),
+            "wm" | "swm" | "S_wm" => Ok(Schedule::Swm),
+            "cm" | "scm" | "S_cm" => Ok(Schedule::Scm),
+            "sw" | "weaver" | "sparseweaver" => Ok(Schedule::SparseWeaver),
+            "eghw" => Ok(Schedule::Eghw),
+            other => Err(format!("unknown schedule `{other}`")),
+        }
+    }
+}
+
 impl fmt::Display for Schedule {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}", self.paper_name())
@@ -105,6 +125,24 @@ mod tests {
     fn names_match_paper_notation() {
         assert_eq!(Schedule::Svm.to_string(), "S_vm");
         assert_eq!(Schedule::SparseWeaver.to_string(), "SparseWeaver");
+    }
+
+    #[test]
+    fn command_line_spellings_parse() {
+        for (name, want) in [
+            ("svm", Schedule::Svm),
+            ("S_em", Schedule::Sem),
+            ("swm", Schedule::Swm),
+            ("cm", Schedule::Scm),
+            ("weaver", Schedule::SparseWeaver),
+            ("eghw", Schedule::Eghw),
+        ] {
+            assert_eq!(name.parse::<Schedule>(), Ok(want));
+        }
+        assert_eq!(
+            "twc".parse::<Schedule>(),
+            Err("unknown schedule `twc`".to_string())
+        );
     }
 
     #[test]

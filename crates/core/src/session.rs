@@ -599,7 +599,7 @@ impl Session {
 
 /// The analyzer's view of a machine configuration: the geometry CSRs
 /// and the shared-memory capacity, nothing else.
-fn geom_of(cfg: &GpuConfig) -> AnalyzeGeom {
+pub fn geom_of(cfg: &GpuConfig) -> AnalyzeGeom {
     AnalyzeGeom {
         num_cores: cfg.num_cores as u64,
         warps_per_core: cfg.warps_per_core as u64,

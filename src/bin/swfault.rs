@@ -13,17 +13,15 @@
 //! for identical `(spec, seed, runs)` — CI diffs it against a golden file
 //! via `scripts/check_fault_campaign.sh`.
 
-use std::collections::HashMap;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::process::exit;
 
-use sparseweaver::core::algorithms::{Algorithm, Bfs, ConnectedComponents, PageRank, Spmv, Sssp};
+use sparseweaver::cli::{self, usage_err, CliError, FlagSpec};
 use sparseweaver::core::campaign::{run_campaign_with, CampaignConfig, CampaignCtl};
 use sparseweaver::core::runtime::DEFAULT_WEAVER_RETRIES;
 use sparseweaver::core::{FrameworkError, Schedule};
 use sparseweaver::fault::FaultSpec;
-use sparseweaver::graph::{dataset, generators, io, Csr, DatasetId};
-use sparseweaver::sim::GpuConfig;
+use sparseweaver::graph::generators;
 use sparseweaver::trace::codec::write_atomic;
 
 fn usage() -> ! {
@@ -45,7 +43,8 @@ USAGE:
          e.g. `reg=0.001,mem=0.0005,weaver-drop=0.01`
   ALGO:  pr | bfs | sssp | cc | spmv          (default bfs)
   S:     svm | em | wm | cm | sw | eghw       (default sw)
-  GSPEC: powerlaw:V:E:ALPHA:SEED | uniform:V:E:SEED | rmat:SCALE:E:SEED
+  GSPEC: powerlaw:V:E:ALPHA:SEED | uniform:V:E:SEED | rmat:SCALE:E:SEED |
+         grid:W:H:KEEP:SEED
 
   --runs N       injected runs (default 200)
   --seed N       campaign seed; run i uses child_seed(seed, i) (default 0)
@@ -83,8 +82,8 @@ EXIT CODES:
     exit(2)
 }
 
-fn parse_flags(args: &[String]) -> HashMap<String, String> {
-    let allowed = [
+const FLAGS: FlagSpec = FlagSpec {
+    values: &[
         "inject",
         "runs",
         "seed",
@@ -98,186 +97,60 @@ fn parse_flags(args: &[String]) -> HashMap<String, String> {
         "config",
         "retries",
         "jobs",
-        "no-fallback",
         "out",
-        "details",
         "journal",
-        "resume",
         "max-wall-secs",
-    ];
-    let mut flags = HashMap::new();
-    let mut i = 0;
-    while i < args.len() {
-        let Some(name) = args[i].strip_prefix("--") else {
-            eprintln!("unexpected argument `{}`", args[i]);
-            usage()
-        };
-        if !allowed.contains(&name) {
-            eprintln!("unknown flag `--{name}`");
-            usage()
-        }
-        let next_is_value = args
-            .get(i + 1)
-            .map(|n| !n.starts_with("--"))
-            .unwrap_or(false);
-        if next_is_value {
-            flags.insert(name.to_string(), args[i + 1].clone());
-            i += 2;
-        } else {
-            flags.insert(name.to_string(), String::new());
-            i += 1;
-        }
-    }
-    flags
-}
-
-fn numeric_flag<T: std::str::FromStr>(
-    flags: &HashMap<String, String>,
-    name: &str,
-    default: T,
-) -> T {
-    match flags.get(name) {
-        None => default,
-        Some(v) => v.parse().unwrap_or_else(|_| {
-            eprintln!("--{name} expects a number, got `{v}`");
-            exit(2)
-        }),
-    }
-}
-
-fn parse_schedule(s: &str) -> Schedule {
-    match s {
-        "svm" | "S_vm" => Schedule::Svm,
-        "em" | "sem" | "S_em" => Schedule::Sem,
-        "wm" | "swm" | "S_wm" => Schedule::Swm,
-        "cm" | "scm" | "S_cm" => Schedule::Scm,
-        "sw" | "weaver" | "sparseweaver" => Schedule::SparseWeaver,
-        "eghw" => Schedule::Eghw,
-        other => {
-            eprintln!("unknown schedule `{other}`");
-            usage()
-        }
-    }
-}
-
-fn parse_gen(spec: &str) -> Csr {
-    let parts: Vec<&str> = spec.split(':').collect();
-    let num = |i: usize| -> u64 {
-        parts
-            .get(i)
-            .and_then(|p| p.parse().ok())
-            .unwrap_or_else(|| {
-                eprintln!("bad generator spec `{spec}`");
-                exit(2)
-            })
-    };
-    let fnum = |i: usize| -> f64 {
-        parts
-            .get(i)
-            .and_then(|p| p.parse().ok())
-            .unwrap_or_else(|| {
-                eprintln!("bad generator spec `{spec}`");
-                exit(2)
-            })
-    };
-    let base = match parts.first().copied() {
-        Some("powerlaw") => generators::powerlaw(num(1) as usize, num(2) as usize, fnum(3), num(4)),
-        Some("uniform") => generators::uniform(num(1) as usize, num(2) as usize, num(3)),
-        Some("rmat") => generators::rmat(num(1) as u32, num(2) as usize, 0.57, 0.19, 0.19, num(3)),
-        _ => {
-            eprintln!("bad generator spec `{spec}`");
-            usage()
-        }
-    };
-    generators::with_random_weights(&base, 64, 0xC11)
-}
-
-fn load_graph(flags: &HashMap<String, String>) -> Csr {
-    if let Some(path) = flags.get("graph") {
-        let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("cannot read {path}: {e}");
-            exit(1)
-        });
-        match io::parse_edge_list(&text) {
-            Ok(g) => g,
-            Err(e) => {
-                eprintln!("cannot parse {path}: {e}");
-                exit(1)
-            }
-        }
-    } else if let Some(id) = flags.get("dataset") {
-        let id = DatasetId::ALL
-            .into_iter()
-            .find(|d| {
-                d.short_name().eq_ignore_ascii_case(id) || d.full_name().eq_ignore_ascii_case(id)
-            })
-            .unwrap_or_else(|| {
-                eprintln!("unknown dataset `{id}` — see `swsim datasets`");
-                exit(2)
-            });
-        dataset(id).graph
-    } else if let Some(spec) = flags.get("gen") {
-        parse_gen(spec)
-    } else {
-        // Small default so `swfault --inject ... --runs 200` stays fast.
-        generators::with_random_weights(&generators::uniform(24, 72, 7), 64, 0xC11)
-    }
-}
-
-fn config_for(flags: &HashMap<String, String>) -> GpuConfig {
-    match flags.get("config").map(String::as_str) {
-        None | Some("small") => GpuConfig::small_test(),
-        Some("eval") | Some("evaluation") => GpuConfig::evaluation_default(),
-        Some("vortex") => GpuConfig::vortex_default(),
-        Some("8core") => GpuConfig::eight_core(),
-        Some("regfile") => GpuConfig::regfile_limited(),
-        Some(other) => {
-            eprintln!("unknown config `{other}`");
-            usage()
-        }
-    }
-}
-
-fn make_algo(flags: &HashMap<String, String>, graph: &Csr) -> Box<dyn Algorithm> {
-    let iters: u32 = numeric_flag(flags, "iters", 5);
-    let source: u32 = numeric_flag(flags, "source", 0);
-    let _ = graph;
-    match flags.get("algo").map(String::as_str) {
-        None | Some("bfs") => Box::new(Bfs::new(source)),
-        Some("pr") | Some("pagerank") => Box::new(PageRank::new(iters)),
-        Some("sssp") => Box::new(Sssp::new(source)),
-        Some("cc") => Box::new(ConnectedComponents::new()),
-        Some("spmv") => Box::new(Spmv::new()),
-        Some(other) => {
-            eprintln!("unknown algorithm `{other}` (pr | bfs | sssp | cc | spmv)");
-            usage()
-        }
-    }
-}
+    ],
+    switches: &["no-fallback", "details", "resume"],
+    short: &[],
+};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--version" || a == "-V") {
-        println!("swfault {}", sparseweaver::VERSION);
+    if cli::version("swfault", &args) {
         return;
     }
-    let flags = parse_flags(&args);
+    if let Err(e) = run(&args) {
+        eprintln!("{e}");
+        match e {
+            CliError::Usage(_) => usage(),
+            CliError::Input(_) => exit(1),
+        }
+    }
+}
+
+/// Reads every flag, then runs the campaign. Argument errors return
+/// before the golden run starts; run failures exit directly.
+fn run(args: &[String]) -> Result<(), CliError> {
+    let flags = cli::parse(args, &FLAGS, "swfault")?;
+    flags.no_positionals()?;
     let Some(spec_text) = flags.get("inject") else {
-        eprintln!("--inject SPEC is required");
-        usage()
+        return usage_err("--inject SPEC is required");
     };
-    let spec = FaultSpec::parse(spec_text).unwrap_or_else(|e| {
-        eprintln!("bad --inject spec: {e}");
-        exit(2)
-    });
+    let spec =
+        FaultSpec::parse(spec_text).or_else(|e| usage_err(format!("bad --inject spec: {e}")))?;
     let mut campaign = CampaignConfig::new(
         spec,
-        numeric_flag(&flags, "seed", 0),
-        numeric_flag(&flags, "runs", 200),
+        cli::number(&flags, "seed", 0)?,
+        cli::number(&flags, "runs", 200)?,
     );
-    campaign.max_weaver_retries = numeric_flag(&flags, "retries", DEFAULT_WEAVER_RETRIES);
-    campaign.jobs = numeric_flag(&flags, "jobs", 1);
-    campaign.fallback = !flags.contains_key("no-fallback");
+    campaign.max_weaver_retries = cli::number(&flags, "retries", DEFAULT_WEAVER_RETRIES)?;
+    campaign.jobs = cli::number(&flags, "jobs", 1)?;
+    campaign.fallback = !flags.has("no-fallback");
+    let schedule = cli::schedule(&flags)?.unwrap_or(Schedule::SparseWeaver);
+    let cfg = cli::config(&flags, "small")?;
+    if flags.get("journal") == Some("-") {
+        return usage_err("--journal expects a file path (the journal is append-only JSONL)");
+    }
+    if flags.has("resume") && !flags.has("journal") {
+        return usage_err("--resume requires --journal FILE (the journal records completed runs)");
+    }
+    let max_wall_secs: u64 = cli::number(&flags, "max-wall-secs", 0)?;
+    // Small default so `swfault --inject ... --runs 200` stays fast.
+    let graph = cli::graph(&flags)?.unwrap_or_else(|| {
+        generators::with_random_weights(&generators::uniform(24, 72, 7), 64, 0xC11)
+    });
+    let algo = cli::algorithm(&flags, &graph, Some("bfs"), |_| 0)?;
     let hardware = std::thread::available_parallelism().map_or(1, |n| n.get());
     if campaign.jobs > hardware {
         eprintln!(
@@ -286,28 +159,10 @@ fn main() {
             campaign.jobs
         );
     }
-    let graph = load_graph(&flags);
-    let algo = make_algo(&flags, &graph);
-    let schedule = parse_schedule(flags.get("schedule").map(String::as_str).unwrap_or("sw"));
-    let cfg = config_for(&flags);
 
-    let journal = match flags.get("journal") {
-        Some(p) if p.is_empty() || p == "-" => {
-            eprintln!("--journal expects a file path (the journal is append-only JSONL)");
-            exit(2)
-        }
-        Some(p) => Some(std::path::PathBuf::from(p)),
-        None => None,
-    };
-    let resume = flags.contains_key("resume");
-    if resume && journal.is_none() {
-        eprintln!("--resume requires --journal FILE (the journal records completed runs)");
-        exit(2)
-    }
-    let max_wall_secs: u64 = numeric_flag(&flags, "max-wall-secs", 0);
     let mut ctl = CampaignCtl {
-        journal,
-        resume,
+        journal: flags.get("journal").map(PathBuf::from),
+        resume: flags.has("resume"),
         stop: None,
     };
     if ctl.journal.is_some() || max_wall_secs > 0 {
@@ -339,7 +194,7 @@ fn main() {
         );
     }
 
-    if flags.contains_key("details") {
+    if flags.has("details") {
         for run in &result.runs {
             eprintln!(
                 "run {:>4}  seed {:#018x}  {:<14} {}",
@@ -367,10 +222,6 @@ fn main() {
         campaign.runs, secs, rate, campaign.jobs, s.masked, s.sdc, s.detected_crash, s.hang
     );
     if let Some(path) = flags.get("out") {
-        if path.is_empty() {
-            eprintln!("--out expects a file path (or `-` for stdout)");
-            exit(2)
-        }
         if path == "-" {
             // The summary JSON already went to stdout above; writing it
             // again would duplicate the artifact.
@@ -394,4 +245,5 @@ fn main() {
         eprintln!("FAIL: outcome classes do not sum to the number of runs");
         exit(1)
     }
+    Ok(())
 }

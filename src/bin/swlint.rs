@@ -26,28 +26,18 @@
 //! convention as `swprof --selftest`), 1 when any error-severity
 //! finding fires or a selftest fixture misses, 2 on usage errors.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::process::exit;
 
+use sparseweaver::cli::{self, usage_err, Args, CliError, FlagSpec};
 use sparseweaver::core::algorithms::{
     Algorithm, Bfs, ConnectedComponents, Gcn, PageRank, Spmv, Sssp,
 };
+use sparseweaver::core::session::geom_of;
 use sparseweaver::core::Schedule;
 use sparseweaver::graph::Direction;
 use sparseweaver::isa::Program;
-use sparseweaver::lint::{analyze_with_facts, fixtures, lint, AnalyzeGeom, LintReport};
-use sparseweaver::sim::GpuConfig;
-
-/// The launch geometry the analyzer checks against, from the same
-/// `--config` the simulator would launch with.
-fn analyze_geom(cfg: &GpuConfig) -> AnalyzeGeom {
-    AnalyzeGeom {
-        num_cores: cfg.num_cores as u64,
-        warps_per_core: cfg.warps_per_core as u64,
-        threads_per_warp: cfg.threads_per_warp as u64,
-        shared_mem_bytes: cfg.shared_mem_bytes as u64,
-    }
-}
+use sparseweaver::lint::{analyze_with_facts, fixtures, lint, LintReport};
 
 fn usage() -> ! {
     eprintln!(
@@ -87,81 +77,11 @@ interpretation)."
     exit(2)
 }
 
-fn parse_flags(args: &[String]) -> HashMap<String, String> {
-    let mut flags = HashMap::new();
-    let mut i = 0;
-    while i < args.len() {
-        let Some(name) = args[i].strip_prefix("--") else {
-            eprintln!("unexpected argument `{}`", args[i]);
-            usage()
-        };
-        let next_is_value = args
-            .get(i + 1)
-            .map(|n| !n.starts_with("--"))
-            .unwrap_or(false);
-        if next_is_value {
-            flags.insert(name.to_string(), args[i + 1].clone());
-            i += 2;
-        } else {
-            flags.insert(name.to_string(), String::new());
-            i += 1;
-        }
-    }
-    for k in flags.keys() {
-        if ![
-            "algo", "schedule", "config", "json", "selftest", "regalloc", "regs", "analyze",
-            "facts",
-        ]
-        .contains(&k.as_str())
-        {
-            eprintln!("unknown flag `--{k}`");
-            usage()
-        }
-    }
-    flags
-}
-
-fn parse_schedules(flags: &HashMap<String, String>) -> Vec<Schedule> {
-    match flags.get("schedule").map(String::as_str) {
-        None => Schedule::ALL.to_vec(),
-        Some("svm") | Some("S_vm") => vec![Schedule::Svm],
-        Some("em") | Some("sem") | Some("S_em") => vec![Schedule::Sem],
-        Some("wm") | Some("swm") | Some("S_wm") => vec![Schedule::Swm],
-        Some("cm") | Some("scm") | Some("S_cm") => vec![Schedule::Scm],
-        Some("sw") | Some("weaver") | Some("sparseweaver") => vec![Schedule::SparseWeaver],
-        Some("eghw") => vec![Schedule::Eghw],
-        Some(other) => {
-            eprintln!("unknown schedule `{other}`");
-            usage()
-        }
-    }
-}
-
-fn config_for(flags: &HashMap<String, String>) -> GpuConfig {
-    match flags.get("config").map(String::as_str) {
-        None | Some("eval") | Some("evaluation") => GpuConfig::evaluation_default(),
-        Some("vortex") => GpuConfig::vortex_default(),
-        Some("small") => GpuConfig::small_test(),
-        Some("8core") => GpuConfig::eight_core(),
-        Some("regfile") => GpuConfig::regfile_limited(),
-        Some(other) => {
-            eprintln!("unknown config `{other}`");
-            usage()
-        }
-    }
-}
-
-/// Parses `--regalloc on|off` (default: on).
-fn regalloc_flag(flags: &HashMap<String, String>) -> bool {
-    match flags.get("regalloc").map(String::as_str) {
-        None | Some("on") => true,
-        Some("off") => false,
-        Some(other) => {
-            eprintln!("--regalloc expects on|off, got `{other}`");
-            exit(2)
-        }
-    }
-}
+const FLAGS: FlagSpec = FlagSpec {
+    values: &["algo", "schedule", "config", "regalloc"],
+    switches: &["json", "selftest", "regs", "analyze", "facts"],
+    short: &[],
+};
 
 /// Applies register allocation when `regalloc` is on, mirroring what the
 /// runtime launches; identity when the allocator bails out.
@@ -177,11 +97,14 @@ fn maybe_allocate(program: Program, regalloc: bool) -> Program {
     }
 }
 
+/// An algorithm under the name `--algo` selects it by.
+type Named = (&'static str, Box<dyn Algorithm>);
+
 /// The built-in algorithms, keyed the way `--algo` selects them. Kernel
 /// parameters (source vertex, iteration counts) do not affect the emitted
 /// instruction stream, so fixed placeholders suffice.
-fn algorithms(selected: Option<&str>) -> Vec<(&'static str, Box<dyn Algorithm>)> {
-    let all: Vec<(&'static str, Box<dyn Algorithm>)> = vec![
+fn algorithms(selected: Option<&str>) -> Result<Vec<Named>, CliError> {
+    let all: Vec<Named> = vec![
         ("pr", Box::new(PageRank::new(1))),
         (
             "pr-push",
@@ -194,14 +117,15 @@ fn algorithms(selected: Option<&str>) -> Vec<(&'static str, Box<dyn Algorithm>)>
         ("spmv", Box::new(Spmv::new())),
     ];
     match selected {
-        None => all,
+        None => Ok(all),
         Some(name) => {
             let found: Vec<_> = all.into_iter().filter(|(n, _)| *n == name).collect();
             if found.is_empty() && name != "gcn" {
-                eprintln!("unknown algorithm `{name}` (pr | pr-push | bfs | sssp | sssp-wl | cc | spmv | gcn)");
-                usage()
+                return usage_err(format!(
+                    "unknown algorithm `{name}` (pr | pr-push | bfs | sssp | sssp-wl | cc | spmv | gcn)"
+                ));
             }
-            found
+            Ok(found)
         }
     }
 }
@@ -226,16 +150,22 @@ fn report_line(label: &str, program: &Program, report: &LintReport, json: bool) 
     }
 }
 
-fn cmd_lint(flags: &HashMap<String, String>) -> i32 {
-    let json = flags.contains_key("json");
-    let regalloc = regalloc_flag(flags);
-    let regs_mode = flags.contains_key("regs");
-    let facts_mode = flags.contains_key("facts");
-    let analyze_mode = flags.contains_key("analyze") || facts_mode;
-    let cfg = config_for(flags);
-    let geom = analyze_geom(&cfg);
-    let schedules = parse_schedules(flags);
-    let algo_filter = flags.get("algo").map(String::as_str);
+fn cmd_lint(flags: &Args) -> Result<i32, CliError> {
+    let json = flags.has("json");
+    let regalloc = cli::on_off(flags, "regalloc", true)?;
+    let regs_mode = flags.has("regs");
+    let facts_mode = flags.has("facts");
+    let analyze_mode = flags.has("analyze") || facts_mode;
+    let cfg = cli::config(flags, "eval")?;
+    // The launch geometry the analyzer checks against, from the same
+    // `--config` the simulator would launch with.
+    let geom = geom_of(&cfg);
+    let schedules = match cli::schedule(flags)? {
+        Some(s) => vec![s],
+        None => Schedule::ALL.to_vec(),
+    };
+    let algo_filter = flags.get("algo");
+    let algos = algorithms(algo_filter)?;
     let mut seen: HashSet<String> = HashSet::new();
     let mut kernels = 0usize;
     let mut errors = 0usize;
@@ -277,7 +207,7 @@ fn cmd_lint(flags: &HashMap<String, String>) -> i32 {
             }
         }
     };
-    for (name, algo) in algorithms(algo_filter) {
+    for (name, algo) in algos {
         for &schedule in &schedules {
             for program in algo.kernels(schedule, &cfg) {
                 // Schedule-independent kernels (init/apply) repeat across
@@ -316,13 +246,9 @@ fn cmd_lint(flags: &HashMap<String, String>) -> i32 {
     }
     if diverged > 0 {
         eprintln!("{diverged} kernel(s) hit the fixpoint safety cap");
-        return 1;
+        return Ok(1);
     }
-    if errors > 0 {
-        1
-    } else {
-        0
-    }
+    Ok(if errors > 0 { 1 } else { 0 })
 }
 
 /// Checks the seeded fixtures: each ill-formed program must trigger its
@@ -399,18 +325,24 @@ fn cmd_selftest(json: bool) -> i32 {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--version" || a == "-V") {
-        println!("swlint {}", sparseweaver::VERSION);
+    if cli::version("swlint", &args) {
         return;
     }
     if args.iter().any(|a| a == "--help" || a == "-h") {
         usage();
     }
-    let flags = parse_flags(&args);
-    let code = if flags.contains_key("selftest") {
-        cmd_selftest(flags.contains_key("json"))
-    } else {
-        cmd_lint(&flags)
-    };
+    let code = cli::parse(&args, &FLAGS, "swlint")
+        .and_then(|flags| {
+            flags.no_positionals()?;
+            if flags.has("selftest") {
+                Ok(cmd_selftest(flags.has("json")))
+            } else {
+                cmd_lint(&flags)
+            }
+        })
+        .unwrap_or_else(|e| {
+            eprintln!("{e}");
+            usage()
+        });
     exit(code)
 }

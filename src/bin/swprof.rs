@@ -19,9 +19,9 @@
 //! selftest; 2 on usage errors. `swlint --selftest` follows the same
 //! convention: healthy exits 0, a fixture miss exits 1.
 
-use std::collections::HashMap;
 use std::process::exit;
 
+use sparseweaver::cli::{self, usage_err, Args, CliError, FlagSpec};
 use sparseweaver::core::profile::{
     comparability_issues, diff, flat_metrics, lower_is_better, regressions, MetricDelta,
     PROFILE_SCHEMA,
@@ -65,37 +65,11 @@ SELFTEST:
     exit(2)
 }
 
-fn parse_flags(args: &[String]) -> (Vec<String>, HashMap<String, String>) {
-    let mut pos = Vec::new();
-    let mut flags = HashMap::new();
-    let mut i = 0;
-    while i < args.len() {
-        if let Some(name) = args[i].strip_prefix("--") {
-            let next_is_value = args
-                .get(i + 1)
-                .map(|n| !n.starts_with("--"))
-                .unwrap_or(false);
-            // Value-less flags: everything except --tolerance.
-            if next_is_value && name == "tolerance" {
-                flags.insert(name.to_string(), args[i + 1].clone());
-                i += 2;
-            } else {
-                flags.insert(name.to_string(), String::new());
-                i += 1;
-            }
-        } else {
-            pos.push(args[i].clone());
-            i += 1;
-        }
-    }
-    for k in flags.keys() {
-        if !["json", "all", "tolerance", "selftest"].contains(&k.as_str()) {
-            eprintln!("unknown flag `--{k}`");
-            usage()
-        }
-    }
-    (pos, flags)
-}
+const FLAGS: FlagSpec = FlagSpec {
+    values: &["tolerance"],
+    switches: &["json", "all", "selftest"],
+    short: &[],
+};
 
 fn load_profile(path: &str) -> Value {
     let text = if path == "-" {
@@ -296,16 +270,9 @@ fn delta_json(d: &MetricDelta) -> String {
     )
 }
 
-fn cmd_diff(path_a: &str, path_b: &str, flags: &HashMap<String, String>) -> i32 {
-    let tolerance: f64 = match flags.get("tolerance") {
-        None => 0.0,
-        Some(v) => v.parse().unwrap_or_else(|_| {
-            eprintln!("--tolerance expects a number, got `{v}`");
-            exit(2)
-        }),
-    };
-    let json_mode = flags.contains_key("json");
-    let show_all = flags.contains_key("all");
+fn cmd_diff(path_a: &str, path_b: &str, tolerance: f64, flags: &Args) -> i32 {
+    let json_mode = flags.has("json");
+    let show_all = flags.has("all");
     let a = load_profile(path_a);
     let b = load_profile(path_b);
     for issue in comparability_issues(&a, &b) {
@@ -481,37 +448,42 @@ fn cmd_selftest(json_mode: bool) -> i32 {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--version" || a == "-V") {
-        println!("swprof {}", sparseweaver::VERSION);
+    if cli::version("swprof", &args) {
         return;
     }
     if args.iter().any(|a| a == "--help" || a == "-h") {
         usage();
     }
-    let (pos, flags) = parse_flags(&args);
-    if flags.contains_key("selftest") {
+    let code = run(&args).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        usage()
+    });
+    exit(code)
+}
+
+fn run(args: &[String]) -> Result<i32, CliError> {
+    let flags = cli::parse(args, &FLAGS, "swprof")?;
+    let pos = &flags.positional;
+    if flags.has("selftest") {
         if !pos.is_empty() {
-            eprintln!("--selftest takes no subcommand");
-            usage()
+            return usage_err("--selftest takes no subcommand");
         }
-        exit(cmd_selftest(flags.contains_key("json")));
+        return Ok(cmd_selftest(flags.has("json")));
     }
-    let code = match pos.first().map(String::as_str) {
-        Some("report") => match pos.get(1) {
-            Some(path) if pos.len() == 2 => cmd_report(path, flags.contains_key("json")),
-            _ => {
-                eprintln!("`swprof report` takes exactly one FILE");
-                usage()
-            }
+    match pos.first().map(String::as_str) {
+        Some("report") => match pos.as_slice() {
+            [_, path] => Ok(cmd_report(path, flags.has("json"))),
+            _ => usage_err("`swprof report` takes exactly one FILE"),
         },
-        Some("diff") => match (pos.get(1), pos.get(2)) {
-            (Some(a), Some(b)) if pos.len() == 3 => cmd_diff(a, b, &flags),
-            _ => {
-                eprintln!("`swprof diff` takes exactly BASELINE and CANDIDATE");
-                usage()
-            }
+        Some("diff") => match pos.as_slice() {
+            [_, a, b] => Ok(cmd_diff(
+                a,
+                b,
+                cli::number(&flags, "tolerance", 0.0)?,
+                &flags,
+            )),
+            _ => usage_err("`swprof diff` takes exactly BASELINE and CANDIDATE"),
         },
         _ => usage(),
-    };
-    exit(code)
+    }
 }

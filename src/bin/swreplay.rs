@@ -20,10 +20,10 @@
 //! error; 4 corrupt or truncated trace (the error names the byte
 //! offset).
 
-use std::collections::HashMap;
 use std::path::Path;
 use std::process::exit;
 
+use sparseweaver::cli::{self, usage_err, Args, CliError, FlagSpec};
 use sparseweaver::core::replay::{render, sweep, trace_fingerprint, SweepSpec, REPLAY_SCHEMA};
 use sparseweaver::mem::mtrace::parse;
 use sparseweaver::mem::replay::verify;
@@ -73,59 +73,28 @@ EXIT CODES:
     exit(2)
 }
 
-/// Flags each subcommand accepts; anything else is a usage error.
-fn check_flags(cmd: &str, flags: &HashMap<String, String>) {
-    let allowed: &[&str] = match cmd {
-        "verify" => &["trace", "json"],
-        "sweep" => &["trace", "l1-sizes", "ways", "jobs", "out"],
-        "info" => &["trace", "json"],
-        _ => return,
-    };
-    for k in flags.keys() {
-        if !allowed.contains(&k.as_str()) {
-            eprintln!("unknown flag `--{k}` for `swreplay {cmd}`");
-            exit(2)
-        }
-    }
+/// `swreplay verify` and `swreplay info` flags.
+const INSPECT: FlagSpec = FlagSpec {
+    values: &["trace"],
+    switches: &["json"],
+    short: &[],
+};
+
+const SWEEP: FlagSpec = FlagSpec {
+    values: &["trace", "l1-sizes", "ways", "jobs", "out"],
+    ..FlagSpec::NONE
+};
+
+/// The `--trace` path, which every subcommand requires.
+fn trace_path(flags: &Args) -> Result<&str, CliError> {
+    flags
+        .get("trace")
+        .ok_or_else(|| CliError::Usage("--trace FILE is required (`-` for stdin)".into()))
 }
 
-fn parse_flags(args: &[String]) -> (Vec<String>, HashMap<String, String>) {
-    let mut pos = Vec::new();
-    let mut flags = HashMap::new();
-    let mut i = 0;
-    while i < args.len() {
-        let a = &args[i];
-        if let Some(name) = a.strip_prefix("--") {
-            let next_is_value = args
-                .get(i + 1)
-                .map(|n| !n.starts_with("--"))
-                .unwrap_or(false);
-            if next_is_value {
-                flags.insert(name.to_string(), args[i + 1].clone());
-                i += 2;
-            } else {
-                flags.insert(name.to_string(), String::new());
-                i += 1;
-            }
-        } else {
-            pos.push(a.clone());
-            i += 1;
-        }
-    }
-    (pos, flags)
-}
-
-/// Reads the trace file named by `--trace` (or stdin for `-`) and
-/// parses it. I/O failures exit 3; parse failures exit 4 with the
-/// offending byte offset.
-fn load_trace(flags: &HashMap<String, String>) -> (Vec<u8>, MemTrace) {
-    let path = match flags.get("trace") {
-        Some(p) if !p.is_empty() => p.clone(),
-        _ => {
-            eprintln!("--trace FILE is required (`-` for stdin)");
-            exit(2)
-        }
-    };
+/// Reads the trace file at `path` (or stdin for `-`) and parses it. I/O
+/// failures exit 3; parse failures exit 4 with the offending byte offset.
+fn load_trace(path: &str) -> (Vec<u8>, MemTrace) {
     let bytes = if path == "-" {
         use std::io::Read;
         let mut buf = Vec::new();
@@ -137,7 +106,7 @@ fn load_trace(flags: &HashMap<String, String>) -> (Vec<u8>, MemTrace) {
             }
         }
     } else {
-        match std::fs::read(&path) {
+        match std::fs::read(path) {
             Ok(b) => b,
             Err(e) => {
                 eprintln!("cannot read memory trace {path}: {e}");
@@ -155,33 +124,30 @@ fn load_trace(flags: &HashMap<String, String>) -> (Vec<u8>, MemTrace) {
     (bytes, trace)
 }
 
-fn csv_u64(flags: &HashMap<String, String>, name: &str, default: &[u64]) -> Vec<u64> {
+fn csv_u64(flags: &Args, name: &str, default: &[u64]) -> Result<Vec<u64>, CliError> {
     match flags.get(name) {
-        None => default.to_vec(),
+        None => Ok(default.to_vec()),
         Some(v) => v
             .split(',')
             .map(|s| {
-                s.trim().parse().unwrap_or_else(|_| {
-                    eprintln!("--{name}: `{s}` is not an unsigned integer");
-                    exit(2)
+                s.trim().parse().map_err(|_| {
+                    CliError::Usage(format!("--{name}: `{s}` is not an unsigned integer"))
                 })
             })
             .collect(),
     }
 }
 
-fn csv_u32(flags: &HashMap<String, String>, name: &str, default: &[u32]) -> Vec<u32> {
+fn csv_u32(flags: &Args, name: &str, default: &[u32]) -> Result<Vec<u32>, CliError> {
     csv_u64(
         flags,
         name,
         &default.iter().map(|&w| w as u64).collect::<Vec<_>>(),
-    )
+    )?
     .into_iter()
     .map(|w| {
-        u32::try_from(w).unwrap_or_else(|_| {
-            eprintln!("--{name}: `{w}` does not fit in 32 bits");
-            exit(2)
-        })
+        u32::try_from(w)
+            .map_err(|_| CliError::Usage(format!("--{name}: `{w}` does not fit in 32 bits")))
     })
     .collect()
 }
@@ -225,8 +191,8 @@ fn stats_json(s: &LevelStats) -> String {
     )
 }
 
-fn cmd_verify(flags: HashMap<String, String>) {
-    let (_, trace) = load_trace(&flags);
+fn cmd_verify(flags: Args) -> Result<(), CliError> {
+    let (_, trace) = load_trace(trace_path(&flags)?);
     let outcome = match verify(&trace) {
         Ok(o) => o,
         Err(e) => {
@@ -234,8 +200,7 @@ fn cmd_verify(flags: HashMap<String, String>) {
             exit(4)
         }
     };
-    let json = flags.contains_key("json");
-    if json {
+    if flags.has("json") {
         println!(
             "{{\"verified\":{},\"live\":{},\"replayed\":{}}}",
             outcome.matches(),
@@ -253,13 +218,14 @@ fn cmd_verify(flags: HashMap<String, String>) {
     if !outcome.matches() {
         exit(1)
     }
+    Ok(())
 }
 
-fn cmd_info(flags: HashMap<String, String>) {
-    let (bytes, trace) = load_trace(&flags);
+fn cmd_info(flags: Args) -> Result<(), CliError> {
+    let (bytes, trace) = load_trace(trace_path(&flags)?);
     let (kernels, accesses, unqueued, atomics, barriers) = trace.counts();
     let cfg = &trace.config;
-    if flags.contains_key("json") {
+    if flags.has("json") {
         println!(
             "{{\"fingerprint\":\"{:016x}\",\"bytes\":{},\"records\":{},\
              \"kernels\":{kernels},\"accesses\":{accesses},\"unqueued\":{unqueued},\
@@ -276,7 +242,7 @@ fn cmd_info(flags: HashMap<String, String>) {
             cfg.l2.ways,
             stats_json(&trace.live_stats)
         );
-        return;
+        return Ok(());
     }
     println!(
         "swmtrace-v1 capture: {} records in {} bytes (fingerprint {:016x})",
@@ -301,29 +267,25 @@ fn cmd_info(flags: HashMap<String, String>) {
          ({unqueued} unqueued), {atomics} atomics, {barriers} barriers"
     );
     stats_line("  live: ", &trace.live_stats);
+    Ok(())
 }
 
-fn cmd_sweep(flags: HashMap<String, String>) {
-    let (bytes, trace) = load_trace(&flags);
+fn cmd_sweep(flags: Args) -> Result<(), CliError> {
+    let path = trace_path(&flags)?;
     let spec = SweepSpec {
         l1_sizes: csv_u64(
             &flags,
             "l1-sizes",
             &[4096, 8192, 16384, 32768, 65536, 131072, 262144, 524288],
-        ),
-        ways: csv_u32(&flags, "ways", &[2, 4]),
-        jobs: match flags.get("jobs") {
-            None => 1,
-            Some(v) => v.parse().unwrap_or_else(|_| {
-                eprintln!("--jobs: `{v}` is not a positive integer");
-                exit(2)
-            }),
-        },
+        )?,
+        ways: csv_u32(&flags, "ways", &[2, 4])?,
+        jobs: cli::number(&flags, "jobs", 1)?,
     };
     if spec.jobs == 0 {
-        eprintln!("--jobs must be at least 1");
-        exit(2)
+        return usage_err("--jobs must be at least 1");
     }
+    let out = flags.get("out").unwrap_or("-");
+    let (bytes, trace) = load_trace(path);
     let result = match sweep(&trace, trace_fingerprint(&bytes), &spec) {
         Ok(r) => r,
         Err(e) => {
@@ -332,11 +294,10 @@ fn cmd_sweep(flags: HashMap<String, String>) {
         }
     };
     let body = render(&result, &trace);
-    let out = flags.get("out").cloned().unwrap_or_else(|| "-".into());
     if out == "-" {
         print!("{body}");
     } else {
-        if let Err(e) = write_atomic(Path::new(&out), body.as_bytes()) {
+        if let Err(e) = write_atomic(Path::new(out), body.as_bytes()) {
             eprintln!("cannot write replay artifact to {out}: {e}");
             exit(3)
         }
@@ -352,31 +313,36 @@ fn cmd_sweep(flags: HashMap<String, String>) {
         eprintln!("MISMATCH: capture-config replay diverged from the live run");
         exit(1)
     }
+    Ok(())
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--version" || a == "-V") {
-        println!("swreplay {}", sparseweaver::VERSION);
+    if cli::version("swreplay", &args) {
         return;
     }
     if args.is_empty() || args.iter().any(|a| a == "--help" || a == "-h") {
         usage()
     }
-    let (pos, flags) = parse_flags(&args);
-    let cmd = pos.first().map(String::as_str).unwrap_or("");
-    if pos.len() != 1 {
-        eprintln!("swreplay takes one subcommand (got {:?})", pos);
-        exit(2)
-    }
-    check_flags(cmd, &flags);
-    match cmd {
-        "verify" => cmd_verify(flags),
-        "sweep" => cmd_sweep(flags),
-        "info" => cmd_info(flags),
+    let (cmd, rest) = (args[0].as_str(), &args[1..]);
+    let spec = match cmd {
+        "verify" | "info" => &INSPECT,
+        "sweep" => &SWEEP,
         other => {
             eprintln!("unknown subcommand `{other}`");
             usage()
         }
+    };
+    let result = cli::parse(rest, spec, &format!("swreplay {cmd}")).and_then(|flags| {
+        flags.no_positionals()?;
+        match cmd {
+            "verify" => cmd_verify(flags),
+            "info" => cmd_info(flags),
+            _ => cmd_sweep(flags),
+        }
+    });
+    if let Err(e) = result {
+        eprintln!("{e}");
+        usage()
     }
 }

@@ -10,17 +10,15 @@
 //! swsim datasets
 //! ```
 
-use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::process::exit;
 
-use sparseweaver::core::algorithms::{Algorithm, Bfs, ConnectedComponents, PageRank, Spmv, Sssp};
+use sparseweaver::cli::{self, usage_err, Args, CliError, FlagSpec};
 use sparseweaver::core::runtime::CheckpointCtl;
 use sparseweaver::core::{Checkpoint, FrameworkError, Schedule, Session};
 use sparseweaver::fault::FaultSpec;
-use sparseweaver::graph::{dataset, generators, io, Csr, DatasetId};
+use sparseweaver::graph::{io, Csr, DatasetId};
 use sparseweaver::lint::LintLevel;
-use sparseweaver::sim::GpuConfig;
 use sparseweaver::trace::codec::write_atomic;
 use sparseweaver::trace::{export, CategoryMask, TraceConfig};
 
@@ -136,232 +134,65 @@ EXIT CODES:
     exit(2)
 }
 
-/// Flags each subcommand accepts; anything else is a usage error.
-fn check_flags(cmd: &str, flags: &HashMap<String, String>) {
-    let allowed: &[&str] = match cmd {
-        "run" => &[
-            "graph",
-            "dataset",
-            "gen",
-            "algo",
-            "schedule",
-            "iters",
-            "source",
-            "config",
-            "json",
-            "all-schedules",
-            "worklist",
-            "trace",
-            "trace-level",
-            "sample-every",
-            "metrics-out",
-            "trace-out",
-            "profile-out",
-            "mem-trace-out",
-            "lint",
-            "analyze",
-            "regalloc",
-            "inject",
-            "seed",
-            "hang-report",
-            "fallback",
-            "checkpoint-out",
-            "checkpoint-every",
-            "max-wall-secs",
-            "stop-after-launches",
-        ],
-        "resume" => &[
-            "checkpoint-out",
-            "checkpoint-every",
-            "max-wall-secs",
-            "stop-after-launches",
-            "json",
-        ],
-        "gen" => &["graph", "dataset", "gen", "out"],
-        "disasm" => &["algo", "schedule", "config"],
-        "datasets" => &[],
-        _ => return,
-    };
-    for k in flags.keys() {
-        if !allowed.contains(&k.as_str()) {
-            eprintln!("unknown flag `--{k}` for `swsim {cmd}`");
-            exit(2)
-        }
-    }
-}
+/// `swsim run` flags; `swsim resume` re-parses the embedded argv with it.
+const RUN: FlagSpec = FlagSpec {
+    values: &[
+        "graph",
+        "dataset",
+        "gen",
+        "algo",
+        "schedule",
+        "iters",
+        "source",
+        "config",
+        "trace",
+        "trace-level",
+        "sample-every",
+        "metrics-out",
+        "trace-out",
+        "profile-out",
+        "mem-trace-out",
+        "lint",
+        "regalloc",
+        "inject",
+        "seed",
+        "hang-report",
+        "fallback",
+        "checkpoint-out",
+        "checkpoint-every",
+        "max-wall-secs",
+        "stop-after-launches",
+    ],
+    switches: &["json", "all-schedules", "worklist", "analyze"],
+    short: &[],
+};
 
-fn parse_flags(args: &[String]) -> (Vec<String>, HashMap<String, String>) {
-    let mut pos = Vec::new();
-    let mut flags = HashMap::new();
-    let mut i = 0;
-    while i < args.len() {
-        let a = &args[i];
-        if let Some(name) = a.strip_prefix("--") {
-            let next_is_value = args
-                .get(i + 1)
-                .map(|n| !n.starts_with("--"))
-                .unwrap_or(false);
-            if next_is_value {
-                flags.insert(name.to_string(), args[i + 1].clone());
-                i += 2;
-            } else {
-                flags.insert(name.to_string(), String::new());
-                i += 1;
-            }
-        } else if a == "-o" {
-            flags.insert("out".into(), args.get(i + 1).cloned().unwrap_or_default());
-            i += 2;
-        } else {
-            pos.push(a.clone());
-            i += 1;
-        }
-    }
-    (pos, flags)
-}
+/// The `swsim resume` flags, each overriding the embedded run's.
+const RESUME: FlagSpec = FlagSpec {
+    values: &[
+        "checkpoint-out",
+        "checkpoint-every",
+        "max-wall-secs",
+        "stop-after-launches",
+    ],
+    switches: &["json"],
+    short: &[],
+};
 
-fn parse_schedule(s: &str) -> Schedule {
-    match s {
-        "svm" | "S_vm" => Schedule::Svm,
-        "em" | "sem" | "S_em" => Schedule::Sem,
-        "wm" | "swm" | "S_wm" => Schedule::Swm,
-        "cm" | "scm" | "S_cm" => Schedule::Scm,
-        "sw" | "weaver" | "sparseweaver" => Schedule::SparseWeaver,
-        "eghw" => Schedule::Eghw,
-        other => {
-            eprintln!("unknown schedule `{other}`");
-            usage()
-        }
-    }
-}
+const GEN: FlagSpec = FlagSpec {
+    values: &["graph", "dataset", "gen", "out"],
+    switches: &[],
+    short: &[("-o", "out")],
+};
 
-fn parse_dataset(s: &str) -> DatasetId {
-    DatasetId::ALL
-        .into_iter()
-        .find(|d| d.short_name().eq_ignore_ascii_case(s) || d.full_name().eq_ignore_ascii_case(s))
-        .unwrap_or_else(|| {
-            eprintln!("unknown dataset `{s}` — see `swsim datasets`");
-            exit(2)
-        })
-}
+const DISASM: FlagSpec = FlagSpec {
+    values: &["algo", "schedule", "config"],
+    ..FlagSpec::NONE
+};
 
-fn parse_gen(spec: &str) -> Csr {
-    let parts: Vec<&str> = spec.split(':').collect();
-    let num = |i: usize| -> u64 {
-        parts
-            .get(i)
-            .and_then(|p| p.parse().ok())
-            .unwrap_or_else(|| {
-                eprintln!("bad generator spec `{spec}`");
-                exit(2)
-            })
-    };
-    let fnum = |i: usize| -> f64 {
-        parts
-            .get(i)
-            .and_then(|p| p.parse().ok())
-            .unwrap_or_else(|| {
-                eprintln!("bad generator spec `{spec}`");
-                exit(2)
-            })
-    };
-    let base = match parts.first().copied() {
-        Some("powerlaw") => generators::powerlaw(num(1) as usize, num(2) as usize, fnum(3), num(4)),
-        Some("uniform") => generators::uniform(num(1) as usize, num(2) as usize, num(3)),
-        Some("rmat") => generators::rmat(num(1) as u32, num(2) as usize, 0.57, 0.19, 0.19, num(3)),
-        Some("grid") => {
-            generators::road_grid(num(1) as usize, num(2) as usize, fnum(3), 0.01, num(4))
-        }
-        _ => {
-            eprintln!("bad generator spec `{spec}`");
-            usage()
-        }
-    };
-    generators::with_random_weights(&base, 64, 0xC11)
-}
-
-fn load_graph(flags: &HashMap<String, String>) -> Csr {
-    if let Some(path) = flags.get("graph") {
-        let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("cannot read {path}: {e}");
-            exit(1)
-        });
-        match io::parse_edge_list(&text) {
-            Ok(g) => g,
-            Err(e) => {
-                eprintln!("cannot parse {path}: {e}");
-                exit(1)
-            }
-        }
-    } else if let Some(id) = flags.get("dataset") {
-        dataset(parse_dataset(id)).graph
-    } else if let Some(spec) = flags.get("gen") {
-        parse_gen(spec)
-    } else {
-        eprintln!("one of --graph / --dataset / --gen is required");
-        usage()
-    }
-}
-
-fn config_for(flags: &HashMap<String, String>) -> GpuConfig {
-    match flags.get("config").map(String::as_str) {
-        None | Some("eval") | Some("evaluation") => GpuConfig::evaluation_default(),
-        Some("vortex") => GpuConfig::vortex_default(),
-        Some("small") => GpuConfig::small_test(),
-        Some("8core") => GpuConfig::eight_core(),
-        Some("regfile") => GpuConfig::regfile_limited(),
-        Some(other) => {
-            eprintln!("unknown config `{other}`");
-            usage()
-        }
-    }
-}
-
-/// Parses `--regalloc on|off` (default: on).
-fn regalloc_flag(flags: &HashMap<String, String>) -> bool {
-    match flags.get("regalloc").map(String::as_str) {
-        None | Some("on") => true,
-        Some("off") => false,
-        Some(other) => {
-            eprintln!("--regalloc expects on|off, got `{other}`");
-            exit(2)
-        }
-    }
-}
-
-/// Parses a numeric flag strictly: present-but-malformed is a usage error,
-/// absent falls back to `default`.
-fn numeric_flag<T: std::str::FromStr>(
-    flags: &HashMap<String, String>,
-    name: &str,
-    default: impl FnOnce() -> T,
-) -> T {
-    match flags.get(name) {
-        None => default(),
-        Some(v) => v.parse().unwrap_or_else(|_| {
-            eprintln!("--{name} expects a number, got `{v}`");
-            exit(2)
-        }),
-    }
-}
-
-fn make_algo(flags: &HashMap<String, String>, graph: &Csr) -> Box<dyn Algorithm> {
-    let iters: u32 = numeric_flag(flags, "iters", || 5);
-    let source: u32 = numeric_flag(flags, "source", || {
-        (0..graph.num_vertices() as u32)
-            .max_by_key(|&v| graph.degree(v))
-            .unwrap_or(0)
-    });
-    match flags.get("algo").map(String::as_str) {
-        Some("pr") | Some("pagerank") => Box::new(PageRank::new(iters)),
-        Some("bfs") => Box::new(Bfs::new(source)),
-        Some("sssp") => Box::new(Sssp::new(source).with_worklist(flags.contains_key("worklist"))),
-        Some("cc") => Box::new(ConnectedComponents::new()),
-        Some("spmv") => Box::new(Spmv::new()),
-        _ => {
-            eprintln!("--algo is required (pr | bfs | sssp | cc | spmv)");
-            usage()
-        }
-    }
+fn required_graph(flags: &Args) -> Result<Csr, CliError> {
+    cli::graph(flags)?
+        .ok_or_else(|| CliError::Usage("one of --graph / --dataset / --gen is required".into()))
 }
 
 /// Validates `run` flag combinations, returning the tracing configuration
@@ -369,64 +200,48 @@ fn make_algo(flags: &HashMap<String, String>, graph: &Csr) -> Box<dyn Algorithm>
 /// streaming JSONL path.
 #[allow(clippy::type_complexity)]
 fn trace_setup(
-    flags: &HashMap<String, String>,
-) -> (
-    Option<TraceConfig>,
-    Option<String>,
-    Option<String>,
-    Option<String>,
-) {
-    let path_flag = |name: &str| -> Option<String> {
-        flags.get(name).map(|v| {
-            if v.is_empty() {
-                eprintln!("--{name} expects a file path");
-                exit(2)
-            }
-            v.clone()
-        })
-    };
-    let trace_path = path_flag("trace");
-    let metrics_path = path_flag("metrics-out");
-    let trace_out = path_flag("trace-out");
+    flags: &Args,
+) -> Result<
+    (
+        Option<TraceConfig>,
+        Option<String>,
+        Option<String>,
+        Option<String>,
+    ),
+    CliError,
+> {
+    let path = |name: &str| flags.get(name).map(String::from);
+    let trace_path = path("trace");
+    let metrics_path = path("metrics-out");
+    let trace_out = path("trace-out");
     let tracing = trace_path.is_some() || metrics_path.is_some() || trace_out.is_some();
     if !tracing {
         for dependent in ["trace-level", "sample-every"] {
-            if flags.contains_key(dependent) {
-                eprintln!("--{dependent} requires --trace, --metrics-out or --trace-out");
-                exit(2)
+            if flags.has(dependent) {
+                return usage_err(format!(
+                    "--{dependent} requires --trace, --metrics-out or --trace-out"
+                ));
             }
         }
-        return (None, None, None, None);
+        return Ok((None, None, None, None));
     }
-    if flags.contains_key("all-schedules") {
-        eprintln!("tracing flags trace a single schedule; drop --all-schedules");
-        exit(2)
+    if flags.has("all-schedules") {
+        return usage_err("tracing flags trace a single schedule; drop --all-schedules");
     }
     let categories = match flags.get("trace-level") {
         None => CategoryMask::ALL,
-        Some(level) => CategoryMask::parse(level).unwrap_or_else(|| {
-            eprintln!("unknown trace level `{level}` (warp | mem | weaver | all)");
-            exit(2)
-        }),
+        Some(level) => CategoryMask::parse(level).ok_or_else(|| {
+            CliError::Usage(format!(
+                "unknown trace level `{level}` (warp | mem | weaver | all)"
+            ))
+        })?,
     };
-    let sample_every: u64 = numeric_flag(flags, "sample-every", || 1000);
     let cfg = TraceConfig {
         categories,
-        sample_every,
+        sample_every: cli::number(flags, "sample-every", 1000)?,
         ..TraceConfig::default()
     };
-    (Some(cfg), trace_path, metrics_path, trace_out)
-}
-
-/// Parses `--lint LEVEL` (default: deny).
-fn lint_level(flags: &HashMap<String, String>) -> LintLevel {
-    match flags.get("lint") {
-        None => LintLevel::default(),
-        Some(v) => v.parse().unwrap_or_else(|e| {
-            eprintln!("{e}");
-            exit(2)
-        }),
-    }
+    Ok((Some(cfg), trace_path, metrics_path, trace_out))
 }
 
 /// Writes an artifact to `path`, or to stdout when `path` is `-`. The
@@ -458,117 +273,87 @@ fn write_artifact(path: &str, body: String, what: &str, json: bool, stdout_is_ar
 /// own arguments; for `resume`, the original run's, kept canonical so a
 /// resumed run's checkpoints are themselves resumable). `resume` carries
 /// the loaded checkpoint when continuing an interrupted run.
-fn cmd_run(argv: Vec<String>, flags: HashMap<String, String>, resume: Option<Checkpoint>) {
-    let sources = ["graph", "dataset", "gen"]
-        .iter()
-        .filter(|s| flags.contains_key(**s))
-        .count();
-    if sources > 1 {
-        eprintln!("--graph, --dataset and --gen are mutually exclusive");
-        exit(2)
+fn cmd_run(argv: Vec<String>, flags: Args, resume: Option<Checkpoint>) -> Result<(), CliError> {
+    flags.no_positionals()?;
+    let all_schedules = flags.has("all-schedules");
+    if all_schedules && flags.has("schedule") {
+        return usage_err("--schedule conflicts with --all-schedules");
     }
-    if flags.contains_key("all-schedules") && flags.contains_key("schedule") {
-        eprintln!("--schedule conflicts with --all-schedules");
-        exit(2)
+    let (trace_cfg, trace_path, metrics_path, trace_out) = trace_setup(&flags)?;
+    let profile_out = flags.get("profile-out").map(String::from);
+    if profile_out.is_some() && all_schedules {
+        return usage_err("--profile-out profiles a single schedule; drop --all-schedules");
     }
-    let (trace_cfg, trace_path, metrics_path, trace_out) = trace_setup(&flags);
-    let profile_out = flags.get("profile-out").map(|v| {
-        if v.is_empty() {
-            eprintln!("--profile-out expects a file path (or `-` for stdout)");
-            exit(2)
+    let mem_trace_out = flags.get("mem-trace-out").map(String::from);
+    if mem_trace_out.is_some() && all_schedules {
+        return usage_err("--mem-trace-out captures a single schedule; drop --all-schedules");
+    }
+    let checkpoint_out = flags.get("checkpoint-out").map(String::from);
+    let checkpoint_every: u64 = cli::number(&flags, "checkpoint-every", 0)?;
+    let max_wall_secs = cli::opt_number(&flags, "max-wall-secs")?;
+    let stop_after_launches = cli::opt_number(&flags, "stop-after-launches")?;
+    if flags.has("checkpoint-every") && checkpoint_out.is_none() {
+        return usage_err("--checkpoint-every requires --checkpoint-out");
+    }
+    if let Some(out) = &checkpoint_out {
+        if out == "-" {
+            return usage_err("--checkpoint-out is a binary artifact and cannot stream to stdout");
         }
-        v.clone()
-    });
-    if profile_out.is_some() && flags.contains_key("all-schedules") {
-        eprintln!("--profile-out profiles a single schedule; drop --all-schedules");
-        exit(2)
-    }
-    let mem_trace_out = flags.get("mem-trace-out").map(|v| {
-        if v.is_empty() {
-            eprintln!("--mem-trace-out expects a file path (or `-` for stdout)");
-            exit(2)
-        }
-        v.clone()
-    });
-    if mem_trace_out.is_some() && flags.contains_key("all-schedules") {
-        eprintln!("--mem-trace-out captures a single schedule; drop --all-schedules");
-        exit(2)
-    }
-    let opt_numeric = |name: &str| -> Option<u64> {
-        flags.get(name).map(|v| {
-            v.parse().unwrap_or_else(|_| {
-                eprintln!("--{name} expects a number, got `{v}`");
-                exit(2)
-            })
-        })
-    };
-    let checkpoint_out = flags.get("checkpoint-out").map(|v| {
-        if v.is_empty() {
-            eprintln!("--checkpoint-out expects a file path");
-            exit(2)
-        }
-        if v == "-" {
-            eprintln!("--checkpoint-out is a binary artifact and cannot stream to stdout");
-            exit(2)
-        }
-        v.clone()
-    });
-    let checkpoint_every: u64 = numeric_flag(&flags, "checkpoint-every", || 0);
-    let max_wall_secs = opt_numeric("max-wall-secs");
-    let stop_after_launches = opt_numeric("stop-after-launches");
-    if flags.contains_key("checkpoint-every") && checkpoint_out.is_none() {
-        eprintln!("--checkpoint-every requires --checkpoint-out");
-        exit(2)
-    }
-    if checkpoint_out.is_some() {
-        if flags.contains_key("all-schedules") {
-            eprintln!("--checkpoint-out checkpoints a single schedule; drop --all-schedules");
-            exit(2)
+        if all_schedules {
+            return usage_err(
+                "--checkpoint-out checkpoints a single schedule; drop --all-schedules",
+            );
         }
         if mem_trace_out.is_some() {
-            eprintln!(
+            return usage_err(
                 "--checkpoint-out cannot be combined with --mem-trace-out: the \
-                 memory-trace recorder is not part of the checkpointed state"
+                 memory-trace recorder is not part of the checkpointed state",
             );
-            exit(2)
         }
         if trace_out.as_deref() == Some("-") {
-            eprintln!(
+            return usage_err(
                 "--checkpoint-out cannot be combined with `--trace-out -`: a stdout \
-                 event stream cannot be rewound on resume"
+                 event stream cannot be rewound on resume",
             );
-            exit(2)
         }
     }
-    let graph = load_graph(&flags);
-    let algo = make_algo(&flags, &graph);
-    let cfg = config_for(&flags);
+    let inject = match flags.get("inject") {
+        Some(spec) => {
+            Some(FaultSpec::parse(spec).or_else(|e| usage_err(format!("bad --inject spec: {e}")))?)
+        }
+        None if flags.has("seed") => return usage_err("--seed requires --inject"),
+        None => None,
+    };
+    let cfg = cli::config(&flags, "eval")?;
     let mut session = Session::new(cfg);
     session.profile = profile_out.is_some();
     session.trace = trace_cfg;
-    session.trace_out = trace_out.clone().map(std::path::PathBuf::from);
-    session.mem_trace_out = mem_trace_out.clone().map(std::path::PathBuf::from);
-    session.lint = lint_level(&flags);
-    session.analyze = flags.contains_key("analyze");
-    session.regalloc = regalloc_flag(&flags);
-    if let Some(spec) = flags.get("inject") {
-        session.inject = Some(FaultSpec::parse(spec).unwrap_or_else(|e| {
-            eprintln!("bad --inject spec: {e}");
-            exit(2)
-        }));
-        session.inject_seed = numeric_flag(&flags, "seed", || 0);
-    } else if flags.contains_key("seed") {
-        eprintln!("--seed requires --inject");
-        exit(2)
-    }
-    session.fallback = match flags.get("fallback").map(String::as_str) {
-        None | Some("on") => true,
-        Some("off") => false,
-        Some(other) => {
-            eprintln!("--fallback expects on|off, got `{other}`");
-            exit(2)
+    session.trace_out = trace_out.clone().map(PathBuf::from);
+    session.mem_trace_out = mem_trace_out.clone().map(PathBuf::from);
+    session.lint = flags
+        .get("lint")
+        .map_or(Ok(LintLevel::default()), str::parse)
+        .map_err(CliError::Usage)?;
+    session.analyze = flags.has("analyze");
+    session.regalloc = cli::on_off(&flags, "regalloc", true)?;
+    session.inject = inject;
+    session.inject_seed = cli::number(&flags, "seed", 0)?;
+    session.fallback = cli::on_off(&flags, "fallback", true)?;
+    let schedules: Vec<Schedule> = if let Some(ck) = &resume {
+        // The checkpoint records the schedule that was actually executing
+        // (after a graceful-degradation fallback this is `S_wm`, not the
+        // originally requested scheme).
+        vec![ck.schedule]
+    } else if all_schedules {
+        Schedule::ALL.to_vec()
+    } else {
+        match cli::schedule(&flags)? {
+            Some(s) => vec![s],
+            None => return usage_err("--schedule is required (or --all-schedules)"),
         }
     };
+    let graph = required_graph(&flags)?;
+    let algo = cli::algorithm(&flags, &graph, None, cli::max_degree_vertex)?;
     // Checkpointing and graceful shutdown: any of the stop/checkpoint
     // flags routes SIGINT/SIGTERM (and the wall-clock watchdog) to a
     // cooperative stop at the next launch boundary.
@@ -587,14 +372,8 @@ fn cmd_run(argv: Vec<String>, flags: HashMap<String, String>, resume: Option<Che
             ..CheckpointCtl::default()
         });
     }
-    let hang_report_path = flags.get("hang-report").map(|v| {
-        if v.is_empty() {
-            eprintln!("--hang-report expects a file path");
-            exit(2)
-        }
-        v.clone()
-    });
-    let json = flags.contains_key("json");
+    let hang_report_path = flags.get("hang-report").map(String::from);
+    let json = flags.has("json");
     // With an artifact streaming to stdout (path `-`), the run summary
     // moves to stderr so stdout parses as one clean document.
     let stdout_is_artifact = [
@@ -613,21 +392,6 @@ fn cmd_run(argv: Vec<String>, flags: HashMap<String, String>, resume: Option<Che
         };
     }
     let mut sink_failed = false;
-    let schedules: Vec<Schedule> = if let Some(ck) = &resume {
-        // The checkpoint records the schedule that was actually executing
-        // (after a graceful-degradation fallback this is `S_wm`, not the
-        // originally requested scheme).
-        vec![ck.schedule]
-    } else if flags.contains_key("all-schedules") {
-        Schedule::ALL.to_vec()
-    } else {
-        vec![parse_schedule(
-            flags
-                .get("schedule")
-                .map(String::as_str)
-                .unwrap_or_else(|| usage()),
-        )]
-    };
     if !json {
         summary!(
             "graph: {} vertices, {} edges | algorithm: {}",
@@ -796,6 +560,7 @@ fn cmd_run(argv: Vec<String>, flags: HashMap<String, String>, resume: Option<Che
     if sink_failed {
         exit(3)
     }
+    Ok(())
 }
 
 /// `swsim resume CKPT`: loads the checkpoint, rebuilds the run from the
@@ -806,10 +571,9 @@ fn cmd_run(argv: Vec<String>, flags: HashMap<String, String>, resume: Option<Che
 /// original run would otherwise re-fire immediately. The checkpoint
 /// output path and cadence *are* inherited, so a resumed run keeps
 /// writing resumable checkpoints unless overridden.
-fn cmd_resume(pos: Vec<String>, flags: HashMap<String, String>) {
-    let Some(path) = pos.first() else {
-        eprintln!("swsim resume needs a checkpoint path");
-        usage()
+fn cmd_resume(flags: Args) -> Result<(), CliError> {
+    let [path] = flags.positional.as_slice() else {
+        return usage_err("swsim resume needs a checkpoint path");
     };
     let ck = Checkpoint::load(Path::new(path)).unwrap_or_else(|e| {
         eprintln!("cannot resume from {path}: {e}");
@@ -822,21 +586,10 @@ fn cmd_resume(pos: Vec<String>, flags: HashMap<String, String>) {
         );
         exit(1)
     }
-    let (_pos, mut eff) = parse_flags(&ck.argv[1..]);
-    check_flags("run", &eff);
-    eff.remove("max-wall-secs");
-    eff.remove("stop-after-launches");
-    for k in [
-        "checkpoint-out",
-        "checkpoint-every",
-        "max-wall-secs",
-        "stop-after-launches",
-        "json",
-    ] {
-        if let Some(v) = flags.get(k) {
-            eff.insert(k.to_string(), v.clone());
-        }
-    }
+    let mut eff = cli::parse(&ck.argv[1..], &RUN, "swsim run")?;
+    eff.flags.remove("max-wall-secs");
+    eff.flags.remove("stop-after-launches");
+    eff.flags.extend(flags.flags);
     cmd_run(ck.argv.clone(), eff, Some(ck))
 }
 
@@ -854,15 +607,18 @@ fn json_line(fields: &[(&str, String)]) -> String {
     format!("{{{}}}", body.join(","))
 }
 
-fn cmd_gen(flags: HashMap<String, String>) {
-    let graph = load_graph(&flags);
-    let out = flags.get("out").cloned().unwrap_or_else(|| usage());
+fn cmd_gen(flags: Args) -> Result<(), CliError> {
+    flags.no_positionals()?;
+    let Some(out) = flags.get("out") else {
+        return usage_err("swsim gen needs -o FILE");
+    };
+    let graph = required_graph(&flags)?;
     let mut body = Vec::new();
     io::write_edge_list(&graph, &mut body).unwrap_or_else(|e| {
         eprintln!("cannot render edge list for {out}: {e}");
         exit(1)
     });
-    write_atomic(Path::new(&out), &body).unwrap_or_else(|e| {
+    write_atomic(Path::new(out), &body).unwrap_or_else(|e| {
         eprintln!("cannot write edge list to {out}: {e}");
         exit(1)
     });
@@ -871,9 +627,13 @@ fn cmd_gen(flags: HashMap<String, String>) {
         graph.num_vertices(),
         graph.num_edges()
     );
+    Ok(())
 }
 
-fn cmd_disasm(flags: HashMap<String, String>) {
+fn cmd_disasm(flags: Args) -> Result<(), CliError> {
+    flags.no_positionals()?;
+    let schedule = cli::schedule(&flags)?.unwrap_or(Schedule::SparseWeaver);
+    let cfg = cli::config(&flags, "eval")?;
     use sparseweaver::core::compiler::{build_gather_kernel, EdgeRegs, GatherOps};
     // A representative gather (PR-shaped accumulate) for inspection.
     struct Demo;
@@ -902,10 +662,9 @@ fn cmd_disasm(flags: HashMap<String, String>) {
             a.free(addr);
         }
     }
-    let schedule = parse_schedule(flags.get("schedule").map(String::as_str).unwrap_or("sw"));
-    let cfg = config_for(&flags);
     let kernel = build_gather_kernel("demo", &Demo, schedule, &cfg);
     print!("{kernel}");
+    Ok(())
 }
 
 fn cmd_datasets() {
@@ -927,19 +686,26 @@ fn cmd_datasets() {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--version" || a == "-V") {
-        println!("swsim {}", sparseweaver::VERSION);
+    if cli::version("swsim", &args) {
         return;
     }
     let Some(cmd) = args.first() else { usage() };
-    let (pos, flags) = parse_flags(&args[1..]);
-    check_flags(cmd, &flags);
-    match cmd.as_str() {
-        "run" => cmd_run(args.clone(), flags, None),
-        "resume" => cmd_resume(pos, flags),
-        "gen" => cmd_gen(flags),
-        "disasm" => cmd_disasm(flags),
-        "datasets" => cmd_datasets(),
+    let rest = &args[1..];
+    let result = match cmd.as_str() {
+        "run" => cli::parse(rest, &RUN, "swsim run").and_then(|f| cmd_run(args.clone(), f, None)),
+        "resume" => cli::parse(rest, &RESUME, "swsim resume").and_then(cmd_resume),
+        "gen" => cli::parse(rest, &GEN, "swsim gen").and_then(cmd_gen),
+        "disasm" => cli::parse(rest, &DISASM, "swsim disasm").and_then(cmd_disasm),
+        "datasets" => cli::parse(rest, &FlagSpec::NONE, "swsim datasets")
+            .and_then(|f| f.no_positionals())
+            .map(|()| cmd_datasets()),
         _ => usage(),
+    };
+    if let Err(e) = result {
+        eprintln!("{e}");
+        match e {
+            CliError::Usage(_) => usage(),
+            CliError::Input(_) => exit(1),
+        }
     }
 }

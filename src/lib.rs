@@ -30,6 +30,8 @@
 //!   (see `docs/robustness.md`).
 //! - [`core`] — the graph framework: algorithms, scheduling schemes, the
 //!   kernel compiler, host runtime, analytic models, auto-tuner.
+//! - [`cli`] — the command-line front end the tools in `src/bin/` share:
+//!   one flag parser and one set of argument readers.
 //!
 //! ## Quickstart
 //!
@@ -56,6 +58,8 @@ pub use sparseweaver_sim as sim;
 pub use sparseweaver_trace as trace;
 pub use sparseweaver_weaver as weaver;
 
-/// The workspace version, shared by every CLI entry point (`swsim
-/// --version`, `swlint --version`).
+pub mod cli;
+
+/// The workspace version, printed by every tool's `--version`
+/// (see [`cli::version`]).
 pub const VERSION: &str = env!("CARGO_PKG_VERSION");

@@ -1,4 +1,5 @@
-//! End-to-end tests of the `swsim` and `swfault` CLI binaries.
+//! End-to-end tests of the command-line tools: `swsim`, `swfault`,
+//! `swlint`, `swprof` and `swreplay`.
 
 use std::process::Command;
 
@@ -204,14 +205,22 @@ fn unknown_arguments_fail_with_usage() {
 
 #[test]
 fn version_flag_prints_version_and_succeeds() {
-    for flag in ["--version", "-V"] {
-        let out = swsim().arg(flag).output().expect("spawn");
-        assert!(out.status.success());
-        let text = String::from_utf8_lossy(&out.stdout);
-        assert!(
-            text.starts_with("swsim ") && text.contains(env!("CARGO_PKG_VERSION")),
-            "{text}"
-        );
+    for (name, exe) in [
+        ("swsim", env!("CARGO_BIN_EXE_swsim")),
+        ("swfault", env!("CARGO_BIN_EXE_swfault")),
+        ("swlint", env!("CARGO_BIN_EXE_swlint")),
+        ("swprof", env!("CARGO_BIN_EXE_swprof")),
+        ("swreplay", env!("CARGO_BIN_EXE_swreplay")),
+    ] {
+        for flag in ["--version", "-V"] {
+            let out = Command::new(exe).arg(flag).output().expect("spawn");
+            assert!(out.status.success(), "{name} {flag}");
+            let text = String::from_utf8_lossy(&out.stdout);
+            assert!(
+                text.starts_with(&format!("{name} ")) && text.contains(env!("CARGO_PKG_VERSION")),
+                "{text}"
+            );
+        }
     }
 }
 
@@ -357,6 +366,55 @@ fn bad_flag_combinations_exit_with_code_2() {
             "--schedule",
             "sw",
             "--metrics-out",
+        ],
+        // Generator specs that break a generator's preconditions.
+        &[
+            "run",
+            "--gen",
+            "rmat:31:10:1",
+            "--algo",
+            "pr",
+            "--schedule",
+            "sw",
+        ],
+        &[
+            "run",
+            "--gen",
+            "uniform:0:5:1",
+            "--algo",
+            "pr",
+            "--schedule",
+            "sw",
+        ],
+        &[
+            "run",
+            "--gen",
+            "powerlaw:0:5:2.0:1",
+            "--algo",
+            "pr",
+            "--schedule",
+            "sw",
+        ],
+        &[
+            "run",
+            "--gen",
+            "powerlaw:10:20:nan:1",
+            "--algo",
+            "pr",
+            "--schedule",
+            "sw",
+        ],
+        // A traversal source past the last vertex.
+        &[
+            "run",
+            "--gen",
+            "uniform:40:160:1",
+            "--algo",
+            "bfs",
+            "--schedule",
+            "sw",
+            "--source",
+            "500",
         ],
     ];
     for args in cases {
@@ -593,6 +651,54 @@ fn swfault_rejects_bad_spec_with_usage_error() {
         .output()
         .expect("spawn");
     assert_eq!(out.status.code(), Some(2));
+}
+
+/// `swfault` shares `swsim`'s argument readers: a bad graph source or
+/// traversal source is a usage error before the golden run.
+#[test]
+fn swfault_rejects_bad_arguments_with_code_2() {
+    for extra in [
+        &["--source", "500"] as &[&str],
+        &["--gen", "rmat:31:10:1"],
+        &["--gen", "powerlaw:10:20:nan:1"],
+        &["--algo", "bfs", "--details", "extra"],
+    ] {
+        let out = swfault()
+            .args(["--inject", "reg=0.01", "--runs", "2"])
+            .args(extra)
+            .output()
+            .expect("spawn");
+        assert_eq!(
+            out.status.code(),
+            Some(2),
+            "args {:?} stderr: {}",
+            extra,
+            String::from_utf8_lossy(&out.stderr)
+        );
+    }
+}
+
+/// `swfault --gen` accepts the road-grid spec, as `swsim` does.
+#[test]
+fn swfault_campaign_runs_on_a_generated_grid() {
+    let out = swfault()
+        .args([
+            "--inject",
+            "reg=0.01",
+            "--runs",
+            "2",
+            "--gen",
+            "grid:8:8:0.6:1",
+        ])
+        .output()
+        .expect("spawn");
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(String::from_utf8_lossy(&out.stdout).contains("\"runs\":2"));
 }
 
 #[test]
@@ -965,6 +1071,60 @@ fn swsim_checkpoint_stop_and_resume_is_byte_identical() {
     let a = std::fs::read(&golden).unwrap();
     let b = std::fs::read(&resumed).unwrap();
     assert_eq!(a, b, "resumed metrics must be byte-identical to golden");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A switch never consumes the token after it: `swsim resume --json CKPT`
+/// prints the same bytes as `swsim resume CKPT --json`.
+#[test]
+fn swsim_resume_flags_may_precede_the_checkpoint_path() {
+    let dir = std::env::temp_dir().join("swsim_cli_resume_order_test");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let ck = dir.join("run.swckpt");
+    let out = swsim()
+        .args([
+            "run",
+            "--gen",
+            "powerlaw:48:240:1.8:7",
+            "--algo",
+            "pr",
+            "--iters",
+            "3",
+            "--schedule",
+            "sw",
+            "--config",
+            "small",
+            "--checkpoint-out",
+            ck.to_str().unwrap(),
+            "--stop-after-launches",
+            "2",
+        ])
+        .output()
+        .expect("spawn");
+    assert_eq!(
+        out.status.code(),
+        Some(5),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let saved = std::fs::read(&ck).unwrap();
+    let resume = |args: [&str; 3]| {
+        // Each resume starts from the same checkpoint bytes.
+        std::fs::write(&ck, &saved).unwrap();
+        let out = swsim().args(args).output().expect("spawn");
+        assert!(
+            out.status.success(),
+            "{args:?}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        out.stdout
+    };
+    let path = ck.to_str().unwrap();
+    let switch_first = resume(["resume", "--json", path]);
+    let path_first = resume(["resume", path, "--json"]);
+    assert!(!switch_first.is_empty());
+    assert_eq!(switch_first, path_first);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

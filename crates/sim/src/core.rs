@@ -68,6 +68,17 @@ sparseweaver_trace::snapshot_fields!(CoreStats {
 pub struct Core {
     id: usize,
     warps: Vec<Warp>,
+    /// Per warp, the earliest cycle its resolved front instruction can
+    /// issue (the latest scoreboard-ready cycle over its registers): `0`
+    /// while the front is unresolved, `u64::MAX` while the warp is halted
+    /// or at the barrier. Only the issuing warp's scoreboard changes, so
+    /// the value holds until that warp issues, halts, or leaves the
+    /// barrier. Derived state: rebuilt on launch and restore.
+    front_ready: Vec<u64>,
+    /// The producer of the register that sets `front_ready`.
+    front_kind: Vec<PendKind>,
+    /// Warps currently parked at the barrier.
+    at_barrier: usize,
     /// Scratchpad ("shared") memory, byte-addressed from 0.
     pub shared: MainMemory,
     /// The Weaver functional unit.
@@ -98,6 +109,9 @@ impl Core {
             warps: (0..cfg.warps_per_core)
                 .map(|_| Warp::new(cfg.threads_per_warp))
                 .collect(),
+            front_ready: vec![0; cfg.warps_per_core],
+            front_kind: vec![PendKind::None; cfg.warps_per_core],
+            at_barrier: 0,
             shared: MainMemory::new(cfg.shared_mem_bytes),
             weaver: WeaverUnit::new(cfg.weaver, cfg.warps_per_core, cfg.threads_per_warp),
             eghw: EghwUnit::new(cfg.warps_per_core, cfg.threads_per_warp),
@@ -132,10 +146,7 @@ impl Core {
 
     /// Number of warps currently parked at the barrier.
     pub fn warps_at_barrier(&self) -> usize {
-        self.warps
-            .iter()
-            .filter(|w| w.state == WarpState::AtBarrier)
-            .count()
+        self.at_barrier
     }
 
     /// Installs the EGHW graph layout for the next launch.
@@ -210,6 +221,7 @@ impl Core {
         for w in &mut self.warps[resident..] {
             w.state = WarpState::Halted;
         }
+        self.rebuild_schedule();
         self.shared.reset_traffic();
         self.next_warp = 0;
         self.resident = resident;
@@ -220,30 +232,49 @@ impl Core {
         self.eghw_dt.clear();
     }
 
-    fn maybe_release_barrier(&mut self) {
-        let any_waiting = self.warps.iter().any(|w| w.state == WarpState::AtBarrier);
-        if !any_waiting {
-            return;
+    /// Rebuilds the derived scheduler state from the warp states: every
+    /// running warp's front is unresolved, and the barrier count is
+    /// recounted.
+    fn rebuild_schedule(&mut self) {
+        for (ready, w) in self.front_ready.iter_mut().zip(&self.warps) {
+            *ready = if w.state == WarpState::Running {
+                0
+            } else {
+                u64::MAX
+            };
         }
-        let all_parked = self
-            .warps
-            .iter()
-            .all(|w| matches!(w.state, WarpState::AtBarrier | WarpState::Halted));
-        if all_parked {
-            for w in &mut self.warps {
-                if w.state == WarpState::AtBarrier {
-                    w.state = WarpState::Running;
-                }
-            }
-        }
+        self.at_barrier = self.count_at_barrier();
     }
 
-    fn halt_warp(&mut self, warp: usize) {
-        if self.warps[warp].state != WarpState::Halted {
-            self.warps[warp].state = WarpState::Halted;
-            self.resident -= 1;
-            self.maybe_release_barrier();
+    fn count_at_barrier(&self) -> usize {
+        self.warps
+            .iter()
+            .filter(|w| w.state == WarpState::AtBarrier)
+            .count()
+    }
+
+    /// Releases the barrier once every non-halted warp has arrived.
+    fn maybe_release_barrier(&mut self) {
+        if self.at_barrier == 0 || self.at_barrier != self.resident {
+            return;
         }
+        for (w, ready) in self.warps.iter_mut().zip(&mut self.front_ready) {
+            if w.state == WarpState::AtBarrier {
+                w.state = WarpState::Running;
+                *ready = 0;
+            }
+        }
+        self.at_barrier = 0;
+    }
+
+    /// Halts a running warp (only a running warp executes `halt` or runs
+    /// off the end of the program).
+    fn halt_warp(&mut self, warp: usize) {
+        debug_assert_eq!(self.warps[warp].state, WarpState::Running);
+        self.warps[warp].state = WarpState::Halted;
+        self.front_ready[warp] = u64::MAX;
+        self.resident -= 1;
+        self.maybe_release_barrier();
     }
 
     /// Consumes zero-cost `Phase` markers and returns the warp's next real
@@ -320,18 +351,25 @@ impl Core {
         if self.finished() {
             return Ok(IssueOutcome::Finished);
         }
+        debug_assert_eq!(self.at_barrier, self.count_at_barrier());
         let n = self.warps.len();
-        // Round-robin scan for a ready warp.
+        // Round-robin scan for a ready warp. A warp whose front cannot
+        // issue before a known later cycle is skipped without a probe.
         for i in 0..n {
             let w = (self.next_warp + i) % n;
+            if self.front_ready[w] > cycle {
+                #[cfg(debug_assertions)]
+                self.check_skipped(w, decoded);
+                continue;
+            }
             let Some(d) = self.resolve_front(w, decoded, cycle, hooks) else {
                 continue;
             };
-            // Scoreboard: all sources and the destination must be ready
-            // (operands come pre-extracted from the decoded cache, so this
-            // check allocates nothing).
-            let ready = d.regs().all(|r| self.warps[w].reg_ready(r, cycle));
-            if !ready {
+            // Scoreboard: all sources and the destination must be ready.
+            let (when, kind) = front_wait(&self.warps[w], d);
+            if when > cycle {
+                self.front_ready[w] = when;
+                self.front_kind[w] = kind;
                 continue;
             }
             if let Some(tr) = &mut hooks.tracer {
@@ -351,6 +389,8 @@ impl Core {
                 p.warp_issue(self.id, w);
             }
             let instr = self.fetch_with_faults(d.instr, w, program, hooks)?;
+            // The issue moves the front; `exec` marks a halt or barrier.
+            self.front_ready[w] = 0;
             self.exec(w, instr, cycle, args, hier, mem, hooks, num_cores, program)?;
             self.next_warp = (w + 1) % n;
             self.stats.instructions += 1;
@@ -360,24 +400,23 @@ impl Core {
         if self.finished() {
             return Ok(IssueOutcome::Finished);
         }
-        // Blocked: find the soonest-ready running warp.
+        // Blocked: find the soonest-ready running warp (lowest index on a
+        // tie). Every running warp was probed by the scan, except one a
+        // halt released from the barrier after the scan had passed it;
+        // that warp's front is read raw, unresolved.
         let mut best: Option<(u64, PendKind, Phase)> = None;
-        for w in &self.warps {
+        for (i, w) in self.warps.iter().enumerate() {
             if w.state != WarpState::Running {
                 continue;
             }
-            let Some(d) = decoded.get(w.pc) else {
-                continue;
+            let (when, kind) = if self.front_ready[i] != 0 {
+                (self.front_ready[i], self.front_kind[i])
+            } else {
+                let Some(d) = decoded.get(w.pc) else {
+                    continue;
+                };
+                front_wait(w, d)
             };
-            let mut when = 0u64;
-            let mut kind = PendKind::Exec;
-            for r in d.regs() {
-                let (t, k) = w.reg_pending(r);
-                if t > when {
-                    when = t;
-                    kind = k;
-                }
-            }
             if best.is_none_or(|(t, _, _)| when < t) {
                 best = Some((when, kind, w.phase));
             }
@@ -406,6 +445,28 @@ impl Core {
             }
         };
         Ok(IssueOutcome::Blocked(blocked))
+    }
+
+    /// Debug cross-check of a skipped warp: a running warp's front is
+    /// resolved and its cached ready cycle matches the scoreboard; any
+    /// other warp is cached as never ready.
+    #[cfg(debug_assertions)]
+    fn check_skipped(&self, w: usize, decoded: &DecodedProgram) {
+        let warp = &self.warps[w];
+        if warp.state != WarpState::Running {
+            assert_eq!(self.front_ready[w], u64::MAX, "parked warp {w}");
+            return;
+        }
+        let d = decoded.get(warp.pc).expect("skipped warp past the end");
+        assert!(
+            !matches!(d.instr, Instr::Phase(_)),
+            "skipped warp {w} has an unresolved phase marker"
+        );
+        assert_eq!(
+            (self.front_ready[w], self.front_kind[w]),
+            front_wait(warp, d),
+            "stale ready cycle for warp {w}"
+        );
     }
 
     /// Models a transient bit flip between I-cache and decode: the fetched
@@ -478,6 +539,8 @@ impl Core {
                     r.barrier(core_id, w as u32, cycle);
                 }
                 self.warps[w].state = WarpState::AtBarrier;
+                self.front_ready[w] = u64::MAX;
+                self.at_barrier += 1;
                 self.maybe_release_barrier();
             }
             Instr::LdImm { rd, imm } => {
@@ -1001,6 +1064,22 @@ impl Core {
     }
 }
 
+/// When `d` can issue on `warp`: the latest ready cycle over its source
+/// and destination registers, and that register's producer (`(0, Exec)`
+/// when nothing is pending).
+fn front_wait(warp: &Warp, d: &DecodedInstr) -> (u64, PendKind) {
+    let mut when = 0u64;
+    let mut kind = PendKind::Exec;
+    for r in d.regs() {
+        let (t, k) = warp.reg_pending(r);
+        if t > when {
+            when = t;
+            kind = k;
+        }
+    }
+    (when, kind)
+}
+
 /// Maps a typed device-memory fault to a [`SimError::Fault`].
 fn mem_fault(program: &Program, e: &sparseweaver_mem::MemFault) -> SimError {
     SimError::Fault {
@@ -1040,6 +1119,8 @@ impl Snapshot for Core {
         self.next_warp.restore(d)?;
         self.resident.restore(d)?;
         self.active_warps.restore(d)?;
-        self.stats.restore(d)
+        self.stats.restore(d)?;
+        self.rebuild_schedule();
+        Ok(())
     }
 }

@@ -134,11 +134,6 @@ impl Warp {
         }
     }
 
-    /// Whether `reg` is available at `cycle`.
-    pub fn reg_ready(&self, reg: Reg, cycle: u64) -> bool {
-        self.ready[reg.0 as usize] <= cycle
-    }
-
     /// When `reg` becomes available, and on what.
     pub fn reg_pending(&self, reg: Reg) -> (u64, PendKind) {
         (self.ready[reg.0 as usize], self.pend[reg.0 as usize])
@@ -164,11 +159,6 @@ impl Warp {
         }
     }
 
-    /// Lanes currently active, as indices.
-    pub fn active_lanes(&self) -> impl Iterator<Item = usize> + '_ {
-        (0..self.lanes).filter(move |&l| self.active >> l & 1 == 1)
-    }
-
     /// Value of `reg` in the lowest active lane (uniform reads).
     pub fn read_uniform(&self, reg: Reg) -> u64 {
         let lane = self.active.trailing_zeros() as usize;
@@ -190,9 +180,9 @@ pub fn full_mask(lanes: usize) -> u64 {
     }
 }
 
-/// The set lanes of `mask`, ascending — like [`Warp::active_lanes`] but
-/// free of the `&self` borrow, so the execution loops can walk a saved
-/// mask while mutating the warp without collecting into a `Vec` first.
+/// The set lanes of `mask`, ascending. It takes the mask by value, free of
+/// any warp borrow, so the execution loops can walk a saved mask while
+/// mutating the warp without collecting into a `Vec` first.
 pub fn lanes_of(mut mask: u64) -> impl Iterator<Item = usize> {
     std::iter::from_fn(move || {
         if mask == 0 {
@@ -254,10 +244,8 @@ mod tests {
     #[test]
     fn scoreboard_tracks_readiness() {
         let mut w = Warp::new(4);
-        assert!(w.reg_ready(Reg(3), 0));
+        assert_eq!(w.reg_pending(Reg(3)), (0, PendKind::None));
         w.set_pending(Reg(3), 100, PendKind::Memory);
-        assert!(!w.reg_ready(Reg(3), 99));
-        assert!(w.reg_ready(Reg(3), 100));
         assert_eq!(w.reg_pending(Reg(3)), (100, PendKind::Memory));
     }
 
@@ -265,28 +253,25 @@ mod tests {
     fn x0_never_pends() {
         let mut w = Warp::new(4);
         w.set_pending(Reg(0), 100, PendKind::Memory);
-        assert!(w.reg_ready(Reg(0), 0));
+        assert_eq!(w.reg_pending(Reg(0)), (0, PendKind::None));
     }
 
     #[test]
     fn active_lanes_iteration() {
         let mut w = Warp::new(4);
         w.active = 0b1010;
-        let lanes: Vec<_> = w.active_lanes().collect();
+        let lanes: Vec<_> = lanes_of(w.active).collect();
         assert_eq!(lanes, vec![1, 3]);
         assert_eq!(w.active_count(), 2);
     }
 
     #[test]
-    fn lanes_of_matches_active_lanes() {
-        for mask in [0u64, 0b1, 0b1010, 0b1111, u64::MAX >> 32] {
-            let mut w = Warp::new(32);
-            w.active = mask & full_mask(32);
-            let via_warp: Vec<_> = w.active_lanes().collect();
-            let via_mask: Vec<_> = lanes_of(w.active).collect();
-            assert_eq!(via_mask, via_warp, "mask {mask:b}");
+    fn lanes_of_matches_a_naive_bit_filter() {
+        for mask in [0u64, 0b1, 0b1010, 0b1111, u64::MAX >> 32, u64::MAX, 1 << 63] {
+            let naive: Vec<_> = (0..64).filter(|&l| mask >> l & 1 == 1).collect();
+            let via_mask: Vec<_> = lanes_of(mask).collect();
+            assert_eq!(via_mask, naive, "mask {mask:b}");
         }
-        assert_eq!(lanes_of(1u64 << 63).collect::<Vec<_>>(), vec![63]);
     }
 
     #[test]
@@ -316,6 +301,6 @@ mod tests {
         assert_eq!(w.active, 0b1111);
         assert_eq!(w.state, WarpState::Running);
         assert_eq!(w.read(0, Reg(1)), 0);
-        assert!(w.reg_ready(Reg(1), 0));
+        assert_eq!(w.reg_pending(Reg(1)), (0, PendKind::None));
     }
 }

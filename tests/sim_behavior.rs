@@ -235,3 +235,113 @@ fn stores_from_divergent_paths_do_not_leak() {
         assert_eq!(g.mem().read(t * 8, 8), expect, "thread {t}");
     }
 }
+
+/// Even warps start a long load and park at a barrier; odd warps do a little
+/// ALU work past phase markers and then run off the end of the program
+/// (no `halt`). The last odd warp's halt happens while the scheduler is
+/// scanning for a ready warp, and it releases barrier warps the scan has
+/// already passed.
+fn barrier_released_by_run_off_halt() -> sparseweaver::isa::Program {
+    use sparseweaver::isa::AluOp;
+    let mut a = Asm::new("run_off_release");
+    let wid = a.reg();
+    let odd = a.reg();
+    let tid = a.reg();
+    let addr = a.reg();
+    let v = a.reg();
+    a.csr(wid, CsrKind::WarpId);
+    a.alui(AluOp::And, odd, wid, 1);
+    let odd_path = a.new_label();
+    a.bne(odd, a.zero(), odd_path);
+    // Even warps.
+    a.csr(tid, CsrKind::GlobalTid);
+    a.muli(addr, tid, 64);
+    a.ldg(v, addr, 0x4000, Width::B8);
+    a.bar();
+    a.phase(1);
+    a.phase(2);
+    a.add(v, v, tid);
+    a.stg(v, addr, 0, Width::B8);
+    a.bar();
+    a.phase(4);
+    a.halt();
+    // Odd warps: no halt, they fall off the end.
+    a.bind(odd_path);
+    a.phase(2);
+    a.addi(v, wid, 1);
+    a.phase(3);
+    a.addi(v, v, 2);
+    a.phase(4);
+    a.addi(v, v, 3);
+    a.addi(v, v, 4);
+    a.addi(v, v, 5);
+    a.finish()
+}
+
+#[test]
+fn run_off_halt_releasing_passed_barrier_warps_is_deterministic() {
+    use sparseweaver::mem::Hooks;
+    use sparseweaver::trace::{EventData, TraceConfig, Tracer};
+
+    let p = barrier_released_by_run_off_halt();
+    let run = |ff: bool| {
+        let mut g = gpu();
+        g.set_fast_forward(ff);
+        g.attach_hooks(Hooks {
+            tracer: Some(Tracer::new(TraceConfig::default())),
+            ..Hooks::default()
+        });
+        let stats = g.launch(&p, &[]).unwrap();
+        let report = g.take_hooks().tracer.unwrap().take_report();
+        let phases: Vec<(u64, u32, u32, u8)> = report
+            .events
+            .iter()
+            .filter_map(|e| match e.data {
+                EventData::PhaseBegin { warp, phase } => Some((e.cycle, e.core, warp, phase as u8)),
+                _ => None,
+            })
+            .collect();
+        (stats, phases)
+    };
+    let (stats, phases) = run(true);
+    assert_eq!(run(false), (stats.clone(), phases.clone()));
+    assert_eq!(
+        format!("{stats:?}"),
+        "KernelStats { cycles: 177, instructions: 76, thread_instructions: 304, \
+         stalls: StallBreakdown { memory: 266, shared: 0, exec_dep: 2, l1_queue: 64, \
+         barrier: 52, weaver: 0 }, phase_cycles: [42, 0, 282, 4, 16, 0], \
+         mem: LevelStats { l1: CacheStats { accesses: 32, hits: 0, misses: 32, writebacks: 0 }, \
+         l2: CacheStats { accesses: 32, hits: 0, misses: 32, writebacks: 0 }, l3: None, \
+         dram_accesses: 32 }, weaver_counters: (0, 0, 0), warp_cycles: 802, launches: 1 }"
+    );
+    // (cycle, core, warp, phase) of every PhaseBegin, in emission order.
+    assert_eq!(
+        phases,
+        [
+            (13, 0, 1, 2),
+            (13, 1, 1, 2),
+            (15, 0, 3, 2),
+            (15, 1, 3, 2),
+            (17, 0, 1, 3),
+            (17, 1, 1, 3),
+            (19, 0, 3, 3),
+            (19, 1, 3, 3),
+            (21, 0, 1, 4),
+            (21, 1, 1, 4),
+            (23, 0, 3, 4),
+            (23, 1, 3, 4),
+            (31, 0, 0, 1),
+            (31, 0, 0, 2),
+            (31, 0, 2, 1),
+            (31, 0, 2, 2),
+            (31, 1, 0, 1),
+            (31, 1, 0, 2),
+            (31, 1, 2, 1),
+            (31, 1, 2, 2),
+            (165, 0, 0, 4),
+            (166, 0, 2, 4),
+            (175, 1, 0, 4),
+            (176, 1, 2, 4),
+        ]
+    );
+}

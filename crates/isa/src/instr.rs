@@ -19,6 +19,41 @@ impl fmt::Display for Reg {
     }
 }
 
+/// Matches `$op` once and, in the matching arm, runs the lane loop `$run`
+/// with `$f` bound to the scalar `$method` of that arm's constant op, so
+/// the loop inlines it. Listing every variant keeps the match exhaustive.
+macro_rules! lane_kernels {
+    ($op:expr, $ty:ident::$method:ident { $($v:ident)* }, |$f:ident| $run:expr) => {
+        match $op {
+            $($ty::$v => {
+                let $f = |x, y| $ty::$v.$method(x, y);
+                $run
+            })*
+        }
+    };
+}
+
+/// `out[l] = f(a[l], b[l])` for every lane of `out`. The slices must be
+/// equally long.
+#[inline(always)]
+fn zip_lanes(a: &[u64], b: &[u64], out: &mut [u64], f: impl Fn(u64, u64) -> u64) {
+    debug_assert!(a.len() == out.len() && b.len() == out.len());
+    for ((o, &x), &y) in out.iter_mut().zip(a).zip(b) {
+        *o = f(x, y);
+    }
+}
+
+/// Bit `l` set when `f(a[l], b[l])` holds, over at most 64 equally long
+/// lanes.
+#[inline(always)]
+fn lane_mask(a: &[u64], b: &[u64], f: impl Fn(u64, u64) -> bool) -> u64 {
+    debug_assert!(a.len() == b.len() && a.len() <= 64);
+    a.iter()
+        .zip(b)
+        .enumerate()
+        .fold(0, |m, (l, (&x, &y))| m | (f(x, y) as u64) << l)
+}
+
 /// Integer ALU operation. Values are 64-bit words; signedness is encoded in
 /// the operation, as in RISC-V.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -77,6 +112,7 @@ impl AluOp {
     ///
     /// Division and remainder by zero follow the RISC-V convention
     /// (`u64::MAX` and the dividend, respectively) instead of trapping.
+    #[inline]
     pub fn apply(self, a: u64, b: u64) -> u64 {
         match self {
             AluOp::Add => a.wrapping_add(b),
@@ -100,7 +136,24 @@ impl AluOp {
             AluOp::MaxS => ((a as i64).max(b as i64)) as u64,
         }
     }
+
+    /// [`AluOp::apply`] across a warp: `out[l] = apply(a[l], b[l])` for
+    /// every lane of `out`. The op is matched once, outside the lane loop,
+    /// so each arm's loop runs a constant op and can vectorise.
+    pub fn apply_lanes(self, a: &[u64], b: &[u64], out: &mut [u64]) {
+        lane_kernels!(
+            self,
+            AluOp::apply {
+                Add Sub Mul DivU RemU And Or Xor Sll Srl Sra SltS SltU Seq Sne MinU MaxU MinS MaxS
+            },
+            |f| zip_lanes(a, b, out, f)
+        )
+    }
 }
+
+/// The bit pattern of every NaN an [`FpuOp`] produces: the quiet NaN with
+/// a clear sign and an empty payload.
+const CANONICAL_NAN: u64 = 0x7ff8_0000_0000_0000;
 
 /// Floating-point operation on `f64` values carried in 64-bit registers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -126,6 +179,14 @@ impl FpuOp {
     ];
 
     /// Applies the operation to two registers holding `f64` bit patterns.
+    ///
+    /// A NaN result is always the canonical quiet NaN
+    /// `0x7ff8_0000_0000_0000`, as on RISC-V: which operand's payload a
+    /// host float unit propagates depends on operand order, and a
+    /// vectorised loop may commute it. `min`/`max` return the non-NaN
+    /// operand when one is NaN, and `a` when the operands compare equal
+    /// (so `min(+0.0, -0.0)` is `+0.0`).
+    #[inline]
     pub fn apply(self, a: u64, b: u64) -> u64 {
         let x = f64::from_bits(a);
         let y = f64::from_bits(b);
@@ -134,10 +195,32 @@ impl FpuOp {
             FpuOp::Sub => x - y,
             FpuOp::Mul => x * y,
             FpuOp::Div => x / y,
-            FpuOp::Min => x.min(y),
-            FpuOp::Max => x.max(y),
+            FpuOp::Min => {
+                if y.is_nan() || x <= y {
+                    x
+                } else {
+                    y
+                }
+            }
+            FpuOp::Max => {
+                if y.is_nan() || x >= y {
+                    x
+                } else {
+                    y
+                }
+            }
         };
-        r.to_bits()
+        if r.is_nan() {
+            CANONICAL_NAN
+        } else {
+            r.to_bits()
+        }
+    }
+
+    /// [`FpuOp::apply`] across a warp, with the op matched once outside
+    /// the lane loop (see [`AluOp::apply_lanes`]).
+    pub fn apply_lanes(self, a: &[u64], b: &[u64], out: &mut [u64]) {
+        lane_kernels!(self, FpuOp::apply { Add Sub Mul Div Min Max }, |f| zip_lanes(a, b, out, f))
     }
 }
 
@@ -155,6 +238,7 @@ impl FCmpOp {
     pub const ALL: [FCmpOp; 3] = [FCmpOp::Lt, FCmpOp::Le, FCmpOp::Eq];
 
     /// Applies the comparison to two registers holding `f64` bit patterns.
+    #[inline]
     pub fn apply(self, a: u64, b: u64) -> u64 {
         let x = f64::from_bits(a);
         let y = f64::from_bits(b);
@@ -164,6 +248,12 @@ impl FCmpOp {
             FCmpOp::Eq => x == y,
         };
         r as u64
+    }
+
+    /// [`FCmpOp::apply`] across a warp, with the op matched once outside
+    /// the lane loop (see [`AluOp::apply_lanes`]).
+    pub fn apply_lanes(self, a: &[u64], b: &[u64], out: &mut [u64]) {
+        lane_kernels!(self, FCmpOp::apply { Lt Le Eq }, |f| zip_lanes(a, b, out, f))
     }
 }
 
@@ -193,6 +283,7 @@ impl BrCond {
     ];
 
     /// Evaluates the condition on two 64-bit words.
+    #[inline]
     pub fn eval(self, a: u64, b: u64) -> bool {
         match self {
             BrCond::Eq => a == b,
@@ -202,6 +293,12 @@ impl BrCond {
             BrCond::LtU => a < b,
             BrCond::GeU => a >= b,
         }
+    }
+
+    /// [`BrCond::eval`] across a warp of at most 64 lanes: bit `l` of the
+    /// result is set when the condition holds on `a[l]` and `b[l]`.
+    pub fn eval_lanes(self, a: &[u64], b: &[u64]) -> u64 {
+        lane_kernels!(self, BrCond::eval { Eq Ne LtS GeS LtU GeU }, |f| lane_mask(a, b, f))
     }
 }
 
@@ -854,6 +951,22 @@ mod tests {
         assert_eq!(f64::from_bits(FpuOp::Div.apply(a, b)), 0.75);
         assert_eq!(FCmpOp::Lt.apply(a, b), 1);
         assert_eq!(FCmpOp::Eq.apply(a, a), 1);
+    }
+
+    #[test]
+    fn fpu_nan_results_are_canonical() {
+        let inf = f64::INFINITY.to_bits();
+        let payload = 0x7ff8_0000_dead_beef;
+        assert_eq!(FpuOp::Sub.apply(inf, inf), CANONICAL_NAN);
+        assert_eq!(FpuOp::Add.apply(f64::NAN.to_bits(), payload), CANONICAL_NAN);
+        assert_eq!(FpuOp::Mul.apply(payload, 0), CANONICAL_NAN);
+        assert_eq!(FpuOp::Min.apply(payload, payload), CANONICAL_NAN);
+        let one = 1.0f64.to_bits();
+        assert_eq!(FpuOp::Min.apply(payload, one), one);
+        assert_eq!(FpuOp::Max.apply(one, payload), one);
+        let (pz, nz) = (0.0f64.to_bits(), (-0.0f64).to_bits());
+        assert_eq!(FpuOp::Min.apply(pz, nz), pz);
+        assert_eq!(FpuOp::Max.apply(nz, pz), nz);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! shared memory, and the Weaver/EGHW functional-unit port.
 
 use sparseweaver_isa::{
-    DecodedInstr, DecodedProgram, Instr, Program, Space, VoteOp, Width, NUM_REGS,
+    BrCond, DecodedInstr, DecodedProgram, Instr, Program, Reg, Space, VoteOp, Width, NUM_REGS, ZERO,
 };
 use sparseweaver_mem::{Hierarchy, Hooks, MainMemory};
 use sparseweaver_trace::codec::{CodecError, Dec, Enc, Snapshot};
@@ -14,6 +14,10 @@ use crate::config::{GpuConfig, WeaverMode};
 use crate::stats::{PendKind, Phase, StallBreakdown};
 use crate::warp::{full_mask, lanes_of, SimtEntry, Warp, WarpState};
 use crate::SimError;
+
+/// The widest warp [`GpuConfig::validate`] admits: one bit per lane in a
+/// `u64` mask. Sizes the stack rows the execution kernels build.
+const MAX_LANES: usize = 64;
 
 /// Why a core could not issue this cycle, and when it can retry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -353,10 +357,11 @@ impl Core {
         }
         debug_assert_eq!(self.at_barrier, self.count_at_barrier());
         let n = self.warps.len();
-        // Round-robin scan for a ready warp. A warp whose front cannot
-        // issue before a known later cycle is skipped without a probe.
-        for i in 0..n {
-            let w = (self.next_warp + i) % n;
+        let start = self.next_warp % n;
+        // Round-robin scan for a ready warp, from `start` and wrapping
+        // without a division per probe. A warp whose front cannot issue
+        // before a known later cycle is skipped without a probe.
+        for w in (start..n).chain(0..start) {
             if self.front_ready[w] > cycle {
                 #[cfg(debug_assertions)]
                 self.check_skipped(w, decoded);
@@ -392,7 +397,7 @@ impl Core {
             // The issue moves the front; `exec` marks a halt or barrier.
             self.front_ready[w] = 0;
             self.exec(w, instr, cycle, args, hier, mem, hooks, num_cores, program)?;
-            self.next_warp = (w + 1) % n;
+            self.next_warp = if w + 1 == n { 0 } else { w + 1 };
             self.stats.instructions += 1;
             self.stats.phase_cycles[self.warps[w].phase as usize] += 1;
             return Ok(IssueOutcome::Issued);
@@ -544,51 +549,48 @@ impl Core {
                 self.maybe_release_barrier();
             }
             Instr::LdImm { rd, imm } => {
-                for l in lanes_of(warp.active) {
-                    warp.write(l, rd, imm as u64);
-                }
+                warp.write_row(rd, &[imm as u64; MAX_LANES], warp.active);
                 warp.set_pending(rd, cycle + self.alu_latency, PendKind::Exec);
             }
             Instr::Alu { op, rd, rs1, rs2 } => {
-                for l in lanes_of(warp.active) {
-                    let v = op.apply(warp.read(l, rs1), warp.read(l, rs2));
-                    warp.write(l, rd, v);
-                }
+                let mut out = [0u64; MAX_LANES];
+                op.apply_lanes(warp.row(rs1), warp.row(rs2), &mut out[..lanes]);
+                warp.write_row(rd, &out, warp.active);
                 warp.set_pending(rd, cycle + self.alu_latency, PendKind::Exec);
             }
             Instr::AluI { op, rd, rs1, imm } => {
-                for l in lanes_of(warp.active) {
-                    let v = op.apply(warp.read(l, rs1), imm as u64);
-                    warp.write(l, rd, v);
-                }
+                let mut out = [0u64; MAX_LANES];
+                let imm = [imm as u64; MAX_LANES];
+                op.apply_lanes(warp.row(rs1), &imm[..lanes], &mut out[..lanes]);
+                warp.write_row(rd, &out, warp.active);
                 warp.set_pending(rd, cycle + self.alu_latency, PendKind::Exec);
             }
             Instr::Fpu { op, rd, rs1, rs2 } => {
-                for l in lanes_of(warp.active) {
-                    let v = op.apply(warp.read(l, rs1), warp.read(l, rs2));
-                    warp.write(l, rd, v);
-                }
+                let mut out = [0u64; MAX_LANES];
+                op.apply_lanes(warp.row(rs1), warp.row(rs2), &mut out[..lanes]);
+                warp.write_row(rd, &out, warp.active);
                 warp.set_pending(rd, cycle + self.fpu_latency, PendKind::Exec);
             }
             Instr::FCmp { op, rd, rs1, rs2 } => {
-                for l in lanes_of(warp.active) {
-                    let v = op.apply(warp.read(l, rs1), warp.read(l, rs2));
-                    warp.write(l, rd, v);
-                }
+                let mut out = [0u64; MAX_LANES];
+                op.apply_lanes(warp.row(rs1), warp.row(rs2), &mut out[..lanes]);
+                warp.write_row(rd, &out, warp.active);
                 warp.set_pending(rd, cycle + self.fpu_latency, PendKind::Exec);
             }
             Instr::CvtIF { rd, rs1 } => {
-                for l in lanes_of(warp.active) {
-                    let v = (warp.read(l, rs1) as i64) as f64;
-                    warp.write(l, rd, v.to_bits());
+                let mut out = [0u64; MAX_LANES];
+                for (o, &v) in out.iter_mut().zip(warp.row(rs1)) {
+                    *o = ((v as i64) as f64).to_bits();
                 }
+                warp.write_row(rd, &out, warp.active);
                 warp.set_pending(rd, cycle + self.fpu_latency, PendKind::Exec);
             }
             Instr::CvtFI { rd, rs1 } => {
-                for l in lanes_of(warp.active) {
-                    let v = f64::from_bits(warp.read(l, rs1)) as i64;
-                    warp.write(l, rd, v as u64);
+                let mut out = [0u64; MAX_LANES];
+                for (o, &v) in out.iter_mut().zip(warp.row(rs1)) {
+                    *o = f64::from_bits(v) as i64 as u64;
                 }
+                warp.write_row(rd, &out, warp.active);
                 warp.set_pending(rd, cycle + self.fpu_latency, PendKind::Exec);
             }
             Instr::Csr { rd, kind } => {
@@ -596,29 +598,29 @@ impl Core {
                 // not widen the kernel's iteration space, or its share of
                 // the work would silently go undone.
                 let wpc = self.active_warps;
-                let warp = &mut self.warps[w];
-                for l in 0..lanes {
-                    let v = match kind {
-                        CsrKind::LaneId => l as u64,
-                        CsrKind::WarpId => w as u64,
-                        CsrKind::CoreId => core_id as u64,
-                        CsrKind::GlobalTid => (core_id * wpc * lanes + w * lanes + l) as u64,
-                        CsrKind::CoreTid => (w * lanes + l) as u64,
-                        CsrKind::NumCores => num_cores as u64,
-                        CsrKind::WarpsPerCore => wpc as u64,
-                        CsrKind::ThreadsPerWarp => lanes as u64,
-                        CsrKind::ThreadsPerCore => (wpc * lanes) as u64,
-                        CsrKind::NumThreads => (num_cores * wpc * lanes) as u64,
-                    };
-                    warp.write(l, rd, v);
+                // Lane `l` reads `base + l * step`.
+                let (base, step) = match kind {
+                    CsrKind::LaneId => (0, 1),
+                    CsrKind::WarpId => (w, 0),
+                    CsrKind::CoreId => (core_id, 0),
+                    CsrKind::GlobalTid => (core_id * wpc * lanes + w * lanes, 1),
+                    CsrKind::CoreTid => (w * lanes, 1),
+                    CsrKind::NumCores => (num_cores, 0),
+                    CsrKind::WarpsPerCore => (wpc, 0),
+                    CsrKind::ThreadsPerWarp => (lanes, 0),
+                    CsrKind::ThreadsPerCore => (wpc * lanes, 0),
+                    CsrKind::NumThreads => (num_cores * wpc * lanes, 0),
+                };
+                let mut out = [0u64; MAX_LANES];
+                for (l, o) in out[..lanes].iter_mut().enumerate() {
+                    *o = (base + l * step) as u64;
                 }
+                warp.write_row(rd, &out, full_mask(lanes));
                 warp.set_pending(rd, cycle + self.alu_latency, PendKind::Exec);
             }
             Instr::LdArg { rd, idx } => {
                 let v = args.get(idx as usize).copied().unwrap_or(0);
-                for l in 0..lanes {
-                    warp.write(l, rd, v);
-                }
+                warp.write_row(rd, &[v; MAX_LANES], full_mask(lanes));
                 warp.set_pending(rd, cycle + self.alu_latency, PendKind::Exec);
             }
             Instr::Ld {
@@ -651,43 +653,44 @@ impl Core {
                 space,
             } => {
                 let mask = warp.active;
+                let (addrs, operands) = (warp.row(addr), warp.row(src));
+                let mut olds = [0u64; MAX_LANES];
                 let mut max_done = cycle;
-                match space {
+                let kind = match space {
                     Space::Global => {
                         for l in lanes_of(mask) {
-                            let a = self.warps[w].read(l, addr);
-                            let operand = self.warps[w].read(l, src);
+                            let a = addrs[l];
                             let r = hier.atomic(core_id, a, cycle, hooks);
                             max_done = max_done.max(cycle + r.latency);
-                            let old = mem
+                            olds[l] = mem
                                 .try_read(a, 8, hooks.fault.as_mut())
                                 .map_err(|e| mem_fault(program, &e))?;
-                            mem.try_write(a, op.combine(old, operand), 8)
+                            mem.try_write(a, op.combine(olds[l], operands[l]), 8)
                                 .map_err(|e| mem_fault(program, &e))?;
-                            self.warps[w].write(l, rd, old);
                         }
-                        self.warps[w].set_pending(rd, max_done, PendKind::Memory);
+                        PendKind::Memory
                     }
                     Space::Shared => {
                         // Scratchpad atomics: serialized lane by lane at
                         // shared-memory latency (bank conflicts on the
                         // same counter are the realistic cost).
                         for (i, l) in lanes_of(mask).enumerate() {
-                            let a = self.warps[w].read(l, addr);
-                            let operand = self.warps[w].read(l, src);
-                            let old = self
+                            let a = addrs[l];
+                            olds[l] = self
                                 .shared
                                 .try_read(a, 8, None)
                                 .map_err(|e| mem_fault(program, &e))?;
                             self.shared
-                                .try_write(a, op.combine(old, operand), 8)
+                                .try_write(a, op.combine(olds[l], operands[l]), 8)
                                 .map_err(|e| mem_fault(program, &e))?;
-                            self.warps[w].write(l, rd, old);
                             max_done = max_done.max(cycle + self.shared_latency + i as u64);
                         }
-                        self.warps[w].set_pending(rd, max_done, PendKind::Shared);
+                        PendKind::Shared
                     }
-                }
+                };
+                let warp = &mut self.warps[w];
+                warp.write_row(rd, &olds, mask);
+                warp.set_pending(rd, max_done, kind);
             }
             Instr::Br {
                 cond,
@@ -695,21 +698,14 @@ impl Core {
                 rs2,
                 target,
             } => {
-                let mut taken: Option<bool> = None;
-                for l in lanes_of(warp.active) {
-                    let t = cond.eval(warp.read(l, rs1), warp.read(l, rs2));
-                    match taken {
-                        None => taken = Some(t),
-                        Some(prev) if prev != t => {
-                            return Err(SimError::DivergentBranch {
-                                kernel: program.name().to_string(),
-                                pc: warp.pc - 1,
-                            })
-                        }
-                        _ => {}
-                    }
+                let taken = cond.eval_lanes(warp.row(rs1), warp.row(rs2)) & warp.active;
+                if taken != 0 && taken != warp.active {
+                    return Err(SimError::DivergentBranch {
+                        kernel: program.name().to_string(),
+                        pc: warp.pc - 1,
+                    });
                 }
-                if taken.unwrap_or(false) {
+                if taken != 0 {
                     warp.pc = target;
                 }
             }
@@ -723,12 +719,7 @@ impl Core {
             } => {
                 let split_pc = warp.pc - 1;
                 let m = warp.active;
-                let mut t = 0u64;
-                for l in lanes_of(warp.active) {
-                    if warp.read(l, rs1) != 0 {
-                        t |= 1 << l;
-                    }
-                }
+                let t = nonzero_lanes(warp, rs1) & m;
                 let f = m & !t;
                 let mut entry = SimtEntry {
                     saved_mask: m,
@@ -779,24 +770,13 @@ impl Core {
                 }
             }
             Instr::Vote { op, rd, rs1 } => {
-                let mut ballot = 0u64;
-                let mut count = 0u32;
-                let mut active = 0u32;
-                for l in lanes_of(warp.active) {
-                    active += 1;
-                    if warp.read(l, rs1) != 0 {
-                        ballot |= 1 << l;
-                        count += 1;
-                    }
-                }
+                let ballot = nonzero_lanes(warp, rs1) & warp.active;
                 let v = match op {
-                    VoteOp::All => (count == active) as u64,
-                    VoteOp::Any => (count > 0) as u64,
+                    VoteOp::All => (ballot == warp.active) as u64,
+                    VoteOp::Any => (ballot != 0) as u64,
                     VoteOp::Ballot => ballot,
                 };
-                for l in 0..lanes {
-                    warp.write(l, rd, v);
-                }
+                warp.write_row(rd, &[v; MAX_LANES], full_mask(lanes));
                 warp.set_pending(rd, cycle + self.alu_latency, PendKind::Exec);
             }
             Instr::Tmc { rs1 } => {
@@ -811,30 +791,23 @@ impl Core {
             }
             Instr::WeaverReg { vid, loc, deg } => {
                 let mask = warp.active;
+                let vids = warp.row(vid);
                 match self.weaver_mode {
                     WeaverMode::Weaver => {
-                        let records: Vec<(usize, u32, u32, u32)> = lanes_of(mask)
-                            .map(|l| {
-                                (
-                                    l,
-                                    self.warps[w].read(l, vid) as u32,
-                                    self.warps[w].read(l, loc) as u32,
-                                    self.warps[w].read(l, deg) as u32,
-                                )
-                            })
-                            .collect();
+                        let (locs, degs) = (warp.row(loc), warp.row(deg));
+                        let (records, n) = pack_lanes(mask, |l| {
+                            (l, vids[l] as u32, locs[l] as u32, degs[l] as u32)
+                        });
                         self.weaver
-                            .reg(w, &records, cycle, core_id as u32, hooks)
+                            .reg(w, &records[..n], cycle, core_id as u32, hooks)
                             .map_err(|e| SimError::Fault {
                                 kernel: program.name().to_string(),
                                 what: e.to_string(),
                             })?;
                     }
                     WeaverMode::Eghw => {
-                        let records: Vec<(usize, u32)> = lanes_of(mask)
-                            .map(|l| (l, self.warps[w].read(l, vid) as u32))
-                            .collect();
-                        self.eghw.reg(w, &records, cycle);
+                        let (records, n) = pack_lanes(mask, |l| (l, vids[l] as u32));
+                        self.eghw.reg(w, &records[..n], cycle);
                     }
                 }
             }
@@ -847,9 +820,7 @@ impl Core {
                         p.weaver_dec(core_id, w, cycle, resp.ready_at);
                     }
                     let warp = &mut self.warps[w];
-                    for l in 0..lanes {
-                        warp.write(l, rd, resp.batch.vids[l] as u64);
-                    }
+                    warp.write_row(rd, &id_row(&resp.batch.vids[..lanes]), full_mask(lanes));
                     warp.set_pending(rd, resp.ready_at, PendKind::Weaver);
                     if self.auto_mask && !resp.batch.exhausted {
                         warp.active = resp.batch.mask() & full_mask(lanes);
@@ -882,9 +853,7 @@ impl Core {
                         p.weaver_dec(core_id, w, cycle, batch.ready_at);
                     }
                     let warp = &mut self.warps[w];
-                    for l in 0..lanes {
-                        warp.write(l, rd, batch.vids[l] as u64);
-                    }
+                    warp.write_row(rd, &id_row(&batch.vids[..lanes]), full_mask(lanes));
                     warp.set_pending(rd, batch.ready_at, PendKind::Weaver);
                     if self.auto_mask && !batch.exhausted {
                         let mut m = 0u64;
@@ -901,26 +870,21 @@ impl Core {
                 WeaverMode::Weaver => {
                     let (eids, ready) = self.weaver.dec_loc(w, cycle, core_id as u32, hooks);
                     let warp = &mut self.warps[w];
-                    for (l, &eid) in eids.iter().enumerate().take(lanes) {
-                        warp.write(l, rd, eid as u64);
-                    }
+                    warp.write_row(rd, &id_row(&eids[..lanes]), full_mask(lanes));
                     warp.set_pending(rd, ready, PendKind::Weaver);
                 }
                 WeaverMode::Eghw => {
-                    let eids = self.eghw_dt.load_row(w).to_vec();
+                    let eids = id_row(&self.eghw_dt.load_row(w)[..lanes]);
                     let warp = &mut self.warps[w];
-                    for (l, &eid) in eids.iter().enumerate().take(lanes) {
-                        warp.write(l, rd, eid as u64);
-                    }
+                    warp.write_row(rd, &eids, full_mask(lanes));
                     warp.set_pending(rd, cycle + self.shared_latency + 1, PendKind::Shared);
                 }
             },
             Instr::WeaverSkip { vid } => {
                 if self.weaver_mode == WeaverMode::Weaver {
-                    let vids: Vec<u32> = lanes_of(self.warps[w].active)
-                        .map(|l| self.warps[w].read(l, vid) as u32)
-                        .collect();
-                    self.weaver.skip(&vids, cycle);
+                    let row = warp.row(vid);
+                    let (vids, n) = pack_lanes(warp.active, |l| row[l] as u32);
+                    self.weaver.skip(&vids[..n], cycle);
                 }
             }
         }
@@ -943,60 +907,61 @@ impl Core {
         program: &Program,
     ) -> Result<(), SimError> {
         let mask = self.warps[w].active;
-        match space {
+        let addrs = lane_addrs(&self.warps[w], addr, offset);
+        let mut vals = [0u64; MAX_LANES];
+        let (ready_at, kind) = match space {
             Space::Shared => {
                 for l in lanes_of(mask) {
-                    let a = self.warps[w]
-                        .read(l, addr)
-                        .wrapping_add(offset as i64 as u64);
-                    let v = self
+                    vals[l] = self
                         .shared
-                        .try_read(a, width.bytes(), None)
+                        .try_read(addrs[l], width.bytes(), None)
                         .map_err(|e| mem_fault(program, &e))?;
-                    self.warps[w].write(l, rd, v);
                 }
-                self.warps[w].set_pending(rd, cycle + self.shared_latency, PendKind::Shared);
+                (cycle + self.shared_latency, PendKind::Shared)
             }
             Space::Global => {
-                // Coalesce into unique lines (in address order for
-                // determinism), one hierarchy access each. A warp has at
-                // most 64 lanes, so the line set fits on the stack.
-                let mut lines = [0u64; 64];
-                let mut n = 0usize;
+                let max_lat = self.access_lines(&addrs, mask, false, cycle, hier, hooks);
                 for l in lanes_of(mask) {
-                    lines[n] = sparseweaver_mem::line_of(
-                        self.warps[w]
-                            .read(l, addr)
-                            .wrapping_add(offset as i64 as u64),
-                    );
-                    n += 1;
-                }
-                let lines = &mut lines[..n];
-                lines.sort_unstable();
-                let mut max_lat = 0u64;
-                let mut prev = None;
-                for &line in lines.iter() {
-                    if prev == Some(line) {
-                        continue;
-                    }
-                    prev = Some(line);
-                    let r = hier.access(self.id, line, false, cycle, hooks);
-                    max_lat = max_lat.max(r.latency);
-                    self.stats.stalls.l1_queue += r.queue_delay;
-                }
-                for l in lanes_of(mask) {
-                    let a = self.warps[w]
-                        .read(l, addr)
-                        .wrapping_add(offset as i64 as u64);
-                    let v = mem
-                        .try_read(a, width.bytes(), hooks.fault.as_mut())
+                    vals[l] = mem
+                        .try_read(addrs[l], width.bytes(), hooks.fault.as_mut())
                         .map_err(|e| mem_fault(program, &e))?;
-                    self.warps[w].write(l, rd, v);
                 }
-                self.warps[w].set_pending(rd, cycle + max_lat, PendKind::Memory);
+                (cycle + max_lat, PendKind::Memory)
             }
-        }
+        };
+        let warp = &mut self.warps[w];
+        warp.write_row(rd, &vals, mask);
+        warp.set_pending(rd, ready_at, kind);
         Ok(())
+    }
+
+    /// Coalesces the active lanes' addresses into unique lines and sends
+    /// one hierarchy access per line, in address order for determinism.
+    /// Returns the slowest access's latency.
+    fn access_lines(
+        &mut self,
+        addrs: &[u64; MAX_LANES],
+        mask: u64,
+        write: bool,
+        cycle: u64,
+        hier: &mut Hierarchy,
+        hooks: &mut Hooks,
+    ) -> u64 {
+        let (mut lines, n) = pack_lanes(mask, |l| sparseweaver_mem::line_of(addrs[l]));
+        let lines = &mut lines[..n];
+        lines.sort_unstable();
+        let mut max_lat = 0u64;
+        let mut prev = None;
+        for &line in lines.iter() {
+            if prev == Some(line) {
+                continue;
+            }
+            prev = Some(line);
+            let r = hier.access(self.id, line, write, cycle, hooks);
+            max_lat = max_lat.max(r.latency);
+            self.stats.stalls.l1_queue += r.queue_delay;
+        }
+        max_lat
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -1015,46 +980,21 @@ impl Core {
         program: &Program,
     ) -> Result<(), SimError> {
         let mask = self.warps[w].active;
+        let addrs = lane_addrs(&self.warps[w], addr, offset);
         match space {
             Space::Shared => {
+                let vals = self.warps[w].row(src);
                 for l in lanes_of(mask) {
-                    let a = self.warps[w]
-                        .read(l, addr)
-                        .wrapping_add(offset as i64 as u64);
-                    let v = self.warps[w].read(l, src);
                     self.shared
-                        .try_write(a, v, width.bytes())
+                        .try_write(addrs[l], vals[l], width.bytes())
                         .map_err(|e| mem_fault(program, &e))?;
                 }
             }
             Space::Global => {
-                let mut lines = [0u64; 64];
-                let mut n = 0usize;
+                self.access_lines(&addrs, mask, true, cycle, hier, hooks);
+                let vals = self.warps[w].row(src);
                 for l in lanes_of(mask) {
-                    lines[n] = sparseweaver_mem::line_of(
-                        self.warps[w]
-                            .read(l, addr)
-                            .wrapping_add(offset as i64 as u64),
-                    );
-                    n += 1;
-                }
-                let lines = &mut lines[..n];
-                lines.sort_unstable();
-                let mut prev = None;
-                for &line in lines.iter() {
-                    if prev == Some(line) {
-                        continue;
-                    }
-                    prev = Some(line);
-                    let r = hier.access(self.id, line, true, cycle, hooks);
-                    self.stats.stalls.l1_queue += r.queue_delay;
-                }
-                for l in lanes_of(mask) {
-                    let a = self.warps[w]
-                        .read(l, addr)
-                        .wrapping_add(offset as i64 as u64);
-                    let v = self.warps[w].read(l, src);
-                    mem.try_write(a, v, width.bytes())
+                    mem.try_write(addrs[l], vals[l], width.bytes())
                         .map_err(|e| mem_fault(program, &e))?;
                 }
             }
@@ -1078,6 +1018,42 @@ fn front_wait(warp: &Warp, d: &DecodedInstr) -> (u64, PendKind) {
         }
     }
     (when, kind)
+}
+
+/// Bit `l` set for every lane `l` whose `reg` is non-zero.
+fn nonzero_lanes(warp: &Warp, reg: Reg) -> u64 {
+    BrCond::Ne.eval_lanes(warp.row(reg), warp.row(ZERO))
+}
+
+/// The per-lane addresses `reg + offset` of a memory instruction.
+fn lane_addrs(warp: &Warp, reg: Reg, offset: i32) -> [u64; MAX_LANES] {
+    let mut addrs = [0u64; MAX_LANES];
+    for (a, &base) in addrs.iter_mut().zip(warp.row(reg)) {
+        *a = base.wrapping_add(offset as i64 as u64);
+    }
+    addrs
+}
+
+/// `f(l)` for each lane `l` set in `mask`, in ascending lane order, packed
+/// from index 0 of a stack array, and how many there are.
+fn pack_lanes<T: Copy + Default>(mask: u64, f: impl Fn(usize) -> T) -> ([T; MAX_LANES], usize) {
+    let mut out = [T::default(); MAX_LANES];
+    let mut n = 0;
+    for l in lanes_of(mask) {
+        out[n] = f(l);
+        n += 1;
+    }
+    (out, n)
+}
+
+/// A unit's per-lane vertex or edge IDs (`-1` for an empty lane) as a
+/// register row.
+fn id_row(ids: &[i64]) -> [u64; MAX_LANES] {
+    let mut row = [0u64; MAX_LANES];
+    for (r, &id) in row.iter_mut().zip(ids) {
+        *r = id as u64;
+    }
+    row
 }
 
 /// Maps a typed device-memory fault to a [`SimError::Fault`].

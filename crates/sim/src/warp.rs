@@ -68,7 +68,10 @@ pub struct Warp {
     pub simt: Vec<SimtEntry>,
     /// Current phase for cycle attribution.
     pub phase: Phase,
-    /// Lane-major register file: `regs[lane * NUM_REGS + reg]`.
+    /// Register-major register file: `regs[reg * lanes + lane]`, so each
+    /// register is one contiguous row of `lanes` words that a warp-wide
+    /// instruction reads and writes in one pass. Row 0 (`x0`) is always
+    /// zero: every writer skips it and a restore rejects a non-zero word.
     regs: Vec<u64>,
     /// Cycle at which each register's pending write completes.
     ready: [u64; NUM_REGS],
@@ -112,17 +115,31 @@ impl Warp {
 
     /// Reads `reg` in `lane` (x0 is always zero).
     pub fn read(&self, lane: usize, reg: Reg) -> u64 {
-        if reg.0 == 0 {
-            0
-        } else {
-            self.regs[lane * NUM_REGS + reg.0 as usize]
-        }
+        self.row(reg)[lane]
     }
 
-    /// Writes `reg` in `lane` (writes to x0 are ignored).
-    pub fn write(&mut self, lane: usize, reg: Reg, value: u64) {
-        if reg.0 != 0 {
-            self.regs[lane * NUM_REGS + reg.0 as usize] = value;
+    /// `reg` across all lanes, lane `l` at index `l` (x0 is all zeros).
+    pub fn row(&self, reg: Reg) -> &[u64] {
+        let start = reg.0 as usize * self.lanes;
+        &self.regs[start..start + self.lanes]
+    }
+
+    /// Writes `vals[l]` into `reg` for every lane `l` set in `mask`, leaving
+    /// the other lanes as they were (writes to x0 are ignored). `vals`
+    /// holds at least one word per lane; words past the last lane are
+    /// ignored, so a caller can pass a whole fixed-size stack row.
+    pub fn write_row(&mut self, reg: Reg, vals: &[u64], mask: u64) {
+        if reg.0 == 0 {
+            return;
+        }
+        let start = reg.0 as usize * self.lanes;
+        let row = &mut self.regs[start..start + self.lanes];
+        if mask == full_mask(self.lanes) {
+            row.copy_from_slice(&vals[..self.lanes]);
+        } else {
+            for l in lanes_of(mask) {
+                row[l] = vals[l];
+            }
         }
     }
 
@@ -155,7 +172,7 @@ impl Warp {
     /// or out-of-range coordinates are ignored.
     pub fn flip_bit(&mut self, lane: usize, reg: usize, bit: u32) {
         if reg != 0 && reg < NUM_REGS && lane < self.lanes {
-            self.regs[lane * NUM_REGS + reg] ^= 1u64 << (bit & 63);
+            self.regs[reg * self.lanes + lane] ^= 1u64 << (bit & 63);
         }
     }
 
@@ -197,6 +214,11 @@ pub fn lanes_of(mut mask: u64) -> impl Iterator<Item = usize> {
 
 /// PC, mask, scheduling state, divergence stack, phase, register file
 /// and scoreboard. The restoring warp must have the same lane count.
+///
+/// The register file is saved in the checkpoint format's lane-major word
+/// order (word `lane * NUM_REGS + reg`) and transposed back into rows on
+/// restore. A non-zero `x0` word is corrupt: x0 reads as zero, and a row
+/// read would otherwise expose the stored word.
 impl Snapshot for Warp {
     fn save(&self, e: &mut Enc) {
         self.pc.save(e);
@@ -204,7 +226,12 @@ impl Snapshot for Warp {
         self.state.save(e);
         self.simt.save(e);
         self.phase.save(e);
-        e.seq(&self.regs);
+        e.usize(self.regs.len());
+        for lane in 0..self.lanes {
+            for reg in 0..NUM_REGS {
+                e.u64(self.regs[reg * self.lanes + lane]);
+            }
+        }
         e.seq(&self.ready);
         e.seq(&self.pend);
     }
@@ -215,7 +242,16 @@ impl Snapshot for Warp {
         self.state.restore(d)?;
         self.simt.restore(d)?;
         self.phase.restore(d)?;
-        d.restore_seq("register words", &mut self.regs)?;
+        d.expect_len("register words", self.regs.len())?;
+        for lane in 0..self.lanes {
+            for reg in 0..NUM_REGS {
+                let word = d.u64()?;
+                if reg == 0 && word != 0 {
+                    return Err(d.corrupt(format!("non-zero x0 word {word:#x} in lane {lane}")));
+                }
+                self.regs[reg * self.lanes + lane] = word;
+            }
+        }
         d.restore_seq("scoreboard", &mut self.ready)?;
         d.restore_seq("scoreboard producers", &mut self.pend)
     }
@@ -228,17 +264,101 @@ mod tests {
     #[test]
     fn x0_reads_zero_and_ignores_writes() {
         let mut w = Warp::new(4);
-        w.write(2, Reg(0), 99);
+        w.write_row(Reg(0), &[99; 4], 0b1111);
+        w.write_row(Reg(0), &[99; 4], 0b0100);
+        w.flip_bit(2, 0, 5);
         assert_eq!(w.read(2, Reg(0)), 0);
+        assert_eq!(w.row(Reg(0)), &[0; 4]);
     }
 
     #[test]
     fn registers_are_per_lane() {
         let mut w = Warp::new(4);
-        w.write(0, Reg(5), 10);
-        w.write(1, Reg(5), 20);
+        w.write_row(Reg(5), &[10, 20, 30, 40], 0b0011);
         assert_eq!(w.read(0, Reg(5)), 10);
         assert_eq!(w.read(1, Reg(5)), 20);
+        assert_eq!(w.row(Reg(5)), &[10, 20, 0, 0]);
+    }
+
+    #[test]
+    fn masked_row_write_leaves_inactive_lanes() {
+        let mut w = Warp::new(4);
+        w.write_row(Reg(3), &[1, 2, 3, 4], 0b1111);
+        w.write_row(Reg(3), &[10, 20, 30, 40], 0b0101);
+        assert_eq!(w.row(Reg(3)), &[10, 2, 30, 4]);
+    }
+
+    /// Saves a warp whose word at `(lane, reg)` is `value(lane, reg)` and
+    /// returns the bytes plus the offset of the first register word.
+    fn saved_with_distinct_words(lanes: usize) -> (Vec<u8>, usize) {
+        let mut w = Warp::new(lanes);
+        w.pc = 9;
+        w.active = 0b101;
+        for reg in 1..NUM_REGS {
+            let row: Vec<u64> = (0..lanes).map(|lane| value(lane, reg)).collect();
+            w.write_row(Reg(reg as u8), &row, full_mask(lanes));
+        }
+        // The fields `save` writes ahead of the register words.
+        let mut head = Enc::new();
+        w.pc.save(&mut head);
+        w.active.save(&mut head);
+        w.state.save(&mut head);
+        w.simt.save(&mut head);
+        w.phase.save(&mut head);
+        let mut e = Enc::new();
+        w.save(&mut e);
+        (e.into_bytes(), head.into_bytes().len())
+    }
+
+    fn value(lane: usize, reg: usize) -> u64 {
+        if reg == 0 {
+            0
+        } else {
+            0xa000_0000 + (lane as u64) * 0x100 + reg as u64
+        }
+    }
+
+    fn word(bytes: &[u8], at: usize) -> u64 {
+        u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap())
+    }
+
+    #[test]
+    fn checkpoint_register_words_are_lane_major() {
+        let lanes = 4;
+        let (bytes, head) = saved_with_distinct_words(lanes);
+        assert_eq!(word(&bytes, head), (lanes * NUM_REGS) as u64, "word count");
+        let words = head + 8;
+        for lane in 0..lanes {
+            for reg in 0..NUM_REGS {
+                let at = words + 8 * (lane * NUM_REGS + reg);
+                assert_eq!(word(&bytes, at), value(lane, reg), "lane {lane} x{reg}");
+            }
+        }
+        let mut back = Warp::new(lanes);
+        let mut d = Dec::new(&bytes);
+        back.restore(&mut d).unwrap();
+        d.finish().unwrap();
+        assert_eq!(back.read(3, Reg(17)), value(3, 17));
+        assert_eq!(back.row(Reg(0)), &[0; 4]);
+        let mut again = Enc::new();
+        back.save(&mut again);
+        assert_eq!(again.into_bytes(), bytes, "save -> restore -> save");
+    }
+
+    #[test]
+    fn checkpoint_rejects_a_non_zero_x0_word() {
+        let lanes = 4;
+        let (mut bytes, head) = saved_with_distinct_words(lanes);
+        // Lane 2's x0 word.
+        let at = head + 8 + 8 * (2 * NUM_REGS);
+        bytes[at..at + 8].copy_from_slice(&5u64.to_le_bytes());
+        let mut w = Warp::new(lanes);
+        let err = w.restore(&mut Dec::new(&bytes)).unwrap_err();
+        assert!(
+            matches!(&err, CodecError::Corrupt { what } if what.contains("x0")),
+            "{err:?}"
+        );
+        assert_eq!(w.row(Reg(0)), &[0; 4]);
     }
 
     #[test]
@@ -277,7 +397,7 @@ mod tests {
     #[test]
     fn uniform_read_uses_lowest_active_lane() {
         let mut w = Warp::new(4);
-        w.write(1, Reg(7), 42);
+        w.write_row(Reg(7), &[0, 42, 43, 44], 0b1111);
         w.active = 0b1110;
         assert_eq!(w.read_uniform(Reg(7)), 42);
     }
@@ -294,7 +414,7 @@ mod tests {
         w.pc = 10;
         w.active = 1;
         w.state = WarpState::Halted;
-        w.write(0, Reg(1), 5);
+        w.write_row(Reg(1), &[5; 4], 0b1111);
         w.set_pending(Reg(1), 50, PendKind::Exec);
         w.reset();
         assert_eq!(w.pc, 0);

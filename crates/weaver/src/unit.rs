@@ -291,17 +291,17 @@ impl WeaverUnit {
     }
 
     /// Services a `WEAVER_DEC_LOC` from `warp`: reads the warp's DT row.
-    /// Returns `(eids, ready_at)`.
+    /// Returns `(eids, ready_at)`, the row borrowed from the table.
     pub fn dec_loc(
         &mut self,
         warp: usize,
         now: u64,
         core: u32,
         hooks: &mut Hooks,
-    ) -> (Vec<i64>, u64) {
+    ) -> (&[i64], u64) {
         // A DT row read is one (wide) shared-memory access; it does not
         // occupy the FSM.
-        let eids = self.dt.load_row(warp).to_vec();
+        let eids = self.dt.load_row(warp);
         if let Some(tr) = &mut hooks.tracer {
             tr.emit(
                 now,

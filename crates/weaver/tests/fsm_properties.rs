@@ -157,7 +157,7 @@ proptest! {
                 break;
             }
             let (eids, _) = unit.dec_loc(w, t, 0, hooks);
-            for (&vid, &eid) in resp.batch.vids.iter().zip(&eids).take(lanes) {
+            for (&vid, &eid) in resp.batch.vids.iter().zip(eids).take(lanes) {
                 if vid >= 0 {
                     got.push((vid as u32, eid as u32));
                 }

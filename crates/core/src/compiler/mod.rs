@@ -18,7 +18,7 @@ pub use regalloc::RegAlloc;
 pub use vertex::build_vertex_kernel;
 pub use virtualize::VirtualizedOps;
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 use sparseweaver_isa::{Asm, CsrKind, Program, Reg, Width};
 use sparseweaver_lint::{AnalyzeGeom, LintLevel};
@@ -36,92 +36,58 @@ use crate::FrameworkError;
 /// [`sparseweaver_lint`] verifier is rejected with
 /// [`FrameworkError::Lint`]; under [`LintLevel::Warn`] findings are
 /// printed to stderr but the launch proceeds; [`LintLevel::Off`] skips
-/// the pass entirely. Verdicts are cached by kernel name, so iterative
-/// algorithms re-launching the same kernel pay the analysis once.
+/// the pass entirely. Results are cached by kernel name, so iterative
+/// algorithms re-launching the same kernel pay the pipeline once.
 ///
-/// When register allocation is enabled (the default), [`Compiler::process`]
-/// additionally runs the [`regalloc`] pass over each verified kernel and
-/// re-lints the rewritten stream before handing it to the simulator, so a
-/// miscompile in the allocator is rejected rather than silently executed.
+/// When register allocation is enabled, [`Compiler::process`] additionally
+/// runs the [`regalloc`] pass over each verified kernel and re-lints the
+/// rewritten stream before handing it to the simulator, so a miscompile
+/// in the allocator is rejected rather than silently executed.
+///
+/// Every setting is fixed at construction: a session builds one compiler
+/// per machine geometry, and a different setting means a new compiler.
 #[derive(Debug)]
 pub struct Compiler {
     level: LintLevel,
     regalloc: bool,
     analyze: Option<AnalyzeGeom>,
-    checked: HashSet<String>,
-    processed: HashMap<String, Program>,
+    /// Kernel name → (the stream it was compiled from, the stream to launch).
+    processed: HashMap<String, (Program, Program)>,
 }
 
 impl Default for Compiler {
+    /// Lint at the default level, register allocation on, analyzer off.
     fn default() -> Self {
-        Compiler::new(LintLevel::default())
+        Compiler::new(LintLevel::default(), true, None)
     }
 }
 
 impl Compiler {
-    /// Creates a pipeline enforcing `level`, with register allocation on
-    /// and the abstract-interpretation analyzer off.
-    pub fn new(level: LintLevel) -> Self {
+    /// Creates a pipeline enforcing `level`, with the register-allocation
+    /// pass on or off per `regalloc`. `analyze` enables the opt-in
+    /// abstract-interpretation gate against that launch geometry, run
+    /// alongside the structural lints: under [`LintLevel::Deny`] a kernel
+    /// with a *proved* violation (SW-L501) is rejected; warnings and
+    /// advisories are printed under [`LintLevel::Warn`].
+    pub fn new(level: LintLevel, regalloc: bool, analyze: Option<AnalyzeGeom>) -> Self {
         Compiler {
             level,
-            regalloc: true,
-            analyze: None,
-            checked: HashSet::new(),
+            regalloc,
+            analyze,
             processed: HashMap::new(),
         }
     }
 
-    /// The enforcement level.
-    pub fn level(&self) -> LintLevel {
-        self.level
-    }
-
-    /// The launch geometry the opt-in SW-L5xx analyzer checks against,
-    /// if enabled.
-    pub fn analyze_geom(&self) -> Option<AnalyzeGeom> {
-        self.analyze
-    }
-
-    /// Enables (`Some(geom)`) or disables (`None`) the opt-in
-    /// abstract-interpretation gate that runs alongside the structural
-    /// lints: under [`LintLevel::Deny`] a kernel with a *proved*
-    /// violation (SW-L501) is rejected; warnings and advisories are
-    /// printed under [`LintLevel::Warn`]. Clears the verdict cache so
-    /// the change applies to kernels already seen.
-    pub fn set_analyze(&mut self, geom: Option<AnalyzeGeom>) {
-        if self.analyze != geom {
-            self.analyze = geom;
-            self.checked.clear();
-            self.processed.clear();
-        }
-    }
-
-    /// Whether the register-allocation pass runs in [`Compiler::process`].
-    pub fn regalloc(&self) -> bool {
-        self.regalloc
-    }
-
-    /// Enables or disables the register-allocation pass. Clears the
-    /// processed-kernel cache so the change applies to kernels already
-    /// seen.
-    pub fn set_regalloc(&mut self, enabled: bool) {
-        if self.regalloc != enabled {
-            self.regalloc = enabled;
-            self.processed.clear();
-        }
-    }
-
-    /// Runs the static verifier over `program` (cached by kernel name),
-    /// plus the SW-L5xx abstract-interpretation gate when enabled via
-    /// [`Compiler::set_analyze`].
+    /// Runs the static verifier over `program`, plus the SW-L5xx
+    /// abstract-interpretation gate when enabled.
     ///
     /// # Errors
     ///
     /// Returns [`FrameworkError::Lint`] under [`LintLevel::Deny`] when
     /// the program has error-severity findings (structural, or a proved
     /// SW-L501 bounds violation from the analyzer).
-    pub fn check(&mut self, program: &Program) -> Result<(), FrameworkError> {
-        if self.level == LintLevel::Off || self.checked.contains(program.name()) {
+    fn check(&self, program: &Program) -> Result<(), FrameworkError> {
+        if self.level == LintLevel::Off {
             return Ok(());
         }
         let mut report = sparseweaver_lint::lint(program);
@@ -147,13 +113,14 @@ impl Compiler {
                 }
             }
         }
-        self.checked.insert(program.name().to_string());
         Ok(())
     }
 
-    /// Runs the full pipeline over `program`: verification ([`Compiler::check`])
-    /// followed by register allocation, returning the kernel the runtime
-    /// should launch. Results are cached by kernel name, like verdicts.
+    /// Runs the full pipeline over `program`: verification (the structural
+    /// lints, plus the analyzer gate when enabled) followed by register
+    /// allocation, returning the kernel the runtime should launch. Results
+    /// are cached by kernel name: a kernel name stands for one stream per
+    /// compiler, which debug builds assert on every cache hit.
     ///
     /// The rewritten stream is re-linted before being accepted: under
     /// [`LintLevel::Deny`] an allocator output with error-severity
@@ -163,11 +130,16 @@ impl Compiler {
     ///
     /// # Errors
     ///
-    /// Returns [`FrameworkError::Lint`] when the input fails
-    /// [`Compiler::check`], or when the rewritten stream fails the
-    /// re-lint under [`LintLevel::Deny`].
+    /// Returns [`FrameworkError::Lint`] when the input fails verification,
+    /// or when the rewritten stream fails the re-lint under
+    /// [`LintLevel::Deny`].
     pub fn process(&mut self, program: &Program) -> Result<Program, FrameworkError> {
-        if let Some(done) = self.processed.get(program.name()) {
+        if let Some((source, done)) = self.processed.get(program.name()) {
+            debug_assert!(
+                source == program,
+                "kernel `{}` was compiled from a different instruction stream",
+                program.name()
+            );
             return Ok(done.clone());
         }
         self.check(program)?;
@@ -196,7 +168,7 @@ impl Compiler {
             program.clone()
         };
         self.processed
-            .insert(program.name().to_string(), out.clone());
+            .insert(program.name().to_string(), (program.clone(), out.clone()));
         Ok(out)
     }
 }

@@ -197,7 +197,10 @@ fn cache_stats_json(s: &CacheStats) -> String {
     )
 }
 
-fn level_stats_json(s: &LevelStats) -> String {
+/// One hierarchy's counters as a JSON object: `l1`, `l2` and `l3` (each
+/// `accesses`/`hits`/`misses`/`writebacks`, `l3` `null` when absent),
+/// then `dram_accesses`.
+pub fn level_stats_json(s: &LevelStats) -> String {
     let l3 = match &s.l3 {
         Some(l3) => cache_stats_json(l3),
         None => "null".to_string(),

@@ -15,8 +15,6 @@ use sparseweaver_trace::codec::{Enc, Snapshot};
 use sparseweaver_trace::{CounterSnapshot, EventData, Profiler, Tracer};
 use sparseweaver_weaver::eghw::EghwLayout;
 
-use sparseweaver_lint::LintLevel;
-
 use crate::checkpoint::{Checkpoint, HostEvent};
 use crate::compiler::Compiler;
 use crate::schedule::Schedule;
@@ -188,10 +186,17 @@ impl<'a> Runtime<'a> {
             ckpt: None,
             host: RefCell::new(HostState::default()),
         };
-        rt.device.offsets = rt.upload_u32(rt.view.offsets().to_vec().as_slice());
-        rt.device.edges = rt.upload_u32(rt.view.targets().to_vec().as_slice());
-        rt.device.weights = rt.upload_u32(rt.view.weights().to_vec().as_slice());
-        rt.device.srcs = rt.upload_u32(rt.view.sources().to_vec().as_slice());
+        // Allocate first, then write straight from the view: `upload_u32`
+        // borrows the whole runtime, which would force a copy of each array.
+        rt.device.offsets = rt.alloc(4 * rt.view.offsets().len() as u64);
+        rt.device.edges = rt.alloc(4 * rt.view.targets().len() as u64);
+        rt.device.weights = rt.alloc(4 * rt.view.weights().len() as u64);
+        rt.device.srcs = rt.alloc(4 * rt.view.sources().len() as u64);
+        let mem = rt.gpu.mem_mut();
+        mem.write_u32_slice(rt.device.offsets, rt.view.offsets());
+        mem.write_u32_slice(rt.device.edges, rt.view.targets());
+        mem.write_u32_slice(rt.device.weights, rt.view.weights());
+        mem.write_u32_slice(rt.device.srcs, rt.view.sources());
         if schedule == Schedule::Eghw {
             let layout = EghwLayout {
                 offsets_base: rt.device.offsets,
@@ -408,51 +413,11 @@ impl<'a> Runtime<'a> {
         Ok(())
     }
 
-    /// Enables or disables the simulator's idle-cycle fast-forward cache
-    /// for subsequent launches (default on; bit-identical either way —
-    /// see [`Gpu::set_fast_forward`]).
-    pub fn set_fast_forward(&mut self, on: bool) {
-        self.gpu.set_fast_forward(on);
-    }
-
-    /// Sets how the static verifier reacts to kernel findings (default:
-    /// [`LintLevel::Deny`]). Resets the verdict cache; the register
-    /// allocation and analyzer settings carry over.
-    pub fn set_lint(&mut self, level: LintLevel) {
-        let regalloc = self.compiler.regalloc();
-        let analyze = self.compiler.analyze_geom();
-        self.compiler = Compiler::new(level);
-        self.compiler.set_regalloc(regalloc);
-        self.compiler.set_analyze(analyze);
-    }
-
-    /// Enables or disables the opt-in SW-L5xx abstract-interpretation
-    /// gate for subsequent launches (default: off). `Some(geom)` runs
-    /// the analyzer against that launch geometry alongside the
-    /// structural lints (see `Compiler::set_analyze`).
-    pub fn set_analyze(&mut self, geom: Option<sparseweaver_lint::AnalyzeGeom>) {
-        self.compiler.set_analyze(geom);
-    }
-
-    /// The analyzer's launch geometry, if the gate is enabled.
-    pub fn analyze_geom(&self) -> Option<sparseweaver_lint::AnalyzeGeom> {
-        self.compiler.analyze_geom()
-    }
-
-    /// The active lint enforcement level.
-    pub fn lint_level(&self) -> LintLevel {
-        self.compiler.level()
-    }
-
-    /// Enables or disables the compiler's register-allocation pass for
-    /// subsequent launches (default: enabled).
-    pub fn set_regalloc(&mut self, enabled: bool) {
-        self.compiler.set_regalloc(enabled);
-    }
-
-    /// Whether the register-allocation pass is enabled.
-    pub fn regalloc(&self) -> bool {
-        self.compiler.regalloc()
+    /// Replaces the compiler pipeline every subsequent launch passes
+    /// through (default: [`Compiler::default`]). A compiler that already
+    /// holds kernels launches them as compiled, without re-verifying.
+    pub fn set_compiler(&mut self, compiler: Compiler) {
+        self.compiler = compiler;
     }
 
     /// Runs the compiler pipeline over `program` without launching it,
@@ -649,10 +614,10 @@ impl<'a> Runtime<'a> {
     /// at [`args::ALGO0`]), recording stats under the program's name.
     ///
     /// Before the first launch of each kernel name, the program passes
-    /// through the compiler pipeline: the static verifier according to
-    /// [`Runtime::lint_level`], then (when enabled) register allocation
-    /// with a re-lint of the rewritten stream. The rewritten kernel is
-    /// what actually executes.
+    /// through the compiler pipeline (see [`Runtime::set_compiler`]): the
+    /// static verifier at the compiler's lint level, then (when enabled)
+    /// register allocation with a re-lint of the rewritten stream. The
+    /// rewritten kernel is what actually executes.
     ///
     /// # Errors
     ///
@@ -784,6 +749,7 @@ impl<'a> Runtime<'a> {
 mod tests {
     use super::*;
     use sparseweaver_graph::generators;
+    use sparseweaver_lint::LintLevel;
     use sparseweaver_sim::{Gpu, GpuConfig};
 
     fn rt(schedule: Schedule) -> (sparseweaver_graph::Csr, Runtime<'static>) {
@@ -870,9 +836,9 @@ mod tests {
     #[test]
     fn lint_deny_rejects_ill_formed_kernel_unless_off() {
         let (_, mut rt) = rt(Schedule::Svm);
-        assert_eq!(rt.lint_level(), LintLevel::Deny);
         let fixtures = sparseweaver_lint::fixtures::ill_formed();
         let (program, rule) = &fixtures[0];
+        // The default compiler denies.
         let err = rt.launch(program, &[]).unwrap_err();
         match err {
             FrameworkError::Lint {
@@ -887,7 +853,7 @@ mod tests {
             other => panic!("expected a lint rejection, got {other}"),
         }
         // Opting out lets the same kernel through to the simulator.
-        rt.set_lint(LintLevel::Off);
+        rt.set_compiler(Compiler::new(LintLevel::Off, true, None));
         rt.launch(program, &[]).unwrap();
     }
 

@@ -230,15 +230,18 @@ impl Session {
         schedule: Schedule,
     ) -> Result<Runtime<'g>, FrameworkError> {
         let cfg = self.config_for(schedule);
-        let gpu = Gpu::new(cfg);
+        let mut gpu = Gpu::new(cfg);
+        gpu.set_fast_forward(self.fast_forward);
         let mut rt = Runtime::new(gpu, graph, direction, schedule)?;
-        rt.set_lint(self.lint);
-        if self.analyze {
-            rt.set_analyze(Some(geom_of(&cfg)));
-        }
-        rt.set_regalloc(self.regalloc);
-        rt.set_fast_forward(self.fast_forward);
+        rt.set_compiler(self.compiler_for(&cfg));
         Ok(rt)
+    }
+
+    /// The compiler pipeline for kernels that run on `cfg`: this
+    /// session's lint level and register-allocation setting, plus the
+    /// analyzer gate at `cfg`'s geometry when [`Session::analyze`] is set.
+    fn compiler_for(&self, cfg: &GpuConfig) -> Compiler {
+        Compiler::new(self.lint, self.regalloc, self.analyze.then(|| geom_of(cfg)))
     }
 
     /// Runs the abstract-interpretation analyzer over every kernel
@@ -252,7 +255,7 @@ impl Session {
         algorithm: &dyn Algorithm,
         schedule: Schedule,
     ) -> Result<Vec<sparseweaver_lint::LintReport>, FrameworkError> {
-        let (eff, _) = self.clamped_config(algorithm, schedule)?;
+        let (eff, _, _) = self.clamped_config(algorithm, schedule)?;
         let geom = geom_of(&eff);
         Ok(algorithm
             .kernels(schedule, &eff)
@@ -266,8 +269,9 @@ impl Session {
     /// The effective configuration for running `algorithm` under
     /// `schedule`, with `warps_per_core` pre-clamped to the register-file
     /// occupancy cap of the algorithm's hungriest (post-allocation)
-    /// kernel. Returns the clamped config and the originally configured
-    /// warp count.
+    /// kernel. Returns the clamped config, the originally configured
+    /// warp count, and the run's compiler, which already holds every
+    /// listed kernel compiled for the clamped config.
     ///
     /// The clamp happens *before* the machine is built because the
     /// schedule templates bake thread geometry into kernels at code
@@ -280,35 +284,44 @@ impl Session {
         &self,
         algorithm: &dyn Algorithm,
         schedule: Schedule,
-    ) -> Result<(GpuConfig, usize), FrameworkError> {
+    ) -> Result<(GpuConfig, usize, Compiler), FrameworkError> {
         let mut eff = self.config_for(schedule);
         let configured = eff.warps_per_core;
-        loop {
+        let compiler = loop {
+            // Fresh compiler per iteration: kernels regenerate under the
+            // shrunken geometry and must not hit a stale per-name cache.
+            // The analyzer gates (and prints for) only the geometry that
+            // executes, which is known only once the loop ends, so the
+            // iterations compile without it.
+            let mut compiler = Compiler::new(self.lint, self.regalloc, None);
             let kernels = algorithm.kernels(schedule, &eff);
             if kernels.is_empty() {
                 // Custom-runtime algorithm: nothing to pre-compile, the
                 // launch-time cap inside the GPU still applies.
-                break;
+                break compiler;
             }
-            // Fresh compiler per iteration: kernels regenerate under the
-            // shrunken geometry and must not hit a stale per-name cache.
-            let mut compiler = Compiler::new(self.lint);
-            compiler.set_regalloc(self.regalloc);
             let mut max_hw = 0;
             for k in &kernels {
                 max_hw = max_hw.max(compiler.process(k)?.register_high_water());
             }
             let cap = eff.occupancy_cap(max_hw);
             if cap >= eff.warps_per_core {
-                break;
+                break compiler;
             }
             let shrunk = prev_power_of_two(cap);
             if shrunk == eff.warps_per_core {
-                break;
+                break compiler;
             }
             eff.warps_per_core = shrunk;
-        }
-        Ok((eff, configured))
+        };
+        // With the analyzer on, the executing geometry's kernels compile
+        // once more, at launch, through the gate.
+        let compiler = if self.analyze {
+            self.compiler_for(&eff)
+        } else {
+            compiler
+        };
+        Ok((eff, configured, compiler))
     }
 
     /// Runs `algorithm` on `graph` under `schedule`.
@@ -331,34 +344,7 @@ impl Session {
         algorithm: &dyn Algorithm,
         schedule: Schedule,
     ) -> Result<RunReport, FrameworkError> {
-        let mut fault = self.injector();
-        let result = match self.run_once(graph, algorithm, schedule, &mut fault, None, None) {
-            Err(FrameworkError::Sim(SimError::WeaverTimeout { kernel, .. }))
-                if self.fallback && schedule.uses_unit() =>
-            {
-                // Retries exhausted: the Weaver unit is faulty. Re-run the
-                // whole algorithm under the software warp-mapping schedule
-                // on the same (still-faulty) machine — it never consults
-                // the unit, so dropped responses cannot recur.
-                self.run_once(
-                    graph,
-                    algorithm,
-                    Schedule::Swm,
-                    &mut fault,
-                    Some((schedule, kernel)),
-                    None,
-                )
-                .map(|mut report| {
-                    // The launch that exhausted its budget retried exactly
-                    // this many times before the fallback.
-                    report.weaver_retries += self.max_weaver_retries as u64;
-                    report
-                })
-            }
-            other => other,
-        };
-        self.last_faults = fault.map(|f| f.counts());
-        result
+        self.run_with_fallback(graph, algorithm, schedule, None, None)
     }
 
     /// Resumes a run from a checkpoint written by an earlier, interrupted
@@ -384,48 +370,68 @@ impl Session {
         algorithm: &dyn Algorithm,
         ck: &Checkpoint,
     ) -> Result<RunReport, FrameworkError> {
-        let mut fault = self.injector();
-        let fallback_from = ck.fell_back_from.clone();
-        let result = match self.run_once(
+        self.run_with_fallback(
             graph,
             algorithm,
             ck.schedule,
-            &mut fault,
-            fallback_from.clone(),
+            ck.fell_back_from.clone(),
             Some(ck),
+        )
+    }
+
+    /// One [`Session::run`] (or, with `resume` set, its continuation from
+    /// a checkpoint) under `schedule`, with graceful degradation.
+    /// `fallback_from` is set when `schedule` already is the degraded
+    /// `S_wm` re-run, which never times out on the unit:
+    /// `(originally requested schedule, kernel that exhausted retries)`.
+    fn run_with_fallback(
+        &mut self,
+        graph: &Csr,
+        algorithm: &dyn Algorithm,
+        schedule: Schedule,
+        fallback_from: Option<(Schedule, String)>,
+        resume: Option<&Checkpoint>,
+    ) -> Result<RunReport, FrameworkError> {
+        let mut fault = self.injector();
+        let result = match self.run_once(
+            graph,
+            algorithm,
+            schedule,
+            &mut fault,
+            fallback_from,
+            resume,
         ) {
             Err(FrameworkError::Sim(SimError::WeaverTimeout { kernel, .. }))
-                if self.fallback && ck.schedule.uses_unit() && fallback_from.is_none() =>
+                if self.fallback && schedule.uses_unit() =>
             {
-                // The resumed attempt exhausted its retries after the
-                // checkpoint: degrade exactly as the uninterrupted run
-                // would, with a fresh (non-resumed) software re-run.
+                // Retries exhausted: the Weaver unit is faulty. Re-run the
+                // whole algorithm under the software warp-mapping schedule
+                // on the same (still-faulty) machine — it never consults
+                // the unit, so dropped responses cannot recur. A resumed
+                // attempt degrades exactly as the uninterrupted run would,
+                // with a fresh (non-resumed) re-run.
                 self.run_once(
                     graph,
                     algorithm,
                     Schedule::Swm,
                     &mut fault,
-                    Some((ck.schedule, kernel)),
+                    Some((schedule, kernel)),
                     None,
                 )
-                .map(|mut report| {
-                    report.weaver_retries += self.max_weaver_retries as u64;
-                    report
-                })
             }
             other => other,
         };
-        let result = result.map(|mut report| {
-            if fallback_from.is_some() {
-                // [`Session::run`] applies this adjustment when it enters
-                // the fallback re-run; the checkpoint was taken inside
-                // that re-run, so re-apply it here.
+        self.last_faults = fault.map(|f| f.counts());
+        result.map(|mut report| {
+            if report.fell_back_from.is_some() {
+                // The launch that exhausted its budget retried exactly
+                // this many times before the fallback. A resumed re-run
+                // re-applies it: its checkpoint was taken after the
+                // fallback began, and this count lives outside it.
                 report.weaver_retries += self.max_weaver_retries as u64;
             }
             report
-        });
-        self.last_faults = fault.map(|f| f.counts());
-        result
+        })
     }
 
     /// A fresh injector for one [`Session::run`], when
@@ -457,7 +463,7 @@ impl Session {
         fallback_from: Option<(Schedule, String)>,
         resume: Option<&Checkpoint>,
     ) -> Result<RunReport, FrameworkError> {
-        let (eff, configured) = self.clamped_config(algorithm, schedule)?;
+        let (eff, configured, compiler) = self.clamped_config(algorithm, schedule)?;
         // Fingerprint the *effective* (clamped, penalty-applied) config —
         // the machine that actually runs — matching what
         // `crate::profile::render` stamps into `metrics.json`.
@@ -480,12 +486,9 @@ impl Session {
         }
         let mut gpu = Gpu::new(eff);
         gpu.set_configured_warps_per_core(configured);
+        gpu.set_fast_forward(self.fast_forward);
         let mut rt = Runtime::new(gpu, graph, algorithm.direction(), schedule)?;
-        rt.set_lint(self.lint);
-        if self.analyze {
-            rt.set_analyze(Some(geom_of(&eff)));
-        }
-        rt.set_regalloc(self.regalloc);
+        rt.set_compiler(compiler);
         let mut tracer = match &self.trace_out {
             Some(path) => {
                 let cfg = self.trace.unwrap_or_default();
@@ -506,7 +509,6 @@ impl Session {
             None => self.trace.map(Tracer::new),
         };
         rt.set_max_weaver_retries(self.max_weaver_retries);
-        rt.set_fast_forward(self.fast_forward);
         // Created after the machine: the capture header carries the
         // effective (clamped, penalty-applied) hierarchy configuration,
         // which is what a replay must rebuild for bit-identity.
@@ -872,5 +874,57 @@ mod tests {
         assert!(prof.weaver.count > 0, "weaver histogram populated");
         let mem_accesses: u64 = prof.mem.iter().map(|h| h.count).sum();
         assert!(mem_accesses > 0, "memory histograms populated");
+    }
+
+    /// Lists a kernel named `k` but launches a different stream under that
+    /// name.
+    struct RenamedKernel;
+
+    impl RenamedKernel {
+        fn kernel(extra: bool) -> sparseweaver_isa::Program {
+            let mut a = sparseweaver_isa::Asm::new("k");
+            if extra {
+                let r = a.reg();
+                a.li(r, 1);
+            }
+            a.halt();
+            a.finish()
+        }
+    }
+
+    impl Algorithm for RenamedKernel {
+        fn name(&self) -> &'static str {
+            "renamed"
+        }
+
+        fn direction(&self) -> Direction {
+            Direction::Pull
+        }
+
+        fn run(&self, rt: &mut Runtime<'_>) -> Result<AlgoOutput, FrameworkError> {
+            rt.launch(&RenamedKernel::kernel(true), &[])?;
+            Ok(AlgoOutput::U64(Vec::new()))
+        }
+
+        fn reference(&self, _: &Csr) -> AlgoOutput {
+            AlgoOutput::U64(Vec::new())
+        }
+
+        fn kernels(&self, _: Schedule, _: &GpuConfig) -> Vec<sparseweaver_isa::Program> {
+            vec![RenamedKernel::kernel(false)]
+        }
+    }
+
+    /// The session compiles the listed kernels once and the runtime
+    /// launches them from that compiler's cache, so a launched stream
+    /// that differs from the listed one under the same name must not run
+    /// unnoticed.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "compiled from a different instruction stream")]
+    fn launching_a_stream_other_than_the_listed_one_panics() {
+        let g = sparseweaver_graph::generators::uniform(8, 16, 1);
+        let mut s = Session::new(GpuConfig::small_test());
+        let _ = s.run(&g, &RenamedKernel, Schedule::Svm);
     }
 }

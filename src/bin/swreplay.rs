@@ -24,7 +24,9 @@ use std::path::Path;
 use std::process::exit;
 
 use sparseweaver::cli::{self, usage_err, Args, CliError, FlagSpec};
-use sparseweaver::core::replay::{render, sweep, trace_fingerprint, SweepSpec, REPLAY_SCHEMA};
+use sparseweaver::core::replay::{
+    level_stats_json, render, sweep, trace_fingerprint, SweepSpec, REPLAY_SCHEMA,
+};
 use sparseweaver::mem::mtrace::parse;
 use sparseweaver::mem::replay::verify;
 use sparseweaver::mem::{LevelStats, MemTrace};
@@ -167,30 +169,6 @@ fn stats_line(prefix: &str, s: &LevelStats) {
     );
 }
 
-fn stats_json(s: &LevelStats) -> String {
-    let l3 = match &s.l3 {
-        Some(l3) => format!(
-            "{{\"accesses\":{},\"hits\":{},\"misses\":{},\"writebacks\":{}}}",
-            l3.accesses, l3.hits, l3.misses, l3.writebacks
-        ),
-        None => "null".into(),
-    };
-    format!(
-        "{{\"l1\":{{\"accesses\":{},\"hits\":{},\"misses\":{},\"writebacks\":{}}},\
-         \"l2\":{{\"accesses\":{},\"hits\":{},\"misses\":{},\"writebacks\":{}}},\
-         \"l3\":{l3},\"dram_accesses\":{}}}",
-        s.l1.accesses,
-        s.l1.hits,
-        s.l1.misses,
-        s.l1.writebacks,
-        s.l2.accesses,
-        s.l2.hits,
-        s.l2.misses,
-        s.l2.writebacks,
-        s.dram_accesses
-    )
-}
-
 fn cmd_verify(flags: Args) -> Result<(), CliError> {
     let (_, trace) = load_trace(trace_path(&flags)?);
     let outcome = match verify(&trace) {
@@ -204,8 +182,8 @@ fn cmd_verify(flags: Args) -> Result<(), CliError> {
         println!(
             "{{\"verified\":{},\"live\":{},\"replayed\":{}}}",
             outcome.matches(),
-            stats_json(&outcome.live),
-            stats_json(&outcome.replayed)
+            level_stats_json(&outcome.live),
+            level_stats_json(&outcome.replayed)
         );
     } else if outcome.matches() {
         println!("verified: replay reproduces the live run bit for bit");
@@ -240,7 +218,7 @@ fn cmd_info(flags: Args) -> Result<(), CliError> {
             cfg.l1.ways,
             cfg.l2.size_bytes,
             cfg.l2.ways,
-            stats_json(&trace.live_stats)
+            level_stats_json(&trace.live_stats)
         );
         return Ok(());
     }

@@ -14,7 +14,7 @@
 //! module; the property tests drive it directly.
 
 use std::collections::BTreeMap;
-use std::io::Write as _;
+use std::fs::OpenOptions;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -25,6 +25,7 @@ use rayon::ThreadPoolBuilder;
 use sparseweaver_fault::{CampaignSummary, FaultSpec, Outcome, SplitMix64};
 use sparseweaver_graph::Csr;
 use sparseweaver_sim::{GpuConfig, SimError};
+use sparseweaver_trace::codec::OutStream;
 use sparseweaver_trace::json::{self, Value};
 use sparseweaver_trace::ProfileReport;
 
@@ -233,7 +234,7 @@ pub fn run_campaign_with(
     // Journal setup: load completed entries on resume, then open for
     // appending (or start fresh with a header line).
     let mut completed: BTreeMap<u32, RunOutput> = BTreeMap::new();
-    let mut journal_file = None;
+    let mut journal = None;
     if let Some(path) = &ctl.journal {
         let header = journal_header(campaign, schedule, algorithm.name(), cfg, graph);
         let io_err = |what: &str, e: std::io::Error| FrameworkError::Io {
@@ -244,24 +245,24 @@ pub fn run_campaign_with(
         } else {
             None
         };
-        let file = match loaded {
+        let out = match loaded {
             Some(entries) => {
                 completed = entries;
-                std::fs::OpenOptions::new()
-                    .append(true)
-                    .open(path)
+                OutStream::open(path, OpenOptions::new().append(true))
                     .map_err(|e| io_err("opening", e))?
             }
             None => {
-                let mut f = std::fs::File::create(path).map_err(|e| io_err("creating", e))?;
-                writeln!(f, "{header}").map_err(|e| io_err("writing", e))?;
-                f
+                let mut out = OutStream::create(path).map_err(|e| io_err("creating", e))?;
+                out.write(format!("{header}\n").as_bytes());
+                out.flush();
+                if let Some(kind) = out.error() {
+                    return Err(io_err("writing", kind.into()));
+                }
+                out
             }
         };
-        journal_file = Some(Mutex::new(file));
+        journal = Some(Mutex::new(out));
     }
-    let journal = &journal_file;
-    let journal_error: Mutex<Option<std::io::ErrorKind>> = Mutex::new(None);
 
     let run_one = |index: u32| -> RunOutput {
         let seed = SplitMix64::child_seed(campaign.seed, index as u64);
@@ -347,16 +348,14 @@ pub fn run_campaign_with(
                 }
             }
         };
-        if let Some(j) = journal {
+        if let Some(j) = &journal {
             // Append and flush as the run completes: a kill afterwards
             // finds this run durable. Append errors are latched, not
             // fatal — a lost entry only means a resume re-runs it.
-            let line = journal_line(index, &out);
-            let mut f = j.lock().expect("journal mutex");
-            if let Err(e) = writeln!(f, "{line}").and_then(|()| f.flush()) {
-                let mut latch = journal_error.lock().expect("journal error latch");
-                latch.get_or_insert(e.kind());
-            }
+            let line = format!("{}\n", journal_line(index, &out));
+            let mut j = j.lock().expect("journal mutex");
+            j.write(line.as_bytes());
+            j.flush();
         }
         out
     };
@@ -439,7 +438,7 @@ pub fn run_campaign_with(
         runs,
         panics,
         profile: merged_profile,
-        journal_error: journal_error.into_inner().expect("journal error latch"),
+        journal_error: journal.and_then(|j| j.into_inner().expect("journal mutex").error()),
     })
 }
 

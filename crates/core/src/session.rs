@@ -687,6 +687,35 @@ mod tests {
     }
 
     #[test]
+    fn a_failed_run_leaves_no_memory_trace_behind() {
+        use crate::algorithms::Bfs;
+
+        let dir = std::env::temp_dir().join(format!("sw_session_mtrace_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let g = sparseweaver_graph::generators::uniform(24, 72, 7);
+        let mut s = Session::new(GpuConfig::small_test());
+        s.inject = Some(FaultSpec::parse("weaver-drop=1.0").unwrap());
+        s.fallback = false;
+        s.mem_trace_out = Some(dir.join("x.swmtrace"));
+        assert!(s.run(&g, &Bfs::new(0), Schedule::SparseWeaver).is_err());
+        let left: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert!(left.is_empty(), "left behind: {left:?}");
+
+        // With fallback the failed attempt's capture is discarded and the
+        // S_wm re-run publishes a complete one.
+        s.fallback = true;
+        let report = s.run(&g, &Bfs::new(0), Schedule::SparseWeaver).unwrap();
+        assert_eq!(report.mem_trace.unwrap().sink_error, None);
+        let bytes = std::fs::read(dir.join("x.swmtrace")).unwrap();
+        sparseweaver_mem::mtrace::parse(&bytes).expect("complete capture");
+        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 1);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn regalloc_toggle_does_not_change_results() {
         let g = sparseweaver_graph::generators::powerlaw(48, 240, 1.8, 3);
         for schedule in [Schedule::Svm, Schedule::SparseWeaver, Schedule::Scm] {

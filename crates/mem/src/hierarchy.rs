@@ -251,21 +251,6 @@ impl Port {
         self.used += 1;
         self.cycle - now
     }
-
-    /// The cycle an [`acquire`](Port::acquire) issued at `now` would be
-    /// serviced, without mutating the port — the same window-alignment
-    /// and overflow arithmetic, minus the slot consumption.
-    fn next_free(&self, now: u64) -> u64 {
-        let (mut cycle, mut used) = (self.cycle, self.used);
-        if now > cycle {
-            cycle = now + (self.stride - 1) - (now + self.stride - 1) % self.stride;
-            used = 0;
-        }
-        if used >= self.per_window {
-            cycle += self.stride;
-        }
-        cycle
-    }
 }
 
 // A port's queue state; capacity and stride come from the configuration.
@@ -353,26 +338,6 @@ impl Hierarchy {
         out.push(snap("dram".to_string(), &self.dram_port));
         out.push(snap("atomic".to_string(), &self.atomic_port));
         out
-    }
-
-    /// The earliest cycle at which a new request from `core` issued at
-    /// `now` would clear every port queue on a worst-case (DRAM-reaching)
-    /// path — the memory system's contribution to a "known ready cycle".
-    ///
-    /// All port state is a pure function of past `access` timestamps, so
-    /// between accesses this bound is exact and never moves: a clock that
-    /// jumps straight to it observes the same queue delays it would have
-    /// seen ticking one cycle at a time. Returns `now` when every queue
-    /// is idle.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `core` is out of range.
-    pub fn next_ready_cycle(&self, core: usize, now: u64) -> u64 {
-        self.l1_ports[core]
-            .next_free(now)
-            .max(self.l2_port.next_free(now))
-            .max(self.dram_port.next_free(now))
     }
 
     /// DRAM latency in GPU cycles (base latency x frequency ratio).
@@ -690,30 +655,6 @@ mod tests {
         let r = h.access(0, 64, false, 5, &mut Hooks::default());
         assert_eq!(r.level, HitLevel::L1);
         assert_eq!(r.latency, h.config().l1_latency);
-    }
-
-    #[test]
-    fn next_ready_cycle_is_now_when_idle() {
-        let h = tiny();
-        assert_eq!(h.next_ready_cycle(0, 0), 0);
-        assert_eq!(h.next_ready_cycle(1, 40), 40);
-    }
-
-    #[test]
-    fn next_ready_cycle_predicts_queue_delay_without_mutation() {
-        let mut h = tiny();
-        // Saturate core 0's L1 port window at cycle 10.
-        for _ in 0..h.config().l1_ports {
-            h.access(0, 64, false, 10, &mut Hooks::default());
-        }
-        let predicted = h.next_ready_cycle(0, 10);
-        assert!(predicted > 10, "a full window must push the bound out");
-        // Pure query: asking again gives the same answer.
-        assert_eq!(h.next_ready_cycle(0, 10), predicted);
-        // The predicted cycle admits a request with no L1 queue delay
-        // (the address is an L1 hit, so only the L1 port is exercised).
-        let r = h.access(0, 64, false, predicted, &mut Hooks::default());
-        assert_eq!(r.queue_delay, 0, "bound should clear the queue");
     }
 
     #[test]

@@ -37,7 +37,7 @@ pub use hierarchy::{
 };
 pub use hooks::Hooks;
 pub use main_memory::{MainMemory, MemFault};
-pub use mtrace::{MemRecord, MemTrace, MemTraceError, Recorder, RecorderSummary};
+pub use mtrace::{MemRecord, MemTrace, Recorder, RecorderSummary};
 pub use replay::{ReplayError, VerifyOutcome};
 
 /// Cache line size in bytes, fixed at 64 as on Vortex.

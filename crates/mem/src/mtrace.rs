@@ -46,11 +46,10 @@
 //! configuration — diagnostic only; a replay under a different geometry
 //! recomputes levels from scratch.
 
-use std::fmt;
-use std::io::{self, Write};
+use std::io;
 use std::path::Path;
 
-use sparseweaver_trace::codec::tmp_path;
+use sparseweaver_trace::codec::{CodecError, Dec, Enc, OutStream};
 
 use crate::cache::CacheConfig;
 use crate::hierarchy::{HierarchyConfig, HitLevel, LevelStats};
@@ -174,259 +173,138 @@ impl MemTrace {
     }
 }
 
-/// A typed parse error, carrying the byte offset of the offending data
-/// so a truncated or corrupt trace names where it went wrong instead of
-/// aborting the process.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MemTraceError {
-    /// Byte offset into the file at which the error was detected.
-    pub offset: u64,
-    /// What was wrong there.
-    pub what: String,
-}
-
-impl fmt::Display for MemTraceError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "corrupt memory trace at byte offset {}: {}",
-            self.offset, self.what
-        )
-    }
-}
-
-impl std::error::Error for MemTraceError {}
-
-fn push_varint(out: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let byte = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            out.push(byte);
-            break;
-        }
-        out.push(byte | 0x80);
-    }
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn err(&self, what: impl Into<String>) -> MemTraceError {
-        MemTraceError {
-            offset: self.pos as u64,
-            what: what.into(),
-        }
-    }
-
-    fn u8(&mut self, what: &str) -> Result<u8, MemTraceError> {
-        let b = *self
-            .bytes
-            .get(self.pos)
-            .ok_or_else(|| self.err(format!("truncated {what}")))?;
-        self.pos += 1;
-        Ok(b)
-    }
-
-    fn bytes(&mut self, n: usize, what: &str) -> Result<&'a [u8], MemTraceError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.bytes.len())
-            .ok_or_else(|| self.err(format!("truncated {what}")))?;
-        let s = &self.bytes[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-
-    fn u16(&mut self, what: &str) -> Result<u16, MemTraceError> {
-        let b = self.bytes(2, what)?;
-        Ok(u16::from_le_bytes([b[0], b[1]]))
-    }
-
-    fn u32(&mut self, what: &str) -> Result<u32, MemTraceError> {
-        let b = self.bytes(4, what)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn u64(&mut self, what: &str) -> Result<u64, MemTraceError> {
-        let b = self.bytes(8, what)?;
-        let mut a = [0u8; 8];
-        a.copy_from_slice(b);
-        Ok(u64::from_le_bytes(a))
-    }
-
-    fn varint(&mut self, what: &str) -> Result<u64, MemTraceError> {
-        let mut v: u64 = 0;
-        let mut shift = 0u32;
-        loop {
-            let b = self.u8(what)?;
-            if shift >= 63 && b > 1 {
-                return Err(self.err(format!("varint overflow in {what}")));
-            }
-            v |= u64::from(b & 0x7f) << shift;
-            if b & 0x80 == 0 {
-                return Ok(v);
-            }
-            shift += 7;
-        }
-    }
-
-    fn cache_stats(&mut self, what: &str) -> Result<CacheStats, MemTraceError> {
-        Ok(CacheStats {
-            accesses: self.varint(what)?,
-            hits: self.varint(what)?,
-            misses: self.varint(what)?,
-            writebacks: self.varint(what)?,
-        })
-    }
-}
-
 /// Parses a `swmtrace-v1` document from `bytes`.
 ///
 /// # Errors
 ///
-/// Returns a [`MemTraceError`] (with the offending byte offset) on a bad
-/// magic/version, an unknown record tag, a record whose core index is
-/// out of the header's range, a missing footer (truncated capture), a
-/// footer record-count mismatch, or trailing bytes after the footer.
-pub fn parse(bytes: &[u8]) -> Result<MemTrace, MemTraceError> {
-    let mut p = Parser { bytes, pos: 0 };
-    let magic = p.bytes(8, "magic")?;
-    if magic != MTRACE_MAGIC {
-        return Err(MemTraceError {
-            offset: 0,
-            what: "bad magic (not a swmtrace file)".into(),
-        });
+/// A typed [`CodecError`] naming the offending byte offset:
+/// [`CodecError::Truncated`] when a field runs past the end, and
+/// [`CodecError::Corrupt`] on a bad magic/version, an unknown record tag,
+/// a record whose core index is out of the header's range, a missing
+/// footer (truncated capture), a footer record-count mismatch, or
+/// trailing bytes after the footer.
+pub fn parse(bytes: &[u8]) -> Result<MemTrace, CodecError> {
+    let mut d = Dec::new(bytes);
+    if d.raw(MTRACE_MAGIC.len())? != MTRACE_MAGIC {
+        return Err(CodecError::corrupt_at(0, "bad magic (not a swmtrace file)"));
     }
-    let version = p.u16("version")?;
+    let version = d.u16()?;
     if version != MTRACE_VERSION {
-        return Err(MemTraceError {
-            offset: 8,
-            what: format!("unsupported version {version} (expected {MTRACE_VERSION})"),
-        });
+        return Err(CodecError::corrupt_at(
+            MTRACE_MAGIC.len(),
+            format!("unsupported version {version} (expected {MTRACE_VERSION})"),
+        ));
     }
-    let num_cores = p.u32("config num_cores")?;
+    let num_cores = d.u32()?;
     if num_cores == 0 {
-        return Err(p.err("config has zero cores"));
+        return Err(d.corrupt("config has zero cores"));
     }
-    let cache = |p: &mut Parser<'_>, what: &str| -> Result<CacheConfig, MemTraceError> {
+    let cache = |d: &mut Dec<'_>| -> Result<CacheConfig, CodecError> {
         Ok(CacheConfig {
-            size_bytes: p.u64(what)?,
-            ways: p.u32(what)?,
+            size_bytes: d.u64()?,
+            ways: d.u32()?,
         })
     };
-    let l1 = cache(&mut p, "config l1")?;
-    let l2 = cache(&mut p, "config l2")?;
-    let l3 = match p.u8("config l3 flag")? {
+    let l1 = cache(&mut d)?;
+    let l2 = cache(&mut d)?;
+    let l3 = match d.u8()? {
         0 => None,
-        1 => Some(cache(&mut p, "config l3")?),
-        _ => return Err(p.err("config l3 flag must be 0 or 1")),
+        1 => Some(cache(&mut d)?),
+        _ => return Err(d.corrupt("config l3 flag must be 0 or 1")),
     };
     let config = HierarchyConfig {
         num_cores: num_cores as usize,
         l1,
         l2,
         l3,
-        l1_latency: p.u64("config l1_latency")?,
-        l2_latency: p.u64("config l2_latency")?,
-        l3_latency: p.u64("config l3_latency")?,
-        dram_latency: p.u64("config dram_latency")?,
-        dram_freq_ratio: p.u64("config dram_freq_ratio")?,
-        l1_ports: p.u64("config l1_ports")?,
-        l2_ports: p.u64("config l2_ports")?,
-        dram_ports: p.u64("config dram_ports")?,
-        atomic_ports: p.u64("config atomic_ports")?,
+        l1_latency: d.u64()?,
+        l2_latency: d.u64()?,
+        l3_latency: d.u64()?,
+        dram_latency: d.u64()?,
+        dram_freq_ratio: d.u64()?,
+        l1_ports: d.u64()?,
+        l2_ports: d.u64()?,
+        dram_ports: d.u64()?,
+        atomic_ports: d.u64()?,
     };
 
     let mut records = Vec::new();
-    let core_of = |p: &Parser<'_>, c: u64| -> Result<u32, MemTraceError> {
+    let core = |d: &mut Dec<'_>| -> Result<u32, CodecError> {
+        let c = d.varint()?;
         if c >= u64::from(num_cores) {
-            return Err(MemTraceError {
-                offset: p.pos as u64,
-                what: format!("core {c} out of range (trace has {num_cores} cores)"),
-            });
+            return Err(d.corrupt(format!(
+                "core {c} out of range (trace has {num_cores} cores)"
+            )));
         }
         Ok(c as u32)
     };
+    let warp = |d: &mut Dec<'_>| d.varint().map(|w| w as u32);
+    let cache_stats = |d: &mut Dec<'_>| -> Result<CacheStats, CodecError> {
+        Ok(CacheStats {
+            accesses: d.varint()?,
+            hits: d.varint()?,
+            misses: d.varint()?,
+            writebacks: d.varint()?,
+        })
+    };
     loop {
-        let at = p.pos as u64;
-        let tag = p.u8("record tag").map_err(|_| MemTraceError {
-            offset: at,
-            what: "missing footer (truncated capture?)".into(),
-        })?;
+        let at = d.offset();
+        let tag = d
+            .u8()
+            .map_err(|_| CodecError::corrupt_at(at, "missing footer (truncated capture?)"))?;
         match tag {
             TAG_KERNEL => {
-                let len = p.varint("kernel name length")? as usize;
-                let raw = p.bytes(len, "kernel name")?;
-                let name = std::str::from_utf8(raw)
-                    .map_err(|_| MemTraceError {
-                        offset: at,
-                        what: "kernel name is not UTF-8".into(),
-                    })?
+                let len = d.varint()? as usize;
+                let name = std::str::from_utf8(d.raw(len)?)
+                    .map_err(|_| CodecError::corrupt_at(at, "kernel name is not UTF-8"))?
                     .to_string();
                 records.push(MemRecord::KernelLaunch { name });
             }
             TAG_ACCESS => {
-                let flags = p.u8("access flags")?;
-                let raw_core = p.varint("access core")?;
-                let core = core_of(&p, raw_core)?;
-                let warp = p.varint("access warp")? as u32;
-                let cycle = p.varint("access cycle")?;
-                let addr = p.varint("access addr")?;
+                let flags = d.u8()?;
                 records.push(MemRecord::Access {
-                    core,
-                    warp,
-                    cycle,
-                    addr,
+                    core: core(&mut d)?,
+                    warp: warp(&mut d)?,
+                    cycle: d.varint()?,
+                    addr: d.varint()?,
                     write: flags & FLAG_WRITE != 0,
                     unqueued: flags & FLAG_UNQUEUED != 0,
                     level: level_from(flags >> 2),
                 });
             }
             TAG_ATOMIC => {
-                let flags = p.u8("atomic flags")?;
-                let raw_core = p.varint("atomic core")?;
-                let core = core_of(&p, raw_core)?;
-                let warp = p.varint("atomic warp")? as u32;
-                let cycle = p.varint("atomic cycle")?;
-                let addr = p.varint("atomic addr")?;
+                let flags = d.u8()?;
                 records.push(MemRecord::Atomic {
-                    core,
-                    warp,
-                    cycle,
-                    addr,
+                    core: core(&mut d)?,
+                    warp: warp(&mut d)?,
+                    cycle: d.varint()?,
+                    addr: d.varint()?,
                     level: level_from(flags >> 2),
                 });
             }
-            TAG_BARRIER => {
-                let raw_core = p.varint("barrier core")?;
-                let core = core_of(&p, raw_core)?;
-                let warp = p.varint("barrier warp")? as u32;
-                let cycle = p.varint("barrier cycle")?;
-                records.push(MemRecord::Barrier { core, warp, cycle });
-            }
+            TAG_BARRIER => records.push(MemRecord::Barrier {
+                core: core(&mut d)?,
+                warp: warp(&mut d)?,
+                cycle: d.varint()?,
+            }),
             TAG_FOOTER => {
-                let count = p.varint("footer record count")?;
+                let count = d.varint()?;
                 if count != records.len() as u64 {
-                    return Err(MemTraceError {
-                        offset: at,
-                        what: format!("footer claims {count} records, file has {}", records.len()),
-                    });
+                    return Err(CodecError::corrupt_at(
+                        at,
+                        format!("footer claims {count} records, file has {}", records.len()),
+                    ));
                 }
-                let l1 = p.cache_stats("footer l1 stats")?;
-                let l2 = p.cache_stats("footer l2 stats")?;
-                let l3 = match p.u8("footer l3 flag")? {
+                let l1 = cache_stats(&mut d)?;
+                let l2 = cache_stats(&mut d)?;
+                let l3 = match d.u8()? {
                     0 => None,
-                    1 => Some(p.cache_stats("footer l3 stats")?),
-                    _ => return Err(p.err("footer l3 flag must be 0 or 1")),
+                    1 => Some(cache_stats(&mut d)?),
+                    _ => return Err(d.corrupt("footer l3 flag must be 0 or 1")),
                 };
-                let dram_accesses = p.varint("footer dram accesses")?;
-                if p.pos != bytes.len() {
-                    return Err(p.err("trailing bytes after footer"));
+                let dram_accesses = d.varint()?;
+                if d.offset() != bytes.len() {
+                    return Err(d.corrupt("trailing bytes after footer"));
                 }
                 return Ok(MemTrace {
                     config,
@@ -440,10 +318,10 @@ pub fn parse(bytes: &[u8]) -> Result<MemTrace, MemTraceError> {
                 });
             }
             other => {
-                return Err(MemTraceError {
-                    offset: at,
-                    what: format!("unknown record tag {other:#04x}"),
-                })
+                return Err(CodecError::corrupt_at(
+                    at,
+                    format!("unknown record tag {other:#04x}"),
+                ))
             }
         }
     }
@@ -461,97 +339,39 @@ pub struct RecorderSummary {
     pub sink_error: Option<io::ErrorKind>,
 }
 
-enum RecorderSink {
-    /// Streams into a same-directory temporary; [`RecorderSink::commit`]
-    /// renames it over `dest` at finalization so a reader (or a crash)
-    /// never observes a truncated capture at the final path.
-    File {
-        writer: io::BufWriter<std::fs::File>,
-        tmp: std::path::PathBuf,
-        dest: std::path::PathBuf,
-    },
-    Stdout(io::Stdout),
-    Memory(Vec<u8>),
-}
-
-impl RecorderSink {
-    fn write_all(&mut self, buf: &[u8]) -> io::Result<()> {
-        match self {
-            RecorderSink::File { writer, .. } => writer.write_all(buf),
-            RecorderSink::Stdout(s) => s.write_all(buf),
-            RecorderSink::Memory(v) => {
-                v.extend_from_slice(buf);
-                Ok(())
-            }
-        }
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        match self {
-            RecorderSink::File { writer, .. } => writer.flush(),
-            RecorderSink::Stdout(s) => s.flush(),
-            RecorderSink::Memory(_) => Ok(()),
-        }
-    }
-
-    /// Publishes a file capture: syncs the temporary and renames it over
-    /// the destination. No-op for stdout/memory sinks.
-    fn commit(&mut self) -> io::Result<()> {
-        match self {
-            RecorderSink::File { writer, tmp, dest } => {
-                writer.get_ref().sync_all()?;
-                std::fs::rename(tmp, dest)
-            }
-            RecorderSink::Stdout(_) | RecorderSink::Memory(_) => Ok(()),
-        }
-    }
-}
-
 /// The `swmtrace-v1` capture writer. It rides in the hooks the GPU lends
 /// to the hierarchy and every core at call time; with none attached the
 /// hooks are single `Option` checks and the cycle model is untouched.
+///
+/// A file capture is staged in a temporary and renamed over its path by
+/// [`Recorder::finalize`]; a recorder dropped without finalizing (a
+/// failed run) deletes the temporary, so the path never holds a capture
+/// without its footer.
+#[derive(Debug)]
 pub struct Recorder {
-    sink: RecorderSink,
-    /// Scratch buffer: each record is encoded here, then written once.
-    scratch: Vec<u8>,
+    out: OutStream,
+    /// Each record is encoded here, then written once.
+    scratch: Enc,
     /// Warp context, set by the issuing core before its hierarchy calls
     /// (the hierarchy itself does not know which warp is accessing).
     warp: u32,
     records: u64,
-    bytes: u64,
-    err: Option<io::ErrorKind>,
     finalized: bool,
 }
 
-impl fmt::Debug for Recorder {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Recorder")
-            .field("records", &self.records)
-            .field("bytes", &self.bytes)
-            .field("err", &self.err)
-            .finish()
-    }
-}
-
 impl Recorder {
-    fn with_sink(sink: RecorderSink, cfg: &HierarchyConfig) -> Self {
-        let mut scratch = Vec::with_capacity(256);
-        scratch.extend_from_slice(MTRACE_MAGIC);
-        scratch.extend_from_slice(&MTRACE_VERSION.to_le_bytes());
-        scratch.extend_from_slice(&(cfg.num_cores as u32).to_le_bytes());
-        let push_cache = |out: &mut Vec<u8>, c: &CacheConfig| {
-            out.extend_from_slice(&c.size_bytes.to_le_bytes());
-            out.extend_from_slice(&c.ways.to_le_bytes());
+    fn with_stream(out: OutStream, cfg: &HierarchyConfig) -> Self {
+        let mut e = Enc::new();
+        e.raw(MTRACE_MAGIC);
+        e.u16(MTRACE_VERSION);
+        e.u32(cfg.num_cores as u32);
+        let cache = |c: &CacheConfig, e: &mut Enc| {
+            e.u64(c.size_bytes);
+            e.u32(c.ways);
         };
-        push_cache(&mut scratch, &cfg.l1);
-        push_cache(&mut scratch, &cfg.l2);
-        match &cfg.l3 {
-            Some(l3) => {
-                scratch.push(1);
-                push_cache(&mut scratch, l3);
-            }
-            None => scratch.push(0),
-        }
+        cache(&cfg.l1, &mut e);
+        cache(&cfg.l2, &mut e);
+        e.opt(cfg.l3.as_ref(), cache);
         for v in [
             cfg.l1_latency,
             cfg.l2_latency,
@@ -563,15 +383,13 @@ impl Recorder {
             cfg.dram_ports,
             cfg.atomic_ports,
         ] {
-            scratch.extend_from_slice(&v.to_le_bytes());
+            e.u64(v);
         }
         let mut rec = Recorder {
-            sink,
-            scratch,
+            out,
+            scratch: e,
             warp: 0,
             records: 0,
-            bytes: 0,
-            err: None,
             finalized: false,
         };
         rec.emit();
@@ -584,39 +402,23 @@ impl Recorder {
     /// # Errors
     ///
     /// Returns the I/O error if the file cannot be created. Write errors
-    /// *after* creation latch into [`Recorder::summary`] instead, so a
-    /// run is never aborted mid-flight by a full disk.
+    /// *after* creation latch into the summary [`Recorder::finalize`]
+    /// returns instead, so a run is never aborted mid-flight by a full
+    /// disk.
     pub fn create(path: &Path, cfg: &HierarchyConfig) -> io::Result<Self> {
-        let sink = if path == Path::new("-") {
-            RecorderSink::Stdout(io::stdout())
-        } else {
-            let tmp = tmp_path(path);
-            RecorderSink::File {
-                writer: io::BufWriter::new(std::fs::File::create(&tmp)?),
-                tmp,
-                dest: path.to_path_buf(),
-            }
-        };
-        Ok(Self::with_sink(sink, cfg))
+        Ok(Self::with_stream(OutStream::staged(path)?, cfg))
     }
 
     /// Creates a recorder capturing into memory (for tests); retrieve
     /// the document with [`Recorder::take_bytes`].
     pub fn in_memory(cfg: &HierarchyConfig) -> Self {
-        Self::with_sink(RecorderSink::Memory(Vec::new()), cfg)
+        Self::with_stream(OutStream::memory(), cfg)
     }
 
-    /// Writes the encoded record in `scratch` to the sink.
+    /// Writes the encoded record in `scratch` to the stream.
     fn emit(&mut self) {
-        if self.err.is_some() || self.finalized {
-            self.scratch.clear();
-            return;
-        }
-        self.bytes += self.scratch.len() as u64;
-        if let Err(e) = self.sink.write_all(&self.scratch) {
-            // Latch the first error; later writes are skipped so one
-            // full disk does not spam, mirroring the trace FileSink.
-            self.err = Some(e.kind());
+        if !self.finalized {
+            self.out.write(self.scratch.as_bytes());
         }
         self.scratch.clear();
     }
@@ -630,9 +432,9 @@ impl Recorder {
 
     /// Records a kernel launch (replay resets port clocks here).
     pub fn kernel_launch(&mut self, name: &str) {
-        self.scratch.push(TAG_KERNEL);
-        push_varint(&mut self.scratch, name.len() as u64);
-        self.scratch.extend_from_slice(name.as_bytes());
+        self.scratch.u8(TAG_KERNEL);
+        self.scratch.varint(name.len() as u64);
+        self.scratch.raw(name.as_bytes());
         self.records += 1;
         self.emit();
     }
@@ -664,90 +466,72 @@ impl Recorder {
         if unqueued {
             flags |= FLAG_UNQUEUED;
         }
-        self.scratch.push(TAG_ACCESS);
-        self.scratch.push(flags);
+        self.scratch.u8(TAG_ACCESS);
+        self.scratch.u8(flags);
         self.push_request(core, cycle, addr);
     }
 
     /// Records one atomic read-modify-write served at `level`.
     pub fn atomic(&mut self, core: usize, addr: u64, cycle: u64, level: HitLevel) {
-        self.scratch.push(TAG_ATOMIC);
-        self.scratch.push(level_code(level) << 2);
+        self.scratch.u8(TAG_ATOMIC);
+        self.scratch.u8(level_code(level) << 2);
         self.push_request(core, cycle, addr);
     }
 
     /// Appends the `core, warp, cycle, addr` tail shared by access and
     /// atomic records and emits the record.
     fn push_request(&mut self, core: usize, cycle: u64, addr: u64) {
-        push_varint(&mut self.scratch, core as u64);
-        push_varint(&mut self.scratch, u64::from(self.warp));
-        push_varint(&mut self.scratch, cycle);
-        push_varint(&mut self.scratch, addr);
+        self.scratch.varint(core as u64);
+        self.scratch.varint(u64::from(self.warp));
+        self.scratch.varint(cycle);
+        self.scratch.varint(addr);
         self.records += 1;
         self.emit();
     }
 
     /// Records a warp arriving at a barrier.
     pub fn barrier(&mut self, core: usize, warp: u32, cycle: u64) {
-        self.scratch.push(TAG_BARRIER);
-        push_varint(&mut self.scratch, core as u64);
-        push_varint(&mut self.scratch, u64::from(warp));
-        push_varint(&mut self.scratch, cycle);
+        self.scratch.u8(TAG_BARRIER);
+        self.scratch.varint(core as u64);
+        self.scratch.varint(u64::from(warp));
+        self.scratch.varint(cycle);
         self.records += 1;
         self.emit();
     }
 
     /// Writes the footer carrying the live run's final cumulative
-    /// `stats`, flushes the sink, and returns the capture summary.
-    /// Records after finalization are dropped.
+    /// `stats`, publishes the capture, and returns its summary. Records
+    /// after finalization are dropped.
     pub fn finalize(&mut self, stats: &LevelStats) -> RecorderSummary {
         if !self.finalized {
-            let out = &mut self.scratch;
-            out.push(TAG_FOOTER);
-            push_varint(out, self.records);
-            let push_stats = |out: &mut Vec<u8>, s: &CacheStats| {
-                push_varint(out, s.accesses);
-                push_varint(out, s.hits);
-                push_varint(out, s.misses);
-                push_varint(out, s.writebacks);
+            let e = &mut self.scratch;
+            e.u8(TAG_FOOTER);
+            e.varint(self.records);
+            let cache_stats = |s: &CacheStats, e: &mut Enc| {
+                e.varint(s.accesses);
+                e.varint(s.hits);
+                e.varint(s.misses);
+                e.varint(s.writebacks);
             };
-            push_stats(out, &stats.l1);
-            push_stats(out, &stats.l2);
-            match &stats.l3 {
-                Some(l3) => {
-                    out.push(1);
-                    push_stats(out, l3);
-                }
-                None => out.push(0),
-            }
-            push_varint(out, stats.dram_accesses);
+            cache_stats(&stats.l1, e);
+            cache_stats(&stats.l2, e);
+            e.opt(stats.l3.as_ref(), cache_stats);
+            e.varint(stats.dram_accesses);
             self.emit();
-            if self.err.is_none() {
-                if let Err(e) = self.sink.flush().and_then(|()| self.sink.commit()) {
-                    self.err = Some(e.kind());
-                }
-            }
+            self.out.commit();
             self.finalized = true;
         }
-        self.summary()
-    }
-
-    /// The capture summary so far (records, bytes, latched I/O error).
-    pub fn summary(&self) -> RecorderSummary {
         RecorderSummary {
             records: self.records,
-            bytes: self.bytes,
-            sink_error: self.err,
+            bytes: self.out.bytes(),
+            sink_error: self.out.error(),
         }
     }
 
     /// Takes the captured bytes out of an in-memory recorder (`None`
     /// for file/stdout sinks).
     pub fn take_bytes(&mut self) -> Option<Vec<u8>> {
-        match &mut self.sink {
-            RecorderSink::Memory(v) => Some(std::mem::take(v)),
-            _ => None,
-        }
+        self.out.take_memory()
     }
 }
 
@@ -847,7 +631,10 @@ mod tests {
         // Drop the footer and half a record.
         let cut = &bytes[..bytes.len() - 25];
         let e = parse(cut).expect_err("truncated");
-        assert!(e.offset > 0);
+        assert!(
+            matches!(e, CodecError::Truncated { offset } if offset > 0),
+            "{e}"
+        );
         assert!(e.to_string().contains("byte offset"));
     }
 
@@ -859,22 +646,23 @@ mod tests {
         // No finalize: the capture is incomplete.
         let bytes = rec.take_bytes().unwrap();
         let e = parse(&bytes).expect_err("no footer");
-        assert!(e.what.contains("footer"), "{e}");
+        assert_eq!(
+            e,
+            CodecError::corrupt_at(bytes.len(), "missing footer (truncated capture?)")
+        );
     }
 
     #[test]
     fn unknown_tag_is_typed() {
         let mut bytes = sample_bytes();
-        // Corrupt the first record tag after the header.
-        let header_len = bytes.len() - {
-            // Records + footer start right after the fixed header.
-            let cfg_len = 4 + (8 + 4) * 3 + 1 + 8 * 9;
-            bytes.len() - (8 + 2 + cfg_len)
-        };
+        // Corrupt the first record tag, right after the fixed header.
+        let header_len = 8 + 2 + 4 + (8 + 4) * 3 + 1 + 8 * 9;
         bytes[header_len] = 0x7e;
         let e = parse(&bytes).expect_err("bad tag");
-        assert!(e.what.contains("unknown record tag"), "{e}");
-        assert_eq!(e.offset, header_len as u64);
+        assert_eq!(
+            e,
+            CodecError::corrupt_at(header_len, "unknown record tag 0x7e")
+        );
     }
 
     #[test]
@@ -885,7 +673,11 @@ mod tests {
         rec.finalize(&LevelStats::default());
         let bytes = rec.take_bytes().unwrap();
         let e = parse(&bytes).expect_err("core out of range");
-        assert!(e.what.contains("out of range"), "{e}");
+        assert!(
+            e.to_string()
+                .contains("core 5 out of range (trace has 1 cores)"),
+            "{e}"
+        );
     }
 
     #[test]
@@ -902,30 +694,18 @@ mod tests {
         cut.extend_from_slice(&bytes[..footer_at - 4]);
         cut.extend_from_slice(&bytes[footer_at..]);
         let e = parse(&cut).expect_err("count mismatch");
-        assert!(
-            e.what.contains("records") || e.what.contains("truncated"),
-            "{e}"
+        assert_eq!(
+            e,
+            CodecError::corrupt_at(footer_at - 4, "footer claims 6 records, file has 5")
         );
     }
 
     #[test]
     fn bad_magic_rejected() {
         let e = parse(b"notatrace!!").expect_err("bad magic");
-        assert_eq!(e.offset, 0);
-    }
-
-    #[test]
-    fn varint_edge_values_round_trip() {
-        let mut buf = Vec::new();
-        for v in [0u64, 1, 127, 128, 300, u64::MAX] {
-            buf.clear();
-            push_varint(&mut buf, v);
-            let mut p = Parser {
-                bytes: &buf,
-                pos: 0,
-            };
-            assert_eq!(p.varint("v").unwrap(), v);
-            assert_eq!(p.pos, buf.len());
-        }
+        assert_eq!(
+            e,
+            CodecError::corrupt_at(0, "bad magic (not a swmtrace file)")
+        );
     }
 }

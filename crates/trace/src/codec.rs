@@ -1,11 +1,12 @@
-//! The little-endian byte codec every checkpointed component saves and
-//! restores itself through, plus the atomic file writer all artifacts
-//! share.
+//! The little-endian byte codec every checkpointed component and the
+//! `swmtrace-v1` memory trace are written and read through, plus the two
+//! writers all artifacts share: [`write_atomic`] for whole documents and
+//! [`OutStream`] for streamed ones.
 //!
-//! Integers are fixed-width little-endian. A sequence is a `u64` length
-//! followed by its items; an `Option` is a presence byte (0/1) followed by
-//! the payload; strings are length-prefixed UTF-8. Fixed-size arrays carry
-//! no length prefix.
+//! Integers are fixed-width little-endian, except [`Enc::varint`]
+//! (LEB128). A sequence is a `u64` length followed by its items; an
+//! `Option` is a presence byte (0/1) followed by the payload; strings are
+//! length-prefixed UTF-8. Fixed-size arrays carry no length prefix.
 //!
 //! A component implements [`Snapshot`]: `save` appends its mutable state
 //! and `restore` reads it back *in place* into a component rebuilt from
@@ -39,8 +40,8 @@
 //! ```
 
 use std::fmt;
-use std::fs;
-use std::io::{self, Write as _};
+use std::fs::{self, File, OpenOptions};
+use std::io::{self, BufWriter, Seek as _, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
 
 /// Why a byte buffer could not be decoded or restored.
@@ -65,6 +66,13 @@ pub enum CodecError {
 }
 
 impl CodecError {
+    /// A [`CodecError::Corrupt`] naming payload offset `offset`.
+    pub fn corrupt_at(offset: usize, what: impl fmt::Display) -> CodecError {
+        CodecError::Corrupt {
+            what: format!("{what} at offset {offset}"),
+        }
+    }
+
     /// Prefixes a [`CodecError::Restore`] path with the enclosing
     /// component's name; the other variants already carry an offset.
     pub fn within(self, outer: &str) -> CodecError {
@@ -247,6 +255,16 @@ impl Enc {
         self.buf
     }
 
+    /// The bytes encoded so far.
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.buf
+    }
+
+    /// Drops the encoded bytes, keeping the allocation.
+    pub fn clear(&mut self) {
+        self.buf.clear();
+    }
+
     /// Raw bytes, no length prefix.
     pub fn raw(&mut self, b: &[u8]) {
         self.buf.extend_from_slice(b);
@@ -255,6 +273,11 @@ impl Enc {
     /// One byte.
     pub fn u8(&mut self, v: u8) {
         self.buf.push(v);
+    }
+
+    /// A little-endian `u16`.
+    pub fn u16(&mut self, v: u16) {
+        self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// A little-endian `u32`.
@@ -275,6 +298,16 @@ impl Enc {
     /// A little-endian `i64`.
     pub fn i64(&mut self, v: i64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
+    }
+
+    /// A LEB128 varint: 7 bits per byte, low bits first, high bit set on
+    /// every byte but the last.
+    pub fn varint(&mut self, mut v: u64) {
+        while v >= 0x80 {
+            self.buf.push(v as u8 | 0x80);
+            v >>= 7;
+        }
+        self.buf.push(v as u8);
     }
 
     /// A bool as one byte (0/1).
@@ -342,12 +375,11 @@ impl<'a> Dec<'a> {
 
     /// A [`CodecError::Corrupt`] naming the current offset.
     pub fn corrupt(&self, what: impl fmt::Display) -> CodecError {
-        CodecError::Corrupt {
-            what: format!("{what} at offset {}", self.offset()),
-        }
+        CodecError::corrupt_at(self.offset(), what)
     }
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
+    /// The next `n` raw bytes, no length prefix.
+    pub fn raw(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
         if self.buf.len() - self.pos < n {
             return Err(CodecError::Truncated {
                 offset: self.offset(),
@@ -360,13 +392,18 @@ impl<'a> Dec<'a> {
 
     fn array<const N: usize>(&mut self) -> Result<[u8; N], CodecError> {
         let mut a = [0u8; N];
-        a.copy_from_slice(self.take(N)?);
+        a.copy_from_slice(self.raw(N)?);
         Ok(a)
     }
 
     /// One byte.
     pub fn u8(&mut self) -> Result<u8, CodecError> {
-        Ok(self.take(1)?[0])
+        Ok(self.raw(1)?[0])
+    }
+
+    /// A little-endian `u16`.
+    pub fn u16(&mut self) -> Result<u16, CodecError> {
+        Ok(u16::from_le_bytes(self.array()?))
     }
 
     /// A little-endian `u32`.
@@ -391,6 +428,25 @@ impl<'a> Dec<'a> {
     /// A little-endian `i64`.
     pub fn i64(&mut self) -> Result<i64, CodecError> {
         Ok(i64::from_le_bytes(self.array()?))
+    }
+
+    /// A LEB128 varint. The tenth byte carries bit 63 only, so it must be
+    /// 0 or 1; anything else overflows a `u64` and is corrupt, named at
+    /// the offset after that byte.
+    pub fn varint(&mut self) -> Result<u64, CodecError> {
+        let mut v = 0u64;
+        let mut shift = 0u32;
+        loop {
+            let b = self.u8()?;
+            if shift >= 63 && b > 1 {
+                return Err(self.corrupt("varint overflow"));
+            }
+            v |= u64::from(b & 0x7f) << shift;
+            if b & 0x80 == 0 {
+                return Ok(v);
+            }
+            shift += 7;
+        }
     }
 
     /// A bool byte; anything but 0/1 is corrupt.
@@ -431,7 +487,7 @@ impl<'a> Dec<'a> {
     /// A length-prefixed byte string.
     pub fn bytes(&mut self) -> Result<&'a [u8], CodecError> {
         let len = self.seq_len(1)?;
-        self.take(len)
+        self.raw(len)
     }
 
     /// A length-prefixed UTF-8 string.
@@ -541,9 +597,10 @@ impl<'a> Dec<'a> {
 /// over the destination. A reader (or a crash) never observes a
 /// half-written file.
 ///
-/// All artifact writers in the workspace (`metrics.json`, `profile.json`,
-/// checkpoints, campaign summaries, ...) share this helper; `-` stdout
-/// streaming is handled by callers and never routed here.
+/// All whole-document artifact writers in the workspace (`metrics.json`,
+/// `profile.json`, checkpoints, campaign summaries, ...) share this
+/// helper; `-` stdout streaming is handled by callers and never routed
+/// here. Streamed artifacts go through [`OutStream`].
 pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
     let tmp = tmp_path(path);
     let result = (|| {
@@ -571,6 +628,187 @@ pub fn tmp_path(path: &Path) -> PathBuf {
     path.with_file_name(name)
 }
 
+/// The output stream every streamed artifact (the JSONL event stream,
+/// the `swmtrace-v1` capture, the campaign journal) is written through.
+///
+/// A path of `-` streams to stdout. Write and flush errors never abort
+/// the caller mid-run: the first one is latched ([`OutStream::error`])
+/// and later writes are skipped, so one full disk does not spam. Bytes
+/// accepted are counted ([`OutStream::bytes`]).
+///
+/// A [`staged`](OutStream::staged) stream writes a same-directory
+/// temporary ([`tmp_path`]) and renames it over the destination on
+/// [`commit`](OutStream::commit), like [`write_atomic`]; dropped without
+/// a commit, it deletes the temporary.
+#[derive(Debug)]
+pub struct OutStream {
+    out: Out,
+    /// `(temporary, destination)` of a staged file not yet committed.
+    stage: Option<(PathBuf, PathBuf)>,
+    bytes: u64,
+    error: Option<io::ErrorKind>,
+}
+
+#[derive(Debug)]
+enum Out {
+    Stdout(io::Stdout),
+    Memory(Vec<u8>),
+    File(BufWriter<File>),
+}
+
+impl OutStream {
+    fn new(out: Out) -> OutStream {
+        OutStream {
+            out,
+            stage: None,
+            bytes: 0,
+            error: None,
+        }
+    }
+
+    /// Creates (truncating) the file at `path`, or stdout for `-`.
+    ///
+    /// # Errors
+    ///
+    /// The error creating the file.
+    pub fn create(path: &Path) -> io::Result<OutStream> {
+        OutStream::open(
+            path,
+            OpenOptions::new().write(true).create(true).truncate(true),
+        )
+    }
+
+    /// Opens the file at `path` with `options` (say, to append to it or
+    /// to continue it without truncating), or stdout for `-`.
+    ///
+    /// # Errors
+    ///
+    /// The error opening the file.
+    pub fn open(path: &Path, options: &OpenOptions) -> io::Result<OutStream> {
+        Ok(OutStream::new(if path.as_os_str() == "-" {
+            Out::Stdout(io::stdout())
+        } else {
+            Out::File(BufWriter::new(options.open(path)?))
+        }))
+    }
+
+    /// Stages the file at `path` in its temporary until
+    /// [`OutStream::commit`], or streams to stdout for `-`.
+    ///
+    /// # Errors
+    ///
+    /// The error creating the temporary.
+    pub fn staged(path: &Path) -> io::Result<OutStream> {
+        if path.as_os_str() == "-" {
+            return OutStream::create(path);
+        }
+        let tmp = tmp_path(path);
+        let mut s = OutStream::create(&tmp)?;
+        s.stage = Some((tmp, path.to_path_buf()));
+        Ok(s)
+    }
+
+    /// A stream into memory; [`OutStream::take_memory`] returns the bytes.
+    pub fn memory() -> OutStream {
+        OutStream::new(Out::Memory(Vec::new()))
+    }
+
+    fn writer(&mut self) -> &mut dyn io::Write {
+        match &mut self.out {
+            Out::Stdout(s) => s,
+            Out::Memory(v) => v,
+            Out::File(f) => f,
+        }
+    }
+
+    fn latch(&mut self, result: io::Result<()>) {
+        if let Err(e) = result {
+            self.error.get_or_insert(e.kind());
+        }
+    }
+
+    /// Writes `buf`, unless an earlier error was latched.
+    pub fn write(&mut self, buf: &[u8]) {
+        if self.error.is_none() {
+            let result = self.writer().write_all(buf);
+            if result.is_ok() {
+                self.bytes += buf.len() as u64;
+            }
+            self.latch(result);
+        }
+    }
+
+    /// Pushes buffered bytes to the destination, latching a failure.
+    pub fn flush(&mut self) {
+        let result = self.writer().flush();
+        self.latch(result);
+    }
+
+    /// Flushes and, for a staged file, syncs the temporary and renames it
+    /// over the destination. A stream with a latched error is not
+    /// published. Returns the latched error, if any.
+    pub fn commit(&mut self) -> Option<io::ErrorKind> {
+        self.flush();
+        if let (None, Some((tmp, dest)), Out::File(f)) = (self.error, &self.stage, &self.out) {
+            let result = f.get_ref().sync_all().and_then(|()| fs::rename(tmp, dest));
+            if result.is_ok() {
+                self.stage = None;
+            }
+            self.latch(result);
+        }
+        self.error
+    }
+
+    /// Cuts the file back to its first `len` bytes and continues writing
+    /// at the end, for resuming a stream saved at that length.
+    ///
+    /// # Errors
+    ///
+    /// Only a file can be rewound; otherwise the I/O error.
+    pub fn truncate(&mut self, len: u64) -> io::Result<()> {
+        let Out::File(f) = &mut self.out else {
+            return Err(io::Error::new(
+                io::ErrorKind::Unsupported,
+                "only a file can be rewound",
+            ));
+        };
+        f.get_mut().set_len(len)?;
+        f.get_mut().seek(SeekFrom::End(0))?;
+        self.bytes = len;
+        Ok(())
+    }
+
+    /// Bytes written so far (including any still buffered).
+    pub fn bytes(&self) -> u64 {
+        self.bytes
+    }
+
+    /// The first I/O error hit, if any.
+    pub fn error(&self) -> Option<io::ErrorKind> {
+        self.error
+    }
+
+    /// Takes the bytes out of a [`memory`](OutStream::memory) stream
+    /// (`None` for any other).
+    pub fn take_memory(&mut self) -> Option<Vec<u8>> {
+        match &mut self.out {
+            Out::Memory(v) => Some(std::mem::take(v)),
+            _ => None,
+        }
+    }
+}
+
+impl Drop for OutStream {
+    fn drop(&mut self) {
+        // An uncommitted stage is never published: close the temporary,
+        // then delete it.
+        if let Some((tmp, _)) = self.stage.take() {
+            self.out = Out::Memory(Vec::new());
+            let _ = fs::remove_file(tmp);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -579,6 +817,7 @@ mod tests {
     fn primitives_round_trip_little_endian() {
         let mut e = Enc::new();
         e.u8(7);
+        e.u16(0xbeef);
         e.u32(0x0102_0304);
         e.u64(u64::MAX);
         e.i64(-2);
@@ -587,9 +826,10 @@ mod tests {
         e.opt(Some(&5u32), |v, e| v.save(e));
         e.opt(None::<&u32>, |v, e| v.save(e));
         let bytes = e.into_bytes();
-        assert_eq!(&bytes[1..5], &[4, 3, 2, 1]);
+        assert_eq!(&bytes[1..7], &[0xef, 0xbe, 4, 3, 2, 1]);
         let mut d = Dec::new(&bytes);
         assert_eq!(d.u8().unwrap(), 7);
+        assert_eq!(d.u16().unwrap(), 0xbeef);
         assert_eq!(d.u32().unwrap(), 0x0102_0304);
         assert_eq!(d.u64().unwrap(), u64::MAX);
         assert_eq!(d.i64().unwrap(), -2);
@@ -647,6 +887,100 @@ mod tests {
             Dec::new(&bytes).restore_opt::<u64>("l3", None),
             Err(CodecError::Restore { .. })
         ));
+    }
+
+    #[test]
+    fn varint_edge_values_round_trip() {
+        for (v, len) in [
+            (0u64, 1),
+            (1, 1),
+            (127, 1),
+            (128, 2),
+            (300, 2),
+            (u64::MAX, 10),
+        ] {
+            let mut e = Enc::new();
+            e.varint(v);
+            let bytes = e.into_bytes();
+            assert_eq!(bytes.len(), len, "{v}");
+            let mut d = Dec::new(&bytes);
+            assert_eq!(d.varint().unwrap(), v);
+            d.finish().unwrap();
+        }
+        assert_eq!(
+            {
+                let mut e = Enc::new();
+                e.varint(300);
+                e.into_bytes()
+            },
+            [0xac, 0x02]
+        );
+        // Ten continuation bytes and an eleventh: bit 64 and up overflow,
+        // named after the tenth byte.
+        let mut long = [0xff_u8; 11];
+        long[10] = 0x01;
+        assert_eq!(
+            Dec::new(&long).varint(),
+            Err(CodecError::corrupt_at(10, "varint overflow"))
+        );
+        // A varint cut short is truncated where its next byte would be.
+        assert_eq!(
+            Dec::at(&[0x80, 0x80], 5).varint(),
+            Err(CodecError::Truncated { offset: 7 })
+        );
+    }
+
+    #[test]
+    fn out_stream_latches_the_first_error_and_counts_bytes() {
+        let mut s = OutStream::memory();
+        s.write(b"ab");
+        s.write(b"cde");
+        assert_eq!(s.commit(), None);
+        assert_eq!(s.bytes(), 5);
+        assert_eq!(s.take_memory().unwrap(), b"abcde");
+
+        let dir = std::env::temp_dir().join(format!("swcodec-stream-{}", std::process::id()));
+        fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("out.bin");
+        let mut s = OutStream::create(&path).unwrap();
+        s.write(b"0123456789");
+        s.flush();
+        s.truncate(4).unwrap();
+        s.write(b"xy");
+        assert_eq!(s.commit(), None);
+        drop(s);
+        assert_eq!(fs::read(&path).unwrap(), b"0123xy");
+        assert!(OutStream::memory().truncate(0).is_err());
+        fs::remove_dir_all(&dir).ok();
+
+        #[cfg(target_os = "linux")]
+        if Path::new("/dev/full").exists() {
+            let mut s = OutStream::create(Path::new("/dev/full")).unwrap();
+            s.write(&[0; 64]);
+            assert_eq!(s.commit(), Some(io::ErrorKind::StorageFull));
+            s.write(b"skipped");
+            assert_eq!(s.bytes(), 64);
+        }
+    }
+
+    #[test]
+    fn staged_streams_publish_on_commit_and_clean_up_on_drop() {
+        let dir = std::env::temp_dir().join(format!("swcodec-staged-{}", std::process::id()));
+        fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("out.bin");
+        let mut s = OutStream::staged(&path).unwrap();
+        s.write(b"half");
+        assert!(tmp_path(&path).exists() && !path.exists());
+        drop(s);
+        assert!(!tmp_path(&path).exists() && !path.exists());
+
+        let mut s = OutStream::staged(&path).unwrap();
+        s.write(b"whole");
+        assert_eq!(s.commit(), None);
+        drop(s);
+        assert_eq!(fs::read(&path).unwrap(), b"whole");
+        assert!(!tmp_path(&path).exists());
+        fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -1,11 +1,11 @@
 //! Event sinks: where emitted events go.
 
 use std::collections::VecDeque;
-use std::fs::{File, OpenOptions};
-use std::io::{self, BufWriter, Seek, SeekFrom, Write};
+use std::fs::OpenOptions;
+use std::io;
 use std::path::Path;
 
-use crate::codec::{CodecError, Dec, Enc, Snapshot};
+use crate::codec::{CodecError, Dec, Enc, OutStream, Snapshot};
 use crate::event::TraceEvent;
 
 /// Wire tags of the two sink kinds in a saved sink state.
@@ -163,35 +163,12 @@ fn restore_err(what: impl Into<String>) -> CodecError {
 /// trace with `jq -s '{traceEvents: .}' out.jsonl`.
 ///
 /// Write errors after a successful open are latched rather than panicking
-/// mid-simulation; check [`FileSink::io_error`] (or [`FileSink::flush`])
-/// after the run.
+/// mid-simulation; check [`TraceSink::io_error`] after a
+/// [`TraceSink::sync`].
 #[derive(Debug)]
 pub struct FileSink {
-    out: SinkOut,
+    out: OutStream,
     written: u64,
-    bytes: u64,
-    error: Option<io::ErrorKind>,
-}
-
-/// Where a [`FileSink`] streams: a file on disk, or the process stdout
-/// (the CLI convention for a `-` path).
-#[derive(Debug)]
-enum SinkOut {
-    File(BufWriter<File>),
-    Stdout(io::Stdout),
-}
-
-impl SinkOut {
-    fn writer(&mut self) -> &mut dyn Write {
-        match self {
-            SinkOut::File(f) => f,
-            SinkOut::Stdout(s) => s,
-        }
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        self.writer().flush()
-    }
 }
 
 impl FileSink {
@@ -202,16 +179,9 @@ impl FileSink {
     ///
     /// Returns the underlying error when the file cannot be created.
     pub fn create(path: &Path) -> io::Result<FileSink> {
-        let out = if path.as_os_str() == "-" {
-            SinkOut::Stdout(io::stdout())
-        } else {
-            SinkOut::File(BufWriter::new(File::create(path)?))
-        };
         Ok(FileSink {
-            out,
+            out: OutStream::create(path)?,
             written: 0,
-            bytes: 0,
-            error: None,
         })
     }
 
@@ -226,60 +196,26 @@ impl FileSink {
     ///
     /// Returns the underlying error when the file cannot be opened.
     pub fn reopen(path: &Path) -> io::Result<FileSink> {
-        let out = if path.as_os_str() == "-" {
-            SinkOut::Stdout(io::stdout())
-        } else {
-            SinkOut::File(BufWriter::new(
-                OpenOptions::new().read(true).write(true).open(path)?,
-            ))
-        };
         Ok(FileSink {
-            out,
+            out: OutStream::open(path, OpenOptions::new().write(true))?,
             written: 0,
-            bytes: 0,
-            error: None,
         })
-    }
-
-    fn latch(&mut self, e: &io::Error) {
-        if self.error.is_none() {
-            self.error = Some(e.kind());
-        }
     }
 
     /// Number of events written so far (including buffered ones).
     pub fn written(&self) -> u64 {
         self.written
     }
-
-    /// The first write error encountered, if any.
-    pub fn io_error(&self) -> Option<io::ErrorKind> {
-        self.error
-    }
-
-    /// Flushes buffered lines to disk.
-    ///
-    /// # Errors
-    ///
-    /// Returns the flush error, or the first latched write error.
-    pub fn flush(&mut self) -> io::Result<()> {
-        self.out.flush()?;
-        match self.error {
-            Some(kind) => Err(io::Error::from(kind)),
-            None => Ok(()),
-        }
-    }
 }
 
 impl TraceSink for FileSink {
     fn record(&mut self, event: TraceEvent) {
-        let line = crate::export::event_json(&event);
-        if let Err(e) = writeln!(self.out.writer(), "{line}") {
-            self.latch(&e);
-            return;
+        let mut line = crate::export::event_json(&event);
+        line.push('\n');
+        self.out.write(line.as_bytes());
+        if self.out.error().is_none() {
+            self.written += 1;
         }
-        self.written += 1;
-        self.bytes += line.len() as u64 + 1;
     }
 
     fn buffered(&self) -> usize {
@@ -298,14 +234,12 @@ impl TraceSink for FileSink {
     }
 
     fn io_error(&self) -> Option<io::ErrorKind> {
-        self.error
+        self.out.error()
     }
 
     fn sync(&mut self) {
         // A failure latches and the report layer surfaces the truncation.
-        if let Err(e) = self.out.flush() {
-            self.latch(&e);
-        }
+        self.out.flush();
     }
 }
 
@@ -313,27 +247,16 @@ impl Snapshot for FileSink {
     fn save(&self, e: &mut Enc) {
         e.u8(FILE_TAG);
         e.u64(self.written);
-        e.u64(self.bytes);
+        e.u64(self.out.bytes());
     }
 
     fn restore(&mut self, d: &mut Dec<'_>) -> Result<(), CodecError> {
         expect_kind(d, FILE_TAG)?;
         let (written, bytes) = (d.u64()?, d.u64()?);
-        match &mut self.out {
-            SinkOut::File(w) => {
-                let f = w.get_mut();
-                f.set_len(bytes)
-                    .and_then(|()| f.seek(SeekFrom::End(0)))
-                    .map_err(|e| {
-                        restore_err(format!("truncating trace file to {bytes} bytes: {e}"))
-                    })?;
-            }
-            SinkOut::Stdout(_) => {
-                return Err(restore_err("a trace streamed to stdout cannot be resumed"));
-            }
-        }
+        self.out.truncate(bytes).map_err(|e| {
+            restore_err(format!("rewinding the trace stream to {bytes} bytes: {e}"))
+        })?;
         self.written = written;
-        self.bytes = bytes;
         Ok(())
     }
 }
@@ -343,10 +266,8 @@ impl Drop for FileSink {
         // Last chance to surface a truncated trace: by drop time no one
         // can observe the latch anymore, so a lost flush (or a still
         // latched write error) goes to stderr instead of vanishing.
-        if let Err(e) = self.out.flush() {
-            self.latch(&e);
-        }
-        if let Some(kind) = self.error {
+        self.out.flush();
+        if let Some(kind) = self.out.error() {
             eprintln!("warning: trace file is incomplete ({kind}); events were lost");
         }
     }
@@ -409,7 +330,7 @@ mod tests {
             assert_eq!(s.dropped(), 0);
             assert_eq!(s.buffered(), 0);
             assert!(s.drain().is_empty()); // events live on disk, not in memory
-            s.flush().unwrap();
+            assert_eq!(s.io_error(), None);
         }
         let text = std::fs::read_to_string(&path).unwrap();
         let lines: Vec<&str> = text.lines().collect();
@@ -427,7 +348,7 @@ mod tests {
         let mut s = FileSink::create(Path::new("-")).unwrap();
         s.record(ev(7));
         assert_eq!(s.written(), 1);
-        assert!(s.flush().is_ok());
+        s.sync();
         assert!(s.io_error().is_none());
         assert!(!Path::new("-").exists(), "no file literally named `-`");
     }
@@ -458,6 +379,5 @@ mod tests {
             s.io_error().is_some(),
             "flush to a full device must latch an error"
         );
-        assert!(s.flush().is_err());
     }
 }

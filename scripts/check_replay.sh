@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# CI gate for the memory-trace capture/replay mode, in three parts:
+# CI gate for the memory-trace capture/replay mode, in four parts:
 #
 # 1. Byte gate: a fixed-seed captured BFS run swept over a fixed
 #    16-point L1 grid must render a replay.json byte-for-byte identical
@@ -15,7 +15,10 @@
 #    call sequence; the trace *is* that call sequence). swreplay exits 1
 #    on a mismatch, so `set -e` enforces this.
 #
-# 3. Speed assertion: the point of replay is that sweeping cache
+# 3. Corrupt input: the capture with its last 25 bytes cut off must be
+#    refused by `swreplay verify` with exit 4 and a byte offset.
+#
+# 4. Speed assertion: the point of replay is that sweeping cache
 #    geometries does not require re-simulating cores. A 16-config sweep
 #    must be at least MIN_SPEEDUP_X times faster than 16 full
 #    simulations (estimated as 16x one measured run, same binary, same
@@ -52,6 +55,19 @@ echo "ok: capture run complete ($((sim_ns / 1000000)) ms)"
 
 ./target/release/swreplay verify --trace "$TRACE" > /dev/null
 echo "ok: replay under the capture config is bit-identical to the live run"
+
+# A capture cut short (footer and part of a record gone) is refused as
+# corrupt: exit 4, with the byte offset where decoding stopped.
+head -c -25 "$TRACE" > "$TRACE.cut"
+code=0
+./target/release/swreplay verify --trace "$TRACE.cut" > /dev/null 2> "$TRACE.err" || code=$?
+if [[ $code -ne 4 ]] || ! grep -Eq 'offset [0-9]+' "$TRACE.err"; then
+    echo "FAIL: a truncated capture must exit 4 naming a byte offset" \
+         "(exit $code: $(cat "$TRACE.err"))" >&2
+    exit 1
+fi
+echo "ok: truncated capture refused ($(cat "$TRACE.err"))"
+rm -f "$TRACE.cut" "$TRACE.err"
 
 sweep_start=$(date +%s%N)
 ./target/release/swreplay sweep --trace "$TRACE" \

@@ -139,7 +139,7 @@ fn run(args: &[String]) -> Result<(), CliError> {
     campaign.fallback = !flags.has("no-fallback");
     let schedule = cli::schedule(&flags)?.unwrap_or(Schedule::SparseWeaver);
     let cfg = cli::config(&flags, "small")?;
-    if flags.get("journal") == Some("-") {
+    if flags.get("journal").is_some_and(cli::is_stdio) {
         return usage_err("--journal expects a file path (the journal is append-only JSONL)");
     }
     if flags.has("resume") && !flags.has("journal") {
@@ -222,7 +222,7 @@ fn run(args: &[String]) -> Result<(), CliError> {
         campaign.runs, secs, rate, campaign.jobs, s.masked, s.sdc, s.detected_crash, s.hang
     );
     if let Some(path) = flags.get("out") {
-        if path == "-" {
+        if cli::is_stdio(path) {
             // The summary JSON already went to stdout above; writing it
             // again would duplicate the artifact.
             eprintln!("summary already on stdout (--out -)");

@@ -72,22 +72,12 @@ const FLAGS: FlagSpec = FlagSpec {
 };
 
 fn load_profile(path: &str) -> Value {
-    let text = if path == "-" {
-        use std::io::Read as _;
-        let mut buf = String::new();
-        std::io::stdin()
-            .read_to_string(&mut buf)
-            .unwrap_or_else(|e| {
-                eprintln!("cannot read stdin: {e}");
-                exit(1)
-            });
-        buf
-    } else {
-        std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("cannot read {path}: {e}");
+    let text = cli::read_input(path)
+        .and_then(|b| String::from_utf8(b).map_err(|_| format!("{path}: not valid UTF-8")))
+        .unwrap_or_else(|e| {
+            eprintln!("{e}");
             exit(1)
-        })
-    };
+        });
     let doc = json::parse(&text).unwrap_or_else(|e| {
         eprintln!("{path}: not valid JSON: {e}");
         exit(1)

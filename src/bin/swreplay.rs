@@ -20,7 +20,6 @@
 //! error; 4 corrupt or truncated trace (the error names the byte
 //! offset).
 
-use std::path::Path;
 use std::process::exit;
 
 use sparseweaver::cli::{self, usage_err, Args, CliError, FlagSpec};
@@ -30,7 +29,6 @@ use sparseweaver::core::replay::{
 use sparseweaver::mem::mtrace::parse;
 use sparseweaver::mem::replay::verify;
 use sparseweaver::mem::{LevelStats, MemTrace};
-use sparseweaver::trace::codec::write_atomic;
 
 fn usage() -> ! {
     eprintln!(
@@ -97,33 +95,17 @@ fn trace_path(flags: &Args) -> Result<&str, CliError> {
 /// Reads the trace file at `path` (or stdin for `-`) and parses it. I/O
 /// failures exit 3; parse failures exit 4 with the offending byte offset.
 fn load_trace(path: &str) -> (Vec<u8>, MemTrace) {
-    let bytes = if path == "-" {
-        use std::io::Read;
-        let mut buf = Vec::new();
-        match std::io::stdin().read_to_end(&mut buf) {
-            Ok(_) => buf,
-            Err(e) => {
-                eprintln!("cannot read memory trace from stdin: {e}");
-                exit(3)
-            }
-        }
-    } else {
-        match std::fs::read(path) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("cannot read memory trace {path}: {e}");
-                exit(3)
-            }
-        }
-    };
-    let trace = match parse(&bytes) {
-        Ok(t) => t,
+    let bytes = cli::read_input(path).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        exit(3)
+    });
+    match parse(&bytes) {
+        Ok(trace) => (bytes, trace),
         Err(e) => {
-            eprintln!("{e}");
+            eprintln!("invalid memory trace {path}: {e}");
             exit(4)
         }
-    };
-    (bytes, trace)
+    }
 }
 
 fn csv_u64(flags: &Args, name: &str, default: &[u64]) -> Result<Vec<u64>, CliError> {
@@ -272,13 +254,11 @@ fn cmd_sweep(flags: Args) -> Result<(), CliError> {
         }
     };
     let body = render(&result, &trace);
-    if out == "-" {
-        print!("{body}");
-    } else {
-        if let Err(e) = write_atomic(Path::new(out), body.as_bytes()) {
-            eprintln!("cannot write replay artifact to {out}: {e}");
-            exit(3)
-        }
+    if let Err(e) = cli::write_output(out, body.as_bytes()) {
+        eprintln!("cannot write replay artifact to {out}: {e}");
+        exit(3)
+    }
+    if !cli::is_stdio(out) {
         eprintln!(
             "replay artifact written to {out} ({} configs, verified: {})",
             result.entries.len(),

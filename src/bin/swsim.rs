@@ -249,17 +249,13 @@ fn trace_setup(
 /// itself, and routed to stderr when some other artifact is streaming
 /// to stdout (it would corrupt that artifact's document).
 fn write_artifact(path: &str, body: String, what: &str, json: bool, stdout_is_artifact: bool) {
-    if path == "-" {
-        print!("{body}");
-        return;
-    }
-    // Atomic (temp file + rename): a crash or full disk mid-write never
-    // leaves a half-written artifact at the destination path.
-    write_atomic(Path::new(path), body.as_bytes()).unwrap_or_else(|e| {
+    // A file is written atomically (temp file + rename): a crash or full
+    // disk mid-write never leaves a half-written artifact at its path.
+    cli::write_output(path, body.as_bytes()).unwrap_or_else(|e| {
         eprintln!("cannot write {what} to {path}: {e}");
         exit(1)
     });
-    if !json {
+    if !json && !cli::is_stdio(path) {
         if stdout_is_artifact {
             eprintln!("{what} written to {path}");
         } else {
@@ -296,7 +292,7 @@ fn cmd_run(argv: Vec<String>, flags: Args, resume: Option<Checkpoint>) -> Result
         return usage_err("--checkpoint-every requires --checkpoint-out");
     }
     if let Some(out) = &checkpoint_out {
-        if out == "-" {
+        if cli::is_stdio(out) {
             return usage_err("--checkpoint-out is a binary artifact and cannot stream to stdout");
         }
         if all_schedules {
@@ -310,7 +306,7 @@ fn cmd_run(argv: Vec<String>, flags: Args, resume: Option<Checkpoint>) -> Result
                  memory-trace recorder is not part of the checkpointed state",
             );
         }
-        if trace_out.as_deref() == Some("-") {
+        if trace_out.as_deref().is_some_and(cli::is_stdio) {
             return usage_err(
                 "--checkpoint-out cannot be combined with `--trace-out -`: a stdout \
                  event stream cannot be rewound on resume",
@@ -384,8 +380,8 @@ fn cmd_run(argv: Vec<String>, flags: Args, resume: Option<Checkpoint>) -> Result
         &mem_trace_out,
     ]
     .iter()
-    .any(|p| p.as_deref() == Some("-"))
-        || hang_report_path.as_deref() == Some("-");
+    .any(|p| p.as_deref().is_some_and(cli::is_stdio))
+        || hang_report_path.as_deref().is_some_and(cli::is_stdio);
     macro_rules! summary {
         ($($t:tt)*) => {
             if stdout_is_artifact { eprintln!($($t)*) } else { println!($($t)*) }
@@ -439,17 +435,8 @@ fn cmd_run(argv: Vec<String>, flags: Args, resume: Option<Checkpoint>) -> Result
                 eprintln!("run failed: {e}");
                 if let Some(path) = &hang_report_path {
                     let hang = e.hang_report().expect("variant carries a report");
-                    let mut body = hang.to_json();
-                    body.push('\n');
-                    if path == "-" {
-                        print!("{body}");
-                    } else {
-                        write_atomic(Path::new(path), body.as_bytes()).unwrap_or_else(|err| {
-                            eprintln!("cannot write hang report to {path}: {err}");
-                            exit(1)
-                        });
-                        eprintln!("hang report written to {path}");
-                    }
+                    // A failed run reports on stderr.
+                    write_artifact(path, hang.to_json() + "\n", "hang report", json, true);
                 }
                 exit(4)
             }
@@ -513,7 +500,7 @@ fn cmd_run(argv: Vec<String>, flags: Args, resume: Option<Checkpoint>) -> Result
                 }
                 None => {
                     if let Some(path) = &mem_trace_out {
-                        if !json && path != "-" {
+                        if !json && !cli::is_stdio(path) {
                             summary!(
                                 "memory trace written to {path} ({} records, {} bytes)",
                                 mt.records,
@@ -547,7 +534,7 @@ fn cmd_run(argv: Vec<String>, flags: Args, resume: Option<Checkpoint>) -> Result
                 );
             }
             if let Some(path) = &trace_out {
-                if !json && path != "-" {
+                if !json && !cli::is_stdio(path) {
                     summary!("event stream written to {path}");
                 }
             }

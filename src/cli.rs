@@ -23,10 +23,13 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::io::{Read as _, Write as _};
+use std::path::Path;
 
 use crate::core::algorithms::{Algorithm, Bfs, ConnectedComponents, PageRank, Spmv, Sssp};
 use crate::graph::{dataset, generators, io, Csr, DatasetId, VertexId};
 use crate::sim::GpuConfig;
+use crate::trace::codec::write_atomic;
 
 /// A command-line error, mapped to an exit code once by each tool's `main`.
 #[derive(Debug)]
@@ -142,6 +145,36 @@ pub fn version(tool: &str, args: &[String]) -> bool {
         println!("{tool} {}", crate::VERSION);
     }
     asked
+}
+
+/// Whether `path` is `-`, the command-line name for stdin (an input)
+/// or stdout (an output).
+pub fn is_stdio(path: &str) -> bool {
+    path == "-"
+}
+
+/// Reads the whole file at `path`, or stdin for `-`. The error message
+/// names the source.
+pub fn read_input(path: &str) -> Result<Vec<u8>, String> {
+    if is_stdio(path) {
+        let mut buf = Vec::new();
+        std::io::stdin()
+            .read_to_end(&mut buf)
+            .map(|_| buf)
+            .map_err(|e| format!("cannot read stdin: {e}"))
+    } else {
+        std::fs::read(path).map_err(|e| format!("cannot read {path}: {e}"))
+    }
+}
+
+/// Writes `body` to stdout for `-`, else atomically to the file at
+/// `path` (see [`write_atomic`]).
+pub fn write_output(path: &str, body: &[u8]) -> std::io::Result<()> {
+    if is_stdio(path) {
+        std::io::stdout().write_all(body)
+    } else {
+        write_atomic(Path::new(path), body)
+    }
 }
 
 /// Reads `--name` as a number, or `None` when absent.

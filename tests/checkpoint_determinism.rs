@@ -2,10 +2,10 @@
 //! `swckpt-v1` snapshot must be **bit-identical** to the uninterrupted
 //! run — same stats, same metrics-JSON bytes — across every algorithm,
 //! both hardware-assisted schedules, and with the idle-cycle
-//! fast-forward engine on or off. The rejection matrix mirrors the
-//! `MemTraceError` style from the memory-trace codec: every way a
-//! checkpoint file can be damaged maps to a typed error, never a panic
-//! or a silently wrong resume.
+//! fast-forward engine on or off. The rejection matrix holds checkpoints
+//! to the same rule as memory traces: every way a checkpoint file can be
+//! damaged maps to a typed error, never a panic or a silently wrong
+//! resume.
 
 use sparseweaver::core::algorithms::{Algorithm, Bfs, ConnectedComponents, PageRank, Spmv, Sssp};
 use sparseweaver::core::checkpoint::{Checkpoint, CheckpointError};

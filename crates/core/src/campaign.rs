@@ -26,7 +26,7 @@ use sparseweaver_fault::{CampaignSummary, FaultSpec, Outcome, SplitMix64};
 use sparseweaver_graph::Csr;
 use sparseweaver_sim::{GpuConfig, SimError};
 use sparseweaver_trace::codec::OutStream;
-use sparseweaver_trace::json::{self, Value};
+use sparseweaver_trace::json::{self, Envelope, Schema, Value};
 use sparseweaver_trace::ProfileReport;
 
 use crate::algorithms::Algorithm;
@@ -38,6 +38,9 @@ use crate::FrameworkError;
 /// Float tolerance for golden-output comparison (integer outputs compare
 /// exactly).
 pub const GOLDEN_TOL: f64 = 1e-9;
+
+/// The schema of the campaign journal's header line.
+pub const JOURNAL_SCHEMA: Schema = Schema::new("sparseweaver-fault-journal", 2);
 
 /// Campaign parameters.
 #[derive(Debug, Clone, Copy)]
@@ -88,11 +91,11 @@ impl CampaignConfig {
 #[derive(Debug, Clone, Default)]
 pub struct CampaignCtl {
     /// Append-only JSONL journal: a header line identifying the campaign
-    /// (spec, seed, runs, schedule, algorithm, config/graph fingerprints)
-    /// followed by one line per completed run, appended and flushed as
-    /// runs finish. Survives a kill at any point: the header and every
-    /// fully written line stay valid, and a torn final line is tolerated
-    /// on resume.
+    /// (a [`JOURNAL_SCHEMA`] envelope with the config/graph fingerprints,
+    /// then spec, seed, runs, schedule and algorithm) followed by one line
+    /// per completed run, appended and flushed as runs finish. Survives a
+    /// kill at any point: the header and every fully written line stay
+    /// valid, and a torn final line is cut off on resume.
     pub journal: Option<PathBuf>,
     /// Resume from the journal: already-journaled run indices are folded
     /// from their recorded outcomes and only missing indices re-execute.
@@ -228,15 +231,17 @@ pub fn run_campaign_with(
             what: "campaign resume requires a journal path".to_string(),
         });
     }
-    let mut golden_session = Session::new(*cfg);
-    let golden = golden_session.run(graph, algorithm, schedule)?.output;
+    let fingerprints = (
+        Some(crate::profile::config_fingerprint(cfg)),
+        Some(crate::profile::graph_fingerprint(graph)),
+    );
 
     // Journal setup: load completed entries on resume, then open for
     // appending (or start fresh with a header line).
     let mut completed: BTreeMap<u32, RunOutput> = BTreeMap::new();
     let mut journal = None;
     if let Some(path) = &ctl.journal {
-        let header = journal_header(campaign, schedule, algorithm.name(), cfg, graph);
+        let header = journal_header(campaign, schedule, algorithm.name(), fingerprints);
         let io_err = |what: &str, e: std::io::Error| FrameworkError::Io {
             what: format!("{what} campaign journal {}: {e}", path.display()),
         };
@@ -246,10 +251,15 @@ pub fn run_campaign_with(
             None
         };
         let out = match loaded {
-            Some(entries) => {
+            Some((entries, complete)) => {
                 completed = entries;
-                OutStream::open(path, OpenOptions::new().append(true))
-                    .map_err(|e| io_err("opening", e))?
+                let mut out = OutStream::open(path, OpenOptions::new().append(true))
+                    .map_err(|e| io_err("opening", e))?;
+                // Cut a torn final line, so the next entry starts a line
+                // of its own instead of being glued onto the fragment.
+                out.truncate(complete)
+                    .map_err(|e| io_err("truncating", e))?;
+                out
             }
             None => {
                 let mut out = OutStream::create(path).map_err(|e| io_err("creating", e))?;
@@ -263,6 +273,9 @@ pub fn run_campaign_with(
         };
         journal = Some(Mutex::new(out));
     }
+    // After the journal is vetted: a journal refused on resume costs no
+    // simulation.
+    let golden = Session::new(*cfg).run(graph, algorithm, schedule)?.output;
 
     let run_one = |index: u32| -> RunOutput {
         let seed = SplitMix64::child_seed(campaign.seed, index as u64);
@@ -387,6 +400,8 @@ pub fn run_campaign_with(
     // render to must not depend on worker scheduling — or on how many
     // invocations (via the journal) it took to complete the campaign.
     let mut summary = CampaignSummary {
+        config_fingerprint: fingerprints.0,
+        input_fingerprint: fingerprints.1,
         spec: campaign.spec.to_string(),
         seed: campaign.seed,
         ..CampaignSummary::default()
@@ -449,56 +464,64 @@ fn journal_header(
     campaign: &CampaignConfig,
     schedule: Schedule,
     algorithm: &str,
-    cfg: &GpuConfig,
-    graph: &Csr,
+    (config, graph): (Option<u64>, Option<u64>),
 ) -> String {
-    format!(
-        "{{\"schema\":\"sparseweaver-fault-journal-v1\",\"spec\":\"{}\",\
-         \"seed\":\"{:#018x}\",\"runs\":{},\"schedule\":\"{}\",\"algo\":\"{}\",\
-         \"config_fp\":\"{:#018x}\",\"graph_fp\":\"{:#018x}\"}}",
-        json::escape(&campaign.spec.to_string()),
-        campaign.seed,
-        campaign.runs,
-        schedule.paper_name(),
-        json::escape(algorithm),
-        crate::profile::config_fingerprint(cfg),
-        crate::profile::graph_fingerprint(graph),
-    )
+    Envelope::new(JOURNAL_SCHEMA, config, graph).object(|o| {
+        o.field("spec", campaign.spec.to_string())
+            .field("seed", format!("{:#018x}", campaign.seed))
+            .field("runs", campaign.runs)
+            .field("schedule", schedule.paper_name())
+            .field("algo", algorithm);
+    })
 }
 
-/// One journal line per completed run. Panicked runs record
+/// One journal line per completed run, ending in a `check` member: the
+/// FNV-1a hash of the line rendered without it, so a damaged value is
+/// refused rather than folded into the summary. Panicked runs record
 /// `"outcome":null` and are re-executed on resume.
 fn journal_line(index: u32, out: &RunOutput) -> String {
-    let mut line = format!("{{\"index\":{index},\"seed\":\"{:#018x}\"", out.seed);
-    match &out.outcome {
-        None => line.push_str(",\"outcome\":null}"),
-        Some((outcome, detail)) => {
-            line.push_str(&format!(
-                ",\"outcome\":\"{}\",\"detail\":\"{}\",\"faults\":{},\
-                 \"retries\":{},\"fell_back\":{}}}",
-                outcome.label(),
-                json::escape(detail),
-                out.faults_total
-                    .map_or_else(|| "null".to_string(), |v| v.to_string()),
-                out.retries,
-                out.fell_back,
-            ));
-        }
-    }
-    line
+    let line = |check: Option<String>| {
+        json::object(|o| {
+            o.field("index", index)
+                .field("seed", format!("{:#018x}", out.seed));
+            match &out.outcome {
+                None => {
+                    o.field("outcome", None::<&str>);
+                }
+                Some((outcome, detail)) => {
+                    o.field("outcome", outcome.label())
+                        .field("detail", detail)
+                        .field("faults", out.faults_total)
+                        .field("retries", out.retries)
+                        .field("fell_back", out.fell_back);
+                }
+            }
+            if let Some(check) = check {
+                o.field("check", check);
+            }
+        })
+    };
+    let mut h = crate::profile::Fnv64::default();
+    h.write(line(None).as_bytes());
+    line(Some(format!("{:016x}", h.finish())))
 }
 
+/// A loaded journal: the completed runs by index, and the length of the
+/// journal's complete lines.
+type LoadedJournal = (BTreeMap<u32, RunOutput>, u64);
+
 /// Loads a journal for resumption. Returns the completed runs keyed by
-/// index, `None` when the file is missing or its header line never made
-/// it to disk intact (start fresh), or an error when the journal belongs
-/// to a different campaign or a non-final line is corrupt. The torn
-/// *final* line a kill can leave behind is tolerated and dropped; its run
-/// simply re-executes.
+/// index and the length of the journal's complete lines, `None` when the
+/// file is missing or its header line never made it to disk intact
+/// (start fresh), or an error when the journal belongs to a different
+/// campaign or a complete line is corrupt. The torn final line a kill
+/// can leave behind (no closing newline) is ignored; its run simply
+/// re-executes, and the caller cuts the fragment off before appending.
 fn load_journal(
     path: &Path,
     expected_header: &str,
     campaign: &CampaignConfig,
-) -> Result<Option<BTreeMap<u32, RunOutput>>, FrameworkError> {
+) -> Result<Option<LoadedJournal>, FrameworkError> {
     let text = match std::fs::read_to_string(path) {
         Ok(text) => text,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
@@ -508,15 +531,13 @@ fn load_journal(
             })
         }
     };
-    let mut lines = text.lines();
+    let complete = text.rfind('\n').map_or(0, |i| i + 1);
+    let mut lines = text[..complete].lines();
     let Some(header) = lines.next() else {
+        // The kill landed mid-header: nothing usable, start over.
         return Ok(None);
     };
     if header != expected_header {
-        if json::parse(header).is_err() && text.lines().count() == 1 {
-            // The kill landed mid-header: nothing usable, start over.
-            return Ok(None);
-        }
         return Err(CheckpointError::Restore {
             what: format!(
                 "campaign journal {} was written by a different campaign \
@@ -526,87 +547,52 @@ fn load_journal(
         }
         .into());
     }
-    let rest: Vec<&str> = lines.collect();
     let mut entries = BTreeMap::new();
-    for (i, line) in rest.iter().enumerate() {
+    for (i, line) in lines.enumerate() {
         let corrupt = |what: String| -> FrameworkError {
             CheckpointError::Corrupt {
                 what: format!("campaign journal {} line {}: {what}", path.display(), i + 2),
             }
             .into()
         };
-        let parsed = match json::parse(line) {
-            Ok(v) => v,
-            // Only the final line may be torn (the append was cut short).
-            Err(_) if i + 1 == rest.len() => break,
-            Err(e) => return Err(corrupt(e)),
-        };
-        let index = parsed
-            .get("index")
-            .and_then(Value::as_num)
-            .ok_or_else(|| corrupt("missing run index".into()))? as u32;
+        let parsed = json::parse(line).map_err(corrupt)?;
+        let num = |key: &str| parsed.get(key).and_then(Value::as_num);
+        let text = |key: &str| parsed.get(key).and_then(Value::as_str);
+        let index = num("index").ok_or_else(|| corrupt("missing run index".into()))? as u32;
         if index >= campaign.runs {
             return Err(corrupt(format!(
                 "run index {index} out of range (campaign has {} runs)",
                 campaign.runs
             )));
         }
-        let seed = parsed
-            .get("seed")
-            .and_then(parse_hex_u64)
-            .ok_or_else(|| corrupt("missing or malformed seed".into()))?;
-        if seed != SplitMix64::child_seed(campaign.seed, index as u64) {
+        let seed = SplitMix64::child_seed(campaign.seed, index as u64);
+        // Members are read leniently: only the exact line this build
+        // writes for the entry they describe, seed and checksum included,
+        // is trusted.
+        let entry = RunOutput {
+            seed,
+            faults_total: num("faults").map(|v| v as u64),
+            retries: num("retries").unwrap_or(0.0) as u64,
+            fell_back: parsed.get("fell_back") == Some(&Value::Bool(true)),
+            outcome: text("outcome")
+                .and_then(Outcome::from_label)
+                .map(|o| (o, text("detail").unwrap_or_default().to_string())),
+            profile: None,
+            skipped: false,
+        };
+        if journal_line(index, &entry) != line {
             return Err(corrupt(format!(
-                "seed {seed:#x} does not derive from the campaign seed for run {index}"
+                "damaged entry for run {index} (checksum or seed mismatch)"
             )));
         }
-        let outcome = match parsed.get("outcome") {
-            Some(Value::Null) => None,
-            Some(Value::Str(label)) => {
-                let outcome = Outcome::from_label(label)
-                    .ok_or_else(|| corrupt(format!("unknown outcome label {label:?}")))?;
-                let detail = parsed
-                    .get("detail")
-                    .and_then(Value::as_str)
-                    .ok_or_else(|| corrupt("missing detail".into()))?
-                    .to_string();
-                Some((outcome, detail))
-            }
-            _ => return Err(corrupt("missing outcome".into())),
-        };
-        let faults_total = match parsed.get("faults") {
-            None | Some(Value::Null) => None,
-            Some(v) => Some(
-                v.as_num()
-                    .ok_or_else(|| corrupt("malformed fault count".into()))? as u64,
-            ),
-        };
-        let retries = parsed.get("retries").and_then(Value::as_num).unwrap_or(0.0) as u64;
-        let fell_back = matches!(parsed.get("fell_back"), Some(Value::Bool(true)));
         // A run journaled twice (e.g. a panic retried on an earlier
         // resume) keeps the latest entry.
-        entries.insert(
-            index,
-            RunOutput {
-                seed,
-                faults_total,
-                retries,
-                fell_back,
-                outcome,
-                profile: None,
-                skipped: false,
-            },
-        );
+        entries.insert(index, entry);
     }
     // Panicked entries re-execute: drop them after parsing (their lines
     // stay valid, the re-run appends a fresh entry).
     entries.retain(|_, out| out.outcome.is_some());
-    Ok(Some(entries))
-}
-
-fn parse_hex_u64(v: &Value) -> Option<u64> {
-    let s = v.as_str()?;
-    u64::from_str_radix(s.strip_prefix("0x")?, 16).ok()
+    Ok(Some((entries, complete as u64)))
 }
 
 #[cfg(test)]
@@ -814,16 +800,22 @@ mod tests {
             resume: true,
             ..CampaignCtl::default()
         };
-        let resumed = run_campaign_with(
-            &cfg,
-            &g,
-            &Bfs::new(0),
-            Schedule::SparseWeaver,
-            &campaign,
-            &resume_ctl,
-        )
-        .unwrap();
-        assert_eq!(resumed.summary.to_json(), golden.summary.to_json());
+        // Each resume re-runs the torn entry's run and appends it on a
+        // line of its own, so every later resume still reads the journal.
+        for resume in 1..=3 {
+            let resumed = run_campaign_with(
+                &cfg,
+                &g,
+                &Bfs::new(0),
+                Schedule::SparseWeaver,
+                &campaign,
+                &resume_ctl,
+            )
+            .unwrap_or_else(|e| panic!("resume {resume}: {e}"));
+            assert_eq!(resumed.summary.to_json(), golden.summary.to_json());
+        }
+        let resumed = std::fs::read_to_string(&path).unwrap();
+        assert_eq!(resumed, text, "the journal is whole again");
         std::fs::remove_file(&path).unwrap();
     }
 

@@ -36,9 +36,10 @@
 //! that is then thrown away. Nothing here panics on malformed input.
 //!
 //! The header embeds the FNV-1a fingerprints of the effective GPU
-//! configuration and the input graph (the same fingerprints `swprof`
-//! stamps into `metrics.json`); [`Checkpoint::verify`] refuses to restore
-//! into a mismatched machine or graph.
+//! configuration and the input graph (hashed like the artifact
+//! envelopes' fingerprints, which cover the configured machine before
+//! the occupancy clamp); [`Checkpoint::verify`] refuses to restore into
+//! a mismatched machine or graph.
 
 use std::fmt;
 use std::fs;
@@ -80,7 +81,7 @@ pub enum HostEvent {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Checkpoint {
     /// FNV-1a fingerprint of the effective `GpuConfig` (its `Debug`
-    /// rendering), as stamped into `metrics.json`.
+    /// rendering).
     pub config_fp: u64,
     /// FNV-1a fingerprint of the input graph's CSR arrays.
     pub graph_fp: u64,

@@ -3,8 +3,9 @@
 //!
 //! A profile artifact bundles, in one file:
 //!
-//! - a **fingerprint** of the machine configuration and the graph, so two
-//!   artifacts can be checked for comparability before their numbers are;
+//! - an **envelope** with the fingerprints of the machine configuration
+//!   and the graph, so two artifacts can be checked for comparability
+//!   before their numbers are;
 //! - **top-down cycle accounting** in the style of the paper's Fig. 4:
 //!   every issue slot of the run is attributed to issued instructions, to
 //!   one of the issue-slot stall categories of
@@ -23,13 +24,13 @@
 
 use sparseweaver_graph::Csr;
 use sparseweaver_sim::{GpuConfig, KernelStats, Phase};
-use sparseweaver_trace::json::{escape, Value};
-use sparseweaver_trace::{LatencyHistogram, ProfileReport};
+use sparseweaver_trace::json::{Envelope, Obj, Schema, Value};
+use sparseweaver_trace::{ImbalanceSummary, LatencyHistogram, ProfileReport};
 
 use crate::session::RunReport;
 
-/// Schema identifier written into every artifact.
-pub const PROFILE_SCHEMA: &str = "sparseweaver-profile-v1";
+/// The schema of every `profile.json` artifact.
+pub const PROFILE_SCHEMA: Schema = Schema::new("sparseweaver-profile", 2);
 
 /// A 64-bit FNV-1a hasher — tiny, stable across platforms, and good
 /// enough to detect "these two profiles came from different inputs".
@@ -62,10 +63,12 @@ impl Fnv64 {
     }
 }
 
-/// Fingerprints a machine configuration. The full `Debug` rendering is
-/// hashed so every field (including nested hierarchy and Weaver
-/// parameters) participates without this module chasing struct changes.
-pub fn config_fingerprint(cfg: &GpuConfig) -> u64 {
+/// Fingerprints a machine configuration: a `GpuConfig`, or the cache
+/// `HierarchyConfig` a memory trace was captured on. The full `Debug`
+/// rendering is hashed so every field (including nested hierarchy and
+/// Weaver parameters) participates without this module chasing struct
+/// changes.
+pub fn config_fingerprint(cfg: &impl std::fmt::Debug) -> u64 {
     let mut h = Fnv64::default();
     h.write(format!("{cfg:?}").as_bytes());
     h.finish()
@@ -88,88 +91,63 @@ pub fn graph_fingerprint(graph: &Csr) -> u64 {
     h.finish()
 }
 
-fn histogram_json(h: &LatencyHistogram) -> String {
-    let mut buckets = String::new();
-    for (i, &count) in h.buckets.iter().enumerate() {
-        if count == 0 {
-            continue;
-        }
-        if !buckets.is_empty() {
-            buckets.push(',');
-        }
-        buckets.push_str(&format!(
-            "[{},{}]",
-            LatencyHistogram::bucket_upper(i),
-            count
-        ));
-    }
-    format!(
-        "{{\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\
-         \"p50\":{},\"p90\":{},\"p99\":{},\"buckets\":[{}]}}",
-        h.count,
-        h.sum,
-        h.min_or_zero(),
-        h.max,
-        h.p50(),
-        h.p90(),
-        h.p99(),
-        buckets
-    )
+fn histogram_fields(o: &mut Obj<'_>, h: &LatencyHistogram) {
+    o.field("count", h.count)
+        .field("sum", h.sum)
+        .field("min", h.min_or_zero())
+        .field("max", h.max)
+        .field("p50", h.p50())
+        .field("p90", h.p90())
+        .field("p99", h.p99())
+        .arr("buckets", |a| {
+            for (i, &count) in h.buckets.iter().enumerate() {
+                if count > 0 {
+                    a.arr(|b| {
+                        b.item(LatencyHistogram::bucket_upper(i)).item(count);
+                    });
+                }
+            }
+        });
 }
 
-fn stalls_json(s: &sparseweaver_sim::StallBreakdown) -> String {
-    format!(
-        "{{\"memory\":{},\"shared\":{},\"exec_dep\":{},\"weaver\":{},\"total\":{}}}",
-        s.memory,
-        s.shared,
-        s.exec_dep,
-        s.weaver,
-        s.total()
-    )
+fn stalls_fields(o: &mut Obj<'_>, s: &sparseweaver_sim::StallBreakdown) {
+    o.field("memory", s.memory)
+        .field("shared", s.shared)
+        .field("exec_dep", s.exec_dep)
+        .field("weaver", s.weaver)
+        .field("total", s.total());
 }
 
-fn phases_json(phase_cycles: &[u64; Phase::COUNT]) -> String {
-    let mut out = String::from("{");
-    for (i, phase) in Phase::ALL.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "\"{}\":{}",
-            escape(phase.label()),
-            phase_cycles[i]
-        ));
-    }
-    out.push('}');
-    out
+fn other_units_fields(o: &mut Obj<'_>, s: &sparseweaver_sim::StallBreakdown) {
+    o.field("l1_queue", s.l1_queue).field("barrier", s.barrier);
 }
 
-fn kernel_json(name: &str, stats: &KernelStats) -> String {
-    format!(
-        "{{\"name\":\"{}\",\"launches\":{},\"cycles\":{},\"instructions\":{},\
-         \"phases\":{},\"stalls\":{},\
-         \"other_units\":{{\"l1_queue\":{},\"barrier\":{}}}}}",
-        escape(name),
-        stats.launches,
-        stats.cycles,
-        stats.instructions,
-        phases_json(&stats.phase_cycles),
-        stalls_json(&stats.stalls),
-        stats.stalls.l1_queue,
-        stats.stalls.barrier,
-    )
+fn kernel_fields(o: &mut Obj<'_>, name: &str, stats: &KernelStats) {
+    o.field("name", name)
+        .field("launches", stats.launches)
+        .field("cycles", stats.cycles)
+        .field("instructions", stats.instructions)
+        .obj("phases", |o| {
+            for (phase, cycles) in Phase::ALL.iter().zip(&stats.phase_cycles) {
+                o.field(phase.label(), cycles);
+            }
+        })
+        .obj("stalls", |o| stalls_fields(o, &stats.stalls))
+        .obj("other_units", |o| other_units_fields(o, &stats.stalls));
 }
 
-fn imbalance_json(s: &sparseweaver_trace::ImbalanceSummary) -> String {
-    format!(
-        "{{\"entities\":{},\"min\":{},\"max\":{},\"mean\":{},\"imbalance_permille\":{}}}",
-        s.entities, s.min, s.max, s.mean, s.imbalance_permille
-    )
+fn imbalance_fields(o: &mut Obj<'_>, s: &ImbalanceSummary) {
+    o.field("entities", s.entities)
+        .field("min", s.min)
+        .field("max", s.max)
+        .field("mean", s.mean)
+        .field("imbalance_permille", s.imbalance_permille);
 }
 
 /// Renders the `profile.json` artifact for one run.
 ///
-/// The output is a complete JSON document, all-integer and
+/// The output is one JSON document under a [`PROFILE_SCHEMA`] envelope
+/// carrying the config and graph fingerprints, all-integer and
 /// byte-deterministic for a given `(report, cfg, graph)` triple. When
 /// the run was executed without [`crate::Session::profile`], the
 /// histogram and imbalance sections are present but empty — the cycle
@@ -185,86 +163,60 @@ pub fn render(report: &RunReport, cfg: &GpuConfig, graph: &Csr) -> String {
     let issue_slots = report.cycles.saturating_mul(cfg.num_cores as u64);
     let idle = issue_slots.saturating_sub(stats.instructions + stats.stalls.total());
 
-    let mut kernels = String::new();
-    for (i, (name, ks)) in report.per_kernel.iter().enumerate() {
-        if i > 0 {
-            kernels.push(',');
-        }
-        kernels.push_str(&kernel_json(name, ks));
-    }
-
-    let fell_back = match report.fell_back_from {
-        Some(s) => format!("\"{}\"", escape(&s.to_string())),
-        None => "null".to_string(),
-    };
-
-    let mut hists = String::new();
-    for (i, h) in prof.mem.iter().enumerate() {
-        hists.push_str(&format!(
-            "    \"mem_{}\": {},\n",
-            ProfileReport::mem_level_label(i),
-            histogram_json(h)
-        ));
-    }
-    hists.push_str(&format!(
-        "    \"weaver_latency\": {},\n",
-        histogram_json(&prof.weaver)
-    ));
-    hists.push_str(&format!(
-        "    \"gather_iteration\": {}",
-        histogram_json(&prof.gather_iteration)
-    ));
-
-    format!(
-        "{{\n\
-         \x20 \"schema\": \"{schema}\",\n\
-         \x20 \"schedule\": \"{schedule}\",\n\
-         \x20 \"algorithm\": \"{algorithm}\",\n\
-         \x20 \"fell_back_from\": {fell_back},\n\
-         \x20 \"config\": {{\"cores\":{cores},\"warps_per_core\":{wpc},\
-         \"threads_per_warp\":{tpw},\"fingerprint\":\"{cfp:016x}\"}},\n\
-         \x20 \"graph\": {{\"vertices\":{nv},\"edges\":{ne},\
-         \"fingerprint\":\"{gfp:016x}\"}},\n\
-         \x20 \"totals\": {{\n\
-         \x20   \"cycles\": {cycles},\n\
-         \x20   \"issue_slots\": {issue_slots},\n\
-         \x20   \"issued\": {issued},\n\
-         \x20   \"thread_instructions\": {ti},\n\
-         \x20   \"stalls\": {stalls},\n\
-         \x20   \"idle\": {idle},\n\
-         \x20   \"other_units\": {{\"l1_queue\":{l1q},\"barrier\":{bar}}}\n\
-         \x20 }},\n\
-         \x20 \"per_kernel\": [{kernels}],\n\
-         \x20 \"histograms\": {{\n{hists}\n\x20 }},\n\
-         \x20 \"imbalance\": {{\n\
-         \x20   \"core_issue\": {core_imb},\n\
-         \x20   \"warp_issue\": {warp_imb}\n\
-         \x20 }}\n\
-         }}\n",
-        schema = PROFILE_SCHEMA,
-        schedule = escape(&report.schedule.to_string()),
-        algorithm = escape(&report.algorithm),
-        fell_back = fell_back,
-        cores = cfg.num_cores,
-        wpc = cfg.warps_per_core,
-        tpw = cfg.threads_per_warp,
-        cfp = config_fingerprint(cfg),
-        nv = graph.num_vertices(),
-        ne = graph.num_edges(),
-        gfp = graph_fingerprint(graph),
-        cycles = report.cycles,
-        issue_slots = issue_slots,
-        issued = stats.instructions,
-        ti = stats.thread_instructions,
-        stalls = stalls_json(&stats.stalls),
-        idle = idle,
-        l1q = stats.stalls.l1_queue,
-        bar = stats.stalls.barrier,
-        kernels = kernels,
-        hists = hists,
-        core_imb = imbalance_json(&prof.core_imbalance()),
-        warp_imb = imbalance_json(&prof.warp_imbalance()),
-    )
+    let envelope = Envelope::new(
+        PROFILE_SCHEMA,
+        Some(config_fingerprint(cfg)),
+        Some(graph_fingerprint(graph)),
+    );
+    envelope.object(|o| {
+        o.field("schedule", report.schedule.to_string())
+            .field("algorithm", &report.algorithm)
+            .field(
+                "fell_back_from",
+                report.fell_back_from.map(|s| s.to_string()),
+            )
+            .obj("config", |o| {
+                o.field("cores", cfg.num_cores)
+                    .field("warps_per_core", cfg.warps_per_core)
+                    .field("threads_per_warp", cfg.threads_per_warp);
+            })
+            .obj("graph", |o| {
+                o.field("vertices", graph.num_vertices())
+                    .field("edges", graph.num_edges());
+            })
+            .obj("totals", |o| {
+                o.field("cycles", report.cycles)
+                    .field("issue_slots", issue_slots)
+                    .field("issued", stats.instructions)
+                    .field("thread_instructions", stats.thread_instructions)
+                    .obj("stalls", |o| stalls_fields(o, &stats.stalls))
+                    .field("idle", idle)
+                    .obj("other_units", |o| other_units_fields(o, &stats.stalls));
+            })
+            .arr("per_kernel", |a| {
+                for (name, ks) in &report.per_kernel {
+                    a.obj(|o| kernel_fields(o, name, ks));
+                }
+            })
+            .obj("histograms", |o| {
+                for (i, h) in prof.mem.iter().enumerate() {
+                    let key = format!("mem_{}", ProfileReport::mem_level_label(i));
+                    o.obj(&key, |o| histogram_fields(o, h));
+                }
+                o.obj("weaver_latency", |o| histogram_fields(o, &prof.weaver))
+                    .obj("gather_iteration", |o| {
+                        histogram_fields(o, &prof.gather_iteration)
+                    });
+            })
+            .obj("imbalance", |o| {
+                o.obj("core_issue", |o| {
+                    imbalance_fields(o, &prof.core_imbalance())
+                })
+                .obj("warp_issue", |o| {
+                    imbalance_fields(o, &prof.warp_imbalance())
+                });
+            });
+    })
 }
 
 /// One named scalar metric extracted from a profile document.
@@ -391,36 +343,6 @@ pub fn regressions(deltas: &[MetricDelta], tolerance_pct: f64) -> Vec<MetricDelt
         .collect()
 }
 
-/// Checks that two profiles describe comparable experiments: same
-/// schema, same config fingerprint, same graph fingerprint. Returns a
-/// human-readable list of mismatches (empty means comparable).
-pub fn comparability_issues(a: &Value, b: &Value) -> Vec<String> {
-    let mut issues = Vec::new();
-    let field = |doc: &Value, path: &[&str]| -> Option<String> {
-        let mut v = doc;
-        for p in path {
-            v = v.get(p)?;
-        }
-        v.as_str().map(str::to_string)
-    };
-    for (label, path) in [
-        ("schema", &["schema"] as &[&str]),
-        ("config fingerprint", &["config", "fingerprint"]),
-        ("graph fingerprint", &["graph", "fingerprint"]),
-    ] {
-        let va = field(a, path);
-        let vb = field(b, path);
-        if va != vb {
-            issues.push(format!(
-                "{label} differs: {} vs {}",
-                va.as_deref().unwrap_or("<missing>"),
-                vb.as_deref().unwrap_or("<missing>")
-            ));
-        }
-    }
-    issues
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -459,10 +381,13 @@ mod tests {
         let (r, cfg, g) = profiled_run();
         let text = render(&r, &cfg, &g);
         let doc = json::parse(&text).expect("valid JSON");
+        let env = Envelope::read(&doc).expect("envelope");
         assert_eq!(
-            doc.get("schema").and_then(Value::as_str),
-            Some(PROFILE_SCHEMA)
+            (env.schema.as_str(), env.version),
+            (PROFILE_SCHEMA.id, PROFILE_SCHEMA.version)
         );
+        assert_eq!(env.config, Some(config_fingerprint(&cfg)));
+        assert_eq!(env.input, Some(graph_fingerprint(&g)));
         let totals = doc.get("totals").expect("totals");
         let num = |v: &Value, k: &str| v.get(k).and_then(Value::as_num).unwrap() as u64;
         let slots = num(totals, "issue_slots");
@@ -539,14 +464,15 @@ mod tests {
     }
 
     #[test]
-    fn comparability_checks_fingerprints() {
+    fn envelope_carries_the_fingerprints() {
         let (r, cfg, g) = profiled_run();
-        let doc = json::parse(&render(&r, &cfg, &g)).unwrap();
-        assert!(comparability_issues(&doc, &doc).is_empty());
+        let read =
+            |cfg: &GpuConfig| Envelope::read(&json::parse(&render(&r, cfg, &g)).unwrap()).unwrap();
+        let doc = read(&cfg);
+        assert_eq!(doc.comparable(&doc), Ok(vec![]));
         let mut cfg2 = cfg;
         cfg2.num_cores += 2;
-        let other = json::parse(&render(&r, &cfg2, &g)).unwrap();
-        let issues = comparability_issues(&doc, &other);
+        let issues = doc.comparable(&read(&cfg2)).unwrap();
         assert_eq!(issues.len(), 1);
         assert!(issues[0].contains("config fingerprint"));
     }

@@ -6,8 +6,8 @@
 //! module replays that stream against a grid of alternative cache
 //! geometries — no cores, no decode, no Weaver — and renders the
 //! per-configuration [`LevelStats`] under the same artifact discipline
-//! as `profile.json`: all-integer JSON, FNV-1a fingerprints, identical
-//! bytes across `--jobs` settings. The capture configuration itself is
+//! as `profile.json`: one enveloped, all-integer JSON document with FNV-1a
+//! fingerprints and identical bytes across `--jobs` settings. The capture configuration itself is
 //! always replayed first and checked bit-for-bit against the live stats
 //! in the trace footer, so every sweep carries its own correctness
 //! anchor.
@@ -17,11 +17,12 @@ use rayon::ThreadPoolBuilder;
 use sparseweaver_mem::mtrace::MemTrace;
 use sparseweaver_mem::replay::{replay, verify, ReplayError};
 use sparseweaver_mem::{CacheConfig, CacheStats, HierarchyConfig, LevelStats};
+use sparseweaver_trace::json::{Envelope, Obj, Schema};
 
-use crate::profile::Fnv64;
+use crate::profile::{config_fingerprint, Fnv64};
 
-/// Schema identifier written into every `replay.json` artifact.
-pub const REPLAY_SCHEMA: &str = "sparseweaver-replay-v1";
+/// The schema of every `replay.json` artifact.
+pub const REPLAY_SCHEMA: Schema = Schema::new("sparseweaver-replay", 2);
 
 /// The sweep grid: the capture configuration with its L1 geometry
 /// replaced by each `(size, ways)` pair of the cross product.
@@ -116,12 +117,6 @@ fn config_label(size: u64, ways: u32) -> String {
     format!("l1={size}x{ways}")
 }
 
-fn hierarchy_fingerprint(cfg: &HierarchyConfig) -> u64 {
-    let mut h = Fnv64::default();
-    h.write(format!("{cfg:?}").as_bytes());
-    h.finish()
-}
-
 /// Replays `trace` against the `spec` grid.
 ///
 /// Every grid geometry is validated up front ([`CacheConfig::checked`]),
@@ -162,7 +157,7 @@ pub fn sweep(
         Ok(SweepEntry {
             label: label.clone(),
             config: *cfg,
-            fingerprint: hierarchy_fingerprint(cfg),
+            fingerprint: config_fingerprint(cfg),
             stats,
         })
     };
@@ -190,99 +185,84 @@ pub fn sweep(
     })
 }
 
-fn cache_stats_json(s: &CacheStats) -> String {
-    format!(
-        "{{\"accesses\":{},\"hits\":{},\"misses\":{},\"writebacks\":{}}}",
-        s.accesses, s.hits, s.misses, s.writebacks
-    )
+fn cache_stats_fields(o: &mut Obj<'_>, s: &CacheStats) {
+    o.field("accesses", s.accesses)
+        .field("hits", s.hits)
+        .field("misses", s.misses)
+        .field("writebacks", s.writebacks);
 }
 
-/// One hierarchy's counters as a JSON object: `l1`, `l2` and `l3` (each
+/// One hierarchy's counters as JSON members: `l1`, `l2` and `l3` (each
 /// `accesses`/`hits`/`misses`/`writebacks`, `l3` `null` when absent),
 /// then `dram_accesses`.
-pub fn level_stats_json(s: &LevelStats) -> String {
-    let l3 = match &s.l3 {
-        Some(l3) => cache_stats_json(l3),
-        None => "null".to_string(),
+pub fn level_stats_fields(o: &mut Obj<'_>, s: &LevelStats) {
+    o.obj("l1", |o| cache_stats_fields(o, &s.l1))
+        .obj("l2", |o| cache_stats_fields(o, &s.l2));
+    match &s.l3 {
+        Some(l3) => o.obj("l3", |o| cache_stats_fields(o, l3)),
+        None => o.field("l3", None::<u64>),
     };
-    format!(
-        "{{\"l1\":{},\"l2\":{},\"l3\":{},\"dram_accesses\":{}}}",
-        cache_stats_json(&s.l1),
-        cache_stats_json(&s.l2),
-        l3,
-        s.dram_accesses
-    )
+    o.field("dram_accesses", s.dram_accesses);
 }
 
-fn hierarchy_json(cfg: &HierarchyConfig, fingerprint: u64) -> String {
-    let l3 = match &cfg.l3 {
-        Some(l3) => format!("{{\"bytes\":{},\"ways\":{}}}", l3.size_bytes, l3.ways),
-        None => "null".to_string(),
+fn hierarchy_fields(o: &mut Obj<'_>, cfg: &HierarchyConfig) {
+    o.field("cores", cfg.num_cores)
+        .field("l1_bytes", cfg.l1.size_bytes)
+        .field("l1_ways", cfg.l1.ways)
+        .field("l2_bytes", cfg.l2.size_bytes)
+        .field("l2_ways", cfg.l2.ways);
+    match &cfg.l3 {
+        Some(l3) => o.obj("l3", |o| {
+            o.field("bytes", l3.size_bytes).field("ways", l3.ways);
+        }),
+        None => o.field("l3", None::<u64>),
     };
-    format!(
-        "{{\"cores\":{},\"l1_bytes\":{},\"l1_ways\":{},\"l2_bytes\":{},\"l2_ways\":{},\
-         \"l3\":{},\"dram_freq_ratio\":{},\"fingerprint\":\"{:016x}\"}}",
-        cfg.num_cores,
-        cfg.l1.size_bytes,
-        cfg.l1.ways,
-        cfg.l2.size_bytes,
-        cfg.l2.ways,
-        l3,
-        cfg.dram_freq_ratio,
-        fingerprint
-    )
+    o.field("dram_freq_ratio", cfg.dram_freq_ratio);
 }
 
-/// Renders the `replay.json` artifact.
+/// Renders the `replay.json` artifact: a [`REPLAY_SCHEMA`] envelope whose
+/// config fingerprint is the capture configuration's and whose input
+/// fingerprint is the trace file's, then the trace census, the capture
+/// self-check and one `sweep` entry per grid point, named by its label.
 ///
 /// All-integer and byte-deterministic for a given `(trace, result)`
 /// pair; `counts` is the trace's per-kind record census
 /// ([`MemTrace::counts`]).
 pub fn render(result: &SweepResult, trace: &MemTrace) -> String {
     let (kernels, accesses, unqueued, atomics, barriers) = trace.counts();
-    let mut entries = String::new();
-    for (i, e) in result.entries.iter().enumerate() {
-        if i > 0 {
-            entries.push_str(",\n");
-        }
-        entries.push_str(&format!(
-            "    {{\"label\":\"{}\",\"config\":{},\"stats\":{}}}",
-            e.label,
-            hierarchy_json(&e.config, e.fingerprint),
-            level_stats_json(&e.stats)
-        ));
-    }
-    format!(
-        "{{\n\
-         \x20 \"schema\": \"{schema}\",\n\
-         \x20 \"trace\": {{\"fingerprint\":\"{tfp:016x}\",\"records\":{records},\
-         \"kernels\":{kernels},\"accesses\":{accesses},\"unqueued\":{unqueued},\
-         \"atomics\":{atomics},\"barriers\":{barriers}}},\n\
-         \x20 \"capture\": {{\n\
-         \x20   \"config\": {capture_cfg},\n\
-         \x20   \"live\": {live},\n\
-         \x20   \"replayed\": {replayed},\n\
-         \x20   \"verified\": {verified}\n\
-         \x20 }},\n\
-         \x20 \"sweep\": [\n{entries}\n\x20 ]\n\
-         }}\n",
-        schema = REPLAY_SCHEMA,
-        tfp = result.trace_fingerprint,
-        records = trace.records.len(),
-        kernels = kernels,
-        accesses = accesses,
-        unqueued = unqueued,
-        atomics = atomics,
-        barriers = barriers,
-        capture_cfg = hierarchy_json(
-            &result.capture_config,
-            hierarchy_fingerprint(&result.capture_config)
-        ),
-        live = level_stats_json(&result.live),
-        replayed = level_stats_json(&result.replayed),
-        verified = result.verified(),
-        entries = entries,
-    )
+    let envelope = Envelope::new(
+        REPLAY_SCHEMA,
+        Some(config_fingerprint(&result.capture_config)),
+        Some(result.trace_fingerprint),
+    );
+    envelope.object(|o| {
+        o.obj("trace", |o| {
+            o.field("records", trace.records.len())
+                .field("kernels", kernels)
+                .field("accesses", accesses)
+                .field("unqueued", unqueued)
+                .field("atomics", atomics)
+                .field("barriers", barriers);
+        })
+        .obj("capture", |o| {
+            o.obj("config", |o| hierarchy_fields(o, &result.capture_config))
+                .obj("live", |o| level_stats_fields(o, &result.live))
+                .obj("replayed", |o| level_stats_fields(o, &result.replayed))
+                .field("verified", result.verified());
+        })
+        .arr("sweep", |a| {
+            for e in &result.entries {
+                a.obj(|o| {
+                    o.field("name", &e.label)
+                        .obj("config", |o| {
+                            hierarchy_fields(o, &e.config);
+                            o.field("fingerprint", format!("{:016x}", e.fingerprint));
+                        })
+                        .obj("stats", |o| level_stats_fields(o, &e.stats));
+                });
+            }
+        });
+    })
 }
 
 /// Fingerprints raw trace-file bytes (FNV-1a), for the artifact header.
@@ -359,8 +339,16 @@ mod tests {
         let serial = render(&sweep(&trace, fp, &spec(1)).unwrap(), &trace);
         let parallel = render(&sweep(&trace, fp, &spec(8)).unwrap(), &trace);
         assert_eq!(serial, parallel, "replay.json must not depend on --jobs");
-        assert!(serial.contains(REPLAY_SCHEMA));
-        assert!(serial.contains("\"verified\": true"));
+        let doc = sparseweaver_trace::json::parse(&serial).unwrap();
+        let env = Envelope::read(&doc).unwrap();
+        assert_eq!(
+            (env.schema.as_str(), env.version, env.input),
+            (REPLAY_SCHEMA.id, REPLAY_SCHEMA.version, Some(fp))
+        );
+        assert_eq!(
+            doc.get("capture").and_then(|c| c.get("verified")),
+            Some(&sparseweaver_trace::json::Value::Bool(true))
+        );
     }
 
     #[test]

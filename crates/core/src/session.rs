@@ -465,8 +465,7 @@ impl Session {
     ) -> Result<RunReport, FrameworkError> {
         let (eff, configured, compiler) = self.clamped_config(algorithm, schedule)?;
         // Fingerprint the *effective* (clamped, penalty-applied) config —
-        // the machine that actually runs — matching what
-        // `crate::profile::render` stamps into `metrics.json`.
+        // the machine that actually runs.
         let fps = (resume.is_some() || self.checkpoint.is_some()).then(|| {
             (
                 crate::profile::config_fingerprint(&eff),

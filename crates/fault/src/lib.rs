@@ -17,12 +17,12 @@
 //!
 //! Everything is driven by one [`SplitMix64`] stream seeded from the
 //! campaign seed, so a given `(spec, seed)` pair replays byte-identically.
-//! The crate depends only on `sparseweaver-trace` (for its JSON string
-//! escaper): `mem`, `weaver`, and `sim` all link it without cycles.
+//! The crate depends only on `sparseweaver-trace` (for its JSON writer):
+//! `mem`, `weaver`, and `sim` all link it without cycles.
 
 use std::fmt;
 
-use sparseweaver_trace::json::escape;
+use sparseweaver_trace::json::{Envelope, Schema};
 
 /// The classic splitmix64 generator — tiny, fast, and fully deterministic.
 ///
@@ -410,10 +410,17 @@ impl fmt::Display for Outcome {
     }
 }
 
+/// The schema of [`CampaignSummary::to_json`] documents.
+pub const CAMPAIGN_SCHEMA: Schema = Schema::new("sparseweaver-fault-campaign", 2);
+
 /// Aggregated result of a fault campaign: `runs` seeded executions, each
 /// classified into exactly one [`Outcome`] class.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CampaignSummary {
+    /// Fingerprint of the machine configuration the campaign ran on.
+    pub config_fingerprint: Option<u64>,
+    /// Fingerprint of the graph the campaign ran on.
+    pub input_fingerprint: Option<u64>,
     /// The spec string the campaign ran under.
     pub spec: String,
     /// The campaign seed.
@@ -453,24 +460,27 @@ impl CampaignSummary {
         self.masked + self.sdc + self.detected_crash + self.hang == self.runs
     }
 
-    /// Deterministic JSON rendering — byte-identical for identical
-    /// campaigns, so golden files can diff it directly.
+    /// Deterministic JSON rendering under a [`CAMPAIGN_SCHEMA`]
+    /// envelope — byte-identical for identical campaigns, so golden files
+    /// can diff it directly.
     pub fn to_json(&self) -> String {
-        format!(
-            "{{\"schema\":\"sparseweaver-fault-campaign-v1\",\"spec\":\"{}\",\"seed\":{},\
-             \"runs\":{},\"masked\":{},\"sdc\":{},\"detected_crash\":{},\"hang\":{},\
-             \"faults_injected\":{},\"retries\":{},\"fallbacks\":{}}}",
-            escape(&self.spec),
-            self.seed,
-            self.runs,
-            self.masked,
-            self.sdc,
-            self.detected_crash,
-            self.hang,
-            self.faults_injected,
-            self.retries,
-            self.fallbacks,
+        Envelope::new(
+            CAMPAIGN_SCHEMA,
+            self.config_fingerprint,
+            self.input_fingerprint,
         )
+        .object(|o| {
+            o.field("spec", &self.spec)
+                .field("seed", self.seed)
+                .field("runs", self.runs)
+                .field("masked", self.masked)
+                .field("sdc", self.sdc)
+                .field("detected_crash", self.detected_crash)
+                .field("hang", self.hang)
+                .field("faults_injected", self.faults_injected)
+                .field("retries", self.retries)
+                .field("fallbacks", self.fallbacks);
+        })
     }
 }
 
@@ -630,7 +640,10 @@ mod tests {
         assert!(json.contains("\"sdc\":1"));
         assert!(json.contains("\"detected_crash\":1"));
         assert!(json.contains("\"hang\":1"));
-        assert!(json.starts_with("{\"schema\":\"sparseweaver-fault-campaign-v1\""));
+        assert!(
+            json.starts_with("{\"schema\":\"sparseweaver-fault-campaign\",\"version\":2,\"tool\":")
+        );
+        assert!(json.contains("\"config_fingerprint\":null,\"input_fingerprint\":null,"));
     }
 
     #[test]

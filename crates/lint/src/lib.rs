@@ -55,7 +55,11 @@ pub use facts::DataflowFacts;
 use std::fmt;
 
 use sparseweaver_isa::Program;
-use sparseweaver_trace::json::escape;
+use sparseweaver_trace::json::{self, Obj, Schema};
+
+/// The schema of the `swlint --analyze --json` stream, whose first line is
+/// its envelope and every further line one [`LintReport::to_json`].
+pub const ANALYZE_SCHEMA: Schema = Schema::new("sparseweaver-analyze", 2);
 
 /// How bad a finding is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -375,38 +379,32 @@ impl LintReport {
     /// Kernel/schedule provenance, when set, appears both at the top
     /// level and on every finding.
     pub fn to_json(&self) -> String {
-        use fmt::Write as _;
-        let mut ctx = String::new();
-        if let Some(k) = &self.kernel {
-            ctx.push_str(&format!(",\"kernel\":\"{}\"", escape(k)));
-        }
-        if let Some(s) = &self.schedule {
-            ctx.push_str(&format!(",\"schedule\":\"{}\"", escape(s)));
-        }
-        let mut out = String::new();
-        let _ = write!(
-            out,
-            "{{\"program\":\"{}\"{ctx},\"errors\":{},\"warnings\":{},\"advice\":{},\"diagnostics\":[",
-            escape(&self.program),
-            self.error_count(),
-            self.warning_count(),
-            self.advice_count()
-        );
-        for (i, d) in self.diagnostics.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
+        let context = |o: &mut Obj<'_>| {
+            if let Some(k) = &self.kernel {
+                o.field("kernel", k);
             }
-            let _ = write!(
-                out,
-                "{{\"rule\":\"{}\",\"severity\":\"{}\",\"pc\":{}{ctx},\"message\":\"{}\"}}",
-                d.rule.id(),
-                d.severity(),
-                d.pc,
-                escape(&d.message)
-            );
-        }
-        out.push_str("]}");
-        out
+            if let Some(s) = &self.schedule {
+                o.field("schedule", s);
+            }
+        };
+        json::object(|o| {
+            o.field("program", &self.program);
+            context(o);
+            o.field("errors", self.error_count())
+                .field("warnings", self.warning_count())
+                .field("advice", self.advice_count())
+                .arr("diagnostics", |a| {
+                    for d in &self.diagnostics {
+                        a.obj(|o| {
+                            o.field("rule", d.rule.id())
+                                .field("severity", d.severity().to_string())
+                                .field("pc", d.pc);
+                            context(o);
+                            o.field("message", &d.message);
+                        });
+                    }
+                });
+        })
     }
 }
 

@@ -8,10 +8,11 @@
 //! barrier arrivals, Weaver FSM state, and memory-port queue occupancy,
 //! all renderable as JSON (`swsim --hang-report <path>`).
 
-use std::fmt::Write as _;
-
 use sparseweaver_mem::PortOccupancy;
-use sparseweaver_trace::json::escape;
+use sparseweaver_trace::json::{Envelope, Schema};
+
+/// The schema of [`HangReport::to_json`] documents.
+pub const HANG_SCHEMA: Schema = Schema::new("sparseweaver-hang-report", 2);
 
 /// One warp's scheduling state at the moment of the hang.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -66,62 +67,47 @@ pub struct HangReport {
 }
 
 impl HangReport {
-    /// Renders the report as a single JSON object (hand-rolled like the
-    /// rest of the stack's exports; key order is fixed so output is
-    /// byte-deterministic).
-    pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(1024);
-        let _ = write!(
-            s,
-            "{{\"schema\":\"sparseweaver-hang-report-v1\",\"kernel\":\"{}\",\"cycle\":{},\"cores\":[",
-            escape(&self.kernel),
-            self.cycle
-        );
-        for (i, c) in self.cores.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(
-                s,
-                "{{\"core\":{},\"resident_warps\":{},\"barrier_arrivals\":{},\
-                 \"weaver_fsm_state\":{},\"warps\":[",
-                c.core, c.resident_warps, c.barrier_arrivals, c.weaver_fsm_state
-            );
-            for (j, w) in c.warps.iter().enumerate() {
-                if j > 0 {
-                    s.push(',');
-                }
-                let _ = write!(
-                    s,
-                    "{{\"warp\":{},\"pc\":{},\"state\":\"{}\",\"active_mask\":{},\
-                     \"stack_depth\":{},\"waiting_on\":\"{}\",\"next_ready\":{}}}",
-                    w.warp,
-                    w.pc,
-                    escape(&w.state),
-                    w.active_mask,
-                    w.stack_depth,
-                    escape(&w.waiting_on),
-                    w.next_ready
-                );
-            }
-            s.push_str("]}");
-        }
-        s.push_str("],\"ports\":[");
-        for (i, p) in self.ports.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(
-                s,
-                "{{\"name\":\"{}\",\"used\":{},\"per_window\":{},\"busy_until\":{}}}",
-                escape(&p.name),
-                p.used,
-                p.per_window,
-                p.busy_until
-            );
-        }
-        s.push_str("]}");
-        s
+    /// Renders the report as one JSON document under a [`HANG_SCHEMA`]
+    /// envelope carrying the `config` and `input` (graph) fingerprints,
+    /// if known. Key order is fixed, so output is byte-deterministic.
+    pub fn to_json(&self, config: Option<u64>, input: Option<u64>) -> String {
+        Envelope::new(HANG_SCHEMA, config, input).object(|o| {
+            o.field("kernel", &self.kernel)
+                .field("cycle", self.cycle)
+                .arr("cores", |a| {
+                    for c in &self.cores {
+                        a.obj(|o| {
+                            o.field("core", c.core)
+                                .field("resident_warps", c.resident_warps)
+                                .field("barrier_arrivals", c.barrier_arrivals)
+                                .field("weaver_fsm_state", c.weaver_fsm_state)
+                                .arr("warps", |a| {
+                                    for w in &c.warps {
+                                        a.obj(|o| {
+                                            o.field("warp", w.warp)
+                                                .field("pc", w.pc)
+                                                .field("state", &w.state)
+                                                .field("active_mask", w.active_mask)
+                                                .field("stack_depth", w.stack_depth)
+                                                .field("waiting_on", &w.waiting_on)
+                                                .field("next_ready", w.next_ready);
+                                        });
+                                    }
+                                });
+                        });
+                    }
+                })
+                .arr("ports", |a| {
+                    for p in &self.ports {
+                        a.obj(|o| {
+                            o.field("name", &p.name)
+                                .field("used", p.used)
+                                .field("per_window", p.per_window)
+                                .field("busy_until", p.busy_until);
+                        });
+                    }
+                });
+        })
     }
 }
 
@@ -156,8 +142,11 @@ mod tests {
                 busy_until: 40,
             }],
         };
-        let j = r.to_json();
-        assert!(j.starts_with("{\"schema\":\"sparseweaver-hang-report-v1\""));
+        let j = r.to_json(Some(0xc0ffee), None);
+        assert!(j.starts_with("{\"schema\":\"sparseweaver-hang-report\",\"version\":2,"));
+        assert!(
+            j.contains("\"config_fingerprint\":\"0000000000c0ffee\",\"input_fingerprint\":null")
+        );
         assert!(j.contains("\"kernel\":\"bfs_gather\""));
         assert!(j.contains("\"weaver_fsm_state\":6"));
         assert!(j.contains("\"waiting_on\":\"weaver\""));
@@ -168,7 +157,7 @@ mod tests {
 
     #[test]
     fn empty_report_serializes() {
-        let j = HangReport::default().to_json();
+        let j = HangReport::default().to_json(None, None);
         assert!(j.contains("\"cores\":[]"));
         assert!(j.contains("\"ports\":[]"));
     }

@@ -11,14 +11,19 @@
 //! full sampled time series (stall breakdown, phase cycles, cache and DRAM
 //! activity, Weaver counters), for plotting Figs. 4/17/18-style breakdowns
 //! without re-running the simulation.
-
-use std::fmt::Write as _;
+//!
+//! Both are written through [`crate::json`]: one line, no whitespace. The
+//! Chrome trace is not our format and carries no [`Envelope`]; the metrics
+//! document opens with one.
 
 use crate::event::{EventData, TraceEvent};
-use crate::json::escape;
+use crate::json::{self, Arr, Envelope, Obj, Schema};
 use crate::metrics::CounterSnapshot;
 use crate::tracer::TraceReport;
 use crate::Phase;
+
+/// The schema of [`metrics_json`] documents.
+pub const METRICS_SCHEMA: Schema = Schema::new("sparseweaver-metrics", 2);
 
 /// Renders `report` as a Chrome trace-event JSON document.
 ///
@@ -36,42 +41,46 @@ use crate::Phase;
 /// ```
 pub fn chrome_trace_json(report: &TraceReport) -> String {
     let mut out = String::with_capacity(4096 + report.events.len() * 96);
-    out.push_str("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n");
-    let mut first = true;
-    let mut push = |out: &mut String, line: String| {
-        if !std::mem::take(&mut first) {
-            out.push_str(",\n");
-        }
-        out.push_str(&line);
-    };
+    json::write_object(&mut out, |o| {
+        o.field("displayTimeUnit", "ms");
+        o.arr("traceEvents", |a| trace_events(a, report));
+    });
+    out
+}
 
+fn trace_events(a: &mut Arr<'_>, report: &TraceReport) {
     // Metadata: name the process. Every event carries ts/pid/tid so the
     // document is uniformly shaped for downstream tooling.
-    push(
-        &mut out,
-        "{\"name\":\"process_name\",\"ph\":\"M\",\"ts\":0,\"pid\":0,\"tid\":0,\
-         \"args\":{\"name\":\"sparseweaver-gpu\"}}"
-            .to_string(),
-    );
+    a.obj(|o| {
+        o.field("name", "process_name")
+            .field("ph", "M")
+            .field("ts", 0u64)
+            .field("pid", 0u64)
+            .field("tid", 0u64)
+            .obj("args", |o| {
+                o.field("name", "sparseweaver-gpu");
+            });
+    });
 
     // Kernel launches as complete spans on the GPU-wide track.
     for k in &report.kernels {
-        push(
-            &mut out,
-            format!(
-                "{{\"name\":\"{}\",\"cat\":\"kernel\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\
-                 \"pid\":0,\"tid\":0,\"args\":{{\"cycles\":{}}}}}",
-                escape(&k.name),
-                k.start,
-                k.cycles.max(1),
-                k.cycles
-            ),
-        );
+        a.obj(|o| {
+            o.field("name", &k.name)
+                .field("cat", "kernel")
+                .field("ph", "X")
+                .field("ts", k.start)
+                .field("dur", k.cycles.max(1))
+                .field("pid", 0u64)
+                .field("tid", 0u64)
+                .obj("args", |o| {
+                    o.field("cycles", k.cycles);
+                });
+        });
     }
 
     // Buffered events.
     for e in &report.events {
-        push(&mut out, event_json(e));
+        a.obj(|o| event_fields(o, e));
     }
 
     // Derived per-core warp-residency timeline: distinct warps observed
@@ -85,6 +94,14 @@ pub fn chrome_trace_json(report: &TraceReport) -> String {
         .max()
         .unwrap_or(0);
     let mut issued: Vec<std::collections::BTreeSet<u32>> = vec![Default::default(); num_cores];
+    let warps = |a: &mut Arr<'_>, ts: u64, core: usize, resident: u64, stalled: u64| {
+        counter(
+            a,
+            ts,
+            &format!("warps:core{core}"),
+            &[("resident", resident), ("stalled", stalled)],
+        );
+    };
     for e in &report.events {
         let core = e.core as usize;
         match &e.data {
@@ -92,47 +109,19 @@ pub fn chrome_trace_json(report: &TraceReport) -> String {
                 for (c, set) in issued.iter_mut().enumerate() {
                     if !set.is_empty() {
                         set.clear();
-                        push(
-                            &mut out,
-                            counter_json(
-                                e.cycle,
-                                &format!("warps:core{c}"),
-                                &[("resident", 0), ("stalled", 0)],
-                            ),
-                        );
+                        warps(a, e.cycle, c, 0, 0);
                     }
                 }
             }
             EventData::WarpIssue { warp, .. } if issued[core].insert(*warp) => {
-                push(
-                    &mut out,
-                    counter_json(
-                        e.cycle,
-                        &format!("warps:core{core}"),
-                        &[("resident", issued[core].len() as u64), ("stalled", 0)],
-                    ),
-                );
+                warps(a, e.cycle, core, issued[core].len() as u64, 0);
             }
             EventData::WarpStall { cycles, .. } => {
                 // The whole core is blocked for [cycle, cycle + cycles):
                 // every resident warp is stalled, then none are.
                 let n = issued[core].len() as u64;
-                push(
-                    &mut out,
-                    counter_json(
-                        e.cycle,
-                        &format!("warps:core{core}"),
-                        &[("resident", n), ("stalled", n)],
-                    ),
-                );
-                push(
-                    &mut out,
-                    counter_json(
-                        e.cycle + cycles,
-                        &format!("warps:core{core}"),
-                        &[("resident", n), ("stalled", 0)],
-                    ),
-                );
+                warps(a, e.cycle, core, n, n);
+                warps(a, e.cycle + cycles, core, n, 0);
             }
             _ => {}
         }
@@ -141,11 +130,12 @@ pub fn chrome_trace_json(report: &TraceReport) -> String {
     // Counter tracks from the sampled metrics.
     for s in &report.samples {
         let c = &s.counters;
-        let ts = s.cycle;
-        push(
-            &mut out,
-            counter_json(
-                ts,
+        let phases: Vec<(&str, u64)> = Phase::ALL
+            .iter()
+            .map(|&p| (p.label(), c.phase_cycles[p as usize]))
+            .collect();
+        let tracks: [(&str, &[(&str, u64)]); 7] = [
+            (
                 "stalls",
                 &[
                     ("memory", c.stall_memory),
@@ -156,16 +146,8 @@ pub fn chrome_trace_json(report: &TraceReport) -> String {
                     ("l1_queue", c.stall_l1_queue),
                 ],
             ),
-        );
-        let phases: Vec<(&str, u64)> = Phase::ALL
-            .iter()
-            .map(|&p| (p.label(), c.phase_cycles[p as usize]))
-            .collect();
-        push(&mut out, counter_json(ts, "phase_cycles", &phases));
-        push(
-            &mut out,
-            counter_json(
-                ts,
+            ("phase_cycles", &phases),
+            (
                 "cache",
                 &[
                     ("l1_hits", c.l1_hits),
@@ -175,19 +157,11 @@ pub fn chrome_trace_json(report: &TraceReport) -> String {
                     ("dram", c.dram_accesses),
                 ],
             ),
-        );
-        push(
-            &mut out,
-            counter_json(
-                ts,
+            (
                 "instructions",
                 &[("warp", c.instructions), ("thread", c.thread_instructions)],
             ),
-        );
-        push(
-            &mut out,
-            counter_json(
-                ts,
+            (
                 "weaver",
                 &[
                     ("st_fetches", c.weaver_st_fetches),
@@ -195,11 +169,7 @@ pub fn chrome_trace_json(report: &TraceReport) -> String {
                     ("registrations", c.weaver_registrations),
                 ],
             ),
-        );
-        push(
-            &mut out,
-            counter_json(
-                ts,
+            (
                 "faults",
                 &[
                     ("injected", c.faults_injected),
@@ -208,11 +178,7 @@ pub fn chrome_trace_json(report: &TraceReport) -> String {
                     ("weaver_fallbacks", c.weaver_fallbacks),
                 ],
             ),
-        );
-        push(
-            &mut out,
-            counter_json(
-                ts,
+            (
                 "occupancy",
                 &[
                     ("kernel_high_water", c.kernel_high_water),
@@ -221,23 +187,26 @@ pub fn chrome_trace_json(report: &TraceReport) -> String {
                     ("warps_configured", c.warps_configured),
                 ],
             ),
-        );
+        ];
+        for (name, fields) in tracks {
+            counter(a, s.cycle, name, fields);
+        }
     }
-
-    out.push_str("\n]}\n");
-    out
 }
 
-fn counter_json(ts: u64, name: &str, fields: &[(&str, u64)]) -> String {
-    let args: Vec<String> = fields
-        .iter()
-        .map(|(k, v)| format!("\"{}\":{v}", escape(k)))
-        .collect();
-    format!(
-        "{{\"name\":\"{name}\",\"ph\":\"C\",\"ts\":{ts},\"pid\":0,\"tid\":0,\
-         \"args\":{{{}}}}}",
-        args.join(",")
-    )
+fn counter(a: &mut Arr<'_>, ts: u64, name: &str, fields: &[(&str, u64)]) {
+    a.obj(|o| {
+        o.field("name", name)
+            .field("ph", "C")
+            .field("ts", ts)
+            .field("pid", 0u64)
+            .field("tid", 0u64)
+            .obj("args", |o| {
+                for (k, v) in fields {
+                    o.field(k, v);
+                }
+            });
+    });
 }
 
 /// One event as a Chrome trace-event JSON object (no trailing newline).
@@ -246,109 +215,119 @@ fn counter_json(ts: u64, name: &str, fields: &[(&str, u64)]) -> String {
 /// file concatenates into a Chrome/Perfetto `traceEvents` array with a
 /// `jq -s` one-liner.
 pub fn event_json(e: &TraceEvent) -> String {
-    let (name, cat, args) = match &e.data {
-        EventData::KernelLaunch { name } => (
-            "kernel_launch".to_string(),
-            "kernel",
-            format!("\"kernel\":\"{}\"", escape(name)),
-        ),
-        EventData::KernelEnd { name, cycles } => (
-            "kernel_end".to_string(),
-            "kernel",
-            format!("\"kernel\":\"{}\",\"cycles\":{cycles}", escape(name)),
-        ),
-        EventData::PhaseBegin { warp, phase } => (
-            format!("phase:{}", phase.label()),
-            "warp",
-            format!("\"warp\":{warp},\"phase\":\"{}\"", phase.label()),
-        ),
-        EventData::WarpIssue { warp, pc, active } => (
-            "issue".to_string(),
-            "warp",
-            format!("\"warp\":{warp},\"pc\":{pc},\"active\":{active}"),
-        ),
+    // Sized for a typical line, so the hot streaming path rarely regrows.
+    let mut out = String::with_capacity(160);
+    json::write_object(&mut out, |o| event_fields(o, e));
+    out
+}
+
+fn event_fields(o: &mut Obj<'_>, e: &TraceEvent) {
+    match &e.data {
+        EventData::KernelLaunch { name } => instant(o, e, "kernel_launch", "kernel", |a| {
+            a.field("kernel", name);
+        }),
+        EventData::KernelEnd { name, cycles } => instant(o, e, "kernel_end", "kernel", |a| {
+            a.field("kernel", name).field("cycles", cycles);
+        }),
+        EventData::PhaseBegin { warp, phase } => {
+            instant(o, e, &format!("phase:{}", phase.label()), "warp", |a| {
+                a.field("warp", warp).field("phase", phase.label());
+            });
+        }
+        EventData::WarpIssue { warp, pc, active } => instant(o, e, "issue", "warp", |a| {
+            a.field("warp", warp)
+                .field("pc", pc)
+                .field("active", active);
+        }),
         EventData::WarpStall {
             cause,
             phase,
             cycles,
         } => {
             // Stalls are complete spans: [cycle, cycle + cycles).
-            return format!(
-                "{{\"name\":\"stall:{}\",\"cat\":\"warp\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\
-                 \"pid\":0,\"tid\":{},\"args\":{{\"cause\":\"{}\",\"phase\":\"{}\"}}}}",
-                cause.label(),
-                e.cycle,
-                (*cycles).max(1),
-                e.core,
-                cause.label(),
-                phase.label()
-            );
+            o.field("name", format!("stall:{}", cause.label()))
+                .field("cat", "warp")
+                .field("ph", "X")
+                .field("ts", e.cycle)
+                .field("dur", (*cycles).max(1))
+                .field("pid", 0u64)
+                .field("tid", e.core)
+                .obj("args", |a| {
+                    a.field("cause", cause.label())
+                        .field("phase", phase.label());
+                });
         }
         EventData::Divergence {
             warp,
             pc,
             taken,
             not_taken,
-        } => (
-            "divergence".to_string(),
-            "warp",
-            format!("\"warp\":{warp},\"pc\":{pc},\"taken\":{taken},\"not_taken\":{not_taken}"),
-        ),
+        } => instant(o, e, "divergence", "warp", |a| {
+            a.field("warp", warp)
+                .field("pc", pc)
+                .field("taken", taken)
+                .field("not_taken", not_taken);
+        }),
         EventData::CacheAccess {
             level,
             write,
             queue_delay,
-        } => (
-            format!(
-                "mem:{}:{}",
-                level.label(),
-                if *write { "write" } else { "read" }
-            ),
-            "mem",
-            format!(
-                "\"level\":\"{}\",\"write\":{write},\"queue_delay\":{queue_delay}",
-                level.label()
-            ),
-        ),
-        EventData::DramTransaction { write } => {
-            ("dram".to_string(), "mem", format!("\"write\":{write}"))
+        } => {
+            let rw = if *write { "write" } else { "read" };
+            instant(o, e, &format!("mem:{}:{rw}", level.label()), "mem", |a| {
+                a.field("level", level.label())
+                    .field("write", write)
+                    .field("queue_delay", queue_delay);
+            });
         }
-        EventData::WeaverTransition { from, to } => (
-            format!("fsm:{}", to.label()),
-            "weaver",
-            format!("\"from\":\"{}\",\"to\":\"{}\"", from.label(), to.label()),
-        ),
-        EventData::WeaverTable { op, count } => (
-            format!("weaver:{}", op.label()),
-            "weaver",
-            format!("\"op\":\"{}\",\"count\":{count}", op.label()),
-        ),
-        EventData::WeaverRetry { kernel, attempt } => (
-            "weaver_retry".to_string(),
-            "kernel",
-            format!("\"kernel\":\"{}\",\"attempt\":{attempt}", escape(kernel)),
-        ),
-        EventData::WeaverFallback { kernel, schedule } => (
-            "weaver_fallback".to_string(),
-            "kernel",
-            format!(
-                "\"kernel\":\"{}\",\"schedule\":\"{}\"",
-                escape(kernel),
-                escape(schedule)
-            ),
-        ),
-    };
-    format!(
-        "{{\"name\":\"{}\",\"cat\":\"{cat}\",\"ph\":\"i\",\"s\":\"t\",\"ts\":{},\
-         \"pid\":0,\"tid\":{},\"args\":{{{args}}}}}",
-        escape(&name),
-        e.cycle,
-        e.core
-    )
+        EventData::DramTransaction { write } => instant(o, e, "dram", "mem", |a| {
+            a.field("write", write);
+        }),
+        EventData::WeaverTransition { from, to } => {
+            instant(o, e, &format!("fsm:{}", to.label()), "weaver", |a| {
+                a.field("from", from.label()).field("to", to.label());
+            });
+        }
+        EventData::WeaverTable { op, count } => {
+            instant(o, e, &format!("weaver:{}", op.label()), "weaver", |a| {
+                a.field("op", op.label()).field("count", count);
+            });
+        }
+        EventData::WeaverRetry { kernel, attempt } => {
+            instant(o, e, "weaver_retry", "kernel", |a| {
+                a.field("kernel", kernel).field("attempt", attempt);
+            })
+        }
+        EventData::WeaverFallback { kernel, schedule } => {
+            instant(o, e, "weaver_fallback", "kernel", |a| {
+                a.field("kernel", kernel).field("schedule", schedule);
+            });
+        }
+    }
+}
+
+/// The members of an instant event (every event but a stall), its
+/// `args` written by `args`.
+fn instant(
+    o: &mut Obj<'_>,
+    e: &TraceEvent,
+    name: &str,
+    cat: &str,
+    args: impl FnOnce(&mut Obj<'_>),
+) {
+    o.field("name", name)
+        .field("cat", cat)
+        .field("ph", "i")
+        .field("s", "t")
+        .field("ts", e.cycle)
+        .field("pid", 0u64)
+        .field("tid", e.core)
+        .obj("args", args);
 }
 
 /// Renders `report` as a flat metrics JSON document: run totals plus the
-/// sampled counter time series.
+/// sampled counter time series, under a [`METRICS_SCHEMA`] envelope
+/// carrying the `config` and `input` (graph) fingerprints, if known.
 ///
 /// # Examples
 ///
@@ -358,105 +337,95 @@ pub fn event_json(e: &TraceEvent) -> String {
 /// let mut t = Tracer::new(TraceConfig::default());
 /// t.kernel_begin("demo");
 /// t.kernel_end(10, &Default::default());
-/// let v = json::parse(&export::metrics_json(&t.take_report())).unwrap();
+/// let v = json::parse(&export::metrics_json(&t.take_report(), None, None)).unwrap();
 /// assert_eq!(v.get("total_cycles").unwrap().as_num(), Some(10.0));
 /// ```
-pub fn metrics_json(report: &TraceReport) -> String {
-    let mut out = String::with_capacity(1024 + report.samples.len() * 256);
-    out.push_str("{\"schema\":\"sparseweaver-metrics-v1\",\n");
-    let _ = writeln!(out, "\"sample_every\":{},", report.sample_every);
-    let _ = writeln!(out, "\"total_cycles\":{},", report.total_cycles);
-    let _ = writeln!(out, "\"dropped_events\":{},", report.dropped);
-    out.push_str("\"kernels\":[");
-    for (i, k) in report.kernels.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{{\"name\":\"{}\",\"start\":{},\"cycles\":{}}}",
-            escape(&k.name),
-            k.start,
-            k.cycles
-        );
-    }
-    out.push_str("],\n\"totals\":");
-    out.push_str(&counters_json(&report.totals));
-    out.push_str(",\n\"samples\":[\n");
-    for (i, s) in report.samples.iter().enumerate() {
-        if i > 0 {
-            out.push_str(",\n");
-        }
-        let _ = write!(
-            out,
-            "{{\"cycle\":{},\"counters\":{}}}",
-            s.cycle,
-            counters_json(&s.counters)
-        );
-    }
-    out.push_str("\n]}\n");
-    out
+pub fn metrics_json(report: &TraceReport, config: Option<u64>, input: Option<u64>) -> String {
+    Envelope::new(METRICS_SCHEMA, config, input).object(|o| {
+        o.field("sample_every", report.sample_every)
+            .field("total_cycles", report.total_cycles)
+            .field("dropped_events", report.dropped)
+            .arr("kernels", |a| {
+                for k in &report.kernels {
+                    a.obj(|o| {
+                        o.field("name", &k.name)
+                            .field("start", k.start)
+                            .field("cycles", k.cycles);
+                    });
+                }
+            })
+            .obj("totals", |o| counters_fields(o, &report.totals))
+            .arr("samples", |a| {
+                for s in &report.samples {
+                    a.obj(|o| {
+                        o.field("cycle", s.cycle)
+                            .obj("counters", |o| counters_fields(o, &s.counters));
+                    });
+                }
+            });
+    })
 }
 
-/// One [`CounterSnapshot`] as a JSON object.
+/// One [`CounterSnapshot`]'s members.
 ///
 /// The `stalls` object mixes units: `memory`, `shared`, `exec_dep` and
 /// `weaver` are issue-slot core-cycles and sum to the explicit
 /// `stall_total`; `l1_queue` is summed per *access* (port-contention
 /// delay) and `barrier` per *warp* (warp-cycles parked at a barrier), so
 /// neither contributes to `stall_total`.
-pub fn counters_json(c: &CounterSnapshot) -> String {
-    let phases: Vec<String> = Phase::ALL
-        .iter()
-        .map(|&p| format!("\"{}\":{}", escape(p.label()), c.phase_cycles[p as usize]))
-        .collect();
-    let stall_total = c.stall_memory + c.stall_shared + c.stall_exec_dep + c.stall_weaver;
-    format!(
-        "{{\"instructions\":{},\"thread_instructions\":{},\
-         \"stalls\":{{\"memory\":{},\"shared\":{},\"exec_dep\":{},\"l1_queue\":{},\
-         \"barrier\":{},\"weaver\":{},\"stall_total\":{stall_total}}},\
-         \"phase_cycles\":{{{}}},\
-         \"cache\":{{\"l1_accesses\":{},\"l1_hits\":{},\"l2_accesses\":{},\"l2_hits\":{},\
-         \"l3_accesses\":{},\"l3_hits\":{},\"dram_accesses\":{}}},\
-         \"shared\":{{\"reads\":{},\"writes\":{}}},\
-         \"device_mem\":{{\"reads\":{},\"writes\":{}}},\
-         \"weaver\":{{\"st_fetches\":{},\"dec_requests\":{},\"registrations\":{}}},\
-         \"faults\":{{\"injected\":{},\"weaver_drops\":{},\"weaver_retries\":{},\
-         \"weaver_fallbacks\":{}}},\
-         \"occupancy\":{{\"kernel_high_water\":{},\"cap\":{},\"warps_resident\":{},\
-         \"warps_configured\":{}}}}}",
-        c.instructions,
-        c.thread_instructions,
-        c.stall_memory,
-        c.stall_shared,
-        c.stall_exec_dep,
-        c.stall_l1_queue,
-        c.stall_barrier,
-        c.stall_weaver,
-        phases.join(","),
-        c.l1_accesses,
-        c.l1_hits,
-        c.l2_accesses,
-        c.l2_hits,
-        c.l3_accesses,
-        c.l3_hits,
-        c.dram_accesses,
-        c.shared_reads,
-        c.shared_writes,
-        c.mem_reads,
-        c.mem_writes,
-        c.weaver_st_fetches,
-        c.weaver_dec_requests,
-        c.weaver_registrations,
-        c.faults_injected,
-        c.weaver_drops,
-        c.weaver_retries,
-        c.weaver_fallbacks,
-        c.kernel_high_water,
-        c.occupancy_cap,
-        c.warps_resident,
-        c.warps_configured,
-    )
+fn counters_fields(o: &mut Obj<'_>, c: &CounterSnapshot) {
+    o.field("instructions", c.instructions)
+        .field("thread_instructions", c.thread_instructions)
+        .obj("stalls", |o| {
+            o.field("memory", c.stall_memory)
+                .field("shared", c.stall_shared)
+                .field("exec_dep", c.stall_exec_dep)
+                .field("l1_queue", c.stall_l1_queue)
+                .field("barrier", c.stall_barrier)
+                .field("weaver", c.stall_weaver)
+                .field(
+                    "stall_total",
+                    c.stall_memory + c.stall_shared + c.stall_exec_dep + c.stall_weaver,
+                );
+        })
+        .obj("phase_cycles", |o| {
+            for &p in &Phase::ALL {
+                o.field(p.label(), c.phase_cycles[p as usize]);
+            }
+        })
+        .obj("cache", |o| {
+            o.field("l1_accesses", c.l1_accesses)
+                .field("l1_hits", c.l1_hits)
+                .field("l2_accesses", c.l2_accesses)
+                .field("l2_hits", c.l2_hits)
+                .field("l3_accesses", c.l3_accesses)
+                .field("l3_hits", c.l3_hits)
+                .field("dram_accesses", c.dram_accesses);
+        })
+        .obj("shared", |o| {
+            o.field("reads", c.shared_reads)
+                .field("writes", c.shared_writes);
+        })
+        .obj("device_mem", |o| {
+            o.field("reads", c.mem_reads).field("writes", c.mem_writes);
+        })
+        .obj("weaver", |o| {
+            o.field("st_fetches", c.weaver_st_fetches)
+                .field("dec_requests", c.weaver_dec_requests)
+                .field("registrations", c.weaver_registrations);
+        })
+        .obj("faults", |o| {
+            o.field("injected", c.faults_injected)
+                .field("weaver_drops", c.weaver_drops)
+                .field("weaver_retries", c.weaver_retries)
+                .field("weaver_fallbacks", c.weaver_fallbacks);
+        })
+        .obj("occupancy", |o| {
+            o.field("kernel_high_water", c.kernel_high_water)
+                .field("cap", c.occupancy_cap)
+                .field("warps_resident", c.warps_resident)
+                .field("warps_configured", c.warps_configured);
+        });
 }
 
 #[cfg(test)]
@@ -557,8 +526,10 @@ mod tests {
 
     #[test]
     fn metrics_document_carries_the_series() {
-        let doc = metrics_json(&sample_report());
+        let doc = metrics_json(&sample_report(), Some(1), None);
         let v = json::parse(&doc).expect("valid JSON");
+        let env = json::Envelope::read(&v).expect("envelope");
+        assert_eq!(env, json::Envelope::new(METRICS_SCHEMA, Some(1), None));
         assert_eq!(v.get("total_cycles").unwrap().as_num(), Some(10.0));
         let samples = v.get("samples").unwrap().as_arr().unwrap();
         assert_eq!(samples.len(), 2); // periodic + kernel-end
@@ -681,7 +652,7 @@ mod tests {
             occ.get("args").unwrap().get("cap").unwrap().as_num(),
             Some(2.0)
         );
-        let metrics = json::parse(&metrics_json(&report)).unwrap();
+        let metrics = json::parse(&metrics_json(&report, None, None)).unwrap();
         let o = metrics.get("totals").unwrap().get("occupancy").unwrap();
         assert_eq!(o.get("kernel_high_water").unwrap().as_num(), Some(16.0));
         assert_eq!(o.get("warps_resident").unwrap().as_num(), Some(2.0));
@@ -695,5 +666,38 @@ mod tests {
         t.kernel_end(1, &CounterSnapshot::default());
         let doc = chrome_trace_json(&t.take_report());
         assert!(json::parse(&doc).is_ok());
+    }
+
+    #[test]
+    fn event_lines_keep_their_bytes() {
+        let line = |cycle, core, data| event_json(&TraceEvent { cycle, core, data });
+        assert_eq!(
+            line(3, 1, EventData::KernelLaunch { name: "k".into() }),
+            r#"{"name":"kernel_launch","cat":"kernel","ph":"i","s":"t","ts":3,"pid":0,"tid":1,"args":{"kernel":"k"}}"#
+        );
+        assert_eq!(
+            line(
+                5,
+                0,
+                EventData::WarpStall {
+                    cause: StallCause::Memory,
+                    phase: Phase::GatherSum,
+                    cycles: 4,
+                }
+            ),
+            r#"{"name":"stall:memory","cat":"warp","ph":"X","ts":5,"dur":4,"pid":0,"tid":0,"args":{"cause":"memory","phase":"Gather & Sum"}}"#
+        );
+        assert_eq!(
+            line(
+                2,
+                1,
+                EventData::CacheAccess {
+                    level: MemLevel::L2,
+                    write: false,
+                    queue_delay: 1,
+                }
+            ),
+            r#"{"name":"mem:L2:read","cat":"mem","ph":"i","s":"t","ts":2,"pid":0,"tid":1,"args":{"level":"L2","write":false,"queue_delay":1}}"#
+        );
     }
 }

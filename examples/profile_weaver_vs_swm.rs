@@ -53,7 +53,11 @@ fn main() -> Result<(), FrameworkError> {
 
     let a = json::parse(&baseline).expect("artifact is valid JSON");
     let b = json::parse(&candidate).expect("artifact is valid JSON");
-    for issue in profile::comparability_issues(&a, &b) {
+    let envelope = |doc: &json::Value| json::Envelope::read(doc).expect("artifact has an envelope");
+    for issue in envelope(&a)
+        .comparable(&envelope(&b))
+        .expect("both artifacts are profiles")
+    {
         println!("warning: {issue}");
     }
 

@@ -16,10 +16,15 @@
 # nonzero otherwise) and no shipped kernel has a proved out-of-bounds
 # access (no "SW-L501" anywhere in the document).
 #
+# The stream's first line is the artifact envelope (schema
+# `sparseweaver-analyze`, the tool version and the config fingerprint);
+# every further line is one kernel's report.
+#
 # The fresh document is left at ./analyze.json (gitignored) so CI can
 # upload it for cross-commit comparison.
 #
-# To regenerate after an intentional change:
+# To regenerate after an intentional change (the envelope's tool version
+# is part of the bytes, so a version bump regenerates too):
 #   cargo run --release --bin swlint -- --analyze --json \
 #     > scripts/analyze_golden.json
 set -euo pipefail

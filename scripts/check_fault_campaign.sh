@@ -20,6 +20,10 @@
 # hangs deterministically. Beyond byte-identity, this gate asserts all
 # four classes are non-zero, closing the hang-coverage gap (ROADMAP).
 #
+# Each summary opens with the artifact envelope (schema, version, tool
+# version, config and graph fingerprints), so a tool-version bump
+# regenerates the goldens too.
+#
 # To regenerate after an intentional change (e.g. a new fault site):
 #   cargo run --release --bin swfault -- \
 #     --inject reg=0.0001,mem=0.00005,fetch=0.00005,weaver-drop=0.05 \

@@ -18,11 +18,16 @@
 # NOT tested here — `swprof --selftest` covers the regression-detection
 # side with synthetic fixtures.
 #
+# The artifact opens with its envelope (schema, version, tool version,
+# config and graph fingerprints), so a tool-version bump regenerates the
+# golden too.
+#
 # The fresh artifact is left at ./profile.json (gitignored) so CI can
 # upload it for run-to-run differential analysis across commits.
 #
 # To regenerate after an intentional change (e.g. a new histogram or a
-# schema extension — bump sparseweaver-profile-v1 on breaks):
+# schema extension — raise PROFILE_SCHEMA's version in
+# crates/core/src/profile.rs on breaks):
 #   cargo run --release --bin swsim -- run \
 #     --gen powerlaw:600:6000:1.9:11 --algo bfs --schedule sw \
 #     --profile-out scripts/profile_golden.json

@@ -24,11 +24,17 @@
 #    simulations (estimated as 16x one measured run, same binary, same
 #    warm graph-generator path).
 #
+# The artifact opens with its envelope (schema, version, tool version,
+# capture-config and trace fingerprints), so a tool-version bump
+# regenerates the golden too. On top of byte-identity,
+# `swprof diff golden fresh --tolerance 0` must
+# read both artifacts' envelopes and find no changed metric (exit 0).
+#
 # The fresh artifact is left at ./replay.json (gitignored) so CI can
 # upload it for run-to-run differential analysis across commits.
 #
 # To regenerate after an intentional change (e.g. a schema extension —
-# bump sparseweaver-replay-v1 on breaks):
+# raise REPLAY_SCHEMA's version in crates/core/src/replay.rs on breaks):
 #   cargo run --release --bin swsim -- run \
 #     --gen powerlaw:600:6000:1.9:11 --algo bfs --schedule sw \
 #     --mem-trace-out replay_capture.swmtrace
@@ -44,7 +50,7 @@ TRACE=replay_capture.swmtrace
 OUT=replay.json
 
 # Build once up front so timing below measures runs, not compilation.
-cargo build --release --quiet --bin swsim --bin swreplay
+cargo build --release --quiet --bin swsim --bin swreplay --bin swprof
 
 sim_start=$(date +%s%N)
 ./target/release/swsim run \
@@ -82,6 +88,9 @@ if ! diff -u "$GOLDEN" "$OUT"; then
     exit 1
 fi
 echo "ok: fixed-seed replay.json is byte-identical to the golden artifact"
+
+./target/release/swprof diff "$GOLDEN" "$OUT" --tolerance 0 > /dev/null
+echo "ok: swprof diff finds no metric change between golden and fresh"
 
 # Jobs-invariance: the artifact bytes must not depend on the job count.
 ./target/release/swreplay sweep --trace "$TRACE" \

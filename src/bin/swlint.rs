@@ -15,7 +15,8 @@
 //! swlint                         # every algorithm x every schedule
 //! swlint --algo bfs --schedule sw
 //! swlint --json                  # one LintReport JSON object per line
-//! swlint --analyze [--json]      # + SW-L5xx abstract interpretation
+//! swlint --analyze [--json]      # + SW-L5xx abstract interpretation;
+//!                                # --json opens with the artifact envelope
 //! swlint --analyze --facts       # dump the raw fixpoint facts
 //! swlint --selftest              # verify the seeded fixtures
 //! swlint --version
@@ -33,11 +34,13 @@ use sparseweaver::cli::{self, usage_err, Args, CliError, FlagSpec};
 use sparseweaver::core::algorithms::{
     Algorithm, Bfs, ConnectedComponents, Gcn, PageRank, Spmv, Sssp,
 };
+use sparseweaver::core::profile::config_fingerprint;
 use sparseweaver::core::session::geom_of;
 use sparseweaver::core::Schedule;
 use sparseweaver::graph::Direction;
 use sparseweaver::isa::Program;
-use sparseweaver::lint::{analyze_with_facts, fixtures, lint, LintReport};
+use sparseweaver::lint::{analyze_with_facts, fixtures, lint, LintReport, ANALYZE_SCHEMA};
+use sparseweaver::trace::json::Envelope;
 
 fn usage() -> ! {
     eprintln!(
@@ -53,7 +56,8 @@ USAGE:
   S:     svm | em | wm | cm | sw | eghw                          (default: all)
 
   --json      one LintReport JSON object per kernel, one per line
-              (with --analyze, a second object per kernel for SW-L5xx)
+              (with --analyze, a second object per kernel for SW-L5xx,
+              after a first line holding the artifact envelope)
   --analyze   also run the abstract-interpretation engine (SW-L5xx:
               static OOB, barrier-interval races, coalescing/bank
               advisories, uniform branches) against the launch geometry
@@ -166,6 +170,10 @@ fn cmd_lint(flags: &Args) -> Result<i32, CliError> {
     };
     let algo_filter = flags.get("algo");
     let algos = algorithms(algo_filter)?;
+    if json && analyze_mode && !regs_mode {
+        let envelope = Envelope::new(ANALYZE_SCHEMA, Some(config_fingerprint(&cfg)), None);
+        println!("{}", envelope.object(|_| {}));
+    }
     let mut seen: HashSet<String> = HashSet::new();
     let mut kernels = 0usize;
     let mut errors = 0usize;

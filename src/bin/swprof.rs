@@ -1,12 +1,15 @@
-//! `swprof` — read, summarize, and diff SparseWeaver profile artifacts.
+//! `swprof` — read, summarize, and diff SparseWeaver artifacts.
 //!
-//! Consumes the deterministic `profile.json` documents written by
-//! `swsim run --profile-out` (schema `sparseweaver-profile-v1`) and turns
-//! them into the paper's Fig. 4-style breakdowns, or into a run-to-run
-//! differential report with regression gating for CI.
+//! Consumes any enveloped JSON artifact (profile, replay, metrics,
+//! campaign summary, hang report). A `profile.json` written by
+//! `swsim run --profile-out` renders as the paper's Fig. 4-style
+//! breakdown; every kind flattens to named metrics, and two artifacts of
+//! one kind diff into a run-to-run differential report with regression
+//! gating for CI.
 //!
 //! ```text
 //! swprof report profile.json            # Fig. 4-style cycle breakdown
+//! swprof report replay.json             # any other kind: its metrics
 //! swprof report profile.json --json     # flat metric map, one object
 //! swprof diff base.json cand.json       # per-metric deltas, strict gate
 //! swprof diff base.json cand.json --tolerance 5
@@ -15,22 +18,22 @@
 //! ```
 //!
 //! Exit status: 0 success (and, for `diff`, no regression beyond the
-//! tolerance); 1 on read/parse failures, regressions, or a broken
-//! selftest; 2 on usage errors. `swlint --selftest` follows the same
+//! tolerance); 1 on read/parse failures, artifacts of different kinds,
+//! regressions, or a broken selftest; 2 on usage errors. `swlint --selftest` follows the same
 //! convention: healthy exits 0, a fixture miss exits 1.
 
 use std::process::exit;
 
 use sparseweaver::cli::{self, usage_err, Args, CliError, FlagSpec};
 use sparseweaver::core::profile::{
-    comparability_issues, diff, flat_metrics, lower_is_better, regressions, MetricDelta,
-    PROFILE_SCHEMA,
+    diff, flat_metrics, lower_is_better, regressions, MetricDelta, PROFILE_SCHEMA,
 };
-use sparseweaver::trace::json::{self, escape, Value};
+use sparseweaver::core::replay::REPLAY_SCHEMA;
+use sparseweaver::trace::json::{self, Envelope, Schema, Value};
 
 fn usage() -> ! {
     eprintln!(
-        "swprof — SparseWeaver profile artifact reader
+        "swprof — SparseWeaver artifact reader
 
 USAGE:
   swprof report FILE [--json]
@@ -38,17 +41,21 @@ USAGE:
   swprof --selftest [--json]
   swprof --version
 
-  FILE is a profile.json written by `swsim run --profile-out` (schema
-  {PROFILE_SCHEMA}); `-` reads from stdin.
+  FILE is an enveloped JSON artifact: profile.json (`swsim run
+  --profile-out`), replay.json, metrics.json, a campaign summary or a
+  hang report; `-` reads from stdin.
 
 REPORT:
-  Renders the artifact as a Fig. 4-style top-down cycle breakdown: issue
+  Renders a profile as a Fig. 4-style top-down cycle breakdown: issue
   slots split into issued / stall categories / idle, per-kernel phase
   tables, latency histogram quantiles, and load-imbalance summaries.
+  Any other kind prints its metrics, one per line.
   --json prints the flat `metric: value` map instead.
 
 DIFF:
-  Compares two artifacts metric by metric. Lower-is-better metrics
+  Compares two artifacts of one kind metric by metric; artifacts of
+  different schemas or versions are refused (exit 1), and differing
+  config or input fingerprints draw a warning. Lower-is-better metrics
   (cycles, stalls, idle, latency quantiles, imbalance ratios) whose
   candidate value exceeds the baseline by more than the tolerance are
   regressions and make the exit code 1.
@@ -71,7 +78,8 @@ const FLAGS: FlagSpec = FlagSpec {
     short: &[],
 };
 
-fn load_profile(path: &str) -> Value {
+/// Reads and parses an artifact and its envelope; exits 1 on failure.
+fn load(path: &str) -> (Value, Envelope) {
     let text = cli::read_input(path)
         .and_then(|b| String::from_utf8(b).map_err(|_| format!("{path}: not valid UTF-8")))
         .unwrap_or_else(|e| {
@@ -82,14 +90,10 @@ fn load_profile(path: &str) -> Value {
         eprintln!("{path}: not valid JSON: {e}");
         exit(1)
     });
-    match doc.get("schema").and_then(Value::as_str) {
-        Some(s) if s == PROFILE_SCHEMA => doc,
-        Some(s) => {
-            eprintln!("{path}: schema `{s}`, expected `{PROFILE_SCHEMA}`");
-            exit(1)
-        }
-        None => {
-            eprintln!("{path}: missing `schema` field — not a profile artifact");
+    match Envelope::read(&doc) {
+        Ok(envelope) => (doc, envelope),
+        Err(e) => {
+            eprintln!("{path}: not a SparseWeaver artifact: {e}");
             exit(1)
         }
     }
@@ -105,26 +109,16 @@ fn fmt_num(v: f64) -> String {
     }
 }
 
+fn at<'a>(doc: &'a Value, path: &[&str]) -> Option<&'a Value> {
+    path.iter().try_fold(doc, |v, key| v.get(key))
+}
+
 fn num_at(doc: &Value, path: &[&str]) -> f64 {
-    let mut v = doc;
-    for p in path {
-        match v.get(p) {
-            Some(child) => v = child,
-            None => return 0.0,
-        }
-    }
-    v.as_num().unwrap_or(0.0)
+    at(doc, path).and_then(Value::as_num).unwrap_or(0.0)
 }
 
 fn str_at<'a>(doc: &'a Value, path: &[&str]) -> &'a str {
-    let mut v = doc;
-    for p in path {
-        match v.get(p) {
-            Some(child) => v = child,
-            None => return "?",
-        }
-    }
-    v.as_str().unwrap_or("?")
+    at(doc, path).and_then(Value::as_str).unwrap_or("?")
 }
 
 fn breakdown_line(label: &str, slots: f64, total: f64) {
@@ -138,16 +132,25 @@ fn breakdown_line(label: &str, slots: f64, total: f64) {
 }
 
 fn cmd_report(path: &str, json_mode: bool) -> i32 {
-    let doc = load_profile(path);
+    let (doc, envelope) = load(path);
+    let metrics = flat_metrics(&doc);
     if json_mode {
-        let metrics = flat_metrics(&doc);
-        let body: Vec<String> = metrics
-            .iter()
-            .map(|(name, v)| format!("\"{}\":{}", escape(name), fmt_num(*v)))
-            .collect();
-        println!("{{{}}}", body.join(","));
+        let body = json::object(|o| {
+            for (name, v) in &metrics {
+                o.field(name, v);
+            }
+        });
+        println!("{body}");
         return 0;
     }
+    if envelope.schema != PROFILE_SCHEMA.id {
+        println!("{} v{} artifact", envelope.schema, envelope.version);
+        for (name, v) in &metrics {
+            println!("  {name:<60} {:>14}", fmt_num(*v));
+        }
+        return 0;
+    }
+    let fingerprint = |fp: Option<u64>| fp.map_or("-".into(), |v| format!("{v:016x}"));
     println!(
         "profile: {} on {} | graph {} vertices, {} edges",
         str_at(&doc, &["schedule"]),
@@ -159,8 +162,8 @@ fn cmd_report(path: &str, json_mode: bool) -> i32 {
         "config: {} cores x {} warps (fingerprint {}, graph {})",
         fmt_num(num_at(&doc, &["config", "cores"])),
         fmt_num(num_at(&doc, &["config", "warps_per_core"])),
-        str_at(&doc, &["config", "fingerprint"]),
-        str_at(&doc, &["graph", "fingerprint"]),
+        fingerprint(envelope.config),
+        fingerprint(envelope.input),
     );
     let slots = num_at(&doc, &["totals", "issue_slots"]);
     println!(
@@ -249,24 +252,30 @@ fn cmd_report(path: &str, json_mode: bool) -> i32 {
 }
 
 fn delta_json(d: &MetricDelta) -> String {
-    let opt = |v: Option<f64>| v.map(fmt_num).unwrap_or_else(|| "null".into());
-    format!(
-        "{{\"metric\":\"{}\",\"baseline\":{},\"candidate\":{},\"delta\":{},\"lower_is_better\":{}}}",
-        escape(&d.name),
-        opt(d.a),
-        opt(d.b),
-        opt(d.delta()),
-        lower_is_better(&d.name),
-    )
+    json::object(|o| {
+        o.field("metric", &d.name)
+            .field("baseline", d.a)
+            .field("candidate", d.b)
+            .field("delta", d.delta())
+            .field("lower_is_better", lower_is_better(&d.name));
+    })
 }
 
 fn cmd_diff(path_a: &str, path_b: &str, tolerance: f64, flags: &Args) -> i32 {
     let json_mode = flags.has("json");
     let show_all = flags.has("all");
-    let a = load_profile(path_a);
-    let b = load_profile(path_b);
-    for issue in comparability_issues(&a, &b) {
-        eprintln!("warning: {issue}");
+    let (a, envelope_a) = load(path_a);
+    let (b, envelope_b) = load(path_b);
+    match envelope_a.comparable(&envelope_b) {
+        Ok(warnings) => {
+            for w in warnings {
+                eprintln!("warning: {w}");
+            }
+        }
+        Err(e) => {
+            eprintln!("{path_a} vs {path_b}: {e}");
+            return 1;
+        }
     }
     let deltas = diff(&a, &b);
     let regs = regressions(&deltas, tolerance);
@@ -325,29 +334,40 @@ fn cmd_diff(path_a: &str, path_b: &str, tolerance: f64, flags: &Args) -> i32 {
     }
 }
 
-/// A minimal but schema-complete artifact for the selftest fixtures.
-fn fixture(cycles: u64, mem_stall: u64, p99: u64, graph_fp: &str) -> String {
-    format!(
-        r#"{{"schema":"{PROFILE_SCHEMA}","schedule":"S_weaver","algorithm":"bfs",
-  "fell_back_from":null,
-  "config":{{"cores":2,"warps_per_core":4,"threads_per_warp":4,"fingerprint":"00aa"}},
-  "graph":{{"vertices":10,"edges":20,"fingerprint":"{graph_fp}"}},
-  "totals":{{"cycles":{cycles},"issue_slots":{slots},"issued":40,
-    "thread_instructions":160,
-    "stalls":{{"memory":{mem_stall},"shared":1,"exec_dep":2,"weaver":3,"total":{stall_total}}},
-    "idle":{idle},"other_units":{{"l1_queue":5,"barrier":6}}}},
-  "per_kernel":[{{"name":"gather","launches":1,"cycles":{cycles},"instructions":40,
-    "phases":{{"Init":1,"Gather & Sum":{cycles}}},
-    "stalls":{{"memory":{mem_stall},"shared":1,"exec_dep":2,"weaver":3,"total":{stall_total}}},
-    "other_units":{{"l1_queue":5,"barrier":6}}}}],
-  "histograms":{{"mem_l1":{{"count":30,"sum":90,"min":1,"max":{p99},
-    "p50":3,"p90":{p99},"p99":{p99},"buckets":[[3,25],[{p99},5]]}}}},
-  "imbalance":{{"core_issue":{{"entities":2,"min":18,"max":22,"mean":20,
-    "imbalance_permille":1100}}}}}}"#,
-        slots = cycles * 2,
-        stall_total = mem_stall + 1 + 2 + 3,
-        idle = (cycles * 2).saturating_sub(40 + mem_stall + 6),
-    )
+/// The selftest's profile: the members its checks read.
+const PROFILE_FIXTURE: &str = r#"{"schedule":"S_weaver","algorithm":"bfs",
+  "totals":{"cycles":100,"issued":40,"stalls":{"memory":10,"weaver":3},"idle":144},
+  "per_kernel":[{"name":"gather","cycles":100}],
+  "histograms":{"mem_l1":{"count":30,"p50":3,"p99":8,"buckets":[[3,25],[8,5]]}}}"#;
+
+/// The selftest's `replay.json`: one sweep entry.
+const REPLAY_FIXTURE: &str = r#"{"sweep":[{"name":"l1=4096x2",
+  "stats":{"l1":{"accesses":100,"hits":60},"dram_accesses":7}}]}"#;
+
+/// `body` under a `schema` envelope with input fingerprint `input`, and
+/// the numbers at the dotted `patch` paths replaced.
+fn fixture(schema: Schema, input: u64, body: &str, patch: &[(&str, f64)]) -> Value {
+    let envelope = Envelope::new(schema, Some(0xaa), Some(input)).object(|_| {});
+    let (Ok(Value::Obj(mut doc)), Ok(Value::Obj(body))) =
+        (json::parse(&envelope), json::parse(body))
+    else {
+        unreachable!("fixtures are objects");
+    };
+    doc.extend(body);
+    let mut doc = Value::Obj(doc);
+    for (path, v) in patch {
+        let mut at = &mut doc;
+        for key in path.split('.') {
+            at = match at {
+                Value::Obj(m) => m.get_mut(key),
+                Value::Arr(a) => key.parse().ok().and_then(|i: usize| a.get_mut(i)),
+                _ => None,
+            }
+            .expect("fixture path exists");
+        }
+        *at = Value::Num(*v);
+    }
+    doc
 }
 
 fn cmd_selftest(json_mode: bool) -> i32 {
@@ -355,18 +375,24 @@ fn cmd_selftest(json_mode: bool) -> i32 {
     let mut check = |label: &str, pass: bool| {
         ok &= pass;
         if json_mode {
-            println!("{{\"check\":\"{}\",\"ok\":{pass}}}", escape(label));
+            let line = json::object(|o| {
+                o.field("check", label).field("ok", pass);
+            });
+            println!("{line}");
         } else if pass {
             println!("ok    {label}");
         } else {
             println!("FAIL  {label}");
         }
     };
+    let envelope = |doc: &Value| Envelope::read(doc).expect("fixture has an envelope");
 
-    let base = json::parse(&fixture(100, 10, 8, "00bb")).expect("fixture parses");
+    let profile =
+        |input, patch: &[(&str, f64)]| fixture(PROFILE_SCHEMA, input, PROFILE_FIXTURE, patch);
+    let base = profile(0xbb, &[]);
     check(
-        "fixture parses with the profile schema",
-        base.get("schema").and_then(Value::as_str) == Some(PROFILE_SCHEMA),
+        "fixture parses with the profile envelope",
+        envelope(&base).schema == PROFILE_SCHEMA.id,
     );
 
     let m1 = flat_metrics(&base);
@@ -386,7 +412,10 @@ fn cmd_selftest(json_mode: bool) -> i32 {
     );
 
     // +20% cycles and +8x memory stall: both lower-is-better.
-    let worse = json::parse(&fixture(120, 80, 8, "00bb")).expect("fixture parses");
+    let worse = profile(
+        0xbb,
+        &[("totals.cycles", 120.0), ("totals.stalls.memory", 80.0)],
+    );
     let deltas = diff(&base, &worse);
     let regs5 = regressions(&deltas, 5.0);
     check(
@@ -402,7 +431,7 @@ fn cmd_selftest(json_mode: bool) -> i32 {
     );
 
     // p99 latency shrink + count growth: improvement and neutral.
-    let faster = json::parse(&fixture(100, 10, 3, "00bb")).expect("fixture parses");
+    let faster = profile(0xbb, &[("histograms.mem_l1.p99", 3.0)]);
     let deltas = diff(&base, &faster);
     check(
         "latency quantile shrink is not a regression",
@@ -413,13 +442,37 @@ fn cmd_selftest(json_mode: bool) -> i32 {
         !lower_is_better("totals.issued") && !lower_is_better("histograms.mem_l1.count"),
     );
 
-    let other_graph = json::parse(&fixture(100, 10, 8, "00cc")).expect("fixture parses");
+    let other_graph = envelope(&profile(0xcc, &[]));
     check(
-        "fingerprint mismatch is reported as incomparable",
-        comparability_issues(&base, &other_graph)
-            .iter()
-            .any(|i| i.contains("graph fingerprint"))
-            && comparability_issues(&base, &base).is_empty(),
+        "fingerprint mismatch is reported as a warning",
+        envelope(&base)
+            .comparable(&other_graph)
+            .is_ok_and(|w| w.iter().any(|i| i.contains("input fingerprint")))
+            && envelope(&base).comparable(&envelope(&base)) == Ok(vec![]),
+    );
+
+    let replay = fixture(REPLAY_SCHEMA, 0xbb, REPLAY_FIXTURE, &[]);
+    let refusal = envelope(&base).comparable(&envelope(&replay));
+    check(
+        "artifacts of different schemas are refused, naming both",
+        refusal.is_err_and(|e| e.contains(PROFILE_SCHEMA.id) && e.contains(REPLAY_SCHEMA.id)),
+    );
+
+    let fewer_hits = fixture(
+        REPLAY_SCHEMA,
+        0xbb,
+        REPLAY_FIXTURE,
+        &[("sweep.0.stats.l1.hits", 50.0)],
+    );
+    let deltas = diff(&replay, &fewer_hits);
+    let hits = deltas
+        .iter()
+        .find(|d| d.name == "sweep.l1=4096x2.stats.l1.hits");
+    check(
+        "a replay-shaped artifact diffs per sweep entry",
+        envelope(&replay).comparable(&envelope(&fewer_hits)) == Ok(vec![])
+            && hits.is_some_and(|d| d.delta() == Some(-10.0))
+            && diff(&replay, &replay).iter().all(|d| d.a == d.b),
     );
 
     if !json_mode {

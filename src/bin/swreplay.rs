@@ -24,11 +24,12 @@ use std::process::exit;
 
 use sparseweaver::cli::{self, usage_err, Args, CliError, FlagSpec};
 use sparseweaver::core::replay::{
-    level_stats_json, render, sweep, trace_fingerprint, SweepSpec, REPLAY_SCHEMA,
+    level_stats_fields, render, sweep, trace_fingerprint, SweepSpec, REPLAY_SCHEMA,
 };
 use sparseweaver::mem::mtrace::parse;
 use sparseweaver::mem::replay::verify;
 use sparseweaver::mem::{LevelStats, MemTrace};
+use sparseweaver::trace::json;
 
 fn usage() -> ! {
     eprintln!(
@@ -52,7 +53,7 @@ VERIFY:
 SWEEP:
   Replays the trace under every L1 geometry in the
   `--l1-sizes` x `--ways` cross product (the capture configuration with
-  its L1 replaced) and writes a deterministic `{REPLAY_SCHEMA}` JSON
+  its L1 replaced) and writes a deterministic `{}` JSON
   artifact: per-config LevelStats and DRAM counters, FNV config
   fingerprints, and the capture self-check. Output bytes are identical
   for any `--jobs` value.
@@ -68,7 +69,8 @@ INFO:
 
 EXIT CODES:
   0 success | 1 capture-config replay mismatch | 2 usage error |
-  3 trace I/O error | 4 corrupt or truncated trace"
+  3 trace I/O error | 4 corrupt or truncated trace",
+        REPLAY_SCHEMA.id
     );
     exit(2)
 }
@@ -161,12 +163,12 @@ fn cmd_verify(flags: Args) -> Result<(), CliError> {
         }
     };
     if flags.has("json") {
-        println!(
-            "{{\"verified\":{},\"live\":{},\"replayed\":{}}}",
-            outcome.matches(),
-            level_stats_json(&outcome.live),
-            level_stats_json(&outcome.replayed)
-        );
+        let doc = json::object(|o| {
+            o.field("verified", outcome.matches())
+                .obj("live", |o| level_stats_fields(o, &outcome.live))
+                .obj("replayed", |o| level_stats_fields(o, &outcome.replayed));
+        });
+        println!("{doc}");
     } else if outcome.matches() {
         println!("verified: replay reproduces the live run bit for bit");
         stats_line("  ", &outcome.live);
@@ -186,22 +188,23 @@ fn cmd_info(flags: Args) -> Result<(), CliError> {
     let (kernels, accesses, unqueued, atomics, barriers) = trace.counts();
     let cfg = &trace.config;
     if flags.has("json") {
-        println!(
-            "{{\"fingerprint\":\"{:016x}\",\"bytes\":{},\"records\":{},\
-             \"kernels\":{kernels},\"accesses\":{accesses},\"unqueued\":{unqueued},\
-             \"atomics\":{atomics},\"barriers\":{barriers},\
-             \"cores\":{},\"l1_bytes\":{},\"l1_ways\":{},\"l2_bytes\":{},\"l2_ways\":{},\
-             \"live\":{}}}",
-            trace_fingerprint(&bytes),
-            bytes.len(),
-            trace.records.len(),
-            cfg.num_cores,
-            cfg.l1.size_bytes,
-            cfg.l1.ways,
-            cfg.l2.size_bytes,
-            cfg.l2.ways,
-            level_stats_json(&trace.live_stats)
-        );
+        let doc = json::object(|o| {
+            o.field("fingerprint", format!("{:016x}", trace_fingerprint(&bytes)))
+                .field("bytes", bytes.len())
+                .field("records", trace.records.len())
+                .field("kernels", kernels)
+                .field("accesses", accesses)
+                .field("unqueued", unqueued)
+                .field("atomics", atomics)
+                .field("barriers", barriers)
+                .field("cores", cfg.num_cores)
+                .field("l1_bytes", cfg.l1.size_bytes)
+                .field("l1_ways", cfg.l1.ways)
+                .field("l2_bytes", cfg.l2.size_bytes)
+                .field("l2_ways", cfg.l2.ways)
+                .obj("live", |o| level_stats_fields(o, &trace.live_stats));
+        });
+        println!("{doc}");
         return Ok(());
     }
     println!(
@@ -253,7 +256,7 @@ fn cmd_sweep(flags: Args) -> Result<(), CliError> {
             exit(2)
         }
     };
-    let body = render(&result, &trace);
+    let body = render(&result, &trace) + "\n";
     if let Err(e) = cli::write_output(out, body.as_bytes()) {
         eprintln!("cannot write replay artifact to {out}: {e}");
         exit(3)

@@ -14,13 +14,13 @@ use std::path::{Path, PathBuf};
 use std::process::exit;
 
 use sparseweaver::cli::{self, usage_err, Args, CliError, FlagSpec};
+use sparseweaver::core::profile::{config_fingerprint, graph_fingerprint};
 use sparseweaver::core::runtime::CheckpointCtl;
 use sparseweaver::core::{Checkpoint, FrameworkError, Schedule, Session};
 use sparseweaver::fault::FaultSpec;
 use sparseweaver::graph::{io, Csr, DatasetId};
 use sparseweaver::lint::LintLevel;
-use sparseweaver::trace::codec::write_atomic;
-use sparseweaver::trace::{export, CategoryMask, TraceConfig};
+use sparseweaver::trace::{export, json, CategoryMask, TraceConfig};
 
 fn usage() -> ! {
     eprintln!(
@@ -38,7 +38,7 @@ USAGE:
                [--stop-after-launches N]
   swsim resume CKPT [--checkpoint-out FILE] [--checkpoint-every N]
                [--max-wall-secs N] [--stop-after-launches N] [--json]
-  swsim gen    (--dataset ID | --gen SPEC) -o FILE
+  swsim gen    (--dataset ID | --gen SPEC) -o FILE   (`-o -` writes to stdout)
   swsim disasm --algo ALGO --schedule S [--config ...]
   swsim datasets
   swsim --version
@@ -244,14 +244,14 @@ fn trace_setup(
     Ok((Some(cfg), trace_path, metrics_path, trace_out))
 }
 
-/// Writes an artifact to `path`, or to stdout when `path` is `-`. The
-/// confirmation line is suppressed in `--json` mode, skipped for stdout
-/// itself, and routed to stderr when some other artifact is streaming
-/// to stdout (it would corrupt that artifact's document).
+/// Writes a one-line JSON artifact to `path`, or to stdout when `path`
+/// is `-`. The confirmation line is suppressed in `--json` mode, skipped
+/// for stdout itself, and routed to stderr when some other artifact is
+/// streaming to stdout (it would corrupt that artifact's document).
 fn write_artifact(path: &str, body: String, what: &str, json: bool, stdout_is_artifact: bool) {
     // A file is written atomically (temp file + rename): a crash or full
     // disk mid-write never leaves a half-written artifact at its path.
-    cli::write_output(path, body.as_bytes()).unwrap_or_else(|e| {
+    cli::write_output(path, (body + "\n").as_bytes()).unwrap_or_else(|e| {
         eprintln!("cannot write {what} to {path}: {e}");
         exit(1)
     });
@@ -436,7 +436,11 @@ fn cmd_run(argv: Vec<String>, flags: Args, resume: Option<Checkpoint>) -> Result
                 if let Some(path) = &hang_report_path {
                     let hang = e.hang_report().expect("variant carries a report");
                     // A failed run reports on stderr.
-                    write_artifact(path, hang.to_json() + "\n", "hang report", json, true);
+                    let body = hang.to_json(
+                        Some(config_fingerprint(&cfg)),
+                        Some(graph_fingerprint(&graph)),
+                    );
+                    write_artifact(path, body, "hang report", json, true);
                 }
                 exit(4)
             }
@@ -446,24 +450,20 @@ fn cmd_run(argv: Vec<String>, flags: Args, resume: Option<Checkpoint>) -> Result
             }
         };
         if json {
-            summary!(
-                "{}",
-                json_line(&[
-                    ("schedule", format!("{:?}", schedule.paper_name())),
-                    ("algorithm", format!("{:?}", report.algorithm)),
-                    ("cycles", report.cycles.to_string()),
-                    ("instructions", report.stats.instructions.to_string()),
-                    ("launches", report.stats.launches.to_string()),
-                    ("ipc", format!("{:.4}", report.stats.ipc())),
-                    ("dram_accesses", report.stats.mem.dram_accesses.to_string()),
-                    (
-                        "kernel_high_water",
-                        report.occupancy.kernel_high_water.to_string()
-                    ),
-                    ("warps_resident", report.occupancy.resident.to_string()),
-                    ("warps_configured", report.occupancy.configured.to_string()),
-                ])
-            );
+            let record = json::object(|o| {
+                let occ = &report.occupancy;
+                o.field("schedule", schedule.paper_name())
+                    .field("algorithm", &report.algorithm)
+                    .field("cycles", report.cycles)
+                    .field("instructions", report.stats.instructions)
+                    .field("launches", report.stats.launches)
+                    .field("ipc", (report.stats.ipc() * 1e4).round() / 1e4)
+                    .field("dram_accesses", report.stats.mem.dram_accesses)
+                    .field("kernel_high_water", occ.kernel_high_water)
+                    .field("warps_resident", occ.resident)
+                    .field("warps_configured", occ.configured);
+            });
+            summary!("{record}");
         } else {
             let speed = baseline
                 .map(|b: u64| format!("  {:.2}x vs first", b as f64 / report.cycles.max(1) as f64))
@@ -527,7 +527,11 @@ fn cmd_run(argv: Vec<String>, flags: Args, resume: Option<Checkpoint>) -> Result
             if let Some(path) = &metrics_path {
                 write_artifact(
                     path,
-                    export::metrics_json(trace),
+                    export::metrics_json(
+                        trace,
+                        Some(config_fingerprint(&cfg)),
+                        Some(graph_fingerprint(&graph)),
+                    ),
                     "metrics",
                     json,
                     stdout_is_artifact,
@@ -580,20 +584,6 @@ fn cmd_resume(flags: Args) -> Result<(), CliError> {
     cmd_run(ck.argv.clone(), eff, Some(ck))
 }
 
-fn json_line(fields: &[(&str, String)]) -> String {
-    let body: Vec<String> = fields
-        .iter()
-        .map(|(k, v)| {
-            if v.starts_with('"') || v.parse::<f64>().is_ok() {
-                format!("\"{k}\":{v}")
-            } else {
-                format!("\"{k}\":\"{v}\"")
-            }
-        })
-        .collect();
-    format!("{{{}}}", body.join(","))
-}
-
 fn cmd_gen(flags: Args) -> Result<(), CliError> {
     flags.no_positionals()?;
     let Some(out) = flags.get("out") else {
@@ -605,15 +595,21 @@ fn cmd_gen(flags: Args) -> Result<(), CliError> {
         eprintln!("cannot render edge list for {out}: {e}");
         exit(1)
     });
-    write_atomic(Path::new(out), &body).unwrap_or_else(|e| {
+    cli::write_output(out, &body).unwrap_or_else(|e| {
         eprintln!("cannot write edge list to {out}: {e}");
         exit(1)
     });
-    println!(
+    let note = format!(
         "wrote {} vertices, {} edges to {out}",
         graph.num_vertices(),
         graph.num_edges()
     );
+    // With the edge list on stdout, the note must not corrupt it.
+    if cli::is_stdio(out) {
+        eprintln!("{note}");
+    } else {
+        println!("{note}");
+    }
     Ok(())
 }
 

@@ -30,7 +30,7 @@ fn measured_gather_cycles(g: &Csr, cfg: GpuConfig, schedule: Schedule) -> u64 {
     let mut s = Session::new(cfg);
     s.trace = Some(TraceConfig::default());
     let report = s.run(g, &PageRank::new(1), schedule).expect("run");
-    let metrics = export::metrics_json(report.trace.as_ref().expect("trace attached"));
+    let metrics = export::metrics_json(report.trace.as_ref().expect("trace attached"), None, None);
     let v = json::parse(&metrics).expect("metrics.json parses");
     v.get("totals")
         .and_then(|t| t.get("phase_cycles"))

@@ -27,7 +27,7 @@ fn assert_round_trip(algo: &dyn Algorithm, tag: &str, schedule: Schedule, fast_f
     let golden = s
         .run(&g, algo, schedule)
         .unwrap_or_else(|e| panic!("golden {tag}: {e}"));
-    let golden_metrics = export::metrics_json(golden.trace.as_ref().unwrap());
+    let golden_metrics = export::metrics_json(golden.trace.as_ref().unwrap(), None, None);
     let launches = golden.per_kernel.len() as u64;
 
     let path = std::env::temp_dir().join(format!(
@@ -62,7 +62,7 @@ fn assert_round_trip(algo: &dyn Algorithm, tag: &str, schedule: Schedule, fast_f
         golden.output.approx_eq(&resumed.output, 0.0),
         "{tag}: output drifted"
     );
-    let resumed_metrics = export::metrics_json(resumed.trace.as_ref().unwrap());
+    let resumed_metrics = export::metrics_json(resumed.trace.as_ref().unwrap(), None, None);
     assert_eq!(
         golden_metrics, resumed_metrics,
         "{tag}: metrics bytes differ"

@@ -578,7 +578,7 @@ fn weaver_drop_without_fallback_exits_4_and_writes_hang_report() {
         String::from_utf8_lossy(&out.stderr)
     );
     let body = std::fs::read_to_string(&report).unwrap();
-    assert!(body.contains("\"schema\":\"sparseweaver-hang-report-v1\""));
+    assert!(body.contains("\"schema\":\"sparseweaver-hang-report\",\"version\":2,"));
     assert!(body.contains("\"warps\""));
     assert!(body.contains("\"weaver_fsm_state\""));
     let _ = std::fs::remove_file(&report);
@@ -640,7 +640,7 @@ fn swfault_campaign_is_deterministic_and_classified() {
     let a = run();
     let b = run();
     assert_eq!(a, b, "same seed must give a byte-identical summary");
-    assert!(a.contains("\"schema\":\"sparseweaver-fault-campaign-v1\""));
+    assert!(a.contains("\"schema\":\"sparseweaver-fault-campaign\",\"version\":2,"));
     assert!(a.contains("\"runs\":5"));
 }
 
@@ -739,7 +739,7 @@ fn trace_flags_write_both_output_files() {
     let trace_body = std::fs::read_to_string(&trace).unwrap();
     assert!(trace_body.contains("\"traceEvents\""));
     let metrics_body = std::fs::read_to_string(&metrics).unwrap();
-    assert!(metrics_body.contains("\"schema\":\"sparseweaver-metrics-v1\""));
+    assert!(metrics_body.contains("\"schema\":\"sparseweaver-metrics\",\"version\":2,"));
     let _ = std::fs::remove_file(&trace);
     let _ = std::fs::remove_file(&metrics);
 }
@@ -777,8 +777,11 @@ fn dash_paths_write_artifacts_to_stdout() {
     let text = String::from_utf8_lossy(&out.stdout);
     let doc = sparseweaver::trace::json::parse(&text).expect("stdout is pure JSON");
     assert_eq!(
-        doc.get("schema").and_then(|s| s.as_str()),
-        Some("sparseweaver-metrics-v1")
+        (
+            doc.get("schema").and_then(|s| s.as_str()),
+            doc.get("version").and_then(|v| v.as_num())
+        ),
+        (Some("sparseweaver-metrics"), Some(2.0))
     );
     assert!(
         String::from_utf8_lossy(&out.stderr).contains("\"schedule\""),
@@ -799,8 +802,11 @@ fn dash_paths_write_artifacts_to_stdout() {
     let text = String::from_utf8_lossy(&out.stdout);
     let doc = sparseweaver::trace::json::parse(&text).expect("stdout is pure JSON");
     assert_eq!(
-        doc.get("schema").and_then(|s| s.as_str()),
-        Some("sparseweaver-profile-v1")
+        (
+            doc.get("schema").and_then(|s| s.as_str()),
+            doc.get("version").and_then(|v| v.as_num())
+        ),
+        (Some("sparseweaver-profile"), Some(2.0))
     );
     // --trace-out - streams JSONL events to stdout.
     let out = swsim()
@@ -842,7 +848,7 @@ fn dash_paths_write_artifacts_to_stdout() {
         .expect("spawn");
     assert_eq!(out.status.code(), Some(4));
     let text = String::from_utf8_lossy(&out.stdout);
-    assert!(text.contains("\"schema\":\"sparseweaver-hang-report-v1\""));
+    assert!(text.contains("\"schema\":\"sparseweaver-hang-report\",\"version\":2,"));
     // In no case did a file literally named `-` appear.
     assert!(!dir.join("-").exists(), "a file named `-` was created");
     let _ = std::fs::remove_dir_all(&dir);
@@ -962,6 +968,129 @@ fn profile_artifact_round_trips_through_swprof() {
     std::fs::write(&bogus, "{\"schema\":\"something-else\"}\n").unwrap();
     let out = swprof().arg("report").arg(&bogus).output().expect("spawn");
     assert_eq!(out.status.code(), Some(1));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Every enveloped artifact kind diffs against itself with exit 0, and
+/// two artifacts of different kinds are refused with exit 1, naming both.
+#[test]
+fn swprof_diffs_every_artifact_kind_and_refuses_mixed_kinds() {
+    let dir = std::env::temp_dir().join("swprof_cli_kinds_test");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let run = |cmd: &mut Command| {
+        let out = cmd.current_dir(&dir).output().expect("spawn");
+        (
+            out.status.code(),
+            String::from_utf8_lossy(&out.stderr).to_string(),
+        )
+    };
+    let base = [
+        "run",
+        "--gen",
+        "uniform:24:72:7",
+        "--algo",
+        "bfs",
+        "--schedule",
+        "sw",
+        "--config",
+        "small",
+    ];
+    let (code, err) = run(swsim().args(base).args([
+        "--profile-out",
+        "profile.json",
+        "--metrics-out",
+        "metrics.json",
+        "--mem-trace-out",
+        "capture.swmtrace",
+    ]));
+    assert_eq!(code, Some(0), "{err}");
+    let (code, err) = run(Command::new(env!("CARGO_BIN_EXE_swreplay")).args([
+        "sweep",
+        "--trace",
+        "capture.swmtrace",
+        "--l1-sizes",
+        "1024,4096",
+        "--ways",
+        "2",
+        "--out",
+        "replay.json",
+    ]));
+    assert_eq!(code, Some(0), "{err}");
+    let (code, err) = run(swsim().args(base).args([
+        "--inject",
+        "weaver-drop=1.0",
+        "--seed",
+        "5",
+        "--fallback",
+        "off",
+        "--hang-report",
+        "hang.json",
+    ]));
+    assert_eq!(code, Some(4), "{err}");
+    let (code, err) = run(swfault().args([
+        "--inject",
+        "reg=0.002",
+        "--runs",
+        "3",
+        "--seed",
+        "9",
+        "--out",
+        "campaign.json",
+    ]));
+    assert_eq!(code, Some(0), "{err}");
+
+    for kind in ["profile", "replay", "metrics", "campaign", "hang"] {
+        let file = format!("{kind}.json");
+        let (code, err) = run(swprof().args(["diff", &file, &file, "--tolerance", "0"]));
+        assert_eq!(code, Some(0), "{kind} self-diff: {err}");
+        assert!(!err.contains("warning"), "{kind} self-diff warned: {err}");
+    }
+    let (code, err) = run(swprof().args(["diff", "profile.json", "replay.json"]));
+    assert_eq!(code, Some(1), "{err}");
+    assert!(
+        err.contains("sparseweaver-profile v2") && err.contains("sparseweaver-replay v2"),
+        "{err}"
+    );
+
+    // The analyzer stream opens with the same envelope.
+    let out = swlint()
+        .args(["--analyze", "--json", "--algo", "bfs", "--schedule", "sw"])
+        .output()
+        .expect("spawn");
+    let text = String::from_utf8_lossy(&out.stdout);
+    let first = sparseweaver::trace::json::parse(text.lines().next().expect("a line")).unwrap();
+    let envelope = sparseweaver::trace::json::Envelope::read(&first).expect("envelope line");
+    assert_eq!(
+        (envelope.schema.as_str(), envelope.version),
+        ("sparseweaver-analyze", 2)
+    );
+    assert_eq!(envelope.tool, sparseweaver::VERSION);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `swsim gen -o -` writes the edge list to stdout, like every other
+/// output flag, and its confirmation to stderr.
+#[test]
+fn gen_dash_out_writes_the_edge_list_to_stdout() {
+    let dir = std::env::temp_dir().join("swsim_cli_gen_dash_test");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let out = swsim()
+        .args(["gen", "--gen", "uniform:10:20:1", "-o", "-"])
+        .current_dir(&dir)
+        .output()
+        .expect("spawn");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let text = String::from_utf8_lossy(&out.stdout);
+    let g = sparseweaver::graph::io::parse_edge_list(&text).expect("stdout is the edge list");
+    assert_eq!(g.num_vertices(), 10);
+    assert!(String::from_utf8_lossy(&out.stderr).contains("wrote 10 vertices"));
+    assert!(!dir.join("-").exists(), "a file named `-` was created");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

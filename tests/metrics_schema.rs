@@ -1,17 +1,16 @@
 //! Golden key-set snapshot of the `metrics.json` schema
-//! (`sparseweaver-metrics-v1`).
+//! (`sparseweaver-metrics`, version 2).
 //!
 //! Downstream consumers address this document by key path:
 //! `tests/analytic_validation.rs` reads `totals.phase_cycles."Gather &
 //! Sum"`, and the `scripts/check_*.sh` CI gates `jq` their way through
 //! `totals` and `samples`. Removing or renaming a key breaks them
 //! silently — this test pins the complete key set so any schema change
-//! has to be made consciously, here, together with a version-string
-//! review.
+//! has to be made consciously, here, together with a version review.
 //!
 //! Adding a key is a schema *extension*: extend [`GOLDEN_KEYS`] in the
 //! same change. Removing or renaming one is a schema *break*: bump
-//! `sparseweaver-metrics-v1` and update every consumer listed above.
+//! `METRICS_SCHEMA.version` and update every consumer listed above.
 
 use std::collections::BTreeSet;
 
@@ -22,10 +21,13 @@ use sparseweaver::sim::GpuConfig;
 use sparseweaver::trace::json::{self, Value};
 use sparseweaver::trace::{export, TraceConfig};
 
-/// Every key path the v1 metrics document guarantees. Array elements are
-/// addressed as `[]` (all elements share one shape).
+/// Every key path the version-2 metrics document guarantees, envelope
+/// included. Array elements are addressed as `[]` (all elements share one
+/// shape).
 const GOLDEN_KEYS: &[&str] = &[
+    "config_fingerprint",
     "dropped_events",
+    "input_fingerprint",
     "kernels",
     "kernels[].cycles",
     "kernels[].name",
@@ -35,8 +37,10 @@ const GOLDEN_KEYS: &[&str] = &[
     "samples[].counters",
     "samples[].cycle",
     "schema",
+    "tool",
     "total_cycles",
     "totals",
+    "version",
 ];
 
 /// Key paths guaranteed inside every counter snapshot (`totals` and each
@@ -122,7 +126,7 @@ fn metrics_document() -> Value {
         .run(&g, &PageRank::new(2), Schedule::SparseWeaver)
         .expect("run");
     let trace = r.trace.expect("trace collected");
-    json::parse(&export::metrics_json(&trace)).expect("metrics.json parses")
+    json::parse(&export::metrics_json(&trace, Some(1), Some(2))).expect("metrics.json parses")
 }
 
 #[test]
@@ -172,11 +176,13 @@ fn metrics_json_key_set_matches_the_golden_snapshot() {
 #[test]
 fn metrics_json_schema_version_is_pinned() {
     let doc = metrics_document();
+    let envelope = json::Envelope::read(&doc).expect("metrics.json opens with an envelope");
     assert_eq!(
-        doc.get("schema").and_then(Value::as_str),
-        Some("sparseweaver-metrics-v1"),
+        (envelope.schema.as_str(), envelope.version),
+        ("sparseweaver-metrics", 2),
         "schema version changed — update every consumer, then this pin"
     );
+    assert_eq!((envelope.config, envelope.input), (Some(1), Some(2)));
     // The exact lookups downstream consumers perform today.
     let gather = doc
         .get("totals")

@@ -142,5 +142,5 @@ fn sweep_artifact_is_byte_identical_across_jobs() {
     let serial = run(1);
     let parallel = run(8);
     assert_eq!(serial, parallel, "replay.json must be jobs-invariant");
-    assert_eq!(serial.matches("\"label\"").count(), 16, "16 grid points");
+    assert_eq!(serial.matches("\"name\"").count(), 16, "16 grid points");
 }

@@ -69,12 +69,13 @@ fn metrics_document_matches_the_run() {
     let report = s.run(&g, &Bfs::new(0), Schedule::SparseWeaver).unwrap();
     let stats = report.stats.clone();
     let trace = report.trace.expect("trace collected");
-    let body = export::metrics_json(&trace);
+    let body = export::metrics_json(&trace, None, None);
 
     let doc = json::parse(&body).expect("valid JSON");
+    let envelope = json::Envelope::read(&doc).expect("envelope");
     assert_eq!(
-        doc.get("schema").and_then(|v| v.as_str()),
-        Some("sparseweaver-metrics-v1")
+        (envelope.schema.as_str(), envelope.version),
+        ("sparseweaver-metrics", 2)
     );
     assert_eq!(
         doc.get("total_cycles").and_then(|v| v.as_num()),

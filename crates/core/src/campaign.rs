@@ -31,6 +31,7 @@ use sparseweaver_trace::ProfileReport;
 
 use crate::algorithms::Algorithm;
 use crate::checkpoint::CheckpointError;
+use crate::compiler::KernelCache;
 use crate::schedule::Schedule;
 use crate::session::Session;
 use crate::FrameworkError;
@@ -171,7 +172,9 @@ struct RunOutput {
 /// `Gpu` and fault injector) from a seed derived purely from
 /// `(campaign seed, run index)`, and results are collected and folded in
 /// run-index order — so the summary, the per-run list, and the rendered
-/// JSON are byte-identical for every `jobs` value.
+/// JSON are byte-identical for every `jobs` value. Every run's session
+/// compiles into the golden run's kernel cache, so a campaign
+/// compiles each kernel once, the `S_wm` fallback kernels included.
 ///
 /// # Errors
 ///
@@ -216,6 +219,27 @@ pub fn run_campaign_with(
     schedule: Schedule,
     campaign: &CampaignConfig,
     ctl: &CampaignCtl,
+) -> Result<CampaignResult, FrameworkError> {
+    run_campaign_in(
+        cfg,
+        graph,
+        algorithm,
+        schedule,
+        campaign,
+        ctl,
+        &KernelCache::default(),
+    )
+}
+
+/// [`run_campaign_with`], compiling every run's kernels into `kernels`.
+fn run_campaign_in(
+    cfg: &GpuConfig,
+    graph: &Csr,
+    algorithm: &dyn Algorithm,
+    schedule: Schedule,
+    campaign: &CampaignConfig,
+    ctl: &CampaignCtl,
+    kernels: &KernelCache,
 ) -> Result<CampaignResult, FrameworkError> {
     if ctl.journal.is_some() && campaign.profile {
         // Per-run profiles are not journaled, so a resumed merge would
@@ -275,7 +299,9 @@ pub fn run_campaign_with(
     }
     // After the journal is vetted: a journal refused on resume costs no
     // simulation.
-    let golden = Session::new(*cfg).run(graph, algorithm, schedule)?.output;
+    let mut golden = Session::new(*cfg);
+    golden.set_kernel_cache(kernels.clone());
+    let golden = golden.run(graph, algorithm, schedule)?.output;
 
     let run_one = |index: u32| -> RunOutput {
         let seed = SplitMix64::child_seed(campaign.seed, index as u64);
@@ -293,6 +319,7 @@ pub fn run_campaign_with(
             };
         }
         let mut session = Session::new(*cfg);
+        session.set_kernel_cache(kernels.clone());
         session.inject = Some(campaign.spec);
         session.inject_seed = seed;
         session.max_weaver_retries = campaign.max_weaver_retries;
@@ -555,7 +582,7 @@ fn load_journal(
             }
             .into()
         };
-        let parsed = json::parse(line).map_err(corrupt)?;
+        let parsed = json::parse(line).map_err(|e| corrupt(e.to_string()))?;
         let num = |key: &str| parsed.get(key).and_then(Value::as_num);
         let text = |key: &str| parsed.get(key).and_then(Value::as_str);
         let index = num("index").ok_or_else(|| corrupt("missing run index".into()))? as u32;
@@ -597,6 +624,8 @@ fn load_journal(
 
 #[cfg(test)]
 mod tests {
+    use std::collections::HashSet;
+
     use super::*;
     use crate::algorithms::Bfs;
     use sparseweaver_graph::generators;
@@ -641,6 +670,41 @@ mod tests {
         assert!(r.summary.retries >= 2);
         assert!(r.summary.faults_injected > 0);
         assert_eq!(r.panics, 0);
+    }
+
+    /// Runs with and without fallbacks, on two workers, compile into the
+    /// golden run's cache: it ends up holding each kernel of the `S_sw`
+    /// and the `S_wm` schedule exactly once.
+    #[test]
+    fn a_campaign_compiles_each_kernel_once() {
+        let g = generators::uniform(24, 72, 7);
+        let cfg = GpuConfig::small_test();
+        let mut campaign = CampaignConfig::new(FaultSpec::parse("weaver-drop=0.02").unwrap(), 3, 6);
+        campaign.jobs = 2;
+        let kernels = KernelCache::default();
+        let ctl = CampaignCtl::default();
+        let sw = Schedule::SparseWeaver;
+        let r = run_campaign_in(&cfg, &g, &Bfs::new(0), sw, &campaign, &ctl, &kernels).unwrap();
+        assert!(
+            r.summary.fallbacks > 0 && r.summary.fallbacks < 6,
+            "{:?}",
+            r.summary
+        );
+
+        // Every distinct kernel: those a fault-free run of each schedule
+        // compiles, each into a cache of its own.
+        let mut expected = HashSet::new();
+        for schedule in [sw, Schedule::Swm] {
+            let mut s = Session::new(cfg);
+            s.run(&g, &Bfs::new(0), schedule).unwrap();
+            expected.extend(s.kernel_cache().sources());
+        }
+        let sources = kernels.sources();
+        assert_eq!(sources.len(), expected.len(), "one entry per kernel");
+        assert_eq!(sources.into_iter().collect::<HashSet<_>>(), expected);
+        // A second campaign on the same cache compiles nothing more.
+        run_campaign_in(&cfg, &g, &Bfs::new(0), sw, &campaign, &ctl, &kernels).unwrap();
+        assert_eq!(kernels.len(), expected.len());
     }
 
     #[test]

@@ -19,6 +19,7 @@ pub use vertex::build_vertex_kernel;
 pub use virtualize::VirtualizedOps;
 
 use std::collections::HashMap;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use sparseweaver_isa::{Asm, CsrKind, Program, Reg, Width};
 use sparseweaver_lint::{AnalyzeGeom, LintLevel};
@@ -28,6 +29,54 @@ use crate::runtime::args;
 use crate::schedule::Schedule;
 use crate::FrameworkError;
 
+/// The pipeline settings a compiled kernel depends on besides its source.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+struct Settings {
+    level: LintLevel,
+    regalloc: bool,
+    analyze: Option<AnalyzeGeom>,
+}
+
+/// Compiled kernels, keyed by everything that decides the output: the
+/// source instruction stream (its name included) and the pipeline
+/// settings. A key names exactly one compiled kernel, so one cache can
+/// serve every compiler, whatever its settings or machine geometry.
+///
+/// Clones share one map: a [`crate::Session`] hands its cache to every
+/// run's compiler, and a fault campaign hands the golden run's cache to
+/// every injected run and worker thread, so each kernel compiles once.
+/// Only kernels that pass the pipeline are cached; a rejected kernel is
+/// rejected again on every attempt.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct KernelCache(Arc<Mutex<Kernels>>);
+
+/// Source stream → stream to launch, per pipeline settings.
+type Kernels = HashMap<Settings, HashMap<Program, Program>>;
+
+impl KernelCache {
+    /// Number of compiled kernels held.
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
+        self.lock().values().map(HashMap::len).sum()
+    }
+
+    /// The source streams of every compiled kernel.
+    #[cfg(test)]
+    pub(crate) fn sources(&self) -> Vec<Program> {
+        self.lock()
+            .values()
+            .flat_map(|m| m.keys().cloned())
+            .collect()
+    }
+
+    /// The map. A panic while compiling (caught per run by a fault
+    /// campaign) poisons the lock but never leaves a half-made entry, so
+    /// the map is still sound.
+    fn lock(&self) -> MutexGuard<'_, Kernels> {
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
 /// The compilation pipeline's verification and optimization stage.
 ///
 /// Every kernel the runtime launches passes through this hook first —
@@ -36,23 +85,22 @@ use crate::FrameworkError;
 /// [`sparseweaver_lint`] verifier is rejected with
 /// [`FrameworkError::Lint`]; under [`LintLevel::Warn`] findings are
 /// printed to stderr but the launch proceeds; [`LintLevel::Off`] skips
-/// the pass entirely. Results are cached by kernel name, so iterative
-/// algorithms re-launching the same kernel pay the pipeline once.
+/// the pass entirely. Results live in a `KernelCache` keyed by the
+/// source stream and these settings, so a kernel pays the pipeline once
+/// per cache: once per session, and once per fault campaign. Warnings
+/// print on that one compile.
 ///
 /// When register allocation is enabled, [`Compiler::process`] additionally
 /// runs the [`regalloc`] pass over each verified kernel and re-lints the
 /// rewritten stream before handing it to the simulator, so a miscompile
 /// in the allocator is rejected rather than silently executed.
 ///
-/// Every setting is fixed at construction: a session builds one compiler
-/// per machine geometry, and a different setting means a new compiler.
+/// Every setting is fixed at construction; a different setting means a
+/// new compiler, which may share the same cache.
 #[derive(Debug)]
 pub struct Compiler {
-    level: LintLevel,
-    regalloc: bool,
-    analyze: Option<AnalyzeGeom>,
-    /// Kernel name → (the stream it was compiled from, the stream to launch).
-    processed: HashMap<String, (Program, Program)>,
+    settings: Settings,
+    cache: KernelCache,
 }
 
 impl Default for Compiler {
@@ -64,17 +112,31 @@ impl Default for Compiler {
 
 impl Compiler {
     /// Creates a pipeline enforcing `level`, with the register-allocation
-    /// pass on or off per `regalloc`. `analyze` enables the opt-in
-    /// abstract-interpretation gate against that launch geometry, run
-    /// alongside the structural lints: under [`LintLevel::Deny`] a kernel
-    /// with a *proved* violation (SW-L501) is rejected; warnings and
-    /// advisories are printed under [`LintLevel::Warn`].
+    /// pass on or off per `regalloc`, and a cache of its own. `analyze`
+    /// enables the opt-in abstract-interpretation gate against that launch
+    /// geometry, run alongside the structural lints: under
+    /// [`LintLevel::Deny`] a kernel with a *proved* violation (SW-L501) is
+    /// rejected; warnings and advisories are printed under
+    /// [`LintLevel::Warn`].
     pub fn new(level: LintLevel, regalloc: bool, analyze: Option<AnalyzeGeom>) -> Self {
+        Compiler::with_cache(level, regalloc, analyze, KernelCache::default())
+    }
+
+    /// [`Compiler::new`], compiling into (and reusing kernels from)
+    /// `cache`.
+    pub(crate) fn with_cache(
+        level: LintLevel,
+        regalloc: bool,
+        analyze: Option<AnalyzeGeom>,
+        cache: KernelCache,
+    ) -> Self {
         Compiler {
-            level,
-            regalloc,
-            analyze,
-            processed: HashMap::new(),
+            settings: Settings {
+                level,
+                regalloc,
+                analyze,
+            },
+            cache,
         }
     }
 
@@ -87,16 +149,17 @@ impl Compiler {
     /// the program has error-severity findings (structural, or a proved
     /// SW-L501 bounds violation from the analyzer).
     fn check(&self, program: &Program) -> Result<(), FrameworkError> {
-        if self.level == LintLevel::Off {
+        let level = self.settings.level;
+        if level == LintLevel::Off {
             return Ok(());
         }
         let mut report = sparseweaver_lint::lint(program);
-        if let Some(geom) = self.analyze {
+        if let Some(geom) = self.settings.analyze {
             report
                 .diagnostics
                 .extend(sparseweaver_lint::analyze(program, &geom).diagnostics);
         }
-        match self.level {
+        match level {
             LintLevel::Off => {}
             LintLevel::Warn => {
                 if !report.diagnostics.is_empty() {
@@ -118,9 +181,10 @@ impl Compiler {
 
     /// Runs the full pipeline over `program`: verification (the structural
     /// lints, plus the analyzer gate when enabled) followed by register
-    /// allocation, returning the kernel the runtime should launch. Results
-    /// are cached by kernel name: a kernel name stands for one stream per
-    /// compiler, which debug builds assert on every cache hit.
+    /// allocation, returning the kernel the runtime should launch. A
+    /// stream this cache already compiled at these settings is returned
+    /// from the cache. The cache stays locked while a kernel compiles, so
+    /// threads sharing it never compile one kernel twice.
     ///
     /// The rewritten stream is re-linted before being accepted: under
     /// [`LintLevel::Deny`] an allocator output with error-severity
@@ -133,43 +197,43 @@ impl Compiler {
     /// Returns [`FrameworkError::Lint`] when the input fails verification,
     /// or when the rewritten stream fails the re-lint under
     /// [`LintLevel::Deny`].
-    pub fn process(&mut self, program: &Program) -> Result<Program, FrameworkError> {
-        if let Some((source, done)) = self.processed.get(program.name()) {
-            debug_assert!(
-                source == program,
-                "kernel `{}` was compiled from a different instruction stream",
-                program.name()
-            );
+    pub fn process(&self, program: &Program) -> Result<Program, FrameworkError> {
+        let mut cache = self.cache.lock();
+        if let Some(done) = cache.get(&self.settings).and_then(|m| m.get(program)) {
             return Ok(done.clone());
         }
-        self.check(program)?;
-        let out = if self.regalloc {
-            let result = regalloc::allocate(program);
-            if !result.applied {
-                program.clone()
-            } else {
-                let report = sparseweaver_lint::lint(&result.program);
-                if report.is_clean() {
-                    result.program
-                } else if self.level == LintLevel::Deny {
-                    return Err(FrameworkError::Lint {
-                        kernel: program.name().to_string(),
-                        errors: report.error_count(),
-                        details: format!("after register allocation:\n{}", report.to_text()),
-                    });
-                } else {
-                    // Warn/Off: the original stream already passed (or
-                    // skipped) the gate; never launch a rewrite that
-                    // regressed it.
-                    program.clone()
-                }
-            }
-        } else {
-            program.clone()
-        };
-        self.processed
-            .insert(program.name().to_string(), (program.clone(), out.clone()));
+        let out = self.compile(program)?;
+        cache
+            .entry(self.settings)
+            .or_default()
+            .insert(program.clone(), out.clone());
         Ok(out)
+    }
+
+    /// The pipeline behind [`Compiler::process`], uncached.
+    fn compile(&self, program: &Program) -> Result<Program, FrameworkError> {
+        self.check(program)?;
+        if !self.settings.regalloc {
+            return Ok(program.clone());
+        }
+        let result = regalloc::allocate(program);
+        if !result.applied {
+            return Ok(program.clone());
+        }
+        let report = sparseweaver_lint::lint(&result.program);
+        if report.is_clean() {
+            Ok(result.program)
+        } else if self.settings.level == LintLevel::Deny {
+            Err(FrameworkError::Lint {
+                kernel: program.name().to_string(),
+                errors: report.error_count(),
+                details: format!("after register allocation:\n{}", report.to_text()),
+            })
+        } else {
+            // Warn/Off: the original stream already passed (or skipped)
+            // the gate; never launch a rewrite that regressed it.
+            Ok(program.clone())
+        }
     }
 }
 

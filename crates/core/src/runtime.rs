@@ -229,8 +229,9 @@ impl<'a> Runtime<'a> {
     /// of the run's cost.
     ///
     /// With an injector whose spec can drop Weaver responses, every launch
-    /// snapshots device memory first, so a [`SimError::WeaverTimeout`] can
-    /// be retried from a clean functional state (see
+    /// logs the device-memory bytes it overwrites, so after a
+    /// [`SimError::WeaverTimeout`] memory is rolled back and the launch
+    /// retried from its starting state (see
     /// [`Runtime::set_max_weaver_retries`]).
     pub fn attach_hooks(&mut self, hooks: Hooks) {
         self.gpu.attach_hooks(hooks);
@@ -613,11 +614,11 @@ impl<'a> Runtime<'a> {
     /// Launches `program` with the common arguments plus `extra` (starting
     /// at [`args::ALGO0`]), recording stats under the program's name.
     ///
-    /// Before the first launch of each kernel name, the program passes
-    /// through the compiler pipeline (see [`Runtime::set_compiler`]): the
-    /// static verifier at the compiler's lint level, then (when enabled)
-    /// register allocation with a re-lint of the rewritten stream. The
-    /// rewritten kernel is what actually executes.
+    /// The program passes through the compiler pipeline (see
+    /// [`Runtime::set_compiler`]) unless the compiler's cache already
+    /// holds it: the static verifier at the compiler's lint level, then
+    /// (when enabled) register allocation with a re-lint of the rewritten
+    /// stream. The rewritten kernel is what actually executes.
     ///
     /// # Errors
     ///
@@ -634,28 +635,27 @@ impl<'a> Runtime<'a> {
         let program = self.compiler.process(program)?;
         let mut argv = self.common_args();
         argv.extend_from_slice(extra);
-        // With an injector that can drop Weaver responses, keep a
-        // functional-memory snapshot so the launch can be retried from
-        // clean state after a timeout.
-        let snapshot = self
+        // With an injector that can drop Weaver responses, log what the
+        // launch overwrites so a timed-out attempt can be rolled back and
+        // retried from the launch's starting state.
+        let retry = self
             .gpu
             .hooks()
             .fault
             .as_ref()
-            .filter(|f| f.spec().weaver_drop_rate > 0.0)
-            .map(|_| self.gpu.mem().clone());
+            .is_some_and(|f| f.spec().weaver_drop_rate > 0.0);
+        if retry {
+            self.gpu.mem_mut().arm_undo();
+        }
         let mut attempt: u32 = 0;
-        let stats = loop {
+        let result = loop {
             match self.gpu.launch(&program, &argv) {
-                Ok(stats) => break stats,
                 Err(SimError::WeaverTimeout { kernel, .. })
-                    if snapshot.is_some() && attempt < self.max_weaver_retries =>
+                    if retry && attempt < self.max_weaver_retries =>
                 {
                     attempt += 1;
                     self.weaver_retries += 1;
-                    if let Some(m) = &snapshot {
-                        *self.gpu.mem_mut() = m.clone();
-                    }
+                    self.gpu.mem_mut().roll_back();
                     self.with_hooks(|hooks| {
                         if let Some(f) = &mut hooks.fault {
                             f.clear_weaver_faulty();
@@ -669,9 +669,11 @@ impl<'a> Runtime<'a> {
                         }
                     });
                 }
-                Err(e) => return Err(e.into()),
+                other => break other,
             }
         };
+        self.gpu.mem_mut().disarm_undo();
+        let stats = result?;
         self.total.accumulate(&stats);
         if let Some((_, agg)) = self
             .per_kernel

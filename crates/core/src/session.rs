@@ -13,7 +13,7 @@ use sparseweaver_trace::{
 
 use crate::algorithms::Algorithm;
 use crate::checkpoint::{Checkpoint, CheckpointError};
-use crate::compiler::Compiler;
+use crate::compiler::{Compiler, KernelCache};
 use crate::output::AlgoOutput;
 use crate::runtime::{CheckpointCtl, Runtime};
 use crate::schedule::Schedule;
@@ -159,6 +159,13 @@ pub struct Session {
     /// Injection counters of the most recent [`Session::run`], kept even
     /// when the run errored (the [`RunReport`] is lost on that path).
     last_faults: Option<FaultCounts>,
+    /// Every kernel this session's runs compiled. A run compiles only
+    /// what is missing, so repeated runs (and the `S_wm` fallback re-run)
+    /// reuse every kernel. Clones of the session share the cache, and so
+    /// does every session given it by [`Session::set_kernel_cache`]: the
+    /// cache is keyed by instruction stream and compiler settings, so any
+    /// mix of settings, machines and algorithms may share one.
+    kernels: KernelCache,
 }
 
 impl Session {
@@ -182,7 +189,20 @@ impl Session {
             mem_trace_out: None,
             checkpoint: None,
             last_faults: None,
+            kernels: KernelCache::default(),
         }
+    }
+
+    /// Compiles this session's runs into `cache` from now on, e.g. the
+    /// cache of another session whose runs built the same kernels.
+    pub(crate) fn set_kernel_cache(&mut self, cache: KernelCache) {
+        self.kernels = cache;
+    }
+
+    /// The kernels this session's runs compiled.
+    #[cfg(test)]
+    pub(crate) fn kernel_cache(&self) -> &KernelCache {
+        &self.kernels
     }
 
     /// Injection counters of the most recent [`Session::run`] (also
@@ -241,7 +261,13 @@ impl Session {
     /// session's lint level and register-allocation setting, plus the
     /// analyzer gate at `cfg`'s geometry when [`Session::analyze`] is set.
     fn compiler_for(&self, cfg: &GpuConfig) -> Compiler {
-        Compiler::new(self.lint, self.regalloc, self.analyze.then(|| geom_of(cfg)))
+        self.compiler(self.analyze.then(|| geom_of(cfg)))
+    }
+
+    /// This session's compiler with the analyzer gate at `analyze`,
+    /// compiling into the session's kernel cache.
+    fn compiler(&self, analyze: Option<AnalyzeGeom>) -> Compiler {
+        Compiler::with_cache(self.lint, self.regalloc, analyze, self.kernels.clone())
     }
 
     /// Runs the abstract-interpretation analyzer over every kernel
@@ -255,7 +281,7 @@ impl Session {
         algorithm: &dyn Algorithm,
         schedule: Schedule,
     ) -> Result<Vec<sparseweaver_lint::LintReport>, FrameworkError> {
-        let (eff, _, _) = self.clamped_config(algorithm, schedule)?;
+        let (eff, _) = self.clamped_config(algorithm, schedule)?;
         let geom = geom_of(&eff);
         Ok(algorithm
             .kernels(schedule, &eff)
@@ -269,9 +295,8 @@ impl Session {
     /// The effective configuration for running `algorithm` under
     /// `schedule`, with `warps_per_core` pre-clamped to the register-file
     /// occupancy cap of the algorithm's hungriest (post-allocation)
-    /// kernel. Returns the clamped config, the originally configured
-    /// warp count, and the run's compiler, which already holds every
-    /// listed kernel compiled for the clamped config.
+    /// kernel, and the originally configured warp count. Every listed
+    /// kernel of the clamped config is then in the session's kernel cache.
     ///
     /// The clamp happens *before* the machine is built because the
     /// schedule templates bake thread geometry into kernels at code
@@ -279,26 +304,28 @@ impl Session {
     /// physical warps, and the geometry CSRs must all describe the same
     /// machine. Warp counts stay a power of two (the `S_cm` core-wide
     /// scan requires it), and kernel generation re-runs after each shrink
-    /// until the cap stops binding.
+    /// until the cap stops binding. A regenerated kernel is a different
+    /// stream, so the cache never hands back one built for another
+    /// geometry.
     fn clamped_config(
         &self,
         algorithm: &dyn Algorithm,
         schedule: Schedule,
-    ) -> Result<(GpuConfig, usize, Compiler), FrameworkError> {
+    ) -> Result<(GpuConfig, usize), FrameworkError> {
         let mut eff = self.config_for(schedule);
         let configured = eff.warps_per_core;
-        let compiler = loop {
-            // Fresh compiler per iteration: kernels regenerate under the
-            // shrunken geometry and must not hit a stale per-name cache.
-            // The analyzer gates (and prints for) only the geometry that
-            // executes, which is known only once the loop ends, so the
-            // iterations compile without it.
-            let mut compiler = Compiler::new(self.lint, self.regalloc, None);
+        // The analyzer gates (and prints for) only the geometry that
+        // executes, which is known only once the loop ends, so the clamp
+        // compiles without it; with the analyzer on, the executing
+        // geometry's kernels compile once more, at launch, through the
+        // gate.
+        let compiler = self.compiler(None);
+        loop {
             let kernels = algorithm.kernels(schedule, &eff);
             if kernels.is_empty() {
                 // Custom-runtime algorithm: nothing to pre-compile, the
                 // launch-time cap inside the GPU still applies.
-                break compiler;
+                break;
             }
             let mut max_hw = 0;
             for k in &kernels {
@@ -306,22 +333,15 @@ impl Session {
             }
             let cap = eff.occupancy_cap(max_hw);
             if cap >= eff.warps_per_core {
-                break compiler;
+                break;
             }
             let shrunk = prev_power_of_two(cap);
             if shrunk == eff.warps_per_core {
-                break compiler;
+                break;
             }
             eff.warps_per_core = shrunk;
-        };
-        // With the analyzer on, the executing geometry's kernels compile
-        // once more, at launch, through the gate.
-        let compiler = if self.analyze {
-            self.compiler_for(&eff)
-        } else {
-            compiler
-        };
-        Ok((eff, configured, compiler))
+        }
+        Ok((eff, configured))
     }
 
     /// Runs `algorithm` on `graph` under `schedule`.
@@ -329,10 +349,10 @@ impl Session {
     /// With [`Session::inject`] set, the run executes on a faulty machine:
     /// a deterministic injector seeded with [`Session::inject_seed`] is
     /// attached to the GPU. A launch whose Weaver response is dropped is
-    /// retried up to [`Session::max_weaver_retries`] times from a
-    /// restored memory snapshot; when retries are exhausted the Weaver
-    /// unit is considered faulty and the whole run degrades to the
-    /// software `S_wm` schedule (graceful degradation —
+    /// retried up to [`Session::max_weaver_retries`] times, device memory
+    /// rolled back to its state before the launch; when retries are
+    /// exhausted the Weaver unit is considered faulty and the whole run
+    /// degrades to the software `S_wm` schedule (graceful degradation —
     /// [`RunReport::fell_back_from`] records the original request).
     ///
     /// # Errors
@@ -463,7 +483,7 @@ impl Session {
         fallback_from: Option<(Schedule, String)>,
         resume: Option<&Checkpoint>,
     ) -> Result<RunReport, FrameworkError> {
-        let (eff, configured, compiler) = self.clamped_config(algorithm, schedule)?;
+        let (eff, configured) = self.clamped_config(algorithm, schedule)?;
         // Fingerprint the *effective* (clamped, penalty-applied) config —
         // the machine that actually runs.
         let fps = (resume.is_some() || self.checkpoint.is_some()).then(|| {
@@ -487,7 +507,7 @@ impl Session {
         gpu.set_configured_warps_per_core(configured);
         gpu.set_fast_forward(self.fast_forward);
         let mut rt = Runtime::new(gpu, graph, algorithm.direction(), schedule)?;
-        rt.set_compiler(compiler);
+        rt.set_compiler(self.compiler_for(&eff));
         let mut tracer = match &self.trace_out {
             Some(path) => {
                 let cfg = self.trace.unwrap_or_default();
@@ -943,16 +963,41 @@ mod tests {
         }
     }
 
-    /// The session compiles the listed kernels once and the runtime
-    /// launches them from that compiler's cache, so a launched stream
-    /// that differs from the listed one under the same name must not run
-    /// unnoticed.
-    #[cfg(debug_assertions)]
+    /// The cache is keyed by content, not by name: a launched stream that
+    /// differs from the listed one under the same name compiles on its
+    /// own instead of borrowing the listed stream's compiled kernel.
     #[test]
-    #[should_panic(expected = "compiled from a different instruction stream")]
-    fn launching_a_stream_other_than_the_listed_one_panics() {
+    fn a_stream_other_than_the_listed_one_compiles_on_its_own() {
         let g = sparseweaver_graph::generators::uniform(8, 16, 1);
         let mut s = Session::new(GpuConfig::small_test());
-        let _ = s.run(&g, &RenamedKernel, Schedule::Svm);
+        let report = s.run(&g, &RenamedKernel, Schedule::Svm).unwrap();
+        assert!(report.stats.instructions > 0);
+        assert_eq!(
+            s.kernel_cache().len(),
+            2,
+            "the listed and the launched stream"
+        );
+        s.run(&g, &RenamedKernel, Schedule::Svm).unwrap();
+        assert_eq!(s.kernel_cache().len(), 2, "a second run compiles nothing");
+    }
+
+    #[test]
+    fn clones_and_adopters_share_one_cache() {
+        let g = sparseweaver_graph::generators::uniform(16, 40, 3);
+        let mut a = Session::new(GpuConfig::small_test());
+        a.run(&g, &crate::algorithms::Bfs::new(0), Schedule::SparseWeaver)
+            .unwrap();
+        let filled = a.kernel_cache().len();
+        assert!(filled > 0);
+        let mut b = Session::new(GpuConfig::small_test());
+        b.set_kernel_cache(a.kernel_cache().clone());
+        b.run(&g, &crate::algorithms::Bfs::new(0), Schedule::SparseWeaver)
+            .unwrap();
+        assert_eq!(a.kernel_cache().len(), filled, "b compiled nothing");
+        // Another setting is another key: same streams, new entries.
+        b.regalloc = false;
+        b.run(&g, &crate::algorithms::Bfs::new(0), Schedule::SparseWeaver)
+            .unwrap();
+        assert!(a.kernel_cache().len() > filled);
     }
 }

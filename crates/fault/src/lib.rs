@@ -316,15 +316,15 @@ impl FaultInjector {
         value ^ (1u64 << bit)
     }
 
-    /// Instruction-fetch event: maybe flip one bit of the 32-bit
-    /// instruction word.
-    pub fn corrupt_fetch(&mut self, word: u32) -> u32 {
+    /// Instruction-fetch event: the bit of the 32-bit instruction word
+    /// to flip, when one flips. The caller encodes the instruction only
+    /// then.
+    pub fn fetch_flip(&mut self) -> Option<u32> {
         if !self.rng.chance(self.spec.fetch_rate) {
-            return word;
+            return None;
         }
         self.counts.fetch_flips += 1;
-        let bit = self.rng.below(32) as u32;
-        word ^ (1u32 << bit)
+        Some(self.rng.below(32) as u32)
     }
 
     /// Weaver protocol event for one decode response. A drop also marks
@@ -575,7 +575,7 @@ mod tests {
         let mut inj = FaultInjector::new(spec, 9);
         assert!(inj.reg_event(4, 16).is_some());
         assert_ne!(inj.corrupt_mem(0, 8), 0);
-        assert_ne!(inj.corrupt_fetch(0), 0);
+        assert!(inj.fetch_flip().is_some_and(|bit| bit < 32));
         let c = inj.counts();
         assert_eq!(c.reg_flips, 1);
         assert_eq!(c.mem_flips, 1);
@@ -588,7 +588,7 @@ mod tests {
         let mut inj = FaultInjector::new(FaultSpec::default(), 9);
         assert!(inj.reg_event(4, 16).is_none());
         assert_eq!(inj.corrupt_mem(0xdead, 8), 0xdead);
-        assert_eq!(inj.corrupt_fetch(0xbeef), 0xbeef);
+        assert_eq!(inj.fetch_flip(), None);
         assert_eq!(inj.weaver_response(), WeaverFault::None);
         assert_eq!(inj.counts().total(), 0);
     }

@@ -9,7 +9,7 @@ use crate::instr::Instr;
 ///
 /// Produced by [`crate::Asm::finish`]; executed by the `sparseweaver-sim`
 /// core pipeline.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub struct Program {
     instrs: Vec<Instr>,
     name: String,

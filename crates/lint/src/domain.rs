@@ -39,7 +39,7 @@ use sparseweaver_isa::AluOp;
 /// Launch geometry the analyzer proves facts against. Mirrors the
 /// simulator's `GpuConfig` fields that matter for static proofs, without
 /// making the lint crate depend on the simulator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct AnalyzeGeom {
     /// Number of cores on the device.
     pub num_cores: u64,

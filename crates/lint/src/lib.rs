@@ -260,7 +260,7 @@ impl fmt::Display for Diagnostic {
 }
 
 /// How the compiler pipeline reacts to lint findings.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum LintLevel {
     /// Skip linting entirely.
     Off,

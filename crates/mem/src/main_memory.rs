@@ -61,6 +61,44 @@ pub struct MainMemory {
     data: Vec<u8>,
     reads: Cell<u64>,
     writes: Cell<u64>,
+    /// Armed by [`MainMemory::arm_undo`]: what each write since then
+    /// overwrote.
+    undo: Option<UndoLog>,
+}
+
+/// The state [`MainMemory::roll_back`] returns to: the size and traffic
+/// counters at arming, and the old bytes of every write since, in order.
+#[derive(Clone, Debug)]
+struct UndoLog {
+    len: usize,
+    reads: u64,
+    writes: u64,
+    entries: Vec<Overwritten>,
+}
+
+/// The `width` bytes at `addr` before one write.
+#[derive(Clone, Copy, Debug)]
+struct Overwritten {
+    addr: usize,
+    width: u8,
+    old: [u8; 8],
+}
+
+impl UndoLog {
+    /// Out of line and cold: only retryable launches arm the log, and
+    /// the write path it is called from runs once per simulated lane
+    /// store.
+    #[cold]
+    #[inline(never)]
+    fn record(&mut self, addr: usize, old: &[u8]) {
+        let mut bytes = [0; 8];
+        bytes[..old.len()].copy_from_slice(old);
+        self.entries.push(Overwritten {
+            addr,
+            width: old.len() as u8,
+            old: bytes,
+        });
+    }
 }
 
 /// Equality is over the *contents* only: the traffic counters are
@@ -87,7 +125,47 @@ impl MainMemory {
             data: vec![0; size],
             reads: Cell::new(0),
             writes: Cell::new(0),
+            undo: None,
         }
+    }
+
+    /// Starts logging what every write overwrites, so that
+    /// [`roll_back`](MainMemory::roll_back) can restore the contents, the
+    /// size and the traffic counters as they are now. A kernel launch
+    /// that may be retried arms the log instead of copying all of memory;
+    /// arming again restarts the log from the current state.
+    pub fn arm_undo(&mut self) {
+        self.undo = Some(UndoLog {
+            len: self.data.len(),
+            reads: self.reads.get(),
+            writes: self.writes.get(),
+            entries: Vec::new(),
+        });
+    }
+
+    /// Restores the state at [`arm_undo`](MainMemory::arm_undo) by
+    /// replaying the log in reverse. The log stays armed at that state.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the log is not armed.
+    pub fn roll_back(&mut self) {
+        let log = self
+            .undo
+            .as_mut()
+            .expect("roll_back needs an armed undo log");
+        for o in log.entries.drain(..).rev() {
+            let w = o.width as usize;
+            self.data[o.addr..o.addr + w].copy_from_slice(&o.old[..w]);
+        }
+        self.data.truncate(log.len);
+        self.reads.set(log.reads);
+        self.writes.set(log.writes);
+    }
+
+    /// Stops logging and drops the log (a no-op when it is not armed).
+    pub fn disarm_undo(&mut self) {
+        self.undo = None;
     }
 
     /// Cumulative `(reads, writes)` access counts since construction or
@@ -193,6 +271,9 @@ impl MainMemory {
                 write: true,
                 size,
             })?;
+        if let Some(log) = &mut self.undo {
+            log.record(a, slice);
+        }
         slice.copy_from_slice(&bytes[..w]);
         Ok(())
     }
@@ -235,6 +316,9 @@ impl MainMemory {
             .checked_add(w)
             .and_then(|end| self.data.get_mut(a..end))
             .unwrap_or_else(|| panic!("host write of {w} bytes at {addr:#x} out of bounds"));
+        if let Some(log) = &mut self.undo {
+            log.record(a, slice);
+        }
         slice.copy_from_slice(&bytes[..w]);
     }
 
@@ -427,6 +511,57 @@ mod tests {
         assert_ne!(device, 0x55, "device read should see a flipped bit");
         // The host path reads true state.
         assert_eq!(m.read(0, 8), 0x55);
+    }
+
+    #[test]
+    fn roll_back_restores_what_a_snapshot_would() {
+        let mut m = MainMemory::new(64);
+        for a in 0..8 {
+            m.write(8 * a, 0x0101_0101_0101_0101 * a, 8);
+        }
+        let _ = m.read(0, 8);
+        let snapshot = m.clone();
+        let traffic = m.traffic();
+        // Writes before arming log nothing: rolling back keeps them.
+        m.arm_undo();
+        assert_eq!(m.undo.as_ref().unwrap().entries.len(), 0);
+        let writes: [(u64, u64, u64); 7] = [
+            (3, 0xaa, 1),
+            (2, 0xbbcc, 2),
+            (0, 0xdead_beef, 4),
+            (1, u64::MAX, 8),
+            (1, 0x1234_5678_9abc_def0, 8),
+            (60, 0x0102_0304, 4),
+            (63, 0xff, 1),
+        ];
+        for (addr, value, width) in writes {
+            m.try_write(addr, value, width).unwrap();
+        }
+        // A failed write overwrites nothing and logs nothing.
+        assert!(m.try_write(62, 0, 4).is_err());
+        m.write(40, 7, 2);
+        let _ = m.try_read(0, 8, None).unwrap();
+        assert_eq!(m.undo.as_ref().unwrap().entries.len(), writes.len() + 1);
+        assert_ne!(m, snapshot);
+        m.roll_back();
+        assert_eq!(m, snapshot);
+        assert_eq!(m.traffic(), traffic);
+        // Still armed at the same state: a second attempt rolls back too.
+        m.try_write(16, 1, 8).unwrap();
+        m.roll_back();
+        assert_eq!(m, snapshot);
+        assert_eq!(m.traffic(), traffic);
+        // Disarmed, writes stay and log nothing.
+        m.disarm_undo();
+        m.try_write(16, 1, 8).unwrap();
+        assert!(m.undo.is_none());
+        assert_eq!(m.read(16, 8), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "armed undo log")]
+    fn roll_back_without_arming_panics() {
+        MainMemory::new(8).roll_back();
     }
 
     #[test]

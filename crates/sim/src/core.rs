@@ -474,10 +474,11 @@ impl Core {
         );
     }
 
-    /// Models a transient bit flip between I-cache and decode: the fetched
-    /// instruction is re-encoded, one bit of its 32-bit word may flip, and
-    /// the corrupt word is decoded again. A word that no longer decodes is
-    /// an [`SimError::IllegalInstruction`] (detected crash); one that still
+    /// Models a transient bit flip between I-cache and decode: when the
+    /// injector flips a bit, the fetched instruction is re-encoded, that
+    /// bit of its 32-bit word flips, and the corrupt word is decoded
+    /// again. A word that no longer decodes is an
+    /// [`SimError::IllegalInstruction`] (detected crash); one that still
     /// decodes executes as the mutated instruction.
     fn fetch_with_faults(
         &mut self,
@@ -489,11 +490,11 @@ impl Core {
         let Some(f) = hooks.fault.as_mut().filter(|f| f.spec().fetch_rate > 0.0) else {
             return Ok(instr);
         };
-        let (word, payload) = sparseweaver_isa::encode::encode_instr(&instr);
-        let corrupt = f.corrupt_fetch(word);
-        if corrupt == word {
+        let Some(bit) = f.fetch_flip() else {
             return Ok(instr);
-        }
+        };
+        let (word, payload) = sparseweaver_isa::encode::encode_instr(&instr);
+        let corrupt = word ^ (1 << bit);
         sparseweaver_isa::encode::decode_instr(corrupt, payload).map_err(|_| {
             SimError::IllegalInstruction {
                 kernel: program.name().to_string(),

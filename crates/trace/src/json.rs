@@ -362,35 +362,82 @@ impl Value {
     }
 }
 
-/// Parses a complete JSON document.
+/// How deep [`parse`] lets arrays and objects nest. Every artifact here
+/// nests a handful of levels; the bound keeps a hostile document (say, a
+/// million `[`) from overflowing the stack of the recursive parser.
+pub const MAX_DEPTH: usize = 256;
+
+/// Why [`parse`] refused a document.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ParseError {
+    /// Malformed JSON: what was expected or found, at a byte offset.
+    Syntax {
+        /// What went wrong.
+        what: String,
+        /// The byte offset.
+        at: usize,
+    },
+    /// Arrays and objects nested deeper than [`MAX_DEPTH`]; `at` is the
+    /// offset of the bracket that went one level too deep.
+    TooDeep {
+        /// The byte offset.
+        at: usize,
+    },
+}
+
+impl std::fmt::Display for ParseError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ParseError::Syntax { what, at } => write!(f, "{what} at byte {at}"),
+            ParseError::TooDeep { at } => {
+                write!(f, "nested deeper than {MAX_DEPTH} levels at byte {at}")
+            }
+        }
+    }
+}
+
+impl std::error::Error for ParseError {}
+
+/// Parses a complete JSON document, in time linear in its length.
 ///
 /// # Errors
 ///
-/// Returns a message with the byte offset on malformed input.
-pub fn parse(text: &str) -> Result<Value, String> {
-    let bytes = text.as_bytes();
-    let mut p = Parser { bytes, pos: 0 };
+/// Returns a [`ParseError`] with the byte offset on malformed input or
+/// nesting deeper than [`MAX_DEPTH`].
+pub fn parse(text: &str) -> Result<Value, ParseError> {
+    let mut p = Parser {
+        text,
+        pos: 0,
+        depth: 0,
+    };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
-    if p.pos != bytes.len() {
-        return Err(format!("trailing garbage at byte {}", p.pos));
+    if p.pos != text.len() {
+        return p.err("trailing garbage");
     }
     Ok(v)
 }
 
+/// A recursive-descent parser. `pos` only ever advances over ASCII bytes
+/// or over runs that end before one, so it always sits on a `char`
+/// boundary of `text`.
 struct Parser<'a> {
-    bytes: &'a [u8],
+    text: &'a str,
     pos: usize,
+    depth: usize,
 }
 
 impl Parser<'_> {
-    fn err<T>(&self, msg: &str) -> Result<T, String> {
-        Err(format!("{msg} at byte {}", self.pos))
+    fn err<T>(&self, what: &str) -> Result<T, ParseError> {
+        Err(ParseError::Syntax {
+            what: what.to_string(),
+            at: self.pos,
+        })
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn skip_ws(&mut self) {
@@ -399,7 +446,7 @@ impl Parser<'_> {
         }
     }
 
-    fn eat(&mut self, b: u8) -> Result<(), String> {
+    fn eat(&mut self, b: u8) -> Result<(), ParseError> {
         if self.peek() == Some(b) {
             self.pos += 1;
             Ok(())
@@ -408,10 +455,10 @@ impl Parser<'_> {
         }
     }
 
-    fn value(&mut self) -> Result<Value, String> {
+    fn value(&mut self) -> Result<Value, ParseError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Value::Str(self.string()?)),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
@@ -421,8 +468,22 @@ impl Parser<'_> {
         }
     }
 
-    fn literal(&mut self, word: &str, v: Value) -> Result<Value, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+    /// Parses an array or object one level deeper, within [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        body: fn(&mut Self) -> Result<Value, ParseError>,
+    ) -> Result<Value, ParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(ParseError::TooDeep { at: self.pos });
+        }
+        self.depth += 1;
+        let v = body(self);
+        self.depth -= 1;
+        v
+    }
+
+    fn literal(&mut self, word: &str, v: Value) -> Result<Value, ParseError> {
+        if self.text[self.pos..].starts_with(word) {
             self.pos += word.len();
             Ok(v)
         } else {
@@ -430,7 +491,7 @@ impl Parser<'_> {
         }
     }
 
-    fn number(&mut self) -> Result<Value, String> {
+    fn number(&mut self) -> Result<Value, ParseError> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
@@ -439,14 +500,16 @@ impl Parser<'_> {
         {
             self.pos += 1;
         }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .ok()
-            .and_then(|s| s.parse::<f64>().ok())
-            .map(Value::Num)
-            .ok_or_else(|| format!("bad number at byte {start}"))
+        match self.text[start..self.pos].parse::<f64>() {
+            Ok(n) => Ok(Value::Num(n)),
+            Err(_) => {
+                self.pos = start;
+                self.err("bad number")
+            }
+        }
     }
 
-    fn string(&mut self) -> Result<String, String> {
+    fn string(&mut self) -> Result<String, ParseError> {
         self.eat(b'"')?;
         let mut out = String::new();
         loop {
@@ -468,12 +531,17 @@ impl Parser<'_> {
                         Some(b'b') => out.push('\u{8}'),
                         Some(b'f') => out.push('\u{c}'),
                         Some(b'u') => {
-                            let hex = self
-                                .bytes
+                            // `get` is `None` unless all four bytes are in
+                            // bounds and on char boundaries, and the hex
+                            // parse accepts ASCII only, so `pos` stays on
+                            // a boundary.
+                            let Some(hex) = self
+                                .text
                                 .get(self.pos + 1..self.pos + 5)
-                                .and_then(|h| std::str::from_utf8(h).ok())
                                 .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                .ok_or_else(|| format!("bad \\u escape at byte {}", self.pos))?;
+                            else {
+                                return self.err("bad \\u escape");
+                            };
                             out.push(char::from_u32(hex).unwrap_or('\u{fffd}'));
                             self.pos += 4;
                         }
@@ -482,19 +550,21 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar.
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest)
-                        .map_err(|_| format!("invalid utf-8 at byte {}", self.pos))?;
-                    let c = s.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run up to the next quote or backslash; both
+                    // are ASCII, so the run ends on a char boundary.
+                    let rest = &self.text[self.pos..];
+                    let run = rest
+                        .bytes()
+                        .position(|b| matches!(b, b'"' | b'\\'))
+                        .unwrap_or(rest.len());
+                    out.push_str(&rest[..run]);
+                    self.pos += run;
                 }
             }
         }
     }
 
-    fn array(&mut self) -> Result<Value, String> {
+    fn array(&mut self) -> Result<Value, ParseError> {
         self.eat(b'[')?;
         let mut items = Vec::new();
         self.skip_ws();
@@ -517,7 +587,7 @@ impl Parser<'_> {
         }
     }
 
-    fn object(&mut self) -> Result<Value, String> {
+    fn object(&mut self) -> Result<Value, ParseError> {
         self.eat(b'{')?;
         let mut map = BTreeMap::new();
         self.skip_ws();
@@ -644,6 +714,44 @@ mod tests {
         assert!(parse("[1,]").is_err());
         assert!(parse("{}extra").is_err());
         assert!(parse("\"open").is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded_with_a_typed_error() {
+        let at_limit = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&at_limit).is_ok());
+        let deeper = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        assert_eq!(parse(&deeper), Err(ParseError::TooDeep { at: MAX_DEPTH }));
+        // A million open brackets is refused, not a stack overflow.
+        let hostile = "[".repeat(1_000_000);
+        assert_eq!(parse(&hostile), Err(ParseError::TooDeep { at: MAX_DEPTH }));
+        let objects = r#"{"a":"#.repeat(MAX_DEPTH + 1);
+        assert!(matches!(parse(&objects), Err(ParseError::TooDeep { .. })));
+    }
+
+    #[test]
+    fn strings_keep_multibyte_text_and_escapes() {
+        let v = parse(r#"["héllo é ✓ 𝄞", "a\\b\"cA", ""]"#).unwrap();
+        let items: Vec<_> = v
+            .as_arr()
+            .unwrap()
+            .iter()
+            .map(|v| v.as_str().unwrap())
+            .collect();
+        assert_eq!(items, ["héllo é ✓ 𝄞", "a\\b\"cA", ""]);
+        assert_eq!(
+            parse(r#""\u00e""#),
+            Err(ParseError::Syntax {
+                what: "bad \\u escape".into(),
+                at: 2
+            })
+        );
+        // A multibyte char inside a `\u` escape is a bad escape, not a panic.
+        assert!(parse(r#""\u✓✓""#).is_err());
+        assert_eq!(
+            parse("[1]x").unwrap_err().to_string(),
+            "trailing garbage at byte 3"
+        );
     }
 
     #[test]

@@ -14,6 +14,9 @@
 # faults as typed errors) or if the four outcome classes do not sum to
 # the number of runs.
 #
+# The first campaign runs twice: at --jobs 1, and at --jobs 2, where the
+# worker threads share the campaign's kernel cache.
+#
 # A second fixed-seed campaign runs with `--no-fallback` at rates chosen
 # so every outcome class — including hang — appears: dropping Weaver
 # responses without the S_wm degradation surfaces Weaver timeouts as
@@ -49,6 +52,18 @@ if ! diff -u "$GOLDEN" "$OUT"; then
     exit 1
 fi
 echo "ok: 200-run fixed-seed campaign is byte-identical to the golden summary"
+
+# The same campaign on two worker threads, which share one kernel cache
+# (the golden run's) and so race to compile the S_wm fallback kernels.
+cargo run --release --quiet --bin swfault -- \
+    --inject reg=0.0001,mem=0.00005,fetch=0.00005,weaver-drop=0.05 \
+    --runs 200 --seed 2025 --jobs 2 > "$OUT"
+
+if ! diff -u "$GOLDEN" "$OUT"; then
+    echo "FAIL: campaign summary at --jobs 2 drifted from $GOLDEN" >&2
+    exit 1
+fi
+echo "ok: the same campaign at --jobs 2 is byte-identical to the golden summary"
 
 cargo run --release --quiet --bin swfault -- \
     --inject reg=0.002,mem=0.001,fetch=0.001,weaver-drop=0.02 \

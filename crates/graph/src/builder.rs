@@ -1,6 +1,7 @@
 //! Incremental edge-list accumulation with deduplication and symmetrization.
 
 use std::collections::HashSet;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::csr::Csr;
 use crate::VertexId;
@@ -28,7 +29,7 @@ use crate::VertexId;
 pub struct GraphBuilder {
     num_vertices: usize,
     edges: Vec<(VertexId, VertexId, u32)>,
-    seen: HashSet<(VertexId, VertexId)>,
+    seen: HashSet<u64, BuildHasherDefault<PairHasher>>,
     symmetric: bool,
     keep_self_loops: bool,
 }
@@ -39,7 +40,7 @@ impl GraphBuilder {
         GraphBuilder {
             num_vertices,
             edges: Vec::new(),
-            seen: HashSet::new(),
+            seen: HashSet::default(),
             symmetric: false,
             keep_self_loops: false,
         }
@@ -91,7 +92,7 @@ impl GraphBuilder {
         if src == dst && !self.keep_self_loops {
             return false;
         }
-        if !self.seen.insert((src, dst)) {
+        if !self.seen.insert(pair(src, dst)) {
             return false;
         }
         self.edges.push((src, dst, weight));
@@ -103,12 +104,44 @@ impl GraphBuilder {
         let mut edges = self.edges.clone();
         if self.symmetric {
             for &(s, d, w) in &self.edges {
-                if s != d && !self.seen.contains(&(d, s)) {
+                if s != d && !self.seen.contains(&pair(d, s)) {
                     edges.push((d, s, w));
                 }
             }
         }
         Csr::from_weighted_edges(self.num_vertices, &edges)
+    }
+}
+
+/// The dedup set's key: `(src, dst)` packed into one word.
+fn pair(src: VertexId, dst: VertexId) -> u64 {
+    (src as u64) << 32 | dst as u64
+}
+
+/// A fixed multiply/xor-shift hash of a [`pair`] key: the 128-bit
+/// product with an odd constant, its high half xored onto its low half,
+/// so every key bit reaches the low bits that pick the bucket.
+///
+/// The dedup set is only inserted into and queried, never iterated, so
+/// its hash cannot reach the built graph; a fixed hash serves as well as
+/// a keyed one here and costs a fraction of SipHash.
+#[derive(Debug, Clone, Copy, Default)]
+struct PairHasher(u64);
+
+impl Hasher for PairHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(b as u64);
+        }
+    }
+
+    fn write_u64(&mut self, key: u64) {
+        let p = (self.0 ^ key) as u128 * 0x9e37_79b9_7f4a_7c15;
+        self.0 = (p >> 64) as u64 ^ p as u64;
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
     }
 }
 

@@ -6,6 +6,7 @@
 //! format plus the reverse (incoming-edge) view needed for pull-direction
 //! gathering and the per-edge source array needed by edge mapping.
 
+use std::collections::TryReserveError;
 use std::fmt;
 
 use crate::{EdgeId, VertexId};
@@ -72,42 +73,102 @@ impl Csr {
 
     /// Builds a CSR graph from `(src, dst, weight)` triples.
     ///
-    /// Edges are sorted by `(src, dst)` so neighbor lists are ordered, which
-    /// the ordered-scan design decision of Section III-C relies on.
+    /// Each neighbor list is ordered by target, which the ordered-scan
+    /// design decision of Section III-C relies on. Edges that repeat a
+    /// `(src, dst)` pair keep their input order, so the result equals a
+    /// stable sort of `edges` by `(src, dst)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any endpoint is `>= num_vertices`, or if the arrays cannot
+    /// be allocated.
+    pub fn from_weighted_edges(num_vertices: usize, edges: &[(VertexId, VertexId, u32)]) -> Self {
+        Self::try_from_weighted_edges(num_vertices, edges)
+            .unwrap_or_else(|e| panic!("cannot build a graph of {num_vertices} vertices: {e}"))
+    }
+
+    /// `from_weighted_edges`, reporting a failed allocation instead of
+    /// aborting, so a vertex count read from an input file cannot take the
+    /// process down.
+    ///
+    /// # Errors
+    ///
+    /// Returns the allocator's error if an array does not fit in memory.
     ///
     /// # Panics
     ///
     /// Panics if any endpoint is `>= num_vertices`.
-    pub fn from_weighted_edges(num_vertices: usize, edges: &[(VertexId, VertexId, u32)]) -> Self {
+    pub(crate) fn try_from_weighted_edges(
+        num_vertices: usize,
+        edges: &[(VertexId, VertexId, u32)],
+    ) -> Result<Self, TryReserveError> {
         for &(s, d, _) in edges {
             assert!(
                 (s as usize) < num_vertices && (d as usize) < num_vertices,
                 "edge ({s}, {d}) out of range for {num_vertices} vertices"
             );
         }
-        let mut sorted = edges.to_vec();
-        sorted.sort_unstable_by_key(|&(s, d, _)| (s, d));
+        Self::counting_sort(num_vertices, edges.len(), |e| edges[e])
+    }
 
-        let mut offsets = vec![0 as EdgeId; num_vertices + 1];
-        for &(s, _, _) in &sorted {
-            offsets[s as usize + 1] += 1;
+    /// Builds the CSR of the `m` edges `edge(0) .. edge(m - 1)` (endpoints
+    /// already checked) by a stable counting sort on the source.
+    ///
+    /// `offsets[s]` first counts the edges leaving `s`, then, summed, holds
+    /// the end of row `s`; placing each edge's `(target, weight)` last to
+    /// first moves each row's end down to its start, so no cursor array is
+    /// needed. A row is then sorted by target only if it is out of order.
+    fn counting_sort(
+        num_vertices: usize,
+        m: usize,
+        edge: impl Fn(usize) -> (VertexId, VertexId, u32),
+    ) -> Result<Self, TryReserveError> {
+        let mut offsets = try_with_capacity(num_vertices + 1)?;
+        offsets.resize(num_vertices + 1, 0 as EdgeId);
+        for e in 0..m {
+            offsets[edge(e).0 as usize] += 1;
         }
-        for v in 0..num_vertices {
-            offsets[v + 1] += offsets[v];
+        let mut end = 0;
+        for o in &mut offsets[..num_vertices] {
+            end += *o;
+            *o = end;
         }
-        let mut targets = Vec::with_capacity(sorted.len());
-        let mut weights = Vec::with_capacity(sorted.len());
-        let mut sources = Vec::with_capacity(sorted.len());
-        for &(s, d, w) in &sorted {
-            sources.push(s);
-            targets.push(d);
-            weights.push(w);
+        offsets[num_vertices] = end;
+        let mut placed = try_with_capacity(m)?;
+        placed.resize(m, (0 as VertexId, 0u32));
+        for e in (0..m).rev() {
+            let (s, d, w) = edge(e);
+            let at = &mut offsets[s as usize];
+            *at -= 1;
+            placed[*at as usize] = (d, w);
         }
-        Csr {
+        let mut sources = try_with_capacity(m)?;
+        for (v, bounds) in offsets.windows(2).enumerate() {
+            let row = &mut placed[bounds[0] as usize..bounds[1] as usize];
+            if !row.is_sorted_by_key(|&(d, _)| d) {
+                row.sort_by_key(|&(d, _)| d);
+            }
+            sources.extend(std::iter::repeat_n(v as VertexId, row.len()));
+        }
+        let mut targets = try_with_capacity(m)?;
+        targets.extend(placed.iter().map(|&(d, _)| d));
+        let mut weights = try_with_capacity(m)?;
+        weights.extend(placed.iter().map(|&(_, w)| w));
+        Ok(Csr {
             offsets,
             targets,
             weights,
             sources,
+        })
+    }
+
+    /// The same graph with each edge's weight set to `weight(src, dst)`.
+    pub(crate) fn with_weights(&self, weight: impl Fn(VertexId, VertexId) -> u32) -> Csr {
+        Csr {
+            offsets: self.offsets.clone(),
+            targets: self.targets.clone(),
+            weights: self.iter_edges().map(|(s, d, _)| weight(s, d)).collect(),
+            sources: self.sources.clone(),
         }
     }
 
@@ -180,10 +241,17 @@ impl Csr {
     ///
     /// Pull-direction gathering traverses this view (incoming edges of each
     /// destination).
+    ///
+    /// The edges are placed in `(src, dst)` order, so each reversed row
+    /// arrives sorted and the build sorts no row.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the arrays cannot be allocated.
     pub fn reverse(&self) -> Csr {
-        let rev: Vec<(VertexId, VertexId, u32)> =
-            self.iter_edges().map(|(s, d, w)| (d, s, w)).collect();
-        Csr::from_weighted_edges(self.num_vertices(), &rev)
+        let edge = |e: usize| (self.targets[e], self.sources[e], self.weights[e]);
+        Self::counting_sort(self.num_vertices(), self.num_edges(), edge)
+            .unwrap_or_else(|e| panic!("cannot build the reverse graph: {e}"))
     }
 
     /// Returns the view of this graph for `direction`.
@@ -216,6 +284,14 @@ impl Csr {
             .max()
             .unwrap_or(0)
     }
+}
+
+/// An empty vector with room for exactly `len` elements, or the
+/// allocator's refusal.
+fn try_with_capacity<T>(len: usize) -> Result<Vec<T>, TryReserveError> {
+    let mut v = Vec::new();
+    v.try_reserve_exact(len)?;
+    Ok(v)
 }
 
 #[cfg(test)]

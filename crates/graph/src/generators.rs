@@ -101,7 +101,8 @@ pub fn powerlaw(num_vertices: usize, num_edges: usize, alpha: f64, seed: u64) ->
 ///
 /// # Panics
 ///
-/// Panics if `a + b + c > 1` or `scale >= 31`.
+/// Panics if `a`, `b` or `c` is negative, `a + b + c > 1`, or
+/// `scale >= 31`.
 ///
 /// # Examples
 ///
@@ -110,46 +111,39 @@ pub fn powerlaw(num_vertices: usize, num_edges: usize, alpha: f64, seed: u64) ->
 /// assert_eq!(g.num_vertices(), 256);
 /// ```
 pub fn rmat(scale: u32, num_edges: usize, a: f64, b: f64, c: f64, seed: u64) -> Csr {
+    assert!(
+        a >= 0.0 && b >= 0.0 && c >= 0.0,
+        "probabilities must be non-negative"
+    );
     assert!(a + b + c <= 1.0 + 1e-9, "probabilities must sum to <= 1");
     assert!(scale < 31, "scale too large");
     let n = 1usize << scale;
     let mut rng = StdRng::seed_from_u64(seed ^ 0x0000_9a7a);
     let mut builder = GraphBuilder::new(n);
+    let d = (1.0 - a - b - c).max(0.0);
     let mut attempts = 0usize;
     let max_attempts = num_edges.saturating_mul(20).max(64);
     while builder.len() < num_edges && attempts < max_attempts {
         attempts += 1;
-        let (mut x0, mut x1, mut y0, mut y1) = (0usize, n, 0usize, n);
-        while x1 - x0 > 1 {
+        let (mut x, mut y) = (0 as VertexId, 0 as VertexId);
+        // One quadrant per level, top bit first: quadrant `q` (0 = a,
+        // 1 = b, 2 = c, 3 = d) sets this level's bit of x from `q & 1`
+        // and of y from `q >> 1`. Counting the thresholds below `r` picks
+        // the same quadrant as comparing them in turn, without a branch.
+        for level in (0..scale).rev() {
             // Slight per-level noise, as in the reference graph500 generator.
             let na = a * rng.gen_range(0.95..1.05);
             let nb = b * rng.gen_range(0.95..1.05);
             let nc = c * rng.gen_range(0.95..1.05);
-            let sum = na + nb + nc + (1.0 - a - b - c).max(0.0);
+            let sum = na + nb + nc + d;
             let r = rng.gen::<f64>() * sum;
-            let (right, down) = if r < na {
-                (false, false)
-            } else if r < na + nb {
-                (true, false)
-            } else if r < na + nb + nc {
-                (false, true)
-            } else {
-                (true, true)
-            };
-            let xm = (x0 + x1) / 2;
-            let ym = (y0 + y1) / 2;
-            if right {
-                x0 = xm;
-            } else {
-                x1 = xm;
-            }
-            if down {
-                y0 = ym;
-            } else {
-                y1 = ym;
-            }
+            let q = (r >= na) as VertexId
+                + (r >= na + nb) as VertexId
+                + (r >= na + nb + nc) as VertexId;
+            x |= (q & 1) << level;
+            y |= (q >> 1) << level;
         }
-        builder.add_edge(x0 as VertexId, y0 as VertexId);
+        builder.add_edge(x, y);
     }
     builder.symmetric(true).build()
 }
@@ -226,6 +220,8 @@ pub fn uniform(num_vertices: usize, num_edges: usize, seed: u64) -> Csr {
 /// Panics if `max_weight == 0`.
 pub fn with_random_weights(g: &Csr, max_weight: u32, seed: u64) -> Csr {
     assert!(max_weight > 0, "max_weight must be positive");
+    // A function of the unordered pair, so the topology is unchanged and
+    // only the weights are recomputed.
     let weight_of = |a: VertexId, b: VertexId| -> u32 {
         let (lo, hi) = if a < b { (a, b) } else { (b, a) };
         let mut h = (lo as u64) << 32 | (hi as u64);
@@ -237,11 +233,7 @@ pub fn with_random_weights(g: &Csr, max_weight: u32, seed: u64) -> Csr {
         h ^= h >> 31;
         (h % max_weight as u64) as u32 + 1
     };
-    let edges: Vec<(VertexId, VertexId, u32)> = g
-        .iter_edges()
-        .map(|(s, d, _)| (s, d, weight_of(s, d)))
-        .collect();
-    Csr::from_weighted_edges(g.num_vertices(), &edges)
+    g.with_weights(weight_of)
 }
 
 #[cfg(test)]

@@ -20,6 +20,14 @@ pub struct ParseEdgeListError {
 }
 
 impl ParseEdgeListError {
+    fn at(line: usize, text: &str, message: String) -> Self {
+        ParseEdgeListError {
+            line,
+            message,
+            snippet: text.chars().take(60).collect(),
+        }
+    }
+
     /// 1-based line where the error occurred.
     pub fn line(&self) -> usize {
         self.line
@@ -51,7 +59,9 @@ impl std::error::Error for ParseEdgeListError {}
 ///
 /// # Errors
 ///
-/// Returns [`ParseEdgeListError`] on malformed lines or unparsable numbers.
+/// Returns [`ParseEdgeListError`] on malformed lines or unparsable
+/// numbers, or, naming the line with the largest vertex id, when the
+/// graph's arrays cannot be allocated.
 ///
 /// # Examples
 ///
@@ -64,17 +74,15 @@ impl std::error::Error for ParseEdgeListError {}
 pub fn parse_edge_list(text: &str) -> Result<Csr, ParseEdgeListError> {
     let mut edges: Vec<(VertexId, VertexId, u32)> = Vec::new();
     let mut max_v: u64 = 0;
+    // The first line holding `max_v`, which sets the vertex count.
+    let mut max_line = (0, "");
     for (i, line) in text.lines().enumerate() {
         let line = line.trim();
         if line.is_empty() || line.starts_with('#') || line.starts_with('%') {
             continue;
         }
         let mut parts = line.split_whitespace();
-        let err = |message: &str| ParseEdgeListError {
-            line: i + 1,
-            message: message.to_string(),
-            snippet: line.chars().take(60).collect(),
-        };
+        let err = |message: &str| ParseEdgeListError::at(i + 1, line, message.to_string());
         let src: u64 = parts
             .next()
             .ok_or_else(|| err("missing source"))?
@@ -95,7 +103,10 @@ pub fn parse_edge_list(text: &str) -> Result<Csr, ParseEdgeListError> {
         if src > u32::MAX as u64 - 1 || dst > u32::MAX as u64 - 1 {
             return Err(err("vertex id out of range"));
         }
-        max_v = max_v.max(src).max(dst);
+        if src.max(dst) > max_v || edges.is_empty() {
+            max_v = src.max(dst);
+            max_line = (i + 1, line);
+        }
         edges.push((src as VertexId, dst as VertexId, w));
     }
     let n = if edges.is_empty() {
@@ -103,7 +114,10 @@ pub fn parse_edge_list(text: &str) -> Result<Csr, ParseEdgeListError> {
     } else {
         max_v as usize + 1
     };
-    Ok(Csr::from_weighted_edges(n, &edges))
+    Csr::try_from_weighted_edges(n, &edges).map_err(|_| {
+        let message = format!("vertex id {max_v} implies {n} vertices, too many to allocate");
+        ParseEdgeListError::at(max_line.0, max_line.1, message)
+    })
 }
 
 /// Reads an edge list from any [`BufRead`] (a `&mut` reference works too).

@@ -453,6 +453,30 @@ fn corrupt_graph_file_exits_1_with_line_context() {
     assert!(err.contains("`2 banana`"), "stderr: {err}");
 }
 
+/// An edge list whose largest id implies more vertices than memory holds
+/// exits 1 naming that line, instead of aborting on the allocation. The
+/// shell's `ulimit -v` bounds the child alone (and `&&` never runs it
+/// unbounded), so the 16 GiB offset array fails to allocate rather than
+/// being attempted.
+#[test]
+fn vertex_id_too_large_to_allocate_exits_1_with_line_context() {
+    let path = std::env::temp_dir().join(format!("sw_huge_id_{}.el", std::process::id()));
+    std::fs::write(&path, "0 1\n1 4294967294\n").expect("write edge list");
+    let out = Command::new("sh")
+        .arg("-c")
+        .arg(r#"ulimit -v 2097152 && exec "$0" run --graph "$1" --algo bfs --schedule sw --config small"#)
+        .arg(env!("CARGO_BIN_EXE_swsim"))
+        .arg(&path)
+        .output()
+        .expect("spawn");
+    std::fs::remove_file(&path).expect("remove edge list");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr: {err}");
+    assert!(err.contains("line 2"), "stderr: {err}");
+    assert!(err.contains("too many to allocate"), "stderr: {err}");
+    assert!(err.contains("`1 4294967294`"), "stderr: {err}");
+}
+
 /// A malformed --inject spec and --seed without --inject are usage errors.
 #[test]
 fn bad_injection_flags_exit_with_code_2() {

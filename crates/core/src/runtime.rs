@@ -6,13 +6,11 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use sparseweaver_fault::FaultInjector;
 use sparseweaver_graph::{Csr, Direction};
 use sparseweaver_isa::Program;
 use sparseweaver_mem::Hooks;
 use sparseweaver_sim::{Gpu, KernelStats, SimError};
 use sparseweaver_trace::codec::{Enc, Snapshot};
-use sparseweaver_trace::{CounterSnapshot, EventData, Profiler, Tracer};
 use sparseweaver_weaver::eghw::EghwLayout;
 
 use crate::checkpoint::{Checkpoint, HostEvent};
@@ -297,11 +295,7 @@ impl<'a> Runtime<'a> {
     pub fn resume_from(&mut self, ck: &Checkpoint) -> Result<(), FrameworkError> {
         let mut d = ck.machine_decoder();
         self.gpu.restore(&mut d)?;
-        self.with_hooks(|hooks| {
-            d.restore_opt("tracer", hooks.tracer.as_mut())?;
-            d.restore_opt("profiler", hooks.profiler.as_mut())?;
-            d.restore_opt("fault injector", hooks.fault.as_mut())
-        })?;
+        self.with_hooks(|hooks| hooks.restore(&mut d))?;
         d.finish()?;
         self.launches = ck.launches;
         self.weaver_retries = ck.weaver_retries;
@@ -353,14 +347,9 @@ impl<'a> Runtime<'a> {
     /// state under the policy `ctl`, with the observers detached into
     /// `hooks`.
     fn make_checkpoint(&self, ctl: &CheckpointCtl, hooks: &mut Hooks) -> Checkpoint {
-        if let Some(t) = &mut hooks.tracer {
-            t.sync();
-        }
         let mut machine = Enc::new();
         self.gpu.save(&mut machine);
-        machine.opt(hooks.tracer.as_ref(), Tracer::save);
-        machine.opt(hooks.profiler.as_ref(), Profiler::save);
-        machine.opt(hooks.fault.as_ref(), FaultInjector::save);
+        hooks.save(&mut machine);
         Checkpoint {
             config_fp: ctl.config_fp,
             graph_fp: ctl.graph_fp,
@@ -660,13 +649,7 @@ impl<'a> Runtime<'a> {
                         if let Some(f) = &mut hooks.fault {
                             f.clear_weaver_faulty();
                         }
-                        if let Some(tr) = &mut hooks.tracer {
-                            tr.emit(0, 0, EventData::WeaverRetry { kernel, attempt });
-                            tr.add_totals(&CounterSnapshot {
-                                weaver_retries: 1,
-                                ..CounterSnapshot::default()
-                            });
-                        }
+                        hooks.weaver_retry(kernel, attempt);
                     });
                 }
                 other => break other,
@@ -750,9 +733,11 @@ impl<'a> Runtime<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sparseweaver_fault::FaultInjector;
     use sparseweaver_graph::generators;
     use sparseweaver_lint::LintLevel;
     use sparseweaver_sim::{Gpu, GpuConfig};
+    use sparseweaver_trace::{Profiler, Tracer};
 
     fn rt(schedule: Schedule) -> (sparseweaver_graph::Csr, Runtime<'static>) {
         // Leak the graph for a 'static runtime in tests only.

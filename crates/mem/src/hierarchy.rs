@@ -3,7 +3,7 @@
 use std::fmt;
 
 use sparseweaver_trace::codec::{CodecError, Dec, Enc, Snapshot};
-use sparseweaver_trace::{EventData, MemLevel};
+use sparseweaver_trace::EventData;
 
 use crate::cache::{Cache, CacheConfig, CacheConfigError, CacheStats};
 use crate::hooks::Hooks;
@@ -138,41 +138,43 @@ impl std::error::Error for HierarchyConfigError {
     }
 }
 
-/// Which level serviced an access.
+/// Which level serviced an access: the level the trace events and
+/// latency histograms are keyed by.
+pub use sparseweaver_trace::MemLevel as HitLevel;
+
+/// The port a hierarchy request went through.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum HitLevel {
-    /// Serviced by the core's L1.
-    L1,
-    /// Serviced by the shared L2.
-    L2,
-    /// Serviced by the shared L3.
-    L3,
-    /// Went to DRAM.
-    Dram,
+pub enum MemPort {
+    /// A core's L1 port ([`Hierarchy::access`]).
+    Queued,
+    /// An EGHW unit's own port ([`Hierarchy::access_unqueued`]): no
+    /// queueing and no GPU timestamp.
+    Unit,
+    /// The L2 atomic banks ([`Hierarchy::atomic`]).
+    Atomic,
 }
 
-impl HitLevel {
-    /// The trace-event level corresponding to this hit level.
-    pub fn trace_level(self) -> MemLevel {
-        match self {
-            HitLevel::L1 => MemLevel::L1,
-            HitLevel::L2 => MemLevel::L2,
-            HitLevel::L3 => MemLevel::L3,
-            HitLevel::Dram => MemLevel::Dram,
-        }
-    }
-}
-
-/// Timing outcome of one memory access.
+/// One hierarchy request as served: what [`Hierarchy`] returns and
+/// reports to [`Hooks::mem_access`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AccessResult {
-    /// Total latency in GPU cycles, including queueing.
-    pub latency: u64,
-    /// Cycles spent waiting for the L1 port (the "LG throttle" stall
-    /// source of Fig. 4).
+pub struct MemAccess {
+    /// Issuing core.
+    pub core: usize,
+    /// The requested address.
+    pub addr: u64,
+    /// Whether the request was a store (always set for atomics).
+    pub write: bool,
+    /// Issue cycle within the launch (0 for [`MemPort::Unit`]).
+    pub cycle: u64,
+    /// The port the request went through.
+    pub port: MemPort,
+    /// Cycles spent waiting for the port (for the L1 port, the "LG
+    /// throttle" stall source of Fig. 4).
     pub queue_delay: u64,
-    /// Deepest level reached.
+    /// The deepest level reached.
     pub level: HitLevel,
+    /// Total latency in GPU cycles, queueing included.
+    pub latency: u64,
 }
 
 /// Aggregated statistics of the hierarchy.
@@ -348,12 +350,10 @@ impl Hierarchy {
     /// One load/store from `core` to the line containing `addr` at time
     /// `now`.
     ///
-    /// The observers in `hooks` see the request: the tracer gets one
-    /// [`EventData::CacheAccess`] plus an [`EventData::DramTransaction`]
-    /// per DRAM transaction in the timing path, the profiler the
-    /// issue→fill latency (queueing included), and the recorder one
-    /// `swmtrace-v1` record in service order. None of them changes
-    /// timing or stats.
+    /// `hooks` sees the request once, as a [`MemPort::Queued`]
+    /// [`MemAccess`], plus one [`EventData::DramTransaction`] per DRAM
+    /// transaction in the timing path. No observer changes timing or
+    /// stats.
     ///
     /// # Panics
     ///
@@ -365,7 +365,7 @@ impl Hierarchy {
         write: bool,
         now: u64,
         hooks: &mut Hooks,
-    ) -> AccessResult {
+    ) -> MemAccess {
         let queue_delay = self.l1_ports[core].acquire(now);
         let t = now + queue_delay;
         let mut latency = queue_delay + self.cfg.l1_latency;
@@ -376,39 +376,26 @@ impl Hierarchy {
             self.l2_port.acquire(t);
             self.l2.access(victim, true);
         }
-        let result = if a1.hit {
-            AccessResult {
-                latency,
-                queue_delay,
-                level: HitLevel::L1,
-            }
+        let level = if a1.hit {
+            HitLevel::L1
         } else {
             latency += self.l2_port.acquire(t) + self.cfg.l2_latency;
-            let (level, below) = self.descend(addr, t, false, hooks);
-            AccessResult {
-                latency: latency + below,
-                queue_delay,
-                level,
-            }
+            let (level, below) = self.descend(addr, Some(t), false, hooks);
+            latency += below;
+            level
         };
-        if let Some(tr) = &mut hooks.tracer {
-            tr.emit(
-                now,
-                core as u32,
-                EventData::CacheAccess {
-                    level: result.level.trace_level(),
-                    write,
-                    queue_delay,
-                },
-            );
-        }
-        if let Some(p) = &mut hooks.profiler {
-            p.mem_latency(result.level.trace_level(), result.latency);
-        }
-        if let Some(r) = &mut hooks.recorder {
-            r.access(core, addr, write, now, result.level);
-        }
-        result
+        let served = MemAccess {
+            core,
+            addr,
+            write,
+            cycle: now,
+            port: MemPort::Queued,
+            queue_delay,
+            level,
+            latency,
+        };
+        hooks.mem_access(&served);
+        served
     }
 
     /// A load issued by a dedicated hardware unit with its own memory port
@@ -416,8 +403,8 @@ impl Hierarchy {
     /// queueing. Units run ahead of the GPU clock, so routing them through
     /// the shared (monotonic) port models would corrupt the port clocks.
     ///
-    /// Only the recorder in `hooks` sees it: the request carries no
-    /// timestamp, so it emits no trace events and no profiled latency; its
+    /// `hooks` sees it as a [`MemPort::Unit`] [`MemAccess`]: the request
+    /// carries no timestamp, so only the recorder consumes it; its
     /// activity still lands in [`Hierarchy::stats`].
     pub fn access_unqueued(
         &mut self,
@@ -425,107 +412,73 @@ impl Hierarchy {
         addr: u64,
         write: bool,
         hooks: &mut Hooks,
-    ) -> AccessResult {
-        let result = self.access_unqueued_inner(core, addr, write);
-        if let Some(r) = &mut hooks.recorder {
-            r.access_unqueued(core, addr, write, result.level);
-        }
-        result
-    }
-
-    fn access_unqueued_inner(&mut self, core: usize, addr: u64, write: bool) -> AccessResult {
+    ) -> MemAccess {
         let mut latency = self.cfg.l1_latency;
         let a1 = self.l1[core].access(addr, write);
         if let Some(victim) = a1.evicted_dirty {
             self.l2.access(victim, true);
         }
-        if a1.hit {
-            return AccessResult {
-                latency,
-                queue_delay: 0,
-                level: HitLevel::L1,
-            };
-        }
-        latency += self.cfg.l2_latency;
-        let a2 = self.l2.access(addr, write);
-        if let Some(victim) = a2.evicted_dirty {
-            if let Some(l3) = &mut self.l3 {
-                l3.access(victim, true);
-            } else {
-                self.dram_accesses += 1;
-            }
-        }
-        if a2.hit {
-            return AccessResult {
-                latency,
-                queue_delay: 0,
-                level: HitLevel::L2,
-            };
-        }
-        if let Some(l3) = &mut self.l3 {
-            let a3 = l3.access(addr, write);
-            if a3.evicted_dirty.is_some() {
-                self.dram_accesses += 1;
-            }
-            if a3.hit {
-                return AccessResult {
-                    latency: latency + self.cfg.l3_latency,
-                    queue_delay: 0,
-                    level: HitLevel::L3,
-                };
-            }
-            latency += self.cfg.l3_latency;
-        }
-        self.dram_accesses += 1;
-        AccessResult {
-            latency: latency + self.dram_cycles(),
+        let level = if a1.hit {
+            HitLevel::L1
+        } else {
+            let (level, below) = self.descend(addr, None, write, hooks);
+            latency += self.cfg.l2_latency + below;
+            level
+        };
+        let served = MemAccess {
+            core,
+            addr,
+            write,
+            cycle: 0,
+            port: MemPort::Unit,
             queue_delay: 0,
-            level: HitLevel::Dram,
-        }
+            level,
+            latency,
+        };
+        hooks.mem_access(&served);
+        served
     }
 
     /// An atomic read-modify-write. GPU atomics resolve at the L2 (they
-    /// bypass the L1), so the minimum latency is the L2 path.
+    /// bypass the L1), so the minimum latency is the L2 path. `hooks`
+    /// sees it as a [`MemPort::Atomic`] [`MemAccess`].
     ///
     /// # Panics
     ///
     /// Panics if `core` is out of range.
-    pub fn atomic(&mut self, core: usize, addr: u64, now: u64, hooks: &mut Hooks) -> AccessResult {
+    pub fn atomic(&mut self, core: usize, addr: u64, now: u64, hooks: &mut Hooks) -> MemAccess {
         let queue_delay = self.atomic_port.acquire(now);
-        let t = now + queue_delay;
-        let mut latency = queue_delay + self.cfg.l1_latency + self.cfg.l2_latency;
-        let (level, below) = self.descend(addr, t, true, hooks);
-        latency += below;
-        if let Some(tr) = &mut hooks.tracer {
-            tr.emit(
-                now,
-                core as u32,
-                EventData::CacheAccess {
-                    level: level.trace_level(),
-                    write: true,
-                    queue_delay,
-                },
-            );
-        }
-        if let Some(p) = &mut hooks.profiler {
-            p.mem_latency(level.trace_level(), latency);
-        }
-        if let Some(r) = &mut hooks.recorder {
-            r.atomic(core, addr, now, level);
-        }
-        AccessResult {
-            latency,
-            queue_delay: 0,
+        let (level, below) = self.descend(addr, Some(now + queue_delay), true, hooks);
+        let latency = queue_delay + self.cfg.l1_latency + self.cfg.l2_latency + below;
+        let served = MemAccess {
+            core,
+            addr,
+            write: true,
+            cycle: now,
+            port: MemPort::Atomic,
+            queue_delay,
             level,
-        }
+            latency,
+        };
+        hooks.mem_access(&served);
+        served
     }
 
-    /// The L2-and-below part of a timed request issued at `t`; returns
-    /// the serving level and the latency below the L2.
-    fn descend(&mut self, addr: u64, t: u64, write: bool, hooks: &mut Hooks) -> (HitLevel, u64) {
-        let mut emit_dram = |write: bool| {
-            if let Some(tr) = &mut hooks.tracer {
-                tr.emit(t, 0, EventData::DramTransaction { write });
+    /// The L2-and-below part of a request; returns the serving level and
+    /// the latency below the L2. A timed request (`clock` is its issue
+    /// cycle past the upper ports) queues for the DRAM port and reports
+    /// each DRAM transaction to `hooks`; a unit request (`None`) does
+    /// neither.
+    fn descend(
+        &mut self,
+        addr: u64,
+        clock: Option<u64>,
+        write: bool,
+        hooks: &mut Hooks,
+    ) -> (HitLevel, u64) {
+        let mut dram = |write: bool| {
+            if let Some(t) = clock {
+                hooks.trace(t, 0, EventData::DramTransaction { write });
             }
         };
         let a2 = self.l2.access(addr, write);
@@ -534,34 +487,28 @@ impl Hierarchy {
                 l3.access(victim, true);
             } else {
                 self.dram_accesses += 1;
-                emit_dram(true);
+                dram(true);
             }
         }
         if a2.hit {
             return (HitLevel::L2, 0);
         }
+        let mut below = 0;
         if let Some(l3) = &mut self.l3 {
             let a3 = l3.access(addr, write);
             if a3.evicted_dirty.is_some() {
                 self.dram_accesses += 1;
-                emit_dram(true);
+                dram(true);
             }
             if a3.hit {
                 return (HitLevel::L3, self.cfg.l3_latency);
             }
-            let dq = self.dram_port.acquire(t);
-            self.dram_accesses += 1;
-            emit_dram(false);
-            (
-                HitLevel::Dram,
-                self.cfg.l3_latency + dq + self.dram_cycles(),
-            )
-        } else {
-            let dq = self.dram_port.acquire(t);
-            self.dram_accesses += 1;
-            emit_dram(false);
-            (HitLevel::Dram, dq + self.dram_cycles())
+            below = self.cfg.l3_latency;
         }
+        let dq = clock.map_or(0, |t| self.dram_port.acquire(t));
+        self.dram_accesses += 1;
+        dram(false);
+        (HitLevel::Dram, below + dq + self.dram_cycles())
     }
 
     /// Aggregated statistics.

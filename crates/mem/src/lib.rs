@@ -32,7 +32,7 @@ pub mod replay;
 
 pub use cache::{Cache, CacheConfig, CacheConfigError, CacheStats};
 pub use hierarchy::{
-    AccessResult, Hierarchy, HierarchyConfig, HierarchyConfigError, HitLevel, LevelStats,
+    Hierarchy, HierarchyConfig, HierarchyConfigError, HitLevel, LevelStats, MemAccess, MemPort,
     PortOccupancy,
 };
 pub use hooks::Hooks;

@@ -52,7 +52,7 @@ use std::path::Path;
 use sparseweaver_trace::codec::{CodecError, Dec, Enc, OutStream};
 
 use crate::cache::CacheConfig;
-use crate::hierarchy::{HierarchyConfig, HitLevel, LevelStats};
+use crate::hierarchy::{HierarchyConfig, HitLevel, LevelStats, MemAccess, MemPort};
 use crate::CacheStats;
 
 /// The 8-byte file magic.
@@ -339,9 +339,7 @@ pub struct RecorderSummary {
     pub sink_error: Option<io::ErrorKind>,
 }
 
-/// The `swmtrace-v1` capture writer. It rides in the hooks the GPU lends
-/// to the hierarchy and every core at call time; with none attached the
-/// hooks are single `Option` checks and the cycle model is untouched.
+/// The `swmtrace-v1` capture writer, fed through [`crate::Hooks`].
 ///
 /// A file capture is staged in a temporary and renamed over its path by
 /// [`Recorder::finalize`]; a recorder dropped without finalizing (a
@@ -423,9 +421,9 @@ impl Recorder {
         self.scratch.clear();
     }
 
-    /// Sets the warp context for subsequent hierarchy records. Called by
-    /// the issuing core once per executed instruction, because the
-    /// hierarchy hooks don't know which warp is behind a request.
+    /// Sets the warp context for subsequent hierarchy records, on every
+    /// warp issue ([`crate::Hooks::warp_issue`]): the hierarchy does not
+    /// know which warp is behind a request.
     pub fn set_warp(&mut self, warp: u32) {
         self.warp = warp;
     }
@@ -439,52 +437,28 @@ impl Recorder {
         self.emit();
     }
 
-    /// Records one queued line access served at `level`.
-    pub fn access(&mut self, core: usize, addr: u64, write: bool, cycle: u64, level: HitLevel) {
-        self.record_access(core, addr, write, cycle, level, false);
-    }
-
-    /// Records one EGHW unit-port lookup (no timestamp) served at
-    /// `level`.
-    pub fn access_unqueued(&mut self, core: usize, addr: u64, write: bool, level: HitLevel) {
-        self.record_access(core, addr, write, 0, level, true);
-    }
-
-    fn record_access(
-        &mut self,
-        core: usize,
-        addr: u64,
-        write: bool,
-        cycle: u64,
-        level: HitLevel,
-        unqueued: bool,
-    ) {
-        let mut flags = level_code(level) << 2;
-        if write {
+    /// Records one hierarchy request: an access record for a queued or
+    /// unit-port request (the unit's carries no cycle), an atomic record
+    /// for an atomic.
+    pub fn access(&mut self, a: &MemAccess) {
+        let mut flags = level_code(a.level) << 2;
+        if a.port != MemPort::Atomic && a.write {
             flags |= FLAG_WRITE;
         }
-        if unqueued {
+        if a.port == MemPort::Unit {
             flags |= FLAG_UNQUEUED;
         }
-        self.scratch.u8(TAG_ACCESS);
-        self.scratch.u8(flags);
-        self.push_request(core, cycle, addr);
-    }
-
-    /// Records one atomic read-modify-write served at `level`.
-    pub fn atomic(&mut self, core: usize, addr: u64, cycle: u64, level: HitLevel) {
-        self.scratch.u8(TAG_ATOMIC);
-        self.scratch.u8(level_code(level) << 2);
-        self.push_request(core, cycle, addr);
-    }
-
-    /// Appends the `core, warp, cycle, addr` tail shared by access and
-    /// atomic records and emits the record.
-    fn push_request(&mut self, core: usize, cycle: u64, addr: u64) {
-        self.scratch.varint(core as u64);
-        self.scratch.varint(u64::from(self.warp));
-        self.scratch.varint(cycle);
-        self.scratch.varint(addr);
+        let tag = match a.port {
+            MemPort::Atomic => TAG_ATOMIC,
+            MemPort::Queued | MemPort::Unit => TAG_ACCESS,
+        };
+        let e = &mut self.scratch;
+        e.u8(tag);
+        e.u8(flags);
+        e.varint(a.core as u64);
+        e.varint(u64::from(self.warp));
+        e.varint(a.cycle);
+        e.varint(a.addr);
         self.records += 1;
         self.emit();
     }
@@ -550,10 +524,21 @@ mod tests {
         let mut rec = Recorder::in_memory(&cfg);
         rec.kernel_launch("gather");
         rec.set_warp(3);
-        rec.access(0, 0x1c0, false, 7, HitLevel::Dram);
-        rec.access(1, 0x200, true, 9, HitLevel::L2);
-        rec.access_unqueued(0, 0x40, false, HitLevel::L1);
-        rec.atomic(1, 0x88, 12, HitLevel::Dram);
+        let req = |core, addr, write, cycle, port, level| MemAccess {
+            core,
+            addr,
+            write,
+            cycle,
+            port,
+            queue_delay: 0,
+            level,
+            latency: 0,
+        };
+        let queued = MemPort::Queued;
+        rec.access(&req(0, 0x1c0, false, 7, queued, HitLevel::Dram));
+        rec.access(&req(1, 0x200, true, 9, queued, HitLevel::L2));
+        rec.access(&req(0, 0x40, false, 0, MemPort::Unit, HitLevel::L1));
+        rec.access(&req(1, 0x88, true, 12, MemPort::Atomic, HitLevel::Dram));
         rec.barrier(0, 3, 20);
         let stats = LevelStats {
             l1: CacheStats {
@@ -669,7 +654,16 @@ mod tests {
     fn core_out_of_range_is_typed() {
         let cfg = HierarchyConfig::vortex_default(1);
         let mut rec = Recorder::in_memory(&cfg);
-        rec.access(5, 0x40, false, 0, HitLevel::L1); // core 5 of 1
+        rec.access(&MemAccess {
+            core: 5, // of 1
+            addr: 0x40,
+            write: false,
+            cycle: 0,
+            port: MemPort::Queued,
+            queue_delay: 0,
+            level: HitLevel::L1,
+            latency: 0,
+        });
         rec.finalize(&LevelStats::default());
         let bytes = rec.take_bytes().unwrap();
         let e = parse(&bytes).expect_err("core out of range");

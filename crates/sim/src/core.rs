@@ -6,7 +6,7 @@ use sparseweaver_isa::{
 };
 use sparseweaver_mem::{Hierarchy, Hooks, MainMemory};
 use sparseweaver_trace::codec::{CodecError, Dec, Enc, Snapshot};
-use sparseweaver_trace::{Category, EventData};
+use sparseweaver_trace::EventData;
 use sparseweaver_weaver::eghw::{EghwLayout, EghwUnit};
 use sparseweaver_weaver::{DenseTable, WeaverUnit, EMPTY_WORK_ID};
 
@@ -313,16 +313,14 @@ impl Core {
                         _ => Phase::Other,
                     };
                     if self.warps[warp].phase != phase {
-                        if let Some(tr) = &mut hooks.tracer {
-                            tr.emit(
-                                cycle,
-                                self.id as u32,
-                                EventData::PhaseBegin {
-                                    warp: warp as u32,
-                                    phase,
-                                },
-                            );
-                        }
+                        hooks.trace(
+                            cycle,
+                            self.id as u32,
+                            EventData::PhaseBegin {
+                                warp: warp as u32,
+                                phase,
+                            },
+                        );
                     }
                     self.warps[warp].phase = phase;
                     self.warps[warp].pc += 1;
@@ -331,10 +329,9 @@ impl Core {
         }
     }
 
-    /// Attempts to issue one instruction at `cycle`. The observers in
-    /// `hooks` see the issue (warp issues, phase boundaries, divergence,
-    /// barrier arrivals), and the call lends them on to the hierarchy,
-    /// device memory and the Weaver unit.
+    /// Attempts to issue one instruction at `cycle`, reporting the issue
+    /// and what it executes to `hooks`, which it lends on to the
+    /// hierarchy, device memory and the Weaver unit.
     ///
     /// # Errors
     ///
@@ -377,22 +374,8 @@ impl Core {
                 self.front_kind[w] = kind;
                 continue;
             }
-            if let Some(tr) = &mut hooks.tracer {
-                if tr.enabled(Category::Warp) {
-                    tr.emit(
-                        cycle,
-                        self.id as u32,
-                        EventData::WarpIssue {
-                            warp: w as u32,
-                            pc: self.warps[w].pc,
-                            active: self.warps[w].active_count(),
-                        },
-                    );
-                }
-            }
-            if let Some(p) = &mut hooks.profiler {
-                p.warp_issue(self.id, w);
-            }
+            let warp = &self.warps[w];
+            hooks.warp_issue(cycle, self.id, w, warp.pc, warp.active_count());
             let instr = self.fetch_with_faults(d.instr, w, program, hooks)?;
             // The issue moves the front; `exec` marks a halt or barrier.
             self.front_ready[w] = 0;
@@ -522,9 +505,6 @@ impl Core {
         let lanes = self.lanes;
         let core_id = self.id;
         self.stats.thread_instructions += self.warps[w].active_count() as u64;
-        if let Some(r) = &mut hooks.recorder {
-            r.set_warp(w as u32);
-        }
         // Transient register-file upset: one bit of one register word of
         // the executing warp may flip, visible to all subsequent reads.
         if let Some(f) = &mut hooks.fault {
@@ -541,9 +521,7 @@ impl Core {
                 self.halt_warp(w);
             }
             Instr::Bar => {
-                if let Some(r) = &mut hooks.recorder {
-                    r.barrier(core_id, w as u32, cycle);
-                }
+                hooks.barrier(core_id, w as u32, cycle);
                 self.warps[w].state = WarpState::AtBarrier;
                 self.front_ready[w] = u64::MAX;
                 self.at_barrier += 1;
@@ -739,18 +717,16 @@ impl Core {
                 warp.simt.push(entry);
                 // A split only diverges when both sides have lanes.
                 if t != 0 && f != 0 {
-                    if let Some(tr) = &mut hooks.tracer {
-                        tr.emit(
-                            cycle,
-                            core_id as u32,
-                            EventData::Divergence {
-                                warp: w as u32,
-                                pc: split_pc,
-                                taken: t.count_ones(),
-                                not_taken: f.count_ones(),
-                            },
-                        );
-                    }
+                    hooks.trace(
+                        cycle,
+                        core_id as u32,
+                        EventData::Divergence {
+                            warp: w as u32,
+                            pc: split_pc,
+                            taken: t.count_ones(),
+                            not_taken: f.count_ones(),
+                        },
+                    );
                 }
             }
             Instr::Join => {
@@ -812,61 +788,55 @@ impl Core {
                     }
                 }
             }
-            Instr::WeaverDecId { rd } => match self.weaver_mode {
-                WeaverMode::Weaver => {
-                    let resp = self.weaver.dec_id(w, cycle, core_id as u32, hooks);
-                    // A dropped response never arrives (`ready_at` is
-                    // `u64::MAX`): it has no latency to record.
-                    if let (Some(p), false) = (&mut hooks.profiler, resp.dropped) {
-                        p.weaver_dec(core_id, w, cycle, resp.ready_at);
+            Instr::WeaverDecId { rd } => {
+                // Both units answer per-lane vertex IDs (`-1` = no work).
+                let (vids, ready_at, exhausted, dropped) = match self.weaver_mode {
+                    WeaverMode::Weaver => {
+                        let r = self.weaver.dec_id(w, cycle, core_id as u32, hooks);
+                        (r.batch.vids, r.ready_at, r.batch.exhausted, r.dropped)
                     }
-                    let warp = &mut self.warps[w];
-                    warp.write_row(rd, &id_row(&resp.batch.vids[..lanes]), full_mask(lanes));
-                    warp.set_pending(rd, resp.ready_at, PendKind::Weaver);
-                    if self.auto_mask && !resp.batch.exhausted {
-                        warp.active = resp.batch.mask() & full_mask(lanes);
-                    }
-                }
-                WeaverMode::Eghw => {
-                    let batch = self.eghw.dec(cycle, |a, wd, _unit_now| {
-                        // The unit has its own memory port (SCU/GraphPEG
-                        // style): full lookup latency, no GPU port queue.
-                        let lat = hier.access_unqueued(core_id, a, false, hooks).latency;
-                        // The unit's port cannot raise a bus error; an
-                        // out-of-bounds lookup reads as zero.
-                        (mem.try_read(a, wd, hooks.fault.as_mut()).unwrap_or(0), lat)
-                    });
-                    let staging = eghw_staging_base(self.shared.len(), self.warps.len(), lanes);
-                    for l in 0..lanes {
-                        let slot = staging + ((w * lanes + l) as u64) * 8;
-                        // Staged through the fallible path: a scratchpad
-                        // too small for the staging area is a typed fault
-                        // naming the kernel, not a process abort.
-                        self.shared
-                            .try_write(slot, batch.others[l].max(0) as u64, 4)
-                            .map_err(|e| mem_fault(program, &e))?;
-                        self.shared
-                            .try_write(slot + 4, batch.weights[l].max(0) as u64, 4)
-                            .map_err(|e| mem_fault(program, &e))?;
-                    }
-                    self.eghw_dt.store_row(w, &batch.eids);
-                    if let Some(p) = &mut hooks.profiler {
-                        p.weaver_dec(core_id, w, cycle, batch.ready_at);
-                    }
-                    let warp = &mut self.warps[w];
-                    warp.write_row(rd, &id_row(&batch.vids[..lanes]), full_mask(lanes));
-                    warp.set_pending(rd, batch.ready_at, PendKind::Weaver);
-                    if self.auto_mask && !batch.exhausted {
-                        let mut m = 0u64;
-                        for (l, &v) in batch.vids.iter().enumerate() {
-                            if v != EMPTY_WORK_ID {
-                                m |= 1 << l;
-                            }
+                    WeaverMode::Eghw => {
+                        let batch = self.eghw.dec(cycle, |a, wd, _unit_now| {
+                            // The unit has its own memory port (SCU/GraphPEG
+                            // style): full lookup latency, no GPU port queue.
+                            let lat = hier.access_unqueued(core_id, a, false, hooks).latency;
+                            // The unit's port cannot raise a bus error; an
+                            // out-of-bounds lookup reads as zero.
+                            (mem.try_read(a, wd, hooks.fault.as_mut()).unwrap_or(0), lat)
+                        });
+                        let staging = eghw_staging_base(self.shared.len(), self.warps.len(), lanes);
+                        for l in 0..lanes {
+                            let slot = staging + ((w * lanes + l) as u64) * 8;
+                            // Staged through the fallible path: a scratchpad
+                            // too small for the staging area is a typed fault
+                            // naming the kernel, not a process abort.
+                            self.shared
+                                .try_write(slot, batch.others[l].max(0) as u64, 4)
+                                .map_err(|e| mem_fault(program, &e))?;
+                            self.shared
+                                .try_write(slot + 4, batch.weights[l].max(0) as u64, 4)
+                                .map_err(|e| mem_fault(program, &e))?;
                         }
-                        warp.active = m & full_mask(lanes);
+                        self.eghw_dt.store_row(w, &batch.eids);
+                        (batch.vids, batch.ready_at, batch.exhausted, false)
                     }
+                };
+                // A dropped response never arrives (`ready_at` is
+                // `u64::MAX`): it has no latency to record.
+                if !dropped {
+                    hooks.weaver_dec(core_id, w, cycle, ready_at);
                 }
-            },
+                let warp = &mut self.warps[w];
+                warp.write_row(rd, &id_row(&vids[..lanes]), full_mask(lanes));
+                warp.set_pending(rd, ready_at, PendKind::Weaver);
+                if self.auto_mask && !exhausted {
+                    let filled = vids
+                        .iter()
+                        .enumerate()
+                        .filter(|&(_, &v)| v != EMPTY_WORK_ID);
+                    warp.active = filled.fold(0, |m, (l, _)| m | 1 << l) & full_mask(lanes);
+                }
+            }
             Instr::WeaverDecLoc { rd } => match self.weaver_mode {
                 WeaverMode::Weaver => {
                     let (eids, ready) = self.weaver.dec_loc(w, cycle, core_id as u32, hooks);

@@ -139,13 +139,12 @@ impl Gpu {
     /// Attaches the run's observers, replacing (and dropping) any attached
     /// before.
     ///
-    /// Every launch lends them as `&mut Hooks` to the components it calls:
-    /// the tracer and profiler see the cores, the memory hierarchy and the
-    /// Weaver units; the recorder captures every hierarchy request plus
-    /// launches and barriers; the fault injector corrupts device reads,
-    /// register files and instruction fetches and drops or delays Weaver
-    /// responses. With [`Hooks::default`] attached — the default — every
-    /// hook is a `None` check and the cycle model is untouched.
+    /// Every launch lends them as `&mut Hooks` to the components it calls,
+    /// which report each observation through one [`Hooks`] method; the
+    /// fault injector corrupts device reads, register files and
+    /// instruction fetches and drops or delays Weaver responses. With
+    /// [`Hooks::default`] attached — the default — every hook is a `None`
+    /// check and the cycle model is untouched.
     pub fn attach_hooks(&mut self, hooks: Hooks) {
         self.hooks = hooks;
     }
@@ -227,18 +226,10 @@ impl Gpu {
             c.reset_for_launch(resident);
         }
         self.hierarchy.reset_ports();
-        if let Some(r) = &mut self.hooks.recorder {
-            r.kernel_launch(program.name());
-        }
+        self.hooks.launch_begin(program.name());
         let mem_before = self.hierarchy.stats();
         let traffic_before = self.mem.traffic();
         let fault_before = self.fault_counts();
-        if let Some(tr) = &mut self.hooks.tracer {
-            tr.kernel_begin(program.name());
-        }
-        if let Some(p) = &mut self.hooks.profiler {
-            p.launch_begin();
-        }
         let num_cores = self.cores.len();
         // Decode once; the per-cycle issue path never touches the word
         // decoder again (the fetch-flip fault path re-encodes per fetch).
@@ -347,32 +338,28 @@ impl Gpu {
                 }
                 jump - cycle
             };
-            // Attribute stall cycles to blocked cores.
+            // Attribute stall cycles to blocked cores, by the same cause
+            // the stall event reports.
             for &(i, b) in &blocked {
                 let s = &mut self.cores[i].stats;
-                let n = delta;
-                if b.barrier {
-                    s.stalls.barrier += n;
-                } else {
-                    match b.reason {
-                        PendKind::Memory => s.stalls.memory += n,
-                        PendKind::Shared => s.stalls.shared += n,
-                        PendKind::Weaver => s.stalls.weaver += n,
-                        PendKind::Exec | PendKind::None => s.stalls.exec_dep += n,
-                    }
-                }
-                s.phase_cycles[b.phase as usize] += n;
-                if let Some(tr) = &mut self.hooks.tracer {
-                    tr.emit(
-                        cycle,
-                        i as u32,
-                        EventData::WarpStall {
-                            cause: stall_cause(&b),
-                            phase: b.phase,
-                            cycles: n,
-                        },
-                    );
-                }
+                let cause = stall_cause(&b);
+                *match cause {
+                    StallCause::Memory => &mut s.stalls.memory,
+                    StallCause::Shared => &mut s.stalls.shared,
+                    StallCause::ExecDep => &mut s.stalls.exec_dep,
+                    StallCause::Weaver => &mut s.stalls.weaver,
+                    StallCause::Barrier => &mut s.stalls.barrier,
+                } += delta;
+                s.phase_cycles[b.phase as usize] += delta;
+                self.hooks.trace(
+                    cycle,
+                    i as u32,
+                    EventData::WarpStall {
+                        cause,
+                        phase: b.phase,
+                        cycles: delta,
+                    },
+                );
             }
             // Warp residency accounting.
             for c in &self.cores {
@@ -382,21 +369,14 @@ impl Gpu {
                 }
             }
             cycle += delta;
-            if self
-                .hooks
-                .tracer
-                .as_ref()
-                .is_some_and(|t| t.sample_due(cycle))
-            {
+            if self.hooks.sample_due(cycle) {
                 let snap = self.launch_snapshot(
                     barrier_warp_cycles,
                     &mem_before,
                     traffic_before,
                     &fault_before,
                 );
-                if let Some(tr) = &mut self.hooks.tracer {
-                    tr.record_sample(cycle, &snap);
-                }
+                self.hooks.record_sample(cycle, &snap);
             }
         }
 
@@ -430,16 +410,14 @@ impl Gpu {
             },
             dram_accesses: mem_after.dram_accesses - mem_before.dram_accesses,
         };
-        if self.hooks.tracer.is_some() {
+        if self.hooks.tracing() {
             let snap = self.launch_snapshot(
                 barrier_warp_cycles,
                 &mem_before,
                 traffic_before,
                 &fault_before,
             );
-            if let Some(tr) = &mut self.hooks.tracer {
-                tr.kernel_end(cycle, &snap);
-            }
+            self.hooks.kernel_end(cycle, &snap);
         }
         Ok(stats)
     }

@@ -21,13 +21,11 @@
 //! # Example
 //!
 //! ```
-//! use sparseweaver_trace::{Category, EventData, TraceConfig, Tracer};
+//! use sparseweaver_trace::{EventData, TraceConfig, Tracer};
 //!
 //! let mut t = Tracer::new(TraceConfig::default());
 //! t.kernel_begin("demo");
-//! if t.enabled(Category::Warp) {
-//!     t.emit(3, 0, EventData::WarpIssue { warp: 1, pc: 0, active: 4 });
-//! }
+//! t.emit(3, 0, EventData::WarpIssue { warp: 1, pc: 0, active: 4 });
 //! t.kernel_end(10, &Default::default());
 //! let report = t.take_report();
 //! assert_eq!(report.kernels[0].cycles, 10);

@@ -135,15 +135,10 @@ impl Tracer {
         }
     }
 
-    /// Whether events of `cat` are being recorded.
-    pub fn enabled(&self, cat: Category) -> bool {
-        self.mask.contains(cat)
-    }
-
     /// Records an event at launch-relative `cycle` (shifted onto the
     /// global timeline) if its category is enabled.
     pub fn emit(&mut self, cycle: u64, core: u32, data: EventData) {
-        if self.enabled(data.category()) {
+        if self.mask.contains(data.category()) {
             self.sink.record(TraceEvent {
                 cycle: self.base + cycle,
                 core,

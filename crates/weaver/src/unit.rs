@@ -160,8 +160,7 @@ impl WeaverUnit {
     /// violation (e.g. a corrupted warp index) is a detected crash.
     ///
     /// Like every entry point, it takes the owning `core`'s index, which
-    /// it stamps on the [`EventData::WeaverTable`] operations it emits
-    /// into the tracer in `hooks`.
+    /// it stamps on the events it reports to `hooks`.
     pub fn reg(
         &mut self,
         warp: usize,
@@ -185,16 +184,14 @@ impl WeaverUnit {
             self.staging.register(index, StEntry { vid, loc, deg });
             self.registrations += 1;
         }
-        if let Some(tr) = &mut hooks.tracer {
-            tr.emit(
-                now,
-                core,
-                EventData::WeaverTable {
-                    op: TableOp::StWrite,
-                    count: records.len() as u32,
-                },
-            );
-        }
+        hooks.trace(
+            now,
+            core,
+            EventData::WeaverTable {
+                op: TableOp::StWrite,
+                count: records.len() as u32,
+            },
+        );
         // Pipelined table writes: one per cycle of occupancy.
         let start = now.max(self.busy_until);
         let occupancy = self.cfg.base_latency + records.len() as u64;
@@ -206,9 +203,9 @@ impl WeaverUnit {
     /// buffer, stores the edge IDs in the warp's DT row, and returns the
     /// per-lane vertex IDs plus the thread mask.
     ///
-    /// The tracer in `hooks` sees the FSM transitions the request took and
-    /// its table operations; the fault injector decides whether the
-    /// response is dropped or delayed (Table II).
+    /// The request's FSM transitions and table operations go to `hooks`;
+    /// the fault injector decides whether the response is dropped or
+    /// delayed (Table II).
     pub fn dec_id(&mut self, warp: usize, now: u64, core: u32, hooks: &mut Hooks) -> DecResponse {
         if self.in_registration {
             // Synchronization point passed: install the registered ST.
@@ -220,15 +217,14 @@ impl WeaverUnit {
         // Capture the FSM position before decoding so the transitions this
         // request causes can be replayed into the trace.
         let pre = hooks
-            .tracer
-            .as_ref()
-            .map(|_| (self.fsm.state(), self.fsm.trace().len()));
+            .tracing()
+            .then(|| (self.fsm.state(), self.fsm.trace().len()));
         let batch = self.fsm.decode();
         self.dt.store_row(warp, &batch.eids);
         self.st_fetches += batch.st_fetches as u64;
-        if let (Some((mut from, taken)), Some(tr)) = (pre, &mut hooks.tracer) {
+        if let Some((mut from, taken)) = pre {
             for &to in &self.fsm.trace()[taken..] {
-                tr.emit(
+                hooks.trace(
                     now,
                     core,
                     EventData::WeaverTransition {
@@ -238,26 +234,12 @@ impl WeaverUnit {
                 );
                 from = to;
             }
-            if batch.st_fetches > 0 {
-                tr.emit(
-                    now,
-                    core,
-                    EventData::WeaverTable {
-                        op: TableOp::StFetch,
-                        count: batch.st_fetches,
-                    },
-                );
-            }
-            let filled = batch.filled() as u32;
-            if filled > 0 {
-                tr.emit(
-                    now,
-                    core,
-                    EventData::WeaverTable {
-                        op: TableOp::DtWrite,
-                        count: filled,
-                    },
-                );
+            let tables = [
+                (TableOp::StFetch, batch.st_fetches),
+                (TableOp::DtWrite, batch.filled() as u32),
+            ];
+            for (op, count) in tables.into_iter().filter(|&(_, n)| n > 0) {
+                hooks.trace(now, core, EventData::WeaverTable { op, count });
             }
         }
         // Occupancy: the S2 decode state "fills every entry of OD
@@ -302,16 +284,14 @@ impl WeaverUnit {
         // A DT row read is one (wide) shared-memory access; it does not
         // occupy the FSM.
         let eids = self.dt.load_row(warp);
-        if let Some(tr) = &mut hooks.tracer {
-            tr.emit(
-                now,
-                core,
-                EventData::WeaverTable {
-                    op: TableOp::DtRead,
-                    count: eids.len() as u32,
-                },
-            );
-        }
+        hooks.trace(
+            now,
+            core,
+            EventData::WeaverTable {
+                op: TableOp::DtRead,
+                count: eids.len() as u32,
+            },
+        );
         (eids, now + self.cfg.base_latency + self.cfg.table_latency)
     }
 

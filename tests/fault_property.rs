@@ -1,6 +1,6 @@
 //! Property tests for the robustness layer: decode totality under
-//! arbitrary corruption, campaign classification totality, and
-//! campaign determinism.
+//! arbitrary corruption, `--inject` spec parsing under byte mutation,
+//! campaign classification totality, and campaign determinism.
 //!
 //! The machine model's contract is *typed errors, never panics*: a
 //! corrupted instruction word is an [`IllegalInstruction`] or executes
@@ -8,11 +8,13 @@
 //! the four campaign classes (masked / SDC / detected-crash / hang).
 //! See `docs/robustness.md`.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
+
 use proptest::prelude::*;
 use sparseweaver::core::algorithms::Bfs;
 use sparseweaver::core::campaign::{run_campaign, CampaignConfig};
 use sparseweaver::core::Schedule;
-use sparseweaver::fault::FaultSpec;
+use sparseweaver::fault::{FaultSpec, SplitMix64};
 use sparseweaver::graph::generators;
 use sparseweaver::isa::encode::{decode_instr, decode_weaver, encode_instr};
 use sparseweaver::sim::GpuConfig;
@@ -96,4 +98,69 @@ proptest! {
         prop_assert_eq!(a.runs, b.runs);
         prop_assert_eq!(a.panics, b.panics);
     }
+}
+
+/// Seeded byte mutants of real `--inject` specs that name all five sites:
+/// each parses to a spec whose every rate lies in [0, 1], or to an error
+/// message, and never panics.
+#[test]
+fn mutated_fault_specs_parse_or_fail_typed() {
+    const MUTATIONS: usize = 2000;
+    // Bytes that matter to the grammar, drawn half the time; any ASCII
+    // byte otherwise (the CLI hands the parser UTF-8 text).
+    const ALPHABET: &[u8] = b"0123456789.,=:-+eEinfaINFAN regmfthwvdlay";
+    let seeds = [
+        "reg=0.002,mem=0.001,fetch=0.001,weaver-drop=0.02,weaver-delay=0.05:300",
+        "weaver-delay=0.5,fetch=1e-3,reg=1,weaver-drop=0.25,mem=0",
+    ];
+    let mut rng = SplitMix64::new(0xfa17);
+    let byte = |rng: &mut SplitMix64| {
+        if rng.below(2) == 0 {
+            ALPHABET[rng.below(ALPHABET.len() as u64) as usize]
+        } else {
+            rng.below(128) as u8
+        }
+    };
+    let (mut parsed, mut refused) = (0, 0);
+    for seed in seeds {
+        FaultSpec::parse(seed).expect("seed spec parses");
+        let sites = ["reg=", "mem=", "fetch=", "weaver-drop=", "weaver-delay="];
+        assert!(sites.iter().all(|site| seed.contains(site)));
+        let text = seed.as_bytes();
+        for i in 0..3 * MUTATIONS {
+            let mut mutant = text.to_vec();
+            let at = rng.below(text.len() as u64) as usize;
+            match i / MUTATIONS {
+                0 => mutant[at] = byte(&mut rng),
+                1 => mutant.insert(at, byte(&mut rng)),
+                _ => {
+                    mutant.remove(at);
+                }
+            }
+            let doc = std::str::from_utf8(&mutant).expect("ASCII mutants stay UTF-8");
+            match catch_unwind(AssertUnwindSafe(|| FaultSpec::parse(doc))) {
+                Ok(Ok(s)) => {
+                    let rates = [
+                        s.reg_rate,
+                        s.mem_rate,
+                        s.fetch_rate,
+                        s.weaver_drop_rate,
+                        s.weaver_delay_rate,
+                    ];
+                    assert!(
+                        rates.iter().all(|r| (0.0..=1.0).contains(r)),
+                        "`{doc}` parsed to {s:?}"
+                    );
+                    parsed += 1;
+                }
+                Ok(Err(e)) => {
+                    assert!(!e.is_empty(), "`{doc}`: empty error");
+                    refused += 1;
+                }
+                Err(_) => panic!("mutant {i} of `{seed}` (byte {at}) panicked: `{doc}`"),
+            }
+        }
+    }
+    assert!(parsed > 0, "some mutations must land in plain data");
+    assert!(refused > 0, "some mutations must be refused");
 }

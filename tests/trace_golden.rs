@@ -3,11 +3,12 @@
 //! and tracing must be invisible to the cycle model.
 
 use sparseweaver::core::algorithms::{Bfs, PageRank};
-use sparseweaver::core::{Schedule, Session};
+use sparseweaver::core::{profile, RunReport, Schedule, Session};
+use sparseweaver::graph::Csr;
 use sparseweaver::sim::GpuConfig;
 use sparseweaver::trace::{export, json, TraceConfig};
 
-fn graph() -> sparseweaver::graph::Csr {
+fn graph() -> Csr {
     sparseweaver::graph::generators::powerlaw(80, 500, 1.9, 42)
 }
 
@@ -125,12 +126,43 @@ fn metrics_document_matches_the_run() {
     );
 }
 
+/// The artifacts of one PageRank run with the chosen sinks attached:
+/// `(report, Chrome trace, profile.json, swmtrace bytes)`.
+fn observed(
+    g: &Csr,
+    schedule: Schedule,
+    trace: bool,
+    profile: bool,
+    mem: bool,
+) -> (RunReport, Option<String>, Option<String>, Option<Vec<u8>>) {
+    let cfg = GpuConfig::small_test();
+    let mut s = if trace {
+        traced_session()
+    } else {
+        Session::new(cfg)
+    };
+    s.profile = profile;
+    let path = std::env::temp_dir().join(format!(
+        "sw_trace_golden_{schedule:?}_{trace}{profile}_{}.swmtrace",
+        std::process::id()
+    ));
+    if mem {
+        s.mem_trace_out = Some(path.clone());
+    }
+    let report = s.run(g, &PageRank::new(2), schedule).unwrap();
+    let chrome = report.trace.as_ref().map(export::chrome_trace_json);
+    let prof = profile.then(|| profile::render(&report, &cfg, g));
+    let capture = mem.then(|| std::fs::read(&path).expect("memory trace"));
+    let _ = std::fs::remove_file(&path);
+    (report, chrome, prof, capture)
+}
+
 #[test]
 fn tracing_leaves_kernel_stats_bit_identical() {
     let g = graph();
     // Svm exercises the plain-core path, SparseWeaver additionally the
-    // Weaver-unit tracer hooks.
-    for schedule in [Schedule::Svm, Schedule::SparseWeaver] {
+    // Weaver-unit tracer hooks, Eghw the unit-port hierarchy lookups.
+    for schedule in [Schedule::Svm, Schedule::SparseWeaver, Schedule::Eghw] {
         let mut plain = Session::new(GpuConfig::small_test());
         let mut traced = traced_session();
         let a = plain.run(&g, &PageRank::new(2), schedule).unwrap();
@@ -144,5 +176,19 @@ fn tracing_leaves_kernel_stats_bit_identical() {
             a.output.approx_eq(&b.output, 0.0),
             "outputs must match exactly"
         );
+
+        // Every sink at once: the cycle model is untouched, and each sink
+        // writes exactly what it writes alone.
+        let (all, chrome, prof, capture) = observed(&g, schedule, true, true, true);
+        assert_eq!(a.stats, all.stats, "{schedule:?} stats diverged");
+        assert_eq!(a.per_kernel, all.per_kernel);
+        assert!(chrome.is_some() && prof.is_some() && capture.is_some());
+        let alone = "differs from the one its sink writes alone";
+        let trace_alone = observed(&g, schedule, true, false, false).1;
+        assert!(chrome == trace_alone, "{schedule:?} trace {alone}");
+        let prof_alone = observed(&g, schedule, false, true, false).2;
+        assert!(prof == prof_alone, "{schedule:?} profile {alone}");
+        let capture_alone = observed(&g, schedule, false, false, true).3;
+        assert!(capture == capture_alone, "{schedule:?} capture {alone}");
     }
 }

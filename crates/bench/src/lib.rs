@@ -2,9 +2,10 @@
 //!
 //! One function per table/figure of the paper's evaluation (Section V),
 //! each returning a plain-text report with the same rows/series the paper
-//! plots. The `experiments` binary drives them from the command line;
-//! the Criterion benches in `benches/` track the underlying machinery for
-//! regressions at reduced scale.
+//! plots. The `experiments` binary drives them from the command line.
+//! `tests/speed_gates.rs` holds the simulator's two self-baselined speed
+//! gates (fast-forward, hooks off), `#[ignore]`d outside the release
+//! `bench-gate` run.
 //!
 //! Absolute numbers differ from the paper (our substrate is a from-scratch
 //! simulator on scaled dataset stand-ins — see `DESIGN.md`); the *shape* —

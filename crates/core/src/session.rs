@@ -170,8 +170,14 @@ pub struct Session {
 
 impl Session {
     /// Creates a session on the given machine configuration.
+    ///
+    /// # Panics
+    ///
+    /// Panics with the [`ConfigError`](sparseweaver_sim::ConfigError)'s
+    /// message if [`GpuConfig::validate`] rejects `cfg`.
     pub fn new(cfg: GpuConfig) -> Self {
-        cfg.validate();
+        cfg.validate()
+            .unwrap_or_else(|e| panic!("invalid GPU configuration: {e}"));
         Session {
             cfg,
             l1_penalty: true,

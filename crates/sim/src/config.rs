@@ -1,5 +1,8 @@
 //! GPU configuration presets.
 
+use std::fmt;
+
+use sparseweaver_isa::NUM_REGS;
 use sparseweaver_mem::HierarchyConfig;
 use sparseweaver_weaver::WeaverConfig;
 
@@ -188,33 +191,74 @@ impl GpuConfig {
 
     /// Validates internal consistency.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if lane count exceeds 64 (mask width), core counts disagree
-    /// with the hierarchy, or the Weaver ST capacity is zero.
-    pub fn validate(&self) {
-        assert!(
-            self.threads_per_warp <= 64,
-            "at most 64 lanes per warp (mask width)"
+    /// Returns the first [`ConfigError`] found: more than 64 lanes per
+    /// warp (mask width) or a lane count that is not a power of two, core
+    /// counts that disagree with the hierarchy, a zero Weaver ST capacity,
+    /// zero cores or warps, or a register file that cannot hold one full
+    /// warp.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        use ConfigError::*;
+        let (lanes, cores, regs) = (
+            self.threads_per_warp,
+            self.num_cores,
+            self.regfile_regs_per_warp,
         );
-        assert!(self.threads_per_warp.is_power_of_two());
-        assert_eq!(
-            self.num_cores, self.hierarchy.num_cores,
-            "hierarchy core count must match"
-        );
-        assert!(self.weaver.st_capacity > 0);
-        assert!(self.num_cores > 0 && self.warps_per_core > 0);
-        assert!(
-            (1..=sparseweaver_isa::NUM_REGS).contains(&self.regfile_regs_per_warp),
-            "regfile_regs_per_warp must be in 1..={}",
-            sparseweaver_isa::NUM_REGS
-        );
-        assert!(
-            self.regs_per_core >= self.regfile_regs_per_warp,
-            "register file must hold at least one full warp"
-        );
+        [
+            (lanes > 64, TooManyLanes),
+            (!lanes.is_power_of_two(), LanesNotPowerOfTwo),
+            (cores != self.hierarchy.num_cores, CoreCountMismatch),
+            (self.weaver.st_capacity == 0, NoStCapacity),
+            (cores == 0, NoCores),
+            (self.warps_per_core == 0, NoWarps),
+            (!(1..=NUM_REGS).contains(&regs), RegsPerWarpOutOfRange),
+            (self.regs_per_core < regs, RegisterFileTooSmall),
+        ]
+        .into_iter()
+        .find_map(|(broken, e)| broken.then_some(e))
+        .map_or(Ok(()), Err)
     }
 }
+
+/// A machine configuration rejected by [`GpuConfig::validate`], one
+/// variant per condition it checks.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ConfigError {
+    /// More lanes per warp than the 64-bit active mask holds.
+    TooManyLanes,
+    /// A lane count that is not a power of two.
+    LanesNotPowerOfTwo,
+    /// `num_cores` differs from the hierarchy's core count.
+    CoreCountMismatch,
+    /// A Weaver sparse table with no entries.
+    NoStCapacity,
+    /// Zero cores.
+    NoCores,
+    /// Zero warps per core.
+    NoWarps,
+    /// `regfile_regs_per_warp` outside `1..=NUM_REGS`.
+    RegsPerWarpOutOfRange,
+    /// `regs_per_core` below `regfile_regs_per_warp`.
+    RegisterFileTooSmall,
+}
+
+impl fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            ConfigError::TooManyLanes => "at most 64 lanes per warp (mask width)",
+            ConfigError::LanesNotPowerOfTwo => "lanes per warp must be a power of two",
+            ConfigError::CoreCountMismatch => "hierarchy core count must match",
+            ConfigError::NoStCapacity => "Weaver ST capacity must be positive",
+            ConfigError::NoCores => "at least one core required",
+            ConfigError::NoWarps => "at least one warp per core required",
+            ConfigError::RegsPerWarpOutOfRange => "regfile_regs_per_warp must be in 1..=NUM_REGS",
+            ConfigError::RegisterFileTooSmall => "register file must hold at least one full warp",
+        })
+    }
+}
+
+impl std::error::Error for ConfigError {}
 
 #[cfg(test)]
 mod tests {
@@ -222,12 +266,53 @@ mod tests {
 
     #[test]
     fn presets_are_valid() {
-        GpuConfig::vortex_default().validate();
-        GpuConfig::eight_core().validate();
-        GpuConfig::small_test().validate();
-        GpuConfig::ampere_like().validate();
-        GpuConfig::ada_like().validate();
-        GpuConfig::regfile_limited().validate();
+        GpuConfig::vortex_default().validate().unwrap();
+        GpuConfig::evaluation_default().validate().unwrap();
+        GpuConfig::eight_core().validate().unwrap();
+        GpuConfig::small_test().validate().unwrap();
+        GpuConfig::ampere_like().validate().unwrap();
+        GpuConfig::ada_like().validate().unwrap();
+        GpuConfig::regfile_limited().validate().unwrap();
+    }
+
+    #[test]
+    fn each_broken_field_gives_its_error() {
+        use ConfigError::*;
+        let validate = |breaks: fn(&mut GpuConfig)| {
+            let mut cfg = GpuConfig::small_test();
+            breaks(&mut cfg);
+            cfg.validate()
+        };
+        assert_eq!(validate(|c| c.threads_per_warp = 128), Err(TooManyLanes));
+        assert_eq!(
+            validate(|c| c.threads_per_warp = 6),
+            Err(LanesNotPowerOfTwo)
+        );
+        assert_eq!(
+            validate(|c| c.threads_per_warp = 0),
+            Err(LanesNotPowerOfTwo)
+        );
+        assert_eq!(validate(|c| c.num_cores = 4), Err(CoreCountMismatch));
+        assert_eq!(validate(|c| c.weaver.st_capacity = 0), Err(NoStCapacity));
+        let no_cores = validate(|c| {
+            c.num_cores = 0;
+            c.hierarchy.num_cores = 0;
+        });
+        assert_eq!(no_cores, Err(NoCores));
+        assert_eq!(validate(|c| c.warps_per_core = 0), Err(NoWarps));
+        assert_eq!(
+            validate(|c| c.regfile_regs_per_warp = 0),
+            Err(RegsPerWarpOutOfRange)
+        );
+        assert_eq!(
+            validate(|c| c.regfile_regs_per_warp = NUM_REGS + 1),
+            Err(RegsPerWarpOutOfRange)
+        );
+        // 16 registers per core, fewer than one warp's 64.
+        assert_eq!(
+            validate(|c| c.regs_per_core = 16),
+            Err(RegisterFileTooSmall)
+        );
     }
 
     #[test]
@@ -262,14 +347,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "at least one full warp")]
-    fn register_file_smaller_than_a_warp_rejected() {
-        let mut cfg = GpuConfig::small_test();
-        cfg.regs_per_core = 16; // < regfile_regs_per_warp (64)
-        cfg.validate();
-    }
-
-    #[test]
     fn paper_configuration() {
         let cfg = GpuConfig::vortex_default();
         assert_eq!(cfg.num_cores, 6); // 2 sockets x 3 cores
@@ -294,7 +371,7 @@ mod tests {
         let cfg = GpuConfig::eight_core();
         assert_eq!(cfg.num_cores, 8);
         assert_eq!(cfg.hierarchy.num_cores, 8);
-        cfg.validate();
+        cfg.validate().unwrap();
     }
 
     #[test]
@@ -304,10 +381,10 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "hierarchy core count")]
+    #[should_panic(expected = "invalid GPU configuration: hierarchy core count must match")]
     fn mismatched_cores_rejected() {
         let mut cfg = GpuConfig::vortex_default();
         cfg.num_cores = 4;
-        cfg.validate();
+        crate::Gpu::new(cfg);
     }
 }

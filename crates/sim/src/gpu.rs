@@ -88,7 +88,8 @@ impl Gpu {
     /// Panics if the configuration is inconsistent (see
     /// [`GpuConfig::validate`]).
     pub fn new(cfg: GpuConfig) -> Self {
-        cfg.validate();
+        cfg.validate()
+            .unwrap_or_else(|e| panic!("invalid GPU configuration: {e}"));
         Gpu {
             mem: MainMemory::new(1 << 20),
             hierarchy: Hierarchy::new(cfg.hierarchy),

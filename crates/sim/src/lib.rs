@@ -30,7 +30,7 @@ pub mod hang;
 pub mod stats;
 pub mod warp;
 
-pub use config::{GpuConfig, WeaverMode};
+pub use config::{ConfigError, GpuConfig, WeaverMode};
 pub use gpu::{Gpu, Occupancy};
 pub use hang::{CoreHang, HangReport, WarpHang};
 pub use stats::{KernelStats, Phase, StallBreakdown};

@@ -1,9 +1,11 @@
-//! Byte-mutation robustness of the checkpoint's machine section: a real
-//! mid-run checkpoint (ring tracer, profiler and Weaver fault injector
-//! attached) has single bytes of its machine section overwritten at
-//! thousands of seeded positions. Every damaged file must decode (the
-//! header and the section length are intact) and resume into either a
-//! finished run or a typed error — never a panic.
+//! Byte-mutation robustness of a real mid-run checkpoint (ring tracer,
+//! profiler and Weaver fault injector attached). Single bytes of its
+//! machine section are overwritten at thousands of seeded positions:
+//! every damaged file must decode (the header and the section length are
+//! intact) and resume into either a finished run or a typed error. Bytes
+//! of its header, through the section's length prefix, are overwritten,
+//! inserted or deleted: `Checkpoint::decode` must return a checkpoint or
+//! a typed error. Neither may panic.
 //!
 //! Most of the section is device memory, and most of that is never
 //! touched by the run: half the positions skip the longest run of zero
@@ -22,8 +24,8 @@ use sparseweaver::lint::LintLevel;
 use sparseweaver::sim::GpuConfig;
 use sparseweaver::trace::TraceConfig;
 
-/// Seeded positions mutated anywhere in the section, and again outside
-/// its longest zero run.
+/// Seeded positions mutated anywhere in the section, again outside its
+/// longest zero run, and in the header.
 const MUTATIONS: usize = 2000;
 
 #[test]
@@ -104,6 +106,26 @@ fn mutated_machine_sections_resume_or_fail_typed() {
     assert_eq!(finished + refused + failed, 2 * MUTATIONS);
     assert!(refused > 0, "some mutations must be refused by the codec");
     assert!(finished > 0, "some mutations must land in plain data");
+
+    let (mut decoded, mut rejected) = (0, 0);
+    for i in 0..MUTATIONS {
+        let at = rng.below(start as u64) as usize;
+        let mut damaged = bytes.clone();
+        match i % 3 {
+            0 => damaged[at] ^= 1 + rng.below(255) as u8,
+            1 => damaged.insert(at, rng.below(256) as u8),
+            _ => {
+                damaged.remove(at);
+            }
+        }
+        match catch_unwind(|| Checkpoint::decode(&damaged)) {
+            Ok(Ok(_)) => decoded += 1,
+            Ok(Err(_)) => rejected += 1,
+            Err(_) => panic!("mutating header byte {at} (mode {}) panicked", i % 3),
+        }
+    }
+    assert!(rejected > 0, "some header mutations must be refused");
+    assert!(decoded > 0, "some header mutations must land in plain data");
 }
 
 /// `(offset, length)` of the longest run of zero bytes.

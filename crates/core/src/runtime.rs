@@ -456,9 +456,7 @@ impl<'a> Runtime<'a> {
     pub fn alloc_u64(&mut self, count: usize, fill: u64) -> u64 {
         let base = self.alloc(8 * count as u64);
         if !self.replaying() {
-            for i in 0..count {
-                self.gpu.mem_mut().write(base + 8 * i as u64, fill, 8);
-            }
+            self.gpu.mem_mut().fill(base, fill, 8, count);
         }
         base
     }
@@ -467,9 +465,7 @@ impl<'a> Runtime<'a> {
     pub fn alloc_u8(&mut self, count: usize, fill: u8) -> u64 {
         let base = self.alloc(count as u64);
         if !self.replaying() {
-            for i in 0..count {
-                self.gpu.mem_mut().write(base + i as u64, fill as u64, 1);
-            }
+            self.gpu.mem_mut().fill(base, fill as u64, 1, count);
         }
         base
     }
@@ -551,7 +547,8 @@ impl<'a> Runtime<'a> {
             .collect()
     }
 
-    /// Host-side copy of `count` bytes (frontier swaps).
+    /// Host-side copy of `count` bytes (frontier swaps). Overlapping
+    /// regions copy like `memmove`, as [`sparseweaver_mem::MainMemory::copy_within`] does.
     pub fn copy_bytes(&mut self, src: u64, dst: u64, count: usize) {
         // The internal reads are device-side bookkeeping, not driver
         // decisions, so they are not recorded; in replay mode the whole
@@ -559,10 +556,7 @@ impl<'a> Runtime<'a> {
         if self.replaying() {
             return;
         }
-        for i in 0..count as u64 {
-            let v = self.gpu.mem().read(src + i, 1);
-            self.gpu.mem_mut().write(dst + i, v, 1);
-        }
+        self.gpu.mem_mut().copy_within(src, dst, count);
     }
 
     /// Fills `count` bytes with `value`.
@@ -570,9 +564,7 @@ impl<'a> Runtime<'a> {
         if self.replaying() {
             return;
         }
-        for i in 0..count as u64 {
-            self.gpu.mem_mut().write(addr + i, value as u64, 1);
-        }
+        self.gpu.mem_mut().fill(addr, value as u64, 1, count);
     }
 
     /// The common argument vector every template expects.
@@ -795,14 +787,24 @@ mod tests {
     #[test]
     fn fill_and_copy_bytes() {
         let (_, mut rt) = rt(Schedule::Svm);
+        let traffic = |rt: &Runtime<'_>| rt.gpu().mem().traffic();
+        let (r0, w0) = traffic(&rt);
         let a = rt.alloc_u8(16, 7);
         let b = rt.alloc_u8(16, 0);
+        let c = rt.alloc_u64(3, 0x0102_0304_0506_0708);
+        // Bulk fills count one write per element, as per-element writes did.
+        assert_eq!(traffic(&rt), (r0, w0 + 16 + 16 + 3));
         rt.copy_bytes(a, b, 16);
+        assert_eq!(traffic(&rt), (r0 + 16, w0 + 35 + 16));
         for i in 0..16 {
             assert_eq!(rt.gpu().mem().read(b + i, 1), 7);
         }
+        for i in 0..3 {
+            assert_eq!(rt.gpu().mem().read(c + 8 * i, 8), 0x0102_0304_0506_0708);
+        }
         rt.fill_bytes(b, 0, 16);
         assert_eq!(rt.gpu().mem().read(b + 3, 1), 0);
+        assert_eq!(rt.gpu().mem().read(a + 15, 1), 7);
     }
 
     #[test]

@@ -4,7 +4,7 @@ use std::fmt;
 
 use sparseweaver_trace::codec::{CodecError, Dec, Enc, Snapshot};
 
-use crate::{line_of, LINE_BYTES};
+use crate::LINE_BYTES;
 
 /// Why a cache geometry is unusable, reported by
 /// [`CacheConfig::validate`]/[`CacheConfig::checked`].
@@ -207,7 +207,14 @@ pub struct CacheAccess {
 #[derive(Debug, Clone)]
 pub struct Cache {
     cfg: CacheConfig,
-    sets: Vec<Vec<Line>>,
+    /// Ways per set, as an index stride into `lines`.
+    ways: usize,
+    /// `num_sets - 1`: a line number's set index is its low bits.
+    set_mask: u64,
+    /// `log2(num_sets)`: a line number's tag is the bits above the index.
+    set_shift: u32,
+    /// The tag array, set-major: set `s` is `lines[s * ways..][..ways]`.
+    lines: Vec<Line>,
     stats: CacheStats,
     tick: u64,
 }
@@ -228,10 +235,14 @@ impl Cache {
         if let Err(e) = cfg.validate() {
             panic!("{e}");
         }
-        let sets = vec![vec![Line::default(); cfg.ways as usize]; cfg.num_sets() as usize];
+        let num_sets = cfg.num_sets();
+        let ways = cfg.ways as usize;
         Cache {
             cfg,
-            sets,
+            ways,
+            set_mask: num_sets - 1,
+            set_shift: num_sets.trailing_zeros(),
+            lines: vec![Line::default(); num_sets as usize * ways],
             stats: CacheStats::default(),
             tick: 0,
         }
@@ -256,35 +267,45 @@ impl Cache {
     /// victim). `write` marks the line dirty.
     pub fn access(&mut self, addr: u64, write: bool) -> CacheAccess {
         self.tick += 1;
-        let line_addr = line_of(addr);
-        let set_idx = ((line_addr / LINE_BYTES) & (self.cfg.num_sets() - 1)) as usize;
-        let tag = line_addr / LINE_BYTES / self.cfg.num_sets();
+        let line_no = addr / LINE_BYTES;
+        let set_idx = line_no & self.set_mask;
+        let tag = line_no >> self.set_shift;
         self.stats.accesses += 1;
 
-        let set = &mut self.sets[set_idx];
-        if let Some(line) = set.iter_mut().find(|l| l.valid && l.tag == tag) {
-            line.last_use = self.tick;
-            line.dirty |= write;
-            self.stats.hits += 1;
-            return CacheAccess {
-                hit: true,
-                evicted_dirty: None,
+        let base = set_idx as usize * self.ways;
+        let set = &mut self.lines[base..base + self.ways];
+        // One pass finds the hit or the victim: the first invalid way if
+        // there is one, else the first least-recently-used way. An invalid
+        // way ages as 0 and a valid one as its last use with the top bit
+        // set (ticks stay below 2^63), so one unsigned minimum, taken
+        // without branches, makes both choices.
+        let mut victim_idx = 0;
+        let mut oldest = u64::MAX;
+        for (i, line) in set.iter().enumerate() {
+            if line.valid && line.tag == tag {
+                let line = &mut set[i];
+                line.last_use = self.tick;
+                line.dirty |= write;
+                self.stats.hits += 1;
+                return CacheAccess {
+                    hit: true,
+                    evicted_dirty: None,
+                };
+            }
+            let age = if line.valid {
+                line.last_use | 1 << 63
+            } else {
+                0
             };
+            let older = age < oldest;
+            oldest = if older { age } else { oldest };
+            victim_idx = if older { i } else { victim_idx };
         }
         self.stats.misses += 1;
-        // Victim: an invalid way if present, else LRU.
-        let victim_idx = set.iter().position(|l| !l.valid).unwrap_or_else(|| {
-            set.iter()
-                .enumerate()
-                .min_by_key(|(_, l)| l.last_use)
-                .map(|(i, _)| i)
-                .expect("non-empty set")
-        });
         let victim = &mut set[victim_idx];
         let evicted_dirty = if victim.valid && victim.dirty {
             self.stats.writebacks += 1;
-            let victim_line = (victim.tag * self.cfg.num_sets() + set_idx as u64) * LINE_BYTES;
-            Some(victim_line)
+            Some(((victim.tag << self.set_shift) | set_idx) * LINE_BYTES)
         } else {
             None
         };
@@ -302,11 +323,7 @@ impl Cache {
 
     /// Invalidates everything (e.g. when reconfiguring between runs).
     pub fn flush(&mut self) {
-        for set in &mut self.sets {
-            for line in set.iter_mut() {
-                *line = Line::default();
-            }
-        }
+        self.lines.fill(Line::default());
     }
 }
 
@@ -315,8 +332,8 @@ impl Cache {
 /// count.
 impl Snapshot for Cache {
     fn save(&self, e: &mut Enc) {
-        e.usize(self.sets.len() * self.cfg.ways as usize);
-        for line in self.sets.iter().flatten() {
+        e.usize(self.lines.len());
+        for line in &self.lines {
             line.save(e);
         }
         self.tick.save(e);
@@ -324,8 +341,8 @@ impl Snapshot for Cache {
     }
 
     fn restore(&mut self, d: &mut Dec<'_>) -> Result<(), CodecError> {
-        d.expect_len("lines", self.sets.len() * self.cfg.ways as usize)?;
-        for line in self.sets.iter_mut().flatten() {
+        d.expect_len("lines", self.lines.len())?;
+        for line in &mut self.lines {
             line.restore(d)?;
         }
         self.tick.restore(d)?;

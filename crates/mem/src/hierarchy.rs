@@ -107,7 +107,7 @@ impl HierarchyConfig {
 }
 
 /// A hierarchy configuration rejected by [`HierarchyConfig::validate`].
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HierarchyConfigError {
     /// The configuration has zero cores (no L1s to build).
     NoCores,

@@ -225,18 +225,12 @@ impl MainMemory {
                 size: 0,
             });
         }
-        let slice = a
-            .checked_add(w)
-            .and_then(|end| self.data.get(a..end))
-            .ok_or(MemFault {
-                addr,
-                width,
-                write: false,
-                size: self.data.len() as u64,
-            })?;
-        let mut buf = [0u8; 8];
-        buf[..w].copy_from_slice(slice);
-        let value = u64::from_le_bytes(buf);
+        let value = self.load(a, w).ok_or(MemFault {
+            addr,
+            width,
+            write: false,
+            size: self.data.len() as u64,
+        })?;
         Ok(match fault {
             Some(f) => f.corrupt_mem(value, w),
             None => value,
@@ -260,22 +254,16 @@ impl MainMemory {
                 size: 0,
             });
         }
-        let size = self.data.len() as u64;
-        let bytes = value.to_le_bytes();
-        let slice = a
-            .checked_add(w)
-            .and_then(|end| self.data.get_mut(a..end))
-            .ok_or(MemFault {
+        if self.store(a, value, w) {
+            Ok(())
+        } else {
+            Err(MemFault {
                 addr,
                 width,
                 write: true,
-                size,
-            })?;
-        if let Some(log) = &mut self.undo {
-            log.record(a, slice);
+                size: self.data.len() as u64,
+            })
         }
-        slice.copy_from_slice(&bytes[..w]);
-        Ok(())
     }
 
     /// Host-side read of `width` bytes (1, 2, 4 or 8) at `addr`,
@@ -290,15 +278,8 @@ impl MainMemory {
         let a = addr as usize;
         let w = width as usize;
         assert!(matches!(w, 1 | 2 | 4 | 8), "unsupported access width {w}");
-        // checked_add: an address near usize::MAX must report out of
-        // bounds, not an arithmetic-overflow panic in debug builds.
-        let slice = a
-            .checked_add(w)
-            .and_then(|end| self.data.get(a..end))
-            .unwrap_or_else(|| panic!("host read of {w} bytes at {addr:#x} out of bounds"));
-        let mut buf = [0u8; 8];
-        buf[..w].copy_from_slice(slice);
-        u64::from_le_bytes(buf)
+        self.load(a, w)
+            .unwrap_or_else(|| panic!("host read of {w} bytes at {addr:#x} out of bounds"))
     }
 
     /// Writes the low `width` bytes of `value` at `addr`.
@@ -311,15 +292,107 @@ impl MainMemory {
         let a = addr as usize;
         let w = width as usize;
         assert!(matches!(w, 1 | 2 | 4 | 8), "unsupported access width {w}");
-        let bytes = value.to_le_bytes();
-        let slice = a
-            .checked_add(w)
-            .and_then(|end| self.data.get_mut(a..end))
-            .unwrap_or_else(|| panic!("host write of {w} bytes at {addr:#x} out of bounds"));
-        if let Some(log) = &mut self.undo {
-            log.record(a, slice);
+        if !self.store(a, value, w) {
+            panic!("host write of {w} bytes at {addr:#x} out of bounds");
         }
-        slice.copy_from_slice(&bytes[..w]);
+    }
+
+    /// The `w` bytes at `a` (`w` is 1, 2, 4 or 8), zero-extended, or
+    /// `None` when they run past the end. Each width is one fixed-size
+    /// load, so an address near `usize::MAX` is out of bounds, never an
+    /// overflow.
+    #[inline]
+    fn load(&self, a: usize, w: usize) -> Option<u64> {
+        let tail = self.data.get(a..)?;
+        Some(match w {
+            1 => *tail.first()? as u64,
+            2 => u16::from_le_bytes(*tail.first_chunk()?) as u64,
+            4 => u32::from_le_bytes(*tail.first_chunk()?) as u64,
+            _ => u64::from_le_bytes(*tail.first_chunk()?),
+        })
+    }
+
+    /// Writes the low `w` bytes of `value` at `a` (`w` is 1, 2, 4 or 8)
+    /// as one fixed-size store, logging the old bytes when the undo log
+    /// is armed. Returns `false`, writing nothing, when they run past the
+    /// end.
+    #[inline]
+    fn store(&mut self, a: usize, value: u64, w: usize) -> bool {
+        match w {
+            1 => self.store_bytes(a, [value as u8]),
+            2 => self.store_bytes(a, (value as u16).to_le_bytes()),
+            4 => self.store_bytes(a, (value as u32).to_le_bytes()),
+            _ => self.store_bytes(a, value.to_le_bytes()),
+        }
+    }
+
+    #[inline]
+    fn store_bytes<const N: usize>(&mut self, a: usize, bytes: [u8; N]) -> bool {
+        let Some(dst) = self.data.get_mut(a..).and_then(<[u8]>::first_chunk_mut) else {
+            return false;
+        };
+        if let Some(log) = &mut self.undo {
+            log.record(a, dst);
+        }
+        *dst = bytes;
+        true
+    }
+
+    /// Writes the low `width` bytes (1, 2, 4 or 8) of `value` to `count`
+    /// consecutive elements from `addr` on: one slice operation, counted
+    /// as `count` writes like the per-element loop it replaces.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an unsupported width or if the region does not fit.
+    pub fn fill(&mut self, addr: u64, value: u64, width: u64, count: usize) {
+        let w = width as usize;
+        assert!(matches!(w, 1 | 2 | 4 | 8), "unsupported access width {w}");
+        self.writes.set(self.writes.get() + count as u64);
+        let region = self.region_mut(addr, w.saturating_mul(count));
+        let bytes = &value.to_le_bytes()[..w];
+        if bytes.iter().all(|&b| b == bytes[0]) {
+            region.fill(bytes[0]);
+        } else {
+            for element in region.chunks_exact_mut(w) {
+                element.copy_from_slice(bytes);
+            }
+        }
+    }
+
+    /// Copies `count` bytes from `src` to `dst`, counted as `count` reads
+    /// and `count` writes, one per byte. Overlapping regions copy like
+    /// `memmove`: `dst` ends up holding the bytes `src` held before the
+    /// call.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either region is out of bounds.
+    pub fn copy_within(&mut self, src: u64, dst: u64, count: usize) {
+        self.reads.set(self.reads.get() + count as u64);
+        self.writes.set(self.writes.get() + count as u64);
+        let s = src as usize;
+        if s.checked_add(count).is_none_or(|end| end > self.data.len()) {
+            panic!("host read of {count} bytes at {src:#x} out of bounds");
+        }
+        self.region_mut(dst, count);
+        self.data.copy_within(s..s + count, dst as usize);
+    }
+
+    /// The `len` bytes at `addr` for a host bulk write, after logging
+    /// their old contents when the undo log is armed.
+    fn region_mut(&mut self, addr: u64, len: usize) -> &mut [u8] {
+        let a = addr as usize;
+        let region = a
+            .checked_add(len)
+            .and_then(|end| self.data.get_mut(a..end))
+            .unwrap_or_else(|| panic!("host write of {len} bytes at {addr:#x} out of bounds"));
+        if let Some(log) = &mut self.undo {
+            for (i, old) in region.chunks(8).enumerate() {
+                log.record(a + 8 * i, old);
+            }
+        }
+        region
     }
 
     /// Reads an `f64` stored at `addr`.
@@ -556,6 +629,68 @@ mod tests {
         m.try_write(16, 1, 8).unwrap();
         assert!(m.undo.is_none());
         assert_eq!(m.read(16, 8), 1);
+    }
+
+    #[test]
+    fn bulk_fill_and_copy_match_element_loops() {
+        let mut bulk = MainMemory::new(256);
+        let mut looped = MainMemory::new(256);
+        for a in 0..32 {
+            bulk.write(8 * a, 0x1111_1111_1111_1111 * (a % 7), 8);
+            looped.write(8 * a, 0x1111_1111_1111_1111 * (a % 7), 8);
+        }
+        let snapshot = bulk.clone();
+        let traffic = bulk.traffic();
+        bulk.arm_undo();
+        bulk.fill(3, 0xabcd, 2, 5);
+        bulk.fill(40, u64::MAX - 1, 8, 3);
+        bulk.fill(70, 9, 1, 11);
+        bulk.copy_within(0, 128, 100);
+        for i in 0..5 {
+            looped.write(3 + 2 * i, 0xabcd, 2);
+        }
+        for i in 0..3 {
+            looped.write(40 + 8 * i, u64::MAX - 1, 8);
+        }
+        for i in 0..11 {
+            looped.write(70 + i, 9, 1);
+        }
+        for i in 0..100 {
+            let v = looped.read(i, 1);
+            looped.write(128 + i, v, 1);
+        }
+        assert_eq!(bulk, looped);
+        assert_eq!(bulk.traffic(), looped.traffic());
+        // Bulk writes are undone like element writes.
+        bulk.roll_back();
+        assert_eq!(bulk, snapshot);
+        assert_eq!(bulk.traffic(), traffic);
+    }
+
+    #[test]
+    fn overlapping_copy_is_a_memmove() {
+        let mut mem = MainMemory::new(16);
+        for a in 0..16 {
+            mem.write(a, a, 1);
+        }
+        mem.copy_within(0, 4, 8);
+        let bytes: Vec<u64> = (0..16).map(|a| mem.read(a, 1)).collect();
+        assert_eq!(bytes, [0, 1, 2, 3, 0, 1, 2, 3, 4, 5, 6, 7, 12, 13, 14, 15]);
+        mem.copy_within(4, 2, 8);
+        let bytes: Vec<u64> = (0..16).map(|a| mem.read(a, 1)).collect();
+        assert_eq!(bytes, [0, 1, 0, 1, 2, 3, 4, 5, 6, 7, 6, 7, 12, 13, 14, 15]);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn fill_past_the_end_panics() {
+        MainMemory::new(16).fill(8, 0, 8, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn copy_from_past_the_end_panics() {
+        MainMemory::new(16).copy_within(8, 0, 9);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use std::fmt;
 
 use sparseweaver_isa::NUM_REGS;
-use sparseweaver_mem::HierarchyConfig;
+use sparseweaver_mem::{HierarchyConfig, HierarchyConfigError};
 use sparseweaver_weaver::WeaverConfig;
 
 /// Which unit sits behind the `WEAVER_*` instructions.
@@ -196,8 +196,9 @@ impl GpuConfig {
     /// Returns the first [`ConfigError`] found: more than 64 lanes per
     /// warp (mask width) or a lane count that is not a power of two, core
     /// counts that disagree with the hierarchy, a zero Weaver ST capacity,
-    /// zero cores or warps, or a register file that cannot hold one full
-    /// warp.
+    /// zero cores or warps, a register file that cannot hold one full
+    /// warp, or a cache hierarchy that [`HierarchyConfig::validate`]
+    /// rejects.
     pub fn validate(&self) -> Result<(), ConfigError> {
         use ConfigError::*;
         let (lanes, cores, regs) = (
@@ -217,7 +218,7 @@ impl GpuConfig {
         ]
         .into_iter()
         .find_map(|(broken, e)| broken.then_some(e))
-        .map_or(Ok(()), Err)
+        .map_or_else(|| self.hierarchy.validate().map_err(Hierarchy), Err)
     }
 }
 
@@ -241,6 +242,8 @@ pub enum ConfigError {
     RegsPerWarpOutOfRange,
     /// `regs_per_core` below `regfile_regs_per_warp`.
     RegisterFileTooSmall,
+    /// A cache level with an unusable geometry.
+    Hierarchy(HierarchyConfigError),
 }
 
 impl fmt::Display for ConfigError {
@@ -254,6 +257,7 @@ impl fmt::Display for ConfigError {
             ConfigError::NoWarps => "at least one warp per core required",
             ConfigError::RegsPerWarpOutOfRange => "regfile_regs_per_warp must be in 1..=NUM_REGS",
             ConfigError::RegisterFileTooSmall => "register file must hold at least one full warp",
+            ConfigError::Hierarchy(e) => return write!(f, "cache hierarchy {e}"),
         })
     }
 }
@@ -372,6 +376,38 @@ mod tests {
         assert_eq!(cfg.num_cores, 8);
         assert_eq!(cfg.hierarchy.num_cores, 8);
         cfg.validate().unwrap();
+    }
+
+    #[test]
+    fn bad_cache_geometry_is_a_typed_error() {
+        let mut cfg = GpuConfig::small_test();
+        cfg.hierarchy.l1.ways = 3;
+        let e = cfg.validate().expect_err("three-way L1");
+        assert!(
+            matches!(
+                e,
+                ConfigError::Hierarchy(HierarchyConfigError::Level { level: "l1", .. })
+            ),
+            "{e:?}"
+        );
+        assert!(e.to_string().starts_with("cache hierarchy l1: "), "{e}");
+        cfg.hierarchy.l1.ways = 4;
+        cfg.hierarchy.l2.size_bytes = 0;
+        assert!(matches!(
+            cfg.validate(),
+            Err(ConfigError::Hierarchy(HierarchyConfigError::Level {
+                level: "l2",
+                ..
+            }))
+        ));
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid GPU configuration: cache hierarchy l1: ")]
+    fn bad_cache_geometry_rejected_by_gpu_new() {
+        let mut cfg = GpuConfig::small_test();
+        cfg.hierarchy.l1.ways = 3;
+        crate::Gpu::new(cfg);
     }
 
     #[test]

@@ -8,7 +8,7 @@ use sparseweaver_trace::{CounterSnapshot, EventData, StallCause};
 use sparseweaver_weaver::eghw::EghwLayout;
 
 use crate::config::GpuConfig;
-use crate::core::{Blocked, Core, IssueOutcome};
+use crate::core::{Blocked, Core, CoreStats, IssueOutcome};
 use crate::stats::{KernelStats, PendKind};
 use crate::SimError;
 
@@ -107,8 +107,9 @@ impl Gpu {
     ///
     /// With fast-forward on, a core that reports [`IssueOutcome::Blocked`]
     /// is not re-scanned until the global clock reaches the block's
-    /// `next_ready` cycle; its cached stall reason is replayed into the
-    /// attribution counters and trace events for every skipped scan. This
+    /// `next_ready` cycle; the whole blocked span is charged to the
+    /// attribution counters once, and while a tracer is attached a
+    /// `WarpStall` event is emitted for every skipped scan. This
     /// is bit-identical to re-scanning because warp wake-ups are purely
     /// core-local: the scoreboard's ready cycles are fixed at issue time,
     /// and barriers and the Weaver unit only advance on the owning core's
@@ -238,81 +239,71 @@ impl Gpu {
         let mut cycle: u64 = 0;
         let mut warp_cycles: u64 = 0;
         let mut barrier_warp_cycles: u64 = 0;
-        let mut blocked: Vec<(usize, crate::core::Blocked)> = Vec::new();
-        // Fast-forward cache: a core's last Blocked outcome, valid (and
-        // replayed without re-scanning) until `next_ready`.
-        let mut core_blocked: Vec<Option<Blocked>> = vec![None; num_cores];
+        // Each core's open blocked span: the outcome that opened it and the
+        // cycle it opened at. Its stall cycles are charged once, when it
+        // closes: when the core is probed again, at a trace sample, or at
+        // launch end. With fast-forward on, a blocked core is not probed
+        // again before its `next_ready`.
+        let mut spans: Vec<Option<(Blocked, u64)>> = vec![None; num_cores];
 
-        loop {
+        let exit = 'run: loop {
             if cycle > self.cfg.max_cycles {
-                return Err(SimError::CycleLimit {
+                break Err(SimError::CycleLimit {
                     kernel: program.name().to_string(),
                     limit: self.cfg.max_cycles,
                     hang: Box::new(self.build_hang_report(program.name(), cycle)),
                 });
             }
-            blocked.clear();
             let mut any_issued = false;
             let mut all_finished = true;
-            for (i, cached) in core_blocked.iter_mut().enumerate() {
-                if self.fast_forward {
-                    if let Some(b) = *cached {
-                        if cycle < b.next_ready {
-                            // Still waiting on the same producer; replay
-                            // the cached stall without re-scanning.
-                            all_finished = false;
-                            blocked.push((i, b));
-                            continue;
-                        }
-                        *cached = None;
+            let mut wake = u64::MAX;
+            for (i, span) in spans.iter_mut().enumerate() {
+                if let Some((b, since)) = *span {
+                    if self.fast_forward && cycle < b.next_ready {
+                        all_finished = false;
+                        wake = wake.min(b.next_ready);
+                        continue;
                     }
+                    charge_stall(&mut self.cores[i].stats, &b, cycle - since);
+                    *span = None;
                 }
-                let outcome = {
-                    let core = &mut self.cores[i];
-                    core.try_issue(
-                        cycle,
-                        program,
-                        &decoded,
-                        args,
-                        &mut self.hierarchy,
-                        &mut self.mem,
-                        &mut self.hooks,
-                        num_cores,
-                    )?
-                };
+                let outcome = self.cores[i].try_issue(
+                    cycle,
+                    program,
+                    &decoded,
+                    args,
+                    &mut self.hierarchy,
+                    &mut self.mem,
+                    &mut self.hooks,
+                    num_cores,
+                );
                 match outcome {
-                    IssueOutcome::Issued => {
+                    Ok(IssueOutcome::Issued) => {
                         any_issued = true;
                         all_finished = false;
                     }
-                    IssueOutcome::Blocked(b) => {
+                    Ok(IssueOutcome::Blocked(b)) => {
                         all_finished = false;
-                        blocked.push((i, b));
-                        if self.fast_forward {
-                            *cached = Some(b);
-                        }
+                        wake = wake.min(b.next_ready);
+                        *span = Some((b, cycle));
                     }
-                    IssueOutcome::Finished => {
+                    Ok(IssueOutcome::Finished) => {
                         if self.cores[i].stats.finish_cycle == 0 {
                             self.cores[i].stats.finish_cycle = cycle;
                         }
                     }
+                    Err(e) => break 'run Err(e),
                 }
             }
             if all_finished {
-                break;
+                break Ok(());
             }
             // How far to advance: 1 cycle if anything issued, else jump to
             // the earliest wake-up.
             let delta = if any_issued {
                 1
             } else {
-                let jump = blocked
-                    .iter()
-                    .map(|(_, b)| b.next_ready)
-                    .min()
-                    .unwrap_or(u64::MAX);
-                if jump == u64::MAX {
+                if wake == u64::MAX {
                     let hang = Box::new(self.build_hang_report(program.name(), cycle));
                     let kernel = program.name().to_string();
                     // A deadlock whose proximate cause is a dropped Weaver
@@ -325,42 +316,34 @@ impl Gpu {
                         .as_ref()
                         .is_some_and(FaultInjector::weaver_faulty)
                     {
-                        return Err(SimError::WeaverTimeout {
+                        break Err(SimError::WeaverTimeout {
                             kernel,
                             cycle,
                             hang,
                         });
                     }
-                    return Err(SimError::Deadlock {
+                    break Err(SimError::Deadlock {
                         kernel,
                         cycle,
                         hang,
                     });
                 }
-                jump - cycle
+                wake - cycle
             };
-            // Attribute stall cycles to blocked cores, by the same cause
-            // the stall event reports.
-            for &(i, b) in &blocked {
-                let s = &mut self.cores[i].stats;
-                let cause = stall_cause(&b);
-                *match cause {
-                    StallCause::Memory => &mut s.stalls.memory,
-                    StallCause::Shared => &mut s.stalls.shared,
-                    StallCause::ExecDep => &mut s.stalls.exec_dep,
-                    StallCause::Weaver => &mut s.stalls.weaver,
-                    StallCause::Barrier => &mut s.stalls.barrier,
-                } += delta;
-                s.phase_cycles[b.phase as usize] += delta;
-                self.hooks.trace(
-                    cycle,
-                    i as u32,
-                    EventData::WarpStall {
-                        cause,
-                        phase: b.phase,
-                        cycles: delta,
-                    },
-                );
+            if self.hooks.tracing() {
+                for (i, span) in spans.iter().enumerate() {
+                    if let Some((b, _)) = span {
+                        self.hooks.trace(
+                            cycle,
+                            i as u32,
+                            EventData::WarpStall {
+                                cause: stall_cause(b),
+                                phase: b.phase,
+                                cycles: delta,
+                            },
+                        );
+                    }
+                }
             }
             // Warp residency accounting.
             for c in &self.cores {
@@ -371,6 +354,7 @@ impl Gpu {
             }
             cycle += delta;
             if self.hooks.sample_due(cycle) {
+                charge_spans(&mut self.cores, &mut spans, cycle);
                 let snap = self.launch_snapshot(
                     barrier_warp_cycles,
                     &mem_before,
@@ -379,7 +363,9 @@ impl Gpu {
                 );
                 self.hooks.record_sample(cycle, &snap);
             }
-        }
+        };
+        charge_spans(&mut self.cores, &mut spans, cycle);
+        exit?;
 
         // Fold per-core stats.
         let mem_after = self.hierarchy.stats();
@@ -497,6 +483,30 @@ impl Gpu {
         snap.warps_configured = self.occupancy.configured as u64;
         snap
     }
+}
+
+/// Charges each open blocked span's stall cycles up to `cycle` to its
+/// core and restarts the span at `cycle`.
+fn charge_spans(cores: &mut [Core], spans: &mut [Option<(Blocked, u64)>], cycle: u64) {
+    for (core, span) in cores.iter_mut().zip(spans) {
+        if let Some((b, since)) = span {
+            charge_stall(&mut core.stats, b, cycle - *since);
+            *since = cycle;
+        }
+    }
+}
+
+/// Attributes `cycles` stall cycles to a blocked core, by the same cause
+/// the stall event reports.
+fn charge_stall(s: &mut CoreStats, b: &Blocked, cycles: u64) {
+    *match stall_cause(b) {
+        StallCause::Memory => &mut s.stalls.memory,
+        StallCause::Shared => &mut s.stalls.shared,
+        StallCause::ExecDep => &mut s.stalls.exec_dep,
+        StallCause::Weaver => &mut s.stalls.weaver,
+        StallCause::Barrier => &mut s.stalls.barrier,
+    } += cycles;
+    s.phase_cycles[b.phase as usize] += cycles;
 }
 
 /// Maps a blocked core's reason to the trace-event stall taxonomy.
@@ -1151,6 +1161,71 @@ mod tests {
             )
         };
         assert_eq!(run(true), run(false));
+    }
+
+    #[test]
+    fn per_cycle_samples_see_every_stall_cycle() {
+        // Stall cycles are charged when a blocked span closes; a sample
+        // must close every open span first, or it under-reports them.
+        let program = {
+            let mut a = Asm::new("sampled_stalls");
+            let tid = a.reg();
+            let addr = a.reg();
+            let v = a.reg();
+            a.csr(tid, CsrKind::GlobalTid);
+            a.muli(addr, tid, 8);
+            a.ldg(v, addr, 0, Width::B8);
+            a.add(v, v, tid);
+            a.stg(v, addr, 0, Width::B8);
+            a.bar();
+            a.atom(AtomOp::Add, v, addr, tid);
+            a.ldg(v, addr, 8, Width::B8);
+            a.halt();
+            a.finish()
+        };
+        let untraced = gpu().launch(&program, &[]).unwrap();
+        for ff in [true, false] {
+            let mut g = gpu();
+            g.set_fast_forward(ff);
+            g.attach_hooks(tracing(1));
+            let stats = g.launch(&program, &[]).unwrap();
+            assert_eq!(stats, untraced, "ff {ff}: tracing changed the stats");
+            let report = take_trace_report(&mut g);
+            assert_eq!(report.dropped, 0);
+            let stalls = |c: &CounterSnapshot| {
+                (
+                    [
+                        c.stall_memory,
+                        c.stall_shared,
+                        c.stall_exec_dep,
+                        c.stall_weaver,
+                        c.stall_barrier,
+                    ],
+                    c.phase_cycles,
+                )
+            };
+            let [.., last, end] = &report.samples[..] else {
+                panic!("ff {ff}: too few samples");
+            };
+            assert!(last.cycle == end.cycle && stalls(&last.counters).0[0] > 0);
+            assert_eq!(stalls(&last.counters), stalls(&end.counters), "ff {ff}");
+            // Every sample holds exactly the stall cycles the events
+            // reported before it.
+            for sample in &report.samples {
+                let mut memory = 0;
+                for e in report.events.iter().filter(|e| e.cycle < sample.cycle) {
+                    if let EventData::WarpStall {
+                        cause: StallCause::Memory,
+                        cycles,
+                        ..
+                    } = e.data
+                    {
+                        memory += cycles;
+                    }
+                }
+                assert_eq!(sample.counters.stall_memory, memory, "ff {ff}");
+            }
+        }
     }
 
     /// A kernel that touches `extra` registers beyond its working set

@@ -8,9 +8,9 @@
 //! the fault), or **hang** (deadlock / cycle limit / Weaver timeout).
 //!
 //! Per-run seeds derive from the campaign seed via
-//! [`sparseweaver_fault::child_seed`], so the whole campaign — including
-//! its rendered summary — is byte-for-byte reproducible from
-//! `(spec, seed, runs)`. The `swfault` binary is a thin CLI over this
+//! [`SplitMix64::child_seed`](sparseweaver_fault::SplitMix64::child_seed),
+//! so the whole campaign — including its rendered summary — is
+//! byte-for-byte reproducible from `(spec, seed, runs)`. The `swfault` binary is a thin CLI over this
 //! module; the property tests drive it directly.
 
 use std::collections::BTreeMap;

@@ -433,6 +433,23 @@ mod tests {
             .any(|(n, _)| n == "histograms.weaver_latency.p99"));
         // Bucket arrays are summarized, not flattened.
         assert!(!metrics.iter().any(|(n, _)| n.contains("buckets")));
+        assert_eq!(metrics, flat_metrics(&doc), "deterministic");
+        // A replay artifact's sweep entries flatten by name too, so two
+        // sweeps diff entry by entry.
+        let replay = |hits: &str| {
+            let doc = r#"{"sweep":[{"name":"l1=4096x2",
+                "stats":{"l1":{"accesses":100,"hits":HITS},"dram_accesses":7}}]}"#;
+            json::parse(&doc.replace("HITS", hits)).unwrap()
+        };
+        let deltas = diff(&replay("60"), &replay("50"));
+        let hits = deltas
+            .iter()
+            .find(|d| d.name == "sweep.l1=4096x2.stats.l1.hits")
+            .unwrap();
+        assert_eq!(hits.delta(), Some(-10.0));
+        assert!(diff(&replay("60"), &replay("60"))
+            .iter()
+            .all(|d| d.a == d.b));
     }
 
     #[test]
@@ -443,19 +460,36 @@ mod tests {
         )
         .unwrap();
         let b = json::parse(
-            r#"{"totals":{"cycles":120,"issued":70,"stalls":{"memory":10}},
+            r#"{"totals":{"cycles":120,"issued":70,"stalls":{"memory":12}},
                 "histograms":{"mem_l1":{"count":9,"p99":8}}}"#,
         )
         .unwrap();
+        let self_deltas = diff(&a, &a);
+        assert!(self_deltas.iter().all(|d| d.a == d.b));
+        assert!(regressions(&self_deltas, 0.0).is_empty());
         let deltas = diff(&a, &b);
         let cycles = deltas.iter().find(|d| d.name == "totals.cycles").unwrap();
         assert_eq!(cycles.delta(), Some(20.0));
         assert_eq!(cycles.pct(), Some(20.0));
-        // 20% growth in cycles regresses at 5% tolerance but not at 25%.
-        let regs = regressions(&deltas, 5.0);
-        assert_eq!(regs.len(), 1);
-        assert_eq!(regs[0].name, "totals.cycles");
+        // 20% growth in cycles and stalls regresses at 5% tolerance but
+        // not at 25%.
+        let regs: Vec<_> = regressions(&deltas, 5.0)
+            .into_iter()
+            .map(|d| d.name)
+            .collect();
+        assert_eq!(regs, ["totals.cycles", "totals.stalls.memory"]);
         assert!(regressions(&deltas, 25.0).is_empty());
+        // A latency quantile that shrinks is an improvement.
+        let faster = json::parse(
+            r#"{"totals":{"cycles":100,"issued":50,"stalls":{"memory":10}},
+                "histograms":{"mem_l1":{"count":5,"p99":3}}}"#,
+        )
+        .unwrap();
+        let deltas = diff(&a, &faster);
+        assert!(deltas
+            .iter()
+            .any(|d| d.name == "histograms.mem_l1.p99" && d.delta() == Some(-5.0)));
+        assert!(regressions(&deltas, 0.0).is_empty());
         // issued and count grew too, but they are neutral metrics.
         assert!(!lower_is_better("totals.issued"));
         assert!(!lower_is_better("histograms.mem_l1.count"));

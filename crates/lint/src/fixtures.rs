@@ -1,8 +1,9 @@
 //! Bundled ill-formed programs, one per headline failure class.
 //!
-//! These are the seeded negative cases used by `swlint --selftest` and the
-//! negative-path test suite: each is the minimal program triggering one of
-//! the hazards the verifier exists to catch.
+//! These are the seeded negative cases of the verifier: each is the
+//! minimal program triggering one of the hazards the verifier exists to
+//! catch. The unit tests below prove each still fires; run them with
+//! `cargo test -p sparseweaver-lint fixtures`.
 
 use sparseweaver_isa::{Asm, CsrKind, Instr, Program, Width};
 
@@ -162,29 +163,50 @@ pub fn unregistered_decode() -> Program {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Severity;
 
+    /// Each seeded ill-formed program trips its documented rule at error
+    /// severity, and there is one fixture per check family: dataflow,
+    /// divergence stack, barrier/mask, Weaver protocol.
     #[test]
     fn every_fixture_triggers_exactly_its_rule() {
-        for (program, rule_id) in ill_formed() {
+        let fixtures = ill_formed();
+        let rules: Vec<_> = fixtures.iter().map(|&(_, rule_id)| rule_id).collect();
+        assert_eq!(rules, ["SW-L101", "SW-L201", "SW-L301", "SW-L401"]);
+        for (program, rule_id) in fixtures {
             let report = crate::lint(&program);
-            assert!(
-                report.diagnostics.iter().any(|d| d.rule.id() == rule_id),
-                "{} did not trigger {rule_id}:\n{}",
-                program.name(),
-                report.to_text()
-            );
-            assert!(!report.is_clean(), "{} unexpectedly clean", program.name());
+            let hit = report
+                .diagnostics
+                .iter()
+                .find(|d| d.rule.id() == rule_id)
+                .unwrap_or_else(|| {
+                    panic!(
+                        "{} did not trigger {rule_id}:\n{}",
+                        program.name(),
+                        report.to_text()
+                    )
+                });
+            assert_eq!(hit.severity(), Severity::Error, "{}", program.name());
         }
     }
 
+    /// Each analyzer fixture is structurally clean, without even a
+    /// warning (the analyzer finds what the structural verifier cannot),
+    /// yet trips its documented SW-L5xx rule; one fixture per rule.
     #[test]
     fn every_analyzer_fixture_triggers_its_rule_and_lints_clean() {
         let geom = analyzer_geom();
-        for (program, rule_id) in analyzer_flagged() {
+        let fixtures = analyzer_flagged();
+        let rules: Vec<_> = fixtures.iter().map(|&(_, rule_id)| rule_id).collect();
+        assert_eq!(
+            rules,
+            ["SW-L501", "SW-L502", "SW-L511", "SW-L521", "SW-L522", "SW-L531"]
+        );
+        for (program, rule_id) in fixtures {
             let lint = crate::lint(&program);
             assert!(
-                lint.is_clean(),
-                "{} has structural errors:\n{}",
+                lint.is_clean() && lint.warning_count() == 0,
+                "{} has structural findings:\n{}",
                 program.name(),
                 lint.to_text()
             );

@@ -1,14 +1,13 @@
 //! Trace-driven replay of the memory hierarchy.
 //!
 //! The replay side of the memory-study mode: re-runs *only* a
-//! [`Hierarchy`] against a captured [`MemTrace`](crate::mtrace::MemTrace)
-//! — no cores, no decode, no Weaver — under an arbitrary
-//! [`HierarchyConfig`]. Under the capture configuration the replayed
-//! [`LevelStats`] are bit-identical to the live run's (the hierarchy's
-//! state is a pure function of its call sequence, and the trace *is*
-//! that call sequence); under a different geometry the replay answers
-//! "what would the caches have done" orders of magnitude faster than a
-//! full simulation.
+//! [`Hierarchy`] against a captured [`MemTrace`] — no cores, no decode,
+//! no Weaver — under an arbitrary [`HierarchyConfig`]. Under the capture
+//! configuration the replayed [`LevelStats`] are bit-identical to the
+//! live run's (the hierarchy's state is a pure function of its call
+//! sequence, and the trace *is* that call sequence); under a different
+//! geometry the replay answers "what would the caches have done" orders
+//! of magnitude faster than a full simulation.
 //!
 //! Record mapping:
 //!

@@ -355,24 +355,46 @@ impl Gpu {
             cycle += delta;
             if self.hooks.sample_due(cycle) {
                 charge_spans(&mut self.cores, &mut spans, cycle);
-                let snap = self.launch_snapshot(
-                    barrier_warp_cycles,
-                    &mem_before,
-                    traffic_before,
-                    &fault_before,
-                );
+                let stats = self.fold_stats(cycle, warp_cycles, barrier_warp_cycles, &mem_before);
+                let snap = self.launch_snapshot(&stats, traffic_before, &fault_before);
                 self.hooks.record_sample(cycle, &snap);
             }
         };
         charge_spans(&mut self.cores, &mut spans, cycle);
         exit?;
 
-        // Fold per-core stats.
+        let stats = self.fold_stats(cycle, warp_cycles, barrier_warp_cycles, &mem_before);
+        if self.hooks.tracing() {
+            let snap = self.launch_snapshot(&stats, traffic_before, &fault_before);
+            self.hooks.kernel_end(cycle, &snap);
+        }
+        Ok(stats)
+    }
+
+    /// Folds the per-core counters and the hierarchy's activity since
+    /// `mem_before` into the stats of a launch that has run `cycles`
+    /// cycles so far.
+    fn fold_stats(
+        &self,
+        cycles: u64,
+        warp_cycles: u64,
+        barrier_warp_cycles: u64,
+        mem_before: &LevelStats,
+    ) -> KernelStats {
         let mem_after = self.hierarchy.stats();
         let mut stats = KernelStats {
-            cycles: cycle,
+            cycles,
             launches: 1,
             warp_cycles,
+            mem: LevelStats {
+                l1: diff_cache(mem_after.l1, mem_before.l1),
+                l2: diff_cache(mem_after.l2, mem_before.l2),
+                l3: match (mem_after.l3, mem_before.l3) {
+                    (Some(a), Some(b)) => Some(diff_cache(a, b)),
+                    (a, _) => a,
+                },
+                dram_accesses: mem_after.dram_accesses - mem_before.dram_accesses,
+            },
             ..KernelStats::default()
         };
         stats.stalls.barrier += barrier_warp_cycles;
@@ -388,25 +410,7 @@ impl Gpu {
             stats.weaver_counters.1 += d;
             stats.weaver_counters.2 += r;
         }
-        stats.mem = LevelStats {
-            l1: diff_cache(mem_after.l1, mem_before.l1),
-            l2: diff_cache(mem_after.l2, mem_before.l2),
-            l3: match (mem_after.l3, mem_before.l3) {
-                (Some(a), Some(b)) => Some(diff_cache(a, b)),
-                (a, _) => a,
-            },
-            dram_accesses: mem_after.dram_accesses - mem_before.dram_accesses,
-        };
-        if self.hooks.tracing() {
-            let snap = self.launch_snapshot(
-                barrier_warp_cycles,
-                &mem_before,
-                traffic_before,
-                &fault_before,
-            );
-            self.hooks.kernel_end(cycle, &snap);
-        }
-        Ok(stats)
+        stats
     }
 
     /// Cumulative injection counters (zeros with no injector attached).
@@ -429,59 +433,58 @@ impl Gpu {
         }
     }
 
-    /// Launch-relative counter snapshot for the tracer: everything measured
-    /// since the current launch began (the tracer folds it onto committed
-    /// totals from earlier launches).
+    /// Launch-relative counter snapshot for the tracer: the launch's
+    /// `stats` so far plus what only the tracer reads (shared and device
+    /// traffic, fault counts, occupancy). The tracer folds it onto
+    /// committed totals from earlier launches.
     fn launch_snapshot(
         &self,
-        barrier_warp_cycles: u64,
-        mem_before: &LevelStats,
+        stats: &KernelStats,
         traffic_before: (u64, u64),
         fault_before: &FaultCounts,
     ) -> CounterSnapshot {
-        let mut snap = CounterSnapshot::default();
-        for c in &self.cores {
-            snap.instructions += c.stats.instructions;
-            snap.thread_instructions += c.stats.thread_instructions;
-            snap.stall_memory += c.stats.stalls.memory;
-            snap.stall_shared += c.stats.stalls.shared;
-            snap.stall_exec_dep += c.stats.stalls.exec_dep;
-            snap.stall_l1_queue += c.stats.stalls.l1_queue;
-            snap.stall_barrier += c.stats.stalls.barrier;
-            snap.stall_weaver += c.stats.stalls.weaver;
-            for (acc, p) in snap.phase_cycles.iter_mut().zip(c.stats.phase_cycles) {
-                *acc += p;
-            }
-            let (f, d, r) = c.weaver.counters();
-            snap.weaver_st_fetches += f;
-            snap.weaver_dec_requests += d;
-            snap.weaver_registrations += r;
-            let (sr, sw) = c.shared.traffic();
-            snap.shared_reads += sr;
-            snap.shared_writes += sw;
-        }
-        snap.stall_barrier += barrier_warp_cycles;
-        let now = self.hierarchy.stats();
-        snap.l1_accesses = now.l1.accesses - mem_before.l1.accesses;
-        snap.l1_hits = now.l1.hits - mem_before.l1.hits;
-        snap.l2_accesses = now.l2.accesses - mem_before.l2.accesses;
-        snap.l2_hits = now.l2.hits - mem_before.l2.hits;
-        if let (Some(a), Some(b)) = (now.l3, mem_before.l3) {
-            snap.l3_accesses = a.accesses - b.accesses;
-            snap.l3_hits = a.hits - b.hits;
-        }
-        snap.dram_accesses = now.dram_accesses - mem_before.dram_accesses;
+        let (stalls, mem) = (&stats.stalls, &stats.mem);
+        let l3 = mem.l3.unwrap_or_default();
+        let (weaver_st_fetches, weaver_dec_requests, weaver_registrations) = stats.weaver_counters;
+        let (shared_reads, shared_writes) = self
+            .cores
+            .iter()
+            .map(|c| c.shared.traffic())
+            .fold((0, 0), |(r, w), (cr, cw)| (r + cr, w + cw));
+        let (mem_reads, mem_writes) = self.mem.traffic();
         let counts = self.fault_counts();
-        snap.faults_injected = counts.total() - fault_before.total();
-        snap.weaver_drops = counts.weaver_drops - fault_before.weaver_drops;
-        let (mr, mw) = self.mem.traffic();
-        snap.mem_reads = mr - traffic_before.0;
-        snap.mem_writes = mw - traffic_before.1;
-        snap.kernel_high_water = self.occupancy.kernel_high_water as u64;
-        snap.occupancy_cap = self.occupancy.cap as u64;
-        snap.warps_resident = self.occupancy.resident as u64;
-        snap.warps_configured = self.occupancy.configured as u64;
-        snap
+        CounterSnapshot {
+            instructions: stats.instructions,
+            thread_instructions: stats.thread_instructions,
+            stall_memory: stalls.memory,
+            stall_shared: stalls.shared,
+            stall_exec_dep: stalls.exec_dep,
+            stall_l1_queue: stalls.l1_queue,
+            stall_barrier: stalls.barrier,
+            stall_weaver: stalls.weaver,
+            phase_cycles: stats.phase_cycles,
+            l1_accesses: mem.l1.accesses,
+            l1_hits: mem.l1.hits,
+            l2_accesses: mem.l2.accesses,
+            l2_hits: mem.l2.hits,
+            l3_accesses: l3.accesses,
+            l3_hits: l3.hits,
+            dram_accesses: mem.dram_accesses,
+            shared_reads,
+            shared_writes,
+            mem_reads: mem_reads - traffic_before.0,
+            mem_writes: mem_writes - traffic_before.1,
+            weaver_st_fetches,
+            weaver_dec_requests,
+            weaver_registrations,
+            faults_injected: counts.total() - fault_before.total(),
+            weaver_drops: counts.weaver_drops - fault_before.weaver_drops,
+            kernel_high_water: self.occupancy.kernel_high_water as u64,
+            occupancy_cap: self.occupancy.cap as u64,
+            warps_resident: self.occupancy.resident as u64,
+            warps_configured: self.occupancy.configured as u64,
+            ..CounterSnapshot::default()
+        }
     }
 }
 

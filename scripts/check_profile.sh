@@ -15,8 +15,9 @@
 # way CI consumers do: `swprof report` must parse and render the fresh
 # artifact, and `swprof diff golden fresh --tolerance 0` must find no
 # changed metric (exit 0). A deliberately mismatched diff direction is
-# NOT tested here — `swprof --selftest` covers the regression-detection
-# side with synthetic fixtures.
+# NOT tested here — the diff engine's unit tests (`cargo test -p
+# sparseweaver-core profile`) cover the regression-detection side with
+# synthetic documents.
 #
 # The artifact opens with its envelope (schema, version, tool version,
 # config and graph fingerprints), so a tool-version bump regenerates the

@@ -18,14 +18,14 @@
 //! swlint --analyze [--json]      # + SW-L5xx abstract interpretation;
 //!                                # --json opens with the artifact envelope
 //! swlint --analyze --facts       # dump the raw fixpoint facts
-//! swlint --selftest              # verify the seeded fixtures
 //! swlint --version
 //! ```
 //!
-//! Exit status: 0 when every kernel is clean (and, for `--selftest`,
-//! when every seeded fixture triggers its documented rule — same
-//! convention as `swprof --selftest`), 1 when any error-severity
-//! finding fires or a selftest fixture misses, 2 on usage errors.
+//! Exit status: 0 when every kernel is clean, 1 when any error-severity
+//! finding fires, 2 on usage errors.
+//!
+//! That the verifier still fires is checked by the seeded fixtures'
+//! unit tests: `cargo test -p sparseweaver-lint fixtures`.
 
 use std::collections::HashSet;
 use std::process::exit;
@@ -39,7 +39,7 @@ use sparseweaver::core::session::geom_of;
 use sparseweaver::core::Schedule;
 use sparseweaver::graph::Direction;
 use sparseweaver::isa::Program;
-use sparseweaver::lint::{analyze_with_facts, fixtures, lint, LintReport, ANALYZE_SCHEMA};
+use sparseweaver::lint::{analyze_with_facts, lint, LintReport, ANALYZE_SCHEMA};
 use sparseweaver::trace::json::Envelope;
 
 fn usage() -> ! {
@@ -49,7 +49,6 @@ fn usage() -> ! {
 USAGE:
   swlint [--algo ALGO] [--schedule S] [--config vortex|eval|small|8core|regfile]
          [--regalloc on|off] [--regs] [--json] [--analyze] [--facts]
-  swlint --selftest [--json]
   swlint --version
 
   ALGO:  pr | pr-push | bfs | sssp | sssp-wl | cc | spmv | gcn   (default: all)
@@ -69,10 +68,6 @@ USAGE:
   --regs      print one `LABEL PRE POST` register-high-water line per
               kernel instead of lint reports (drives the CI register-
               pressure budget); the exit code still reflects lint errors
-  --selftest  check the seeded fixtures: each ill-formed program must
-              trigger its documented rule, and each analyzer fixture its
-              SW-L5xx rule; exits 0 when the verifier is healthy, 1 when
-              any fixture misses (same convention as swprof --selftest)
 
 Rule catalog: docs/lint-rules.md (SW-L1xx dataflow, SW-L2xx divergence
 stack, SW-L3xx barrier/mask, SW-L4xx Weaver protocol, SW-L5xx abstract
@@ -83,7 +78,7 @@ interpretation)."
 
 const FLAGS: FlagSpec = FlagSpec {
     values: &["algo", "schedule", "config", "regalloc"],
-    switches: &["json", "selftest", "regs", "analyze", "facts"],
+    switches: &["json", "regs", "analyze", "facts"],
     short: &[],
 };
 
@@ -259,78 +254,6 @@ fn cmd_lint(flags: &Args) -> Result<i32, CliError> {
     Ok(if errors > 0 { 1 } else { 0 })
 }
 
-/// Checks the seeded fixtures: each ill-formed program must trigger its
-/// documented rule under `lint`, and each analyzer fixture its SW-L5xx
-/// rule under `analyze` — a liveness check for the verifier itself.
-/// Exits 0 when healthy, 1 when any fixture misses, matching the
-/// `swprof --selftest` convention.
-fn cmd_selftest(json: bool) -> i32 {
-    let mut ok = true;
-    let mut findings = 0usize;
-    for (program, expected_rule) in fixtures::ill_formed() {
-        let report = lint(&program);
-        let hit = report
-            .diagnostics
-            .iter()
-            .any(|d| d.rule.id() == expected_rule);
-        findings += report.error_count();
-        if json {
-            println!("{}", report.to_json());
-        } else if hit {
-            println!(
-                "ok    {:<28} triggers {expected_rule} as documented",
-                program.name()
-            );
-        } else {
-            println!(
-                "MISS  {:<28} expected {expected_rule}, got:\n{}",
-                program.name(),
-                report.to_text()
-            );
-        }
-        ok &= hit;
-    }
-    let geom = fixtures::analyzer_geom();
-    for (program, expected_rule) in fixtures::analyzer_flagged() {
-        let (report, _) = analyze_with_facts(&program, &geom);
-        let hit = report
-            .diagnostics
-            .iter()
-            .any(|d| d.rule.id() == expected_rule);
-        findings += report.diagnostics.len();
-        if json {
-            println!("{}", report.to_json());
-        } else if hit {
-            println!(
-                "ok    {:<28} triggers {expected_rule} as documented",
-                program.name()
-            );
-        } else {
-            println!(
-                "MISS  {:<28} expected {expected_rule}, got:\n{}",
-                program.name(),
-                report.to_text()
-            );
-        }
-        ok &= hit;
-    }
-    if !json {
-        println!(
-            "selftest: {} fixture(s), {findings} finding(s), verifier {}",
-            fixtures::ill_formed().len() + fixtures::analyzer_flagged().len(),
-            if ok { "healthy" } else { "BROKEN" }
-        );
-    }
-    // Every fixture is seeded to trigger a specific rule; a miss means
-    // the verifier went blind. Healthy exits 0, a regression exits 1 —
-    // the same convention as `swprof --selftest`.
-    if ok {
-        0
-    } else {
-        1
-    }
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if cli::version("swlint", &args) {
@@ -342,11 +265,7 @@ fn main() {
     let code = cli::parse(&args, &FLAGS, "swlint")
         .and_then(|flags| {
             flags.no_positionals()?;
-            if flags.has("selftest") {
-                Ok(cmd_selftest(flags.has("json")))
-            } else {
-                cmd_lint(&flags)
-            }
+            cmd_lint(&flags)
         })
         .unwrap_or_else(|e| {
             eprintln!("{e}");

@@ -13,14 +13,16 @@
 //! swprof report profile.json --json     # flat metric map, one object
 //! swprof diff base.json cand.json       # per-metric deltas, strict gate
 //! swprof diff base.json cand.json --tolerance 5
-//! swprof --selftest                     # verify the diff engine itself
 //! swprof --version
 //! ```
 //!
 //! Exit status: 0 success (and, for `diff`, no regression beyond the
 //! tolerance); 1 on read/parse failures, artifacts of different kinds,
-//! regressions, or a broken selftest; 2 on usage errors. `swlint --selftest` follows the same
-//! convention: healthy exits 0, a fixture miss exits 1.
+//! or regressions; 2 on usage errors.
+//!
+//! The diff engine's own checks (flattening, lower-is-better gating,
+//! envelope comparison) are unit tests: `cargo test -p sparseweaver-core
+//! profile` and `cargo test -p sparseweaver-trace json`.
 
 use std::process::exit;
 
@@ -28,8 +30,7 @@ use sparseweaver::cli::{self, usage_err, Args, CliError, FlagSpec};
 use sparseweaver::core::profile::{
     diff, flat_metrics, lower_is_better, regressions, MetricDelta, PROFILE_SCHEMA,
 };
-use sparseweaver::core::replay::REPLAY_SCHEMA;
-use sparseweaver::trace::json::{self, Envelope, Schema, Value};
+use sparseweaver::trace::json::{self, Envelope, Value};
 
 fn usage() -> ! {
     eprintln!(
@@ -38,7 +39,6 @@ fn usage() -> ! {
 USAGE:
   swprof report FILE [--json]
   swprof diff BASELINE CANDIDATE [--tolerance PCT] [--all] [--json]
-  swprof --selftest [--json]
   swprof --version
 
   FILE is an enveloped JSON artifact: profile.json (`swsim run
@@ -62,19 +62,14 @@ DIFF:
   --tolerance PCT  allowed growth before a metric regresses (default 0:
                    any growth fails — right for byte-deterministic reruns)
   --all            print unchanged metrics too
-  --json           one JSON object per metric delta, one per line
-
-SELFTEST:
-  Exercises parse / flatten / diff / regression gating on built-in
-  fixtures. Exits 0 when the engine is healthy, 1 when broken — the
-  same convention as swlint --selftest."
+  --json           one JSON object per metric delta, one per line"
     );
     exit(2)
 }
 
 const FLAGS: FlagSpec = FlagSpec {
     values: &["tolerance"],
-    switches: &["json", "all", "selftest"],
+    switches: &["json", "all"],
     short: &[],
 };
 
@@ -334,161 +329,6 @@ fn cmd_diff(path_a: &str, path_b: &str, tolerance: f64, flags: &Args) -> i32 {
     }
 }
 
-/// The selftest's profile: the members its checks read.
-const PROFILE_FIXTURE: &str = r#"{"schedule":"S_weaver","algorithm":"bfs",
-  "totals":{"cycles":100,"issued":40,"stalls":{"memory":10,"weaver":3},"idle":144},
-  "per_kernel":[{"name":"gather","cycles":100}],
-  "histograms":{"mem_l1":{"count":30,"p50":3,"p99":8,"buckets":[[3,25],[8,5]]}}}"#;
-
-/// The selftest's `replay.json`: one sweep entry.
-const REPLAY_FIXTURE: &str = r#"{"sweep":[{"name":"l1=4096x2",
-  "stats":{"l1":{"accesses":100,"hits":60},"dram_accesses":7}}]}"#;
-
-/// `body` under a `schema` envelope with input fingerprint `input`, and
-/// the numbers at the dotted `patch` paths replaced.
-fn fixture(schema: Schema, input: u64, body: &str, patch: &[(&str, f64)]) -> Value {
-    let envelope = Envelope::new(schema, Some(0xaa), Some(input)).object(|_| {});
-    let (Ok(Value::Obj(mut doc)), Ok(Value::Obj(body))) =
-        (json::parse(&envelope), json::parse(body))
-    else {
-        unreachable!("fixtures are objects");
-    };
-    doc.extend(body);
-    let mut doc = Value::Obj(doc);
-    for (path, v) in patch {
-        let mut at = &mut doc;
-        for key in path.split('.') {
-            at = match at {
-                Value::Obj(m) => m.get_mut(key),
-                Value::Arr(a) => key.parse().ok().and_then(|i: usize| a.get_mut(i)),
-                _ => None,
-            }
-            .expect("fixture path exists");
-        }
-        *at = Value::Num(*v);
-    }
-    doc
-}
-
-fn cmd_selftest(json_mode: bool) -> i32 {
-    let mut ok = true;
-    let mut check = |label: &str, pass: bool| {
-        ok &= pass;
-        if json_mode {
-            let line = json::object(|o| {
-                o.field("check", label).field("ok", pass);
-            });
-            println!("{line}");
-        } else if pass {
-            println!("ok    {label}");
-        } else {
-            println!("FAIL  {label}");
-        }
-    };
-    let envelope = |doc: &Value| Envelope::read(doc).expect("fixture has an envelope");
-
-    let profile =
-        |input, patch: &[(&str, f64)]| fixture(PROFILE_SCHEMA, input, PROFILE_FIXTURE, patch);
-    let base = profile(0xbb, &[]);
-    check(
-        "fixture parses with the profile envelope",
-        envelope(&base).schema == PROFILE_SCHEMA.id,
-    );
-
-    let m1 = flat_metrics(&base);
-    let m2 = flat_metrics(&base);
-    check("flat_metrics is deterministic", m1 == m2);
-    check(
-        "flat_metrics is sorted and covers nested paths",
-        m1.windows(2).all(|w| w[0].0 < w[1].0)
-            && m1.iter().any(|(n, _)| n == "totals.stalls.memory")
-            && m1.iter().any(|(n, _)| n == "per_kernel.gather.cycles"),
-    );
-
-    let self_deltas = diff(&base, &base);
-    check(
-        "self-diff has no changes and no regressions",
-        self_deltas.iter().all(|d| d.a == d.b) && regressions(&self_deltas, 0.0).is_empty(),
-    );
-
-    // +20% cycles and +8x memory stall: both lower-is-better.
-    let worse = profile(
-        0xbb,
-        &[("totals.cycles", 120.0), ("totals.stalls.memory", 80.0)],
-    );
-    let deltas = diff(&base, &worse);
-    let regs5 = regressions(&deltas, 5.0);
-    check(
-        "cycle/stall growth regresses at 5% tolerance",
-        regs5.iter().any(|d| d.name == "totals.cycles")
-            && regs5.iter().any(|d| d.name == "totals.stalls.memory"),
-    );
-    check(
-        "a generous tolerance forgives the cycle growth",
-        !regressions(&deltas, 25.0)
-            .iter()
-            .any(|d| d.name == "totals.cycles"),
-    );
-
-    // p99 latency shrink + count growth: improvement and neutral.
-    let faster = profile(0xbb, &[("histograms.mem_l1.p99", 3.0)]);
-    let deltas = diff(&base, &faster);
-    check(
-        "latency quantile shrink is not a regression",
-        regressions(&deltas, 0.0).is_empty(),
-    );
-    check(
-        "neutral metrics never regress",
-        !lower_is_better("totals.issued") && !lower_is_better("histograms.mem_l1.count"),
-    );
-
-    let other_graph = envelope(&profile(0xcc, &[]));
-    check(
-        "fingerprint mismatch is reported as a warning",
-        envelope(&base)
-            .comparable(&other_graph)
-            .is_ok_and(|w| w.iter().any(|i| i.contains("input fingerprint")))
-            && envelope(&base).comparable(&envelope(&base)) == Ok(vec![]),
-    );
-
-    let replay = fixture(REPLAY_SCHEMA, 0xbb, REPLAY_FIXTURE, &[]);
-    let refusal = envelope(&base).comparable(&envelope(&replay));
-    check(
-        "artifacts of different schemas are refused, naming both",
-        refusal.is_err_and(|e| e.contains(PROFILE_SCHEMA.id) && e.contains(REPLAY_SCHEMA.id)),
-    );
-
-    let fewer_hits = fixture(
-        REPLAY_SCHEMA,
-        0xbb,
-        REPLAY_FIXTURE,
-        &[("sweep.0.stats.l1.hits", 50.0)],
-    );
-    let deltas = diff(&replay, &fewer_hits);
-    let hits = deltas
-        .iter()
-        .find(|d| d.name == "sweep.l1=4096x2.stats.l1.hits");
-    check(
-        "a replay-shaped artifact diffs per sweep entry",
-        envelope(&replay).comparable(&envelope(&fewer_hits)) == Ok(vec![])
-            && hits.is_some_and(|d| d.delta() == Some(-10.0))
-            && diff(&replay, &replay).iter().all(|d| d.a == d.b),
-    );
-
-    if !json_mode {
-        println!(
-            "selftest: diff engine {}",
-            if ok { "healthy" } else { "BROKEN" }
-        );
-    }
-    // Well-formed fixtures: healthy exits 0 (cf. swlint --selftest).
-    if ok {
-        0
-    } else {
-        1
-    }
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if cli::version("swprof", &args) {
@@ -507,12 +347,6 @@ fn main() {
 fn run(args: &[String]) -> Result<i32, CliError> {
     let flags = cli::parse(args, &FLAGS, "swprof")?;
     let pos = &flags.positional;
-    if flags.has("selftest") {
-        if !pos.is_empty() {
-            return usage_err("--selftest takes no subcommand");
-        }
-        return Ok(cmd_selftest(flags.has("json")));
-    }
     match pos.first().map(String::as_str) {
         Some("report") => match pos.as_slice() {
             [_, path] => Ok(cmd_report(path, flags.has("json"))),

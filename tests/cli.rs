@@ -19,26 +19,6 @@ fn swlint() -> Command {
     Command::new(env!("CARGO_BIN_EXE_swlint"))
 }
 
-/// The tools share one selftest convention: healthy exits 0, a broken
-/// fixture exits 1. Both binaries sit in the same matrix so a drift in
-/// either direction fails here by name.
-#[test]
-fn selftest_exit_codes_are_aligned_across_tools() {
-    for (name, mut cmd) in [("swlint", swlint()), ("swprof", swprof())] {
-        let out = cmd.arg("--selftest").output().expect("spawn");
-        assert_eq!(
-            out.status.code(),
-            Some(0),
-            "{name} --selftest (healthy) stdout: {}",
-            String::from_utf8_lossy(&out.stdout)
-        );
-        assert!(
-            String::from_utf8_lossy(&out.stdout).contains("healthy"),
-            "{name} --selftest must report healthy"
-        );
-    }
-}
-
 /// `swsim run --analyze` surfaces the analyzer's coalescing advisories
 /// ahead of the run summary and still exits 0 (advisories never gate).
 #[test]
@@ -1119,22 +1099,14 @@ fn gen_dash_out_writes_the_edge_list_to_stdout() {
 }
 
 #[test]
-fn swprof_selftest_is_healthy_and_usage_errors_exit_2() {
-    let out = swprof().arg("--selftest").output().expect("spawn");
-    assert_eq!(
-        out.status.code(),
-        Some(0),
-        "stdout: {}",
-        String::from_utf8_lossy(&out.stdout)
-    );
-    assert!(String::from_utf8_lossy(&out.stdout).contains("healthy"));
-
+fn swprof_version_succeeds_and_usage_errors_exit_2() {
     let out = swprof().arg("--version").output().expect("spawn");
     assert!(out.status.success());
     assert!(String::from_utf8_lossy(&out.stdout).starts_with("swprof "));
 
     for args in [
         &["frobnicate"] as &[&str],
+        &["--selftest"],
         &["report"],
         &["diff", "only-one.json"],
         &["report", "a.json", "--bogus"],

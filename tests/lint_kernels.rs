@@ -1,13 +1,14 @@
-//! Lint coverage for the shipped kernels and the verifier itself.
+//! Lint coverage for the shipped kernels and the `swlint` binary.
 //!
 //! Positive path: every built-in algorithm kernel, across every schedule,
 //! must lint clean — zero errors *and* zero warnings. These are the same
 //! streams `Session::run` launches, so a regression here would also trip
 //! the runtime's `LintLevel::Deny` gate.
 //!
-//! Negative path: the seeded ill-formed fixtures must each trigger
-//! exactly their documented rule (`docs/lint-rules.md`), and the `swlint`
-//! binary must report both paths with the documented exit codes.
+//! The `swlint` binary must report with the documented exit codes. The
+//! negative path, that each seeded ill-formed fixture triggers its
+//! documented rule (`docs/lint-rules.md`), is the lint crate's own unit
+//! test (`crates/lint/src/fixtures.rs`).
 
 use std::process::Command;
 
@@ -17,7 +18,7 @@ use sparseweaver::core::algorithms::{
 use sparseweaver::core::compiler::regalloc;
 use sparseweaver::core::{Schedule, Session};
 use sparseweaver::graph::Direction;
-use sparseweaver::lint::{analyze, analyze_with_facts, fixtures, lint, AnalyzeGeom, Severity};
+use sparseweaver::lint::{analyze, analyze_with_facts, lint, AnalyzeGeom};
 use sparseweaver::sim::GpuConfig;
 
 fn algorithms() -> Vec<(&'static str, Box<dyn Algorithm>)> {
@@ -146,85 +147,6 @@ fn regalloc_on_off_produce_identical_outputs_for_every_schedule() {
     }
 }
 
-/// Each seeded ill-formed program trips exactly its documented rule at
-/// error severity, so `swlint --selftest` (and the CI step built on it)
-/// genuinely proves the verifier is awake.
-#[test]
-fn ill_formed_fixtures_trigger_their_documented_rules() {
-    let fixtures = fixtures::ill_formed();
-    assert_eq!(fixtures.len(), 4, "the four seeded fixtures");
-    let mut rules_seen = Vec::new();
-    for (program, expected_rule) in fixtures {
-        let report = lint(&program);
-        assert!(
-            report.error_count() > 0,
-            "{} should have error findings",
-            program.name()
-        );
-        let hit = report
-            .diagnostics
-            .iter()
-            .find(|d| d.rule.id() == expected_rule);
-        let hit = hit.unwrap_or_else(|| {
-            panic!(
-                "{} expected {expected_rule}, got:\n{}",
-                program.name(),
-                report.to_text()
-            )
-        });
-        assert_eq!(hit.severity(), Severity::Error);
-        rules_seen.push(expected_rule);
-    }
-    // One fixture per check family: dataflow, divergence stack,
-    // barrier/mask, Weaver protocol.
-    for expected in ["SW-L101", "SW-L201", "SW-L301", "SW-L401"] {
-        assert!(
-            rules_seen.contains(&expected),
-            "missing fixture for {expected}"
-        );
-    }
-}
-
-/// Mirror of the lint crate's analyzer-fixture unit test at the
-/// integration level: each seeded SW-L5xx fixture is structurally
-/// lint-clean (the analyzer finds what the structural verifier cannot)
-/// yet trips exactly its documented rule at the fixture geometry.
-#[test]
-fn analyzer_fixtures_trigger_their_documented_rules() {
-    let geom = fixtures::analyzer_geom();
-    let fixtures = fixtures::analyzer_flagged();
-    assert_eq!(fixtures.len(), 6, "the six seeded analyzer fixtures");
-    let mut rules_seen = Vec::new();
-    for (program, expected_rule) in fixtures {
-        let structural = lint(&program);
-        assert!(
-            structural.is_clean() && structural.warning_count() == 0,
-            "{} must be structurally clean:\n{}",
-            program.name(),
-            structural.to_text()
-        );
-        let report = analyze(&program, &geom);
-        assert!(
-            report
-                .diagnostics
-                .iter()
-                .any(|d| d.rule.id() == expected_rule),
-            "{} expected {expected_rule}, got:\n{}",
-            program.name(),
-            report.to_text()
-        );
-        rules_seen.push(expected_rule);
-    }
-    for expected in [
-        "SW-L501", "SW-L502", "SW-L511", "SW-L521", "SW-L522", "SW-L531",
-    ] {
-        assert!(
-            rules_seen.contains(&expected),
-            "missing analyzer fixture for {expected}"
-        );
-    }
-}
-
 /// The abstract-interpretation fixpoint converges on every built-in
 /// kernel under every schedule, and its JSON report is byte-identical
 /// across runs (the CI golden gate depends on this determinism).
@@ -335,27 +257,10 @@ fn swlint_json_emits_one_report_per_line() {
 }
 
 #[test]
-fn swlint_selftest_exits_zero_when_healthy_and_names_every_rule() {
-    let out = swlint().arg("--selftest").output().expect("spawn");
-    assert_eq!(
-        out.status.code(),
-        Some(0),
-        "healthy selftest exits 0 (same convention as swprof --selftest)"
-    );
-    let text = String::from_utf8_lossy(&out.stdout);
-    for rule in [
-        "SW-L101", "SW-L201", "SW-L301", "SW-L401", "SW-L501", "SW-L502", "SW-L511", "SW-L521",
-        "SW-L522", "SW-L531",
-    ] {
-        assert!(text.contains(rule), "missing {rule} in:\n{text}");
-    }
-    assert!(text.contains("verifier healthy"), "{text}");
-}
-
-#[test]
 fn swlint_rejects_unknown_flags_and_values_with_exit_2() {
     for args in [
         &["--bogus"][..],
+        &["--selftest"][..],
         &["--algo", "nope"][..],
         &["--schedule", "nope"][..],
         &["--config", "nope"][..],

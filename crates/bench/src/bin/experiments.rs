@@ -1,36 +1,51 @@
 //! Regenerates the paper's tables and figures.
 //!
 //! ```text
-//! experiments [--quick] [--jobs N] [--out DIR] [all | <id>...]
+//! experiments [--quick] [--jobs N] [--out DIR] [all | list | <id>...]
 //! ```
 //!
 //! With `all` (the default) every artifact is regenerated in paper order;
+//! `list` prints the artifact ids;
 //! `--quick` shrinks the sweeps (3 datasets, 3 GCN dims) for smoke runs;
 //! `--jobs N` runs artifacts (and their internal dataset/scale sweeps) on
 //! N worker threads — output order and bytes are identical at any N;
-//! `--out DIR` additionally writes one text file per artifact.
+//! `--out DIR` additionally writes one text file per artifact. Any other
+//! `--` flag, or a value flag without its value, prints the usage line to
+//! stderr and exits 2 before anything runs.
 
 use rayon::ThreadPoolBuilder;
 use sparseweaver_bench::experiments::par_map;
 
-fn value_of(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
+const USAGE: &str = "usage: experiments [--quick] [--jobs N] [--out DIR] [all | list | <id>...]";
+
+/// Prints `msg` and the usage line to stderr and exits 2, before any
+/// artifact runs.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("experiments: {msg}\n{USAGE}");
+    std::process::exit(2)
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let out_dir = value_of(&args, "--out");
-    let jobs: usize = match value_of(&args, "--jobs") {
-        None => 1,
-        Some(v) => v.parse().unwrap_or_else(|_| {
-            eprintln!("--jobs expects a number, got `{v}`");
-            std::process::exit(2)
-        }),
-    };
+    let mut args = std::env::args().skip(1);
+    let (mut quick, mut out_dir, mut jobs, mut selected) = (false, None, 1usize, Vec::new());
+    while let Some(arg) = args.next() {
+        let mut value = || match args.next() {
+            Some(v) if !v.starts_with("--") => v,
+            _ => usage_error(&format!("{arg} expects a value")),
+        };
+        match arg.as_str() {
+            "--quick" => quick = true,
+            "--out" => out_dir = Some(value()),
+            "--jobs" => {
+                let v = value();
+                jobs = v.parse().unwrap_or_else(|_| {
+                    usage_error(&format!("--jobs expects a number, got `{v}`"))
+                });
+            }
+            flag if flag.starts_with("--") => usage_error(&format!("unknown flag {flag}")),
+            _ => selected.push(arg),
+        }
+    }
     let hardware = std::thread::available_parallelism().map_or(1, |n| n.get());
     if jobs > hardware {
         eprintln!(
@@ -38,18 +53,6 @@ fn main() {
              extra workers only add contention"
         );
     }
-    let flag_values: Vec<&String> = args
-        .iter()
-        .enumerate()
-        .filter(|(i, _)| *i > 0 && matches!(args[i - 1].as_str(), "--out" | "--jobs"))
-        .map(|(_, a)| a)
-        .collect();
-    let selected: Vec<String> = args
-        .iter()
-        .filter(|a| !a.starts_with("--"))
-        .filter(|a| !flag_values.contains(a))
-        .cloned()
-        .collect();
 
     let catalog = sparseweaver_bench::experiments::catalog();
     if selected.iter().any(|s| s == "list") {

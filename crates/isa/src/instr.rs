@@ -43,6 +43,16 @@ fn zip_lanes(a: &[u64], b: &[u64], out: &mut [u64], f: impl Fn(u64, u64) -> u64)
     }
 }
 
+/// `out[l] = f(a[l], b)` for every lane of `out`: one scalar operand, as
+/// an immediate is. The slices must be equally long.
+#[inline(always)]
+fn map_lanes(a: &[u64], b: u64, out: &mut [u64], f: impl Fn(u64, u64) -> u64) {
+    debug_assert!(a.len() == out.len());
+    for (o, &x) in out.iter_mut().zip(a) {
+        *o = f(x, b);
+    }
+}
+
 /// Bit `l` set when `f(a[l], b[l])` holds, over at most 64 equally long
 /// lanes.
 #[inline(always)]
@@ -147,6 +157,19 @@ impl AluOp {
                 Add Sub Mul DivU RemU And Or Xor Sll Srl Sra SltS SltU Seq Sne MinU MaxU MinS MaxS
             },
             |f| zip_lanes(a, b, out, f)
+        )
+    }
+
+    /// [`AluOp::apply`] with a scalar second operand across a warp:
+    /// `out[l] = apply(a[l], b)` for every lane of `out`, with the op
+    /// matched once outside the lane loop (see [`AluOp::apply_lanes`]).
+    pub fn apply_lanes_scalar(self, a: &[u64], b: u64, out: &mut [u64]) {
+        lane_kernels!(
+            self,
+            AluOp::apply {
+                Add Sub Mul DivU RemU And Or Xor Sll Srl Sra SltS SltU Seq Sne MinU MaxU MinS MaxS
+            },
+            |f| map_lanes(a, b, out, f)
         )
     }
 }

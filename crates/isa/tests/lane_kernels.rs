@@ -1,6 +1,7 @@
-//! The warp-wide lane kernels (`apply_lanes`, `eval_lanes`) must equal the
-//! scalar per-lane operations bit for bit, on the edge values where a
-//! vectorised loop could round, saturate or canonicalise differently.
+//! The warp-wide lane kernels (`apply_lanes`, `apply_lanes_scalar`,
+//! `eval_lanes`) must equal the scalar per-lane operations bit for bit, on
+//! the edge values where a vectorised loop could round, saturate or
+//! canonicalise differently.
 
 use sparseweaver_isa::{AluOp, BrCond, FCmpOp, FpuOp};
 
@@ -92,6 +93,22 @@ fn alu_lanes_match_scalar_apply() {
             |x, y| op.apply(x, y),
             |ra, rb, out| op.apply_lanes(ra, rb, out),
         );
+    }
+}
+
+#[test]
+fn alu_scalar_operand_lanes_match_scalar_apply() {
+    let a: Vec<u64> = int_edges().repeat(5);
+    for op in AluOp::ALL {
+        for imm in int_edges() {
+            check_rows(
+                &format!("{op:?} with scalar {imm:#x}"),
+                &a,
+                &vec![imm; a.len()],
+                |x, y| op.apply(x, y),
+                |ra, _, out| op.apply_lanes_scalar(ra, imm, out),
+            );
+        }
     }
 }
 

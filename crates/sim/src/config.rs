@@ -194,7 +194,8 @@ impl GpuConfig {
     /// # Errors
     ///
     /// Returns the first [`ConfigError`] found: more than 64 lanes per
-    /// warp (mask width) or a lane count that is not a power of two, core
+    /// warp (mask width) or a lane count that is not a power of two, more
+    /// than 64 warps per core (ready-mask width), core
     /// counts that disagree with the hierarchy, a zero Weaver ST capacity,
     /// zero cores or warps, a register file that cannot hold one full
     /// warp, or a cache hierarchy that [`HierarchyConfig::validate`]
@@ -209,6 +210,7 @@ impl GpuConfig {
         [
             (lanes > 64, TooManyLanes),
             (!lanes.is_power_of_two(), LanesNotPowerOfTwo),
+            (self.warps_per_core > 64, TooManyWarps),
             (cores != self.hierarchy.num_cores, CoreCountMismatch),
             (self.weaver.st_capacity == 0, NoStCapacity),
             (cores == 0, NoCores),
@@ -230,6 +232,8 @@ pub enum ConfigError {
     TooManyLanes,
     /// A lane count that is not a power of two.
     LanesNotPowerOfTwo,
+    /// More warps per core than a core's 64-bit ready masks hold.
+    TooManyWarps,
     /// `num_cores` differs from the hierarchy's core count.
     CoreCountMismatch,
     /// A Weaver sparse table with no entries.
@@ -251,6 +255,7 @@ impl fmt::Display for ConfigError {
         f.write_str(match self {
             ConfigError::TooManyLanes => "at most 64 lanes per warp (mask width)",
             ConfigError::LanesNotPowerOfTwo => "lanes per warp must be a power of two",
+            ConfigError::TooManyWarps => "at most 64 warps per core (ready-mask width)",
             ConfigError::CoreCountMismatch => "hierarchy core count must match",
             ConfigError::NoStCapacity => "Weaver ST capacity must be positive",
             ConfigError::NoCores => "at least one core required",
@@ -296,6 +301,8 @@ mod tests {
             validate(|c| c.threads_per_warp = 0),
             Err(LanesNotPowerOfTwo)
         );
+        assert_eq!(validate(|c| c.warps_per_core = 64), Ok(()));
+        assert_eq!(validate(|c| c.warps_per_core = 65), Err(TooManyWarps));
         assert_eq!(validate(|c| c.num_cores = 4), Err(CoreCountMismatch));
         assert_eq!(validate(|c| c.weaver.st_capacity = 0), Err(NoStCapacity));
         let no_cores = validate(|c| {

@@ -16,7 +16,7 @@ use crate::warp::{full_mask, lanes_of, SimtEntry, Warp, WarpState};
 use crate::SimError;
 
 /// The widest warp [`GpuConfig::validate`] admits: one bit per lane in a
-/// `u64` mask. Sizes the stack rows the execution kernels build.
+/// `u64` mask. Sizes the core's reusable lane rows.
 const MAX_LANES: usize = 64;
 
 /// Why a core could not issue this cycle, and when it can retry.
@@ -77,10 +77,24 @@ pub struct Core {
     /// while the front is unresolved, `u64::MAX` while the warp is halted
     /// or at the barrier. Only the issuing warp's scoreboard changes, so
     /// the value holds until that warp issues, halts, or leaves the
-    /// barrier. Derived state: rebuilt on launch and restore.
+    /// barrier. Written only by [`Core::set_front`]. Derived state, like
+    /// the masks below: rebuilt on launch and restore.
     front_ready: Vec<u64>,
     /// The producer of the register that sets `front_ready`.
     front_kind: Vec<PendKind>,
+    /// Running warps the next issue attempt probes: front unresolved
+    /// (`front_ready == 0`) or due. Bit `w` is warp `w`.
+    open: u64,
+    /// Running warps whose front issues at a known later cycle (or never,
+    /// on a dropped Weaver response): every running warp not in `open`.
+    waiting: u64,
+    /// The soonest `front_ready` in `waiting` (`u64::MAX` when none).
+    next_wake: u64,
+    /// Reusable lane rows, so no instruction zero-fills one: `row` takes
+    /// results, loaded values and line keys, `addrs` memory addresses.
+    /// Only lanes an instruction writes are ever read back.
+    row: [u64; MAX_LANES],
+    addrs: [u64; MAX_LANES],
     /// Warps currently parked at the barrier.
     at_barrier: usize,
     /// Scratchpad ("shared") memory, byte-addressed from 0.
@@ -108,13 +122,18 @@ pub struct Core {
 impl Core {
     /// Builds core `id` from the machine configuration.
     pub fn new(id: usize, cfg: &GpuConfig) -> Self {
-        Core {
+        let mut core = Core {
             id,
             warps: (0..cfg.warps_per_core)
                 .map(|_| Warp::new(cfg.threads_per_warp))
                 .collect(),
             front_ready: vec![0; cfg.warps_per_core],
             front_kind: vec![PendKind::None; cfg.warps_per_core],
+            open: 0,
+            waiting: 0,
+            next_wake: u64::MAX,
+            row: [0; MAX_LANES],
+            addrs: [0; MAX_LANES],
             at_barrier: 0,
             shared: MainMemory::new(cfg.shared_mem_bytes),
             weaver: WeaverUnit::new(cfg.weaver, cfg.warps_per_core, cfg.threads_per_warp),
@@ -130,7 +149,9 @@ impl Core {
             fpu_latency: cfg.fpu_latency,
             weaver_mode: cfg.weaver_mode,
             auto_mask: cfg.weaver.auto_mask,
-        }
+        };
+        core.rebuild_schedule();
+        core
     }
 
     /// Core index.
@@ -237,17 +258,53 @@ impl Core {
     }
 
     /// Rebuilds the derived scheduler state from the warp states: every
-    /// running warp's front is unresolved, and the barrier count is
+    /// running warp's front is unresolved (open), and the barrier count is
     /// recounted.
     fn rebuild_schedule(&mut self) {
-        for (ready, w) in self.front_ready.iter_mut().zip(&self.warps) {
-            *ready = if w.state == WarpState::Running {
+        (self.open, self.waiting, self.next_wake) = (0, 0, u64::MAX);
+        for w in 0..self.warps.len() {
+            let ready = if self.warps[w].state == WarpState::Running {
                 0
             } else {
                 u64::MAX
             };
+            self.set_front(w, ready, PendKind::None);
         }
         self.at_barrier = self.count_at_barrier();
+    }
+
+    /// Caches warp `w`'s front-ready cycle and its producer, and files the
+    /// warp in the masks: `0` opens it, a later cycle makes a running warp
+    /// wait, and a parked warp (`u64::MAX`, halted or at the barrier)
+    /// leaves both. The only writer of `front_ready`.
+    fn set_front(&mut self, w: usize, ready: u64, kind: PendKind) {
+        let bit = 1u64 << w;
+        self.front_ready[w] = ready;
+        self.front_kind[w] = kind;
+        self.open &= !bit;
+        self.waiting &= !bit;
+        if ready == 0 {
+            self.open |= bit;
+        } else if self.warps[w].state == WarpState::Running {
+            self.waiting |= bit;
+            self.next_wake = self.next_wake.min(ready);
+        }
+    }
+
+    /// Opens every waiting warp whose front is due at `cycle` and re-arms
+    /// `next_wake` with the soonest one still waiting.
+    fn wake(&mut self, cycle: u64) {
+        let mut next = u64::MAX;
+        for w in lanes_of(self.waiting) {
+            let ready = self.front_ready[w];
+            if ready <= cycle {
+                self.waiting &= !(1 << w);
+                self.open |= 1 << w;
+            } else {
+                next = next.min(ready);
+            }
+        }
+        self.next_wake = next;
     }
 
     fn count_at_barrier(&self) -> usize {
@@ -262,10 +319,10 @@ impl Core {
         if self.at_barrier == 0 || self.at_barrier != self.resident {
             return;
         }
-        for (w, ready) in self.warps.iter_mut().zip(&mut self.front_ready) {
-            if w.state == WarpState::AtBarrier {
-                w.state = WarpState::Running;
-                *ready = 0;
+        for w in 0..self.warps.len() {
+            if self.warps[w].state == WarpState::AtBarrier {
+                self.warps[w].state = WarpState::Running;
+                self.set_front(w, 0, PendKind::None);
             }
         }
         self.at_barrier = 0;
@@ -276,7 +333,7 @@ impl Core {
     fn halt_warp(&mut self, warp: usize) {
         debug_assert_eq!(self.warps[warp].state, WarpState::Running);
         self.warps[warp].state = WarpState::Halted;
-        self.front_ready[warp] = u64::MAX;
+        self.set_front(warp, u64::MAX, PendKind::None);
         self.resident -= 1;
         self.maybe_release_barrier();
     }
@@ -352,33 +409,51 @@ impl Core {
         if self.finished() {
             return Ok(IssueOutcome::Finished);
         }
-        debug_assert_eq!(self.at_barrier, self.count_at_barrier());
+        if cycle >= self.next_wake {
+            self.wake(cycle);
+        }
+        #[cfg(debug_assertions)]
+        self.check_schedule(cycle, decoded);
         let n = self.warps.len();
         let start = self.next_warp % n;
-        // Round-robin scan for a ready warp, from `start` and wrapping
-        // without a division per probe. A warp whose front cannot issue
-        // before a known later cycle is skipped without a probe.
-        for w in (start..n).chain(0..start) {
-            if self.front_ready[w] > cycle {
-                #[cfg(debug_assertions)]
-                self.check_skipped(w, decoded);
-                continue;
+        // Round-robin over the open warps from `start`, wrapping: first
+        // those at or above `start`, then those below it. `unpassed` holds
+        // the slots the walk has not reached yet, and `open` is re-read
+        // after every probe, so a warp the barrier releases in mid-scan is
+        // probed exactly when its slot is still ahead.
+        let upper = u64::MAX << start;
+        let mut unpassed = u64::MAX;
+        loop {
+            let ahead = self.open & unpassed;
+            let pick = if ahead & upper != 0 {
+                ahead & upper
+            } else {
+                ahead
+            };
+            if pick == 0 {
+                break;
             }
+            let w = pick.trailing_zeros() as usize;
+            let through = u64::MAX >> (63 - w);
+            unpassed = if w >= start {
+                !through | !upper
+            } else {
+                !through & !upper
+            };
             let Some(d) = self.resolve_front(w, decoded, cycle, hooks) else {
                 continue;
             };
             // Scoreboard: all sources and the destination must be ready.
             let (when, kind) = front_wait(&self.warps[w], d);
             if when > cycle {
-                self.front_ready[w] = when;
-                self.front_kind[w] = kind;
+                self.set_front(w, when, kind);
                 continue;
             }
             let warp = &self.warps[w];
             hooks.warp_issue(cycle, self.id, w, warp.pc, warp.active_count());
             let instr = self.fetch_with_faults(d.instr, w, program, hooks)?;
             // The issue moves the front; `exec` marks a halt or barrier.
-            self.front_ready[w] = 0;
+            self.set_front(w, 0, PendKind::None);
             self.exec(w, instr, cycle, args, hier, mem, hooks, num_cores, program)?;
             self.next_warp = if w + 1 == n { 0 } else { w + 1 };
             self.stats.instructions += 1;
@@ -388,15 +463,13 @@ impl Core {
         if self.finished() {
             return Ok(IssueOutcome::Finished);
         }
-        // Blocked: find the soonest-ready running warp (lowest index on a
-        // tie). Every running warp was probed by the scan, except one a
-        // halt released from the barrier after the scan had passed it;
-        // that warp's front is read raw, unresolved.
+        // Blocked: the soonest-ready running warp (lowest index on a tie).
+        // Every waiting warp's cycle is cached. A warp still open is one a
+        // halt released from the barrier after the walk had passed it; its
+        // front is read raw, unresolved.
         let mut best: Option<(u64, PendKind, Phase)> = None;
-        for (i, w) in self.warps.iter().enumerate() {
-            if w.state != WarpState::Running {
-                continue;
-            }
+        for i in lanes_of(self.open | self.waiting) {
+            let w = &self.warps[i];
             let (when, kind) = if self.front_ready[i] != 0 {
                 (self.front_ready[i], self.front_kind[i])
             } else {
@@ -435,26 +508,43 @@ impl Core {
         Ok(IssueOutcome::Blocked(blocked))
     }
 
-    /// Debug cross-check of a skipped warp: a running warp's front is
-    /// resolved and its cached ready cycle matches the scoreboard; any
-    /// other warp is cached as never ready.
+    /// Debug cross-check of the ready masks at `cycle`, after the wake
+    /// step: `open`, `waiting` and `next_wake` equal a recomputation from
+    /// `front_ready` and the warp states; every waiting warp's front is
+    /// resolved and its cached cycle matches the scoreboard; a parked warp
+    /// is cached as never ready; and the barrier count matches the states.
     #[cfg(debug_assertions)]
-    fn check_skipped(&self, w: usize, decoded: &DecodedProgram) {
-        let warp = &self.warps[w];
-        if warp.state != WarpState::Running {
-            assert_eq!(self.front_ready[w], u64::MAX, "parked warp {w}");
-            return;
+    fn check_schedule(&self, cycle: u64, decoded: &DecodedProgram) {
+        let (mut open, mut waiting, mut next_wake) = (0u64, 0u64, u64::MAX);
+        for (w, warp) in self.warps.iter().enumerate() {
+            let ready = self.front_ready[w];
+            if warp.state != WarpState::Running {
+                assert_eq!(ready, u64::MAX, "parked warp {w}");
+                continue;
+            }
+            if ready <= cycle {
+                open |= 1 << w;
+                continue;
+            }
+            waiting |= 1 << w;
+            next_wake = next_wake.min(ready);
+            let d = decoded.get(warp.pc).expect("waiting warp past the end");
+            assert!(
+                !matches!(d.instr, Instr::Phase(_)),
+                "waiting warp {w} has an unresolved phase marker"
+            );
+            assert_eq!(
+                (ready, self.front_kind[w]),
+                front_wait(warp, d),
+                "stale ready cycle for warp {w}"
+            );
         }
-        let d = decoded.get(warp.pc).expect("skipped warp past the end");
-        assert!(
-            !matches!(d.instr, Instr::Phase(_)),
-            "skipped warp {w} has an unresolved phase marker"
-        );
         assert_eq!(
-            (self.front_ready[w], self.front_kind[w]),
-            front_wait(warp, d),
-            "stale ready cycle for warp {w}"
+            (self.open, self.waiting, self.next_wake),
+            (open, waiting, next_wake),
+            "ready masks (open, waiting, next_wake) at cycle {cycle}"
         );
+        assert_eq!(self.at_barrier, self.count_at_barrier());
     }
 
     /// Models a transient bit flip between I-cache and decode: when the
@@ -523,53 +613,46 @@ impl Core {
             Instr::Bar => {
                 hooks.barrier(core_id, w as u32, cycle);
                 self.warps[w].state = WarpState::AtBarrier;
-                self.front_ready[w] = u64::MAX;
+                self.set_front(w, u64::MAX, PendKind::None);
                 self.at_barrier += 1;
                 self.maybe_release_barrier();
             }
             Instr::LdImm { rd, imm } => {
-                warp.write_row(rd, &[imm as u64; MAX_LANES], warp.active);
+                warp.write_lanes(rd, warp.active, |_| imm as u64);
                 warp.set_pending(rd, cycle + self.alu_latency, PendKind::Exec);
             }
             Instr::Alu { op, rd, rs1, rs2 } => {
-                let mut out = [0u64; MAX_LANES];
-                op.apply_lanes(warp.row(rs1), warp.row(rs2), &mut out[..lanes]);
-                warp.write_row(rd, &out, warp.active);
+                op.apply_lanes(warp.row(rs1), warp.row(rs2), &mut self.row[..lanes]);
+                warp.write_row(rd, &self.row, warp.active);
                 warp.set_pending(rd, cycle + self.alu_latency, PendKind::Exec);
             }
             Instr::AluI { op, rd, rs1, imm } => {
-                let mut out = [0u64; MAX_LANES];
-                let imm = [imm as u64; MAX_LANES];
-                op.apply_lanes(warp.row(rs1), &imm[..lanes], &mut out[..lanes]);
-                warp.write_row(rd, &out, warp.active);
+                op.apply_lanes_scalar(warp.row(rs1), imm as u64, &mut self.row[..lanes]);
+                warp.write_row(rd, &self.row, warp.active);
                 warp.set_pending(rd, cycle + self.alu_latency, PendKind::Exec);
             }
             Instr::Fpu { op, rd, rs1, rs2 } => {
-                let mut out = [0u64; MAX_LANES];
-                op.apply_lanes(warp.row(rs1), warp.row(rs2), &mut out[..lanes]);
-                warp.write_row(rd, &out, warp.active);
+                op.apply_lanes(warp.row(rs1), warp.row(rs2), &mut self.row[..lanes]);
+                warp.write_row(rd, &self.row, warp.active);
                 warp.set_pending(rd, cycle + self.fpu_latency, PendKind::Exec);
             }
             Instr::FCmp { op, rd, rs1, rs2 } => {
-                let mut out = [0u64; MAX_LANES];
-                op.apply_lanes(warp.row(rs1), warp.row(rs2), &mut out[..lanes]);
-                warp.write_row(rd, &out, warp.active);
+                op.apply_lanes(warp.row(rs1), warp.row(rs2), &mut self.row[..lanes]);
+                warp.write_row(rd, &self.row, warp.active);
                 warp.set_pending(rd, cycle + self.fpu_latency, PendKind::Exec);
             }
             Instr::CvtIF { rd, rs1 } => {
-                let mut out = [0u64; MAX_LANES];
-                for (o, &v) in out.iter_mut().zip(warp.row(rs1)) {
+                for (o, &v) in self.row.iter_mut().zip(warp.row(rs1)) {
                     *o = ((v as i64) as f64).to_bits();
                 }
-                warp.write_row(rd, &out, warp.active);
+                warp.write_row(rd, &self.row, warp.active);
                 warp.set_pending(rd, cycle + self.fpu_latency, PendKind::Exec);
             }
             Instr::CvtFI { rd, rs1 } => {
-                let mut out = [0u64; MAX_LANES];
-                for (o, &v) in out.iter_mut().zip(warp.row(rs1)) {
+                for (o, &v) in self.row.iter_mut().zip(warp.row(rs1)) {
                     *o = f64::from_bits(v) as i64 as u64;
                 }
-                warp.write_row(rd, &out, warp.active);
+                warp.write_row(rd, &self.row, warp.active);
                 warp.set_pending(rd, cycle + self.fpu_latency, PendKind::Exec);
             }
             Instr::Csr { rd, kind } => {
@@ -590,16 +673,12 @@ impl Core {
                     CsrKind::ThreadsPerCore => (wpc * lanes, 0),
                     CsrKind::NumThreads => (num_cores * wpc * lanes, 0),
                 };
-                let mut out = [0u64; MAX_LANES];
-                for (l, o) in out[..lanes].iter_mut().enumerate() {
-                    *o = (base + l * step) as u64;
-                }
-                warp.write_row(rd, &out, full_mask(lanes));
+                warp.write_lanes(rd, full_mask(lanes), |l| (base + l * step) as u64);
                 warp.set_pending(rd, cycle + self.alu_latency, PendKind::Exec);
             }
             Instr::LdArg { rd, idx } => {
                 let v = args.get(idx as usize).copied().unwrap_or(0);
-                warp.write_row(rd, &[v; MAX_LANES], full_mask(lanes));
+                warp.write_lanes(rd, full_mask(lanes), |_| v);
                 warp.set_pending(rd, cycle + self.alu_latency, PendKind::Exec);
             }
             Instr::Ld {
@@ -633,7 +712,7 @@ impl Core {
             } => {
                 let mask = warp.active;
                 let (addrs, operands) = (warp.row(addr), warp.row(src));
-                let mut olds = [0u64; MAX_LANES];
+                let olds = &mut self.row;
                 let mut max_done = cycle;
                 let kind = match space {
                     Space::Global => {
@@ -668,7 +747,7 @@ impl Core {
                     }
                 };
                 let warp = &mut self.warps[w];
-                warp.write_row(rd, &olds, mask);
+                warp.write_row(rd, &self.row, mask);
                 warp.set_pending(rd, max_done, kind);
             }
             Instr::Br {
@@ -753,7 +832,7 @@ impl Core {
                     VoteOp::Any => (ballot != 0) as u64,
                     VoteOp::Ballot => ballot,
                 };
-                warp.write_row(rd, &[v; MAX_LANES], full_mask(lanes));
+                warp.write_lanes(rd, full_mask(lanes), |_| v);
                 warp.set_pending(rd, cycle + self.alu_latency, PendKind::Exec);
             }
             Instr::Tmc { rs1 } => {
@@ -772,19 +851,18 @@ impl Core {
                 match self.weaver_mode {
                     WeaverMode::Weaver => {
                         let (locs, degs) = (warp.row(loc), warp.row(deg));
-                        let (records, n) = pack_lanes(mask, |l| {
-                            (l, vids[l] as u32, locs[l] as u32, degs[l] as u32)
-                        });
+                        let records = lanes_of(mask)
+                            .map(|l| (l, vids[l] as u32, locs[l] as u32, degs[l] as u32));
                         self.weaver
-                            .reg(w, &records[..n], cycle, core_id as u32, hooks)
+                            .reg(w, records, cycle, core_id as u32, hooks)
                             .map_err(|e| SimError::Fault {
                                 kernel: program.name().to_string(),
                                 what: e.to_string(),
                             })?;
                     }
                     WeaverMode::Eghw => {
-                        let (records, n) = pack_lanes(mask, |l| (l, vids[l] as u32));
-                        self.eghw.reg(w, &records[..n], cycle);
+                        let records = lanes_of(mask).map(|l| (l, vids[l] as u32));
+                        self.eghw.reg(w, records, cycle);
                     }
                 }
             }
@@ -827,7 +905,7 @@ impl Core {
                     hooks.weaver_dec(core_id, w, cycle, ready_at);
                 }
                 let warp = &mut self.warps[w];
-                warp.write_row(rd, &id_row(&vids[..lanes]), full_mask(lanes));
+                warp.write_lanes(rd, full_mask(lanes), |l| vids[l] as u64);
                 warp.set_pending(rd, ready_at, PendKind::Weaver);
                 if self.auto_mask && !exhausted {
                     let filled = vids
@@ -841,21 +919,21 @@ impl Core {
                 WeaverMode::Weaver => {
                     let (eids, ready) = self.weaver.dec_loc(w, cycle, core_id as u32, hooks);
                     let warp = &mut self.warps[w];
-                    warp.write_row(rd, &id_row(&eids[..lanes]), full_mask(lanes));
+                    warp.write_lanes(rd, full_mask(lanes), |l| eids[l] as u64);
                     warp.set_pending(rd, ready, PendKind::Weaver);
                 }
                 WeaverMode::Eghw => {
-                    let eids = id_row(&self.eghw_dt.load_row(w)[..lanes]);
+                    let eids = self.eghw_dt.load_row(w);
                     let warp = &mut self.warps[w];
-                    warp.write_row(rd, &eids, full_mask(lanes));
+                    warp.write_lanes(rd, full_mask(lanes), |l| eids[l] as u64);
                     warp.set_pending(rd, cycle + self.shared_latency + 1, PendKind::Shared);
                 }
             },
             Instr::WeaverSkip { vid } => {
                 if self.weaver_mode == WeaverMode::Weaver {
                     let row = warp.row(vid);
-                    let (vids, n) = pack_lanes(warp.active, |l| row[l] as u32);
-                    self.weaver.skip(&vids[..n], cycle);
+                    self.weaver
+                        .skip(lanes_of(warp.active).map(|l| row[l] as u32), cycle);
                 }
             }
         }
@@ -878,48 +956,51 @@ impl Core {
         program: &Program,
     ) -> Result<(), SimError> {
         let mask = self.warps[w].active;
-        let addrs = lane_addrs(&self.warps[w], addr, offset);
-        let mut vals = [0u64; MAX_LANES];
+        lane_addrs(&mut self.addrs, &self.warps[w], addr, offset);
         let (ready_at, kind) = match space {
             Space::Shared => {
                 for l in lanes_of(mask) {
-                    vals[l] = self
+                    self.row[l] = self
                         .shared
-                        .try_read(addrs[l], width.bytes(), None)
+                        .try_read(self.addrs[l], width.bytes(), None)
                         .map_err(|e| mem_fault(program, &e))?;
                 }
                 (cycle + self.shared_latency, PendKind::Shared)
             }
             Space::Global => {
-                let max_lat = self.access_lines(&addrs, mask, false, cycle, hier, hooks);
+                let max_lat = self.access_lines(mask, false, cycle, hier, hooks);
                 for l in lanes_of(mask) {
-                    vals[l] = mem
-                        .try_read(addrs[l], width.bytes(), hooks.fault.as_mut())
+                    self.row[l] = mem
+                        .try_read(self.addrs[l], width.bytes(), hooks.fault.as_mut())
                         .map_err(|e| mem_fault(program, &e))?;
                 }
                 (cycle + max_lat, PendKind::Memory)
             }
         };
         let warp = &mut self.warps[w];
-        warp.write_row(rd, &vals, mask);
+        warp.write_row(rd, &self.row, mask);
         warp.set_pending(rd, ready_at, kind);
         Ok(())
     }
 
-    /// Coalesces the active lanes' addresses into unique lines and sends
-    /// one hierarchy access per line, in address order for determinism.
-    /// Returns the slowest access's latency.
+    /// Coalesces the addresses in `addrs` of the lanes in `mask` into
+    /// unique lines and sends one hierarchy access per line, in address
+    /// order for determinism. Returns the slowest access's latency. The
+    /// lines are sorted in `row`, which this overwrites.
     fn access_lines(
         &mut self,
-        addrs: &[u64; MAX_LANES],
         mask: u64,
         write: bool,
         cycle: u64,
         hier: &mut Hierarchy,
         hooks: &mut Hooks,
     ) -> u64 {
-        let (mut lines, n) = pack_lanes(mask, |l| sparseweaver_mem::line_of(addrs[l]));
-        let lines = &mut lines[..n];
+        let mut n = 0;
+        for l in lanes_of(mask) {
+            self.row[n] = sparseweaver_mem::line_of(self.addrs[l]);
+            n += 1;
+        }
+        let lines = &mut self.row[..n];
         lines.sort_unstable();
         let mut max_lat = 0u64;
         let mut prev = None;
@@ -951,21 +1032,21 @@ impl Core {
         program: &Program,
     ) -> Result<(), SimError> {
         let mask = self.warps[w].active;
-        let addrs = lane_addrs(&self.warps[w], addr, offset);
+        lane_addrs(&mut self.addrs, &self.warps[w], addr, offset);
         match space {
             Space::Shared => {
                 let vals = self.warps[w].row(src);
                 for l in lanes_of(mask) {
                     self.shared
-                        .try_write(addrs[l], vals[l], width.bytes())
+                        .try_write(self.addrs[l], vals[l], width.bytes())
                         .map_err(|e| mem_fault(program, &e))?;
                 }
             }
             Space::Global => {
-                self.access_lines(&addrs, mask, true, cycle, hier, hooks);
+                self.access_lines(mask, true, cycle, hier, hooks);
                 let vals = self.warps[w].row(src);
                 for l in lanes_of(mask) {
-                    mem.try_write(addrs[l], vals[l], width.bytes())
+                    mem.try_write(self.addrs[l], vals[l], width.bytes())
                         .map_err(|e| mem_fault(program, &e))?;
                 }
             }
@@ -996,35 +1077,12 @@ fn nonzero_lanes(warp: &Warp, reg: Reg) -> u64 {
     BrCond::Ne.eval_lanes(warp.row(reg), warp.row(ZERO))
 }
 
-/// The per-lane addresses `reg + offset` of a memory instruction.
-fn lane_addrs(warp: &Warp, reg: Reg, offset: i32) -> [u64; MAX_LANES] {
-    let mut addrs = [0u64; MAX_LANES];
+/// Writes the per-lane addresses `reg + offset` of a memory instruction
+/// into `addrs`.
+fn lane_addrs(addrs: &mut [u64; MAX_LANES], warp: &Warp, reg: Reg, offset: i32) {
     for (a, &base) in addrs.iter_mut().zip(warp.row(reg)) {
         *a = base.wrapping_add(offset as i64 as u64);
     }
-    addrs
-}
-
-/// `f(l)` for each lane `l` set in `mask`, in ascending lane order, packed
-/// from index 0 of a stack array, and how many there are.
-fn pack_lanes<T: Copy + Default>(mask: u64, f: impl Fn(usize) -> T) -> ([T; MAX_LANES], usize) {
-    let mut out = [T::default(); MAX_LANES];
-    let mut n = 0;
-    for l in lanes_of(mask) {
-        out[n] = f(l);
-        n += 1;
-    }
-    (out, n)
-}
-
-/// A unit's per-lane vertex or edge IDs (`-1` for an empty lane) as a
-/// register row.
-fn id_row(ids: &[i64]) -> [u64; MAX_LANES] {
-    let mut row = [0u64; MAX_LANES];
-    for (r, &id) in row.iter_mut().zip(ids) {
-        *r = id as u64;
-    }
-    row
 }
 
 /// Maps a typed device-memory fault to a [`SimError::Fault`].

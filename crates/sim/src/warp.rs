@@ -127,7 +127,7 @@ impl Warp {
     /// Writes `vals[l]` into `reg` for every lane `l` set in `mask`, leaving
     /// the other lanes as they were (writes to x0 are ignored). `vals`
     /// holds at least one word per lane; words past the last lane are
-    /// ignored, so a caller can pass a whole fixed-size stack row.
+    /// ignored, so a caller can pass a whole fixed-size row.
     pub fn write_row(&mut self, reg: Reg, vals: &[u64], mask: u64) {
         if reg.0 == 0 {
             return;
@@ -139,6 +139,27 @@ impl Warp {
         } else {
             for l in lanes_of(mask) {
                 row[l] = vals[l];
+            }
+        }
+    }
+
+    /// Writes `f(l)` into `reg` for every lane `l` set in `mask`, leaving
+    /// the other lanes as they were (writes to x0 are ignored). For a row
+    /// computed from a scalar or the lane index, with no source row that
+    /// `reg` could alias.
+    pub fn write_lanes(&mut self, reg: Reg, mask: u64, f: impl Fn(usize) -> u64) {
+        if reg.0 == 0 {
+            return;
+        }
+        let start = reg.0 as usize * self.lanes;
+        let row = &mut self.regs[start..start + self.lanes];
+        if mask == full_mask(self.lanes) {
+            for (l, r) in row.iter_mut().enumerate() {
+                *r = f(l);
+            }
+        } else {
+            for l in lanes_of(mask) {
+                row[l] = f(l);
             }
         }
     }

@@ -110,7 +110,12 @@ impl EghwUnit {
     /// Registers vertex IDs from `warp` (`(lane, vid)` records). Unlike
     /// Weaver, only the vertex ID crosses the interface; the unit reads
     /// topology itself.
-    pub fn reg(&mut self, warp: usize, records: &[(usize, u32)], now: u64) -> u64 {
+    pub fn reg(
+        &mut self,
+        warp: usize,
+        records: impl IntoIterator<Item = (usize, u32)>,
+        now: u64,
+    ) -> u64 {
         if !self.in_registration {
             for s in &mut self.slots {
                 *s = None;
@@ -120,12 +125,14 @@ impl EghwUnit {
             self.line_buf = [None; 3];
             self.in_registration = true;
         }
-        for &(lane, vid) in records {
+        let mut count = 0;
+        for (lane, vid) in records {
             self.slots[warp * self.lanes + lane] = Some(vid);
+            count += 1;
         }
         // Writing vids into the unit's buffer: one cycle per record.
         let start = now.max(self.busy_until);
-        self.busy_until = start + records.len() as u64;
+        self.busy_until = start + count;
         self.busy_until
     }
 
@@ -298,8 +305,8 @@ mod tests {
     #[test]
     fn produces_complete_edge_records() {
         let mut u = unit();
-        u.reg(0, &[(0, 0), (1, 1)], 0);
-        u.reg(1, &[(0, 2)], 1);
+        u.reg(0, [(0, 0), (1, 1)], 0);
+        u.reg(1, [(0, 2)], 1);
         let b = u.dec(10, mem(5));
         assert_eq!(b.vids, vec![0, 0]);
         assert_eq!(b.eids, vec![0, 1]);
@@ -314,7 +321,7 @@ mod tests {
     #[test]
     fn reads_are_serial() {
         let mut u = unit();
-        u.reg(0, &[(0, 0)], 0);
+        u.reg(0, [(0, 0)], 0);
         // v0: both offsets share a line (1 miss + 1 buffered hit), the
         // edge and weight streams miss once each and then hit their
         // stream buffers: 3 serial misses at 50 cycles, plus buffered
@@ -328,7 +335,7 @@ mod tests {
     fn latency_scales_with_memory_latency() {
         let go = |lat| {
             let mut u = unit();
-            u.reg(0, &[(0, 0)], 0);
+            u.reg(0, [(0, 0)], 0);
             u.dec(0, mem(lat)).ready_at
         };
         // Unlike Weaver (Fig. 13 flat), EGHW degrades linearly with memory
@@ -340,9 +347,9 @@ mod tests {
     #[test]
     fn reregistration_restarts() {
         let mut u = unit();
-        u.reg(0, &[(0, 0)], 0);
+        u.reg(0, [(0, 0)], 0);
         let _ = u.dec(0, mem(1));
-        u.reg(0, &[(0, 2)], 100);
+        u.reg(0, [(0, 2)], 100);
         let b = u.dec(200, mem(1));
         assert_eq!(b.vids[0], 2);
     }
@@ -350,7 +357,7 @@ mod tests {
     #[test]
     fn zero_degree_vertices_are_skipped() {
         let mut u = unit();
-        u.reg(0, &[(0, 1)], 0); // v1 has degree 0
+        u.reg(0, [(0, 1)], 0); // v1 has degree 0
         let b = u.dec(0, mem(1));
         assert!(b.exhausted);
         assert_eq!(b.unit_reads, 1); // still pays the (buffered) topology read

@@ -92,7 +92,7 @@ pub struct DecResponse {
 ///
 /// let mut w = WeaverUnit::new(WeaverConfig::default(), 8, 4);
 /// let hooks = &mut Hooks::default();
-/// w.reg(0, &[(0, 3, 0, 2), (1, 5, 2, 1)], 0, 0, hooks).unwrap();
+/// w.reg(0, [(0, 3, 0, 2), (1, 5, 2, 1)], 0, 0, hooks).unwrap();
 /// let resp = w.dec_id(1, 10, 0, hooks);
 /// assert_eq!(resp.batch.vids, vec![3, 3, 5, -1]);
 /// ```
@@ -147,7 +147,8 @@ impl WeaverUnit {
     }
 
     /// Services a `WEAVER_REG` from `warp`: one `(lane, vid, loc, deg)`
-    /// record per active lane. Returns the completion cycle.
+    /// record per active lane, in lane order, taken from an iterator so
+    /// the caller need not pack them first. Returns the completion cycle.
     ///
     /// The first registration after a distribution round re-initializes
     /// the FSM and clears the ST ("initialized to init status when a new
@@ -164,7 +165,7 @@ impl WeaverUnit {
     pub fn reg(
         &mut self,
         warp: usize,
-        records: &[(usize, u32, u32, u32)],
+        records: impl IntoIterator<Item = (usize, u32, u32, u32)>,
         now: u64,
         core: u32,
         hooks: &mut Hooks,
@@ -173,7 +174,9 @@ impl WeaverUnit {
             self.staging.clear();
             self.in_registration = true;
         }
-        for &(lane, vid, loc, deg) in records {
+        let mut count = 0u32;
+        for (lane, vid, loc, deg) in records {
+            count += 1;
             let index = warp * self.lanes + lane;
             if index >= self.cfg.st_capacity {
                 return Err(StOverflow {
@@ -189,12 +192,12 @@ impl WeaverUnit {
             core,
             EventData::WeaverTable {
                 op: TableOp::StWrite,
-                count: records.len() as u32,
+                count,
             },
         );
         // Pipelined table writes: one per cycle of occupancy.
         let start = now.max(self.busy_until);
-        let occupancy = self.cfg.base_latency + records.len() as u64;
+        let occupancy = self.cfg.base_latency + u64::from(count);
         self.busy_until = start + occupancy;
         Ok(start + occupancy + self.cfg.table_latency)
     }
@@ -296,8 +299,8 @@ impl WeaverUnit {
     }
 
     /// Services `WEAVER_SKIP` signals. Returns the completion cycle.
-    pub fn skip(&mut self, vids: &[u32], now: u64) -> u64 {
-        for &v in vids {
+    pub fn skip(&mut self, vids: impl IntoIterator<Item = u32>, now: u64) -> u64 {
+        for v in vids {
             self.fsm.skip(v);
         }
         now + self.cfg.base_latency
@@ -379,14 +382,14 @@ mod tests {
         // Warp 0 lanes 0..2 register vertices 0 and 2.
         w.reg(
             0,
-            &[(0, 0, 2, 1), (1, 2, 10, 2)],
+            [(0, 0, 2, 1), (1, 2, 10, 2)],
             0,
             0,
             &mut Hooks::default(),
         )
         .unwrap();
         // Warp 1 lane 0 registers vertex 4 (out-of-order warps).
-        w.reg(1, &[(0, 4, 30, 5)], 3, 0, &mut Hooks::default())
+        w.reg(1, [(0, 4, 30, 5)], 3, 0, &mut Hooks::default())
             .unwrap();
         let r = w.dec_id(2, 20, 0, &mut Hooks::default());
         assert_eq!(r.batch.vids, vec![0, 2, 2, 4]);
@@ -401,9 +404,9 @@ mod tests {
         let mut w = unit();
         // Registrations arrive warp 1 first, then warp 0; the scan must
         // still be in (warp, thread) index order.
-        w.reg(1, &[(0, 9, 0, 1)], 0, 0, &mut Hooks::default())
+        w.reg(1, [(0, 9, 0, 1)], 0, 0, &mut Hooks::default())
             .unwrap();
-        w.reg(0, &[(0, 3, 1, 1)], 1, 0, &mut Hooks::default())
+        w.reg(0, [(0, 3, 1, 1)], 1, 0, &mut Hooks::default())
             .unwrap();
         let r = w.dec_id(0, 10, 0, &mut Hooks::default());
         assert_eq!(r.batch.vids[0], 3);
@@ -413,13 +416,13 @@ mod tests {
     #[test]
     fn new_registration_restarts_round() {
         let mut w = unit();
-        w.reg(0, &[(0, 1, 0, 1)], 0, 0, &mut Hooks::default())
+        w.reg(0, [(0, 1, 0, 1)], 0, 0, &mut Hooks::default())
             .unwrap();
         let r = w.dec_id(0, 5, 0, &mut Hooks::default());
         assert_eq!(r.batch.vids[0], 1);
         assert!(w.dec_id(0, 6, 0, &mut Hooks::default()).batch.exhausted);
         // Next round.
-        w.reg(0, &[(0, 7, 3, 1)], 10, 0, &mut Hooks::default())
+        w.reg(0, [(0, 7, 3, 1)], 10, 0, &mut Hooks::default())
             .unwrap();
         let r = w.dec_id(0, 15, 0, &mut Hooks::default());
         assert_eq!(r.batch.vids[0], 7);
@@ -429,14 +432,8 @@ mod tests {
     #[test]
     fn occupancy_serializes_but_latency_pipelines() {
         let mut w = unit();
-        w.reg(
-            0,
-            &[(0, 0, 0, 8), (1, 1, 8, 8)],
-            0,
-            0,
-            &mut Hooks::default(),
-        )
-        .unwrap();
+        w.reg(0, [(0, 0, 0, 8), (1, 1, 8, 8)], 0, 0, &mut Hooks::default())
+            .unwrap();
         let t0 = 100;
         let a = w.dec_id(0, t0, 0, &mut Hooks::default());
         let b = w.dec_id(1, t0, 0, &mut Hooks::default());
@@ -457,7 +454,7 @@ mod tests {
                 2,
                 4,
             );
-            w.reg(0, &[(0, 0, 0, 4)], 0, 0, &mut Hooks::default())
+            w.reg(0, [(0, 0, 0, 4)], 0, 0, &mut Hooks::default())
                 .unwrap();
             w.dec_id(0, 10, 0, &mut Hooks::default()).ready_at
         };
@@ -469,25 +466,19 @@ mod tests {
     #[test]
     fn skip_reaches_fsm() {
         let mut w = unit();
-        w.reg(0, &[(0, 5, 0, 100)], 0, 0, &mut Hooks::default())
+        w.reg(0, [(0, 5, 0, 100)], 0, 0, &mut Hooks::default())
             .unwrap();
         let r = w.dec_id(0, 5, 0, &mut Hooks::default());
         assert_eq!(r.batch.vids, vec![5, 5, 5, 5]);
-        w.skip(&[5], 6);
+        w.skip([5], 6);
         assert!(w.dec_id(0, 7, 0, &mut Hooks::default()).batch.exhausted);
     }
 
     #[test]
     fn counters_track_activity() {
         let mut w = unit();
-        w.reg(
-            0,
-            &[(0, 0, 0, 1), (1, 1, 1, 1)],
-            0,
-            0,
-            &mut Hooks::default(),
-        )
-        .unwrap();
+        w.reg(0, [(0, 0, 0, 1), (1, 1, 1, 1)], 0, 0, &mut Hooks::default())
+            .unwrap();
         let _ = w.dec_id(0, 5, 0, &mut Hooks::default());
         let (fetches, decs, regs) = w.counters();
         assert_eq!(regs, 2);
@@ -505,7 +496,7 @@ mod tests {
             ..Hooks::default()
         };
         hooks.tracer.as_mut().unwrap().kernel_begin("k");
-        w.reg(0, &[(0, 0, 2, 1), (1, 2, 10, 2)], 0, 3, &mut hooks)
+        w.reg(0, [(0, 0, 2, 1), (1, 2, 10, 2)], 0, 3, &mut hooks)
             .unwrap();
         let _ = w.dec_id(0, 10, 3, &mut hooks);
         let _ = w.dec_loc(0, 20, 3, &mut hooks);
@@ -578,8 +569,12 @@ mod tests {
             ..Hooks::default()
         };
         let records = [(0, 0, 0, 5), (1, 7, 5, 3)];
-        plain.reg(0, &records, 0, 0, &mut Hooks::default()).unwrap();
-        traced.reg(0, &records, 0, 0, &mut hooks).unwrap();
+        plain
+            .reg(0, records.iter().copied(), 0, 0, &mut Hooks::default())
+            .unwrap();
+        traced
+            .reg(0, records.iter().copied(), 0, 0, &mut hooks)
+            .unwrap();
         for i in 0..4u64 {
             let a = plain.dec_id(0, 10 + i, 0, &mut Hooks::default());
             let b = traced.dec_id(0, 10 + i, 0, &mut hooks);
@@ -591,7 +586,7 @@ mod tests {
     #[test]
     fn reset_clears_state() {
         let mut w = unit();
-        w.reg(0, &[(0, 0, 0, 1)], 0, 0, &mut Hooks::default())
+        w.reg(0, [(0, 0, 0, 1)], 0, 0, &mut Hooks::default())
             .unwrap();
         let _ = w.dec_id(0, 5, 0, &mut Hooks::default());
         w.reset();

@@ -141,7 +141,7 @@ proptest! {
             if let Some((vid, deg)) = s {
                 let warp = i / lanes;
                 let lane = i % lanes;
-                unit.reg(warp, &[(lane, *vid, loc, *deg)], i as u64, 0, hooks)
+                unit.reg(warp, [(lane, *vid, loc, *deg)], i as u64, 0, hooks)
                     .expect("record fits the ST");
                 loc += deg;
             }

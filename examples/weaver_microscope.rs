@@ -95,7 +95,7 @@ fn main() {
         };
         let mut unit = WeaverUnit::new(cfg, 8, 4);
         let hooks = &mut Hooks::default();
-        unit.reg(0, &[(0, 0, 0, 64), (1, 1, 64, 64)], 0, 0, hooks)
+        unit.reg(0, [(0, 0, 0, 64), (1, 1, 64, 64)], 0, 0, hooks)
             .expect("two records fit the ST");
         // Back-to-back decode requests from different warps: occupancy
         // (one table read per slot) serializes them, but the table READ

@@ -15,6 +15,7 @@ use sparseweaver::core::campaign::{run_campaign, CampaignConfig};
 use sparseweaver::core::{profile, Schedule, Session};
 use sparseweaver::fault::FaultSpec;
 use sparseweaver::graph::generators;
+use sparseweaver::isa::NUM_REGS;
 use sparseweaver::sim::GpuConfig;
 
 fn algorithms() -> Vec<Box<dyn Algorithm>> {
@@ -58,6 +59,39 @@ fn fast_forward_reports_are_identical_for_every_algorithm() {
                 profile::render(&off, &cfg, &g),
                 "{label}: rendered profile.json differs"
             );
+        }
+    }
+}
+
+#[test]
+fn a_64_warp_core_matches_the_reference_with_fast_forward_on_and_off() {
+    // The widest core `GpuConfig::validate` admits, every warp resident:
+    // warp 63 is bit 63 of each core's ready masks.
+    let mut cfg = GpuConfig::small_test();
+    cfg.warps_per_core = 64;
+    cfg.regs_per_core = NUM_REGS * 64;
+    cfg.weaver.st_capacity = 64 * cfg.threads_per_warp;
+    let g = generators::with_random_weights(&generators::powerlaw(300, 1800, 1.9, 5), 32, 1);
+    for schedule in [Schedule::SparseWeaver, Schedule::Swm] {
+        for algo in algorithms() {
+            let run = |fast_forward: bool| {
+                let mut s = Session::new(cfg);
+                s.fast_forward = fast_forward;
+                s.run(&g, algo.as_ref(), schedule).expect("run")
+            };
+            let on = run(true);
+            let off = run(false);
+            let label = format!("{} under {:?}", algo.name(), schedule);
+            assert_eq!(on.occupancy.resident, 64, "{label}: warps parked");
+            assert_eq!(on.cycles, off.cycles, "{label}: cycle counts differ");
+            assert_eq!(on.stats, off.stats, "{label}: stats differ");
+            assert_eq!(
+                on.per_kernel, off.per_kernel,
+                "{label}: per-kernel breakdowns differ"
+            );
+            assert_eq!(on.output, off.output, "{label}: outputs differ");
+            let mismatch = on.output.mismatch(&algo.reference(&g), 1e-9);
+            assert_eq!(mismatch, None, "{label}: differs from the host reference");
         }
     }
 }

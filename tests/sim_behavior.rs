@@ -278,12 +278,14 @@ fn barrier_released_by_run_off_halt() -> sparseweaver::isa::Program {
     a.finish()
 }
 
-#[test]
-fn run_off_halt_releasing_passed_barrier_warps_is_deterministic() {
+/// `(stats, PhaseBegin events)` of one run of `p`, with fast-forward on
+/// and off (which must agree).
+fn stats_and_phases(
+    p: &sparseweaver::isa::Program,
+) -> (sparseweaver::sim::KernelStats, Vec<(u64, u32, u32, u8)>) {
     use sparseweaver::mem::Hooks;
     use sparseweaver::trace::{EventData, TraceConfig, Tracer};
 
-    let p = barrier_released_by_run_off_halt();
     let run = |ff: bool| {
         let mut g = gpu();
         g.set_fast_forward(ff);
@@ -291,7 +293,7 @@ fn run_off_halt_releasing_passed_barrier_warps_is_deterministic() {
             tracer: Some(Tracer::new(TraceConfig::default())),
             ..Hooks::default()
         });
-        let stats = g.launch(&p, &[]).unwrap();
+        let stats = g.launch(p, &[]).unwrap();
         let report = g.take_hooks().tracer.unwrap().take_report();
         let phases: Vec<(u64, u32, u32, u8)> = report
             .events
@@ -303,8 +305,14 @@ fn run_off_halt_releasing_passed_barrier_warps_is_deterministic() {
             .collect();
         (stats, phases)
     };
-    let (stats, phases) = run(true);
-    assert_eq!(run(false), (stats.clone(), phases.clone()));
+    let on = run(true);
+    assert_eq!(run(false), on, "fast-forward on and off differ");
+    on
+}
+
+#[test]
+fn run_off_halt_releasing_passed_barrier_warps_is_deterministic() {
+    let (stats, phases) = stats_and_phases(&barrier_released_by_run_off_halt());
     assert_eq!(
         format!("{stats:?}"),
         "KernelStats { cycles: 177, instructions: 76, thread_instructions: 304, \
@@ -342,6 +350,62 @@ fn run_off_halt_releasing_passed_barrier_warps_is_deterministic() {
             (166, 0, 2, 4),
             (175, 1, 0, 4),
             (176, 1, 2, 4),
+        ]
+    );
+}
+
+/// Warps 1–3 park at a barrier while warp 0 takes a short path and runs
+/// off the end of the program. The scan that halts warp 0 starts at warp 0
+/// (warp 3 issued last), so the barrier it releases lies *ahead* of the
+/// scan, and warp 1 issues in that same scan.
+fn barrier_released_ahead_of_the_scan() -> sparseweaver::isa::Program {
+    let mut a = Asm::new("release_ahead");
+    let wid = a.reg();
+    let v = a.reg();
+    a.csr(wid, CsrKind::WarpId);
+    let warp0 = a.new_label();
+    a.beq(wid, a.zero(), warp0);
+    a.bar();
+    a.phase(2);
+    a.addi(v, wid, 1);
+    a.phase(4);
+    a.addi(v, v, 2);
+    a.halt();
+    // Warp 0: no halt, it falls off the end.
+    a.bind(warp0);
+    a.li(v, 1);
+    a.finish()
+}
+
+#[test]
+fn run_off_halt_releasing_barrier_warps_ahead_of_the_scan_issues_them_at_once() {
+    let (stats, phases) = stats_and_phases(&barrier_released_ahead_of_the_scan());
+    assert_eq!(
+        format!("{stats:?}"),
+        "KernelStats { cycles: 21, instructions: 42, thread_instructions: 168, \
+         stalls: StallBreakdown { memory: 0, shared: 0, exec_dep: 0, l1_queue: 0, \
+         barrier: 12, weaver: 0 }, phase_cycles: [24, 0, 6, 0, 12, 0], \
+         mem: LevelStats { l1: CacheStats { accesses: 0, hits: 0, misses: 0, writebacks: 0 }, \
+         l2: CacheStats { accesses: 0, hits: 0, misses: 0, writebacks: 0 }, l3: None, \
+         dram_accesses: 0 }, weaver_counters: (0, 0, 0), warp_cycles: 138, launches: 1 }"
+    );
+    // Warp 0 halts at cycle 12; warp 1 resolves its phase marker and
+    // issues in that same scan.
+    assert_eq!(
+        phases,
+        [
+            (12, 0, 1, 2),
+            (12, 1, 1, 2),
+            (13, 0, 2, 2),
+            (13, 1, 2, 2),
+            (14, 0, 3, 2),
+            (14, 1, 3, 2),
+            (15, 0, 1, 4),
+            (15, 1, 1, 4),
+            (16, 0, 2, 4),
+            (16, 1, 2, 4),
+            (17, 0, 3, 4),
+            (17, 1, 3, 4),
         ]
     );
 }

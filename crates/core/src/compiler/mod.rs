@@ -33,7 +33,6 @@ use crate::FrameworkError;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct Settings {
     level: LintLevel,
-    regalloc: bool,
     analyze: Option<AnalyzeGeom>,
 }
 
@@ -90,10 +89,11 @@ impl KernelCache {
 /// per cache: once per session, and once per fault campaign. Warnings
 /// print on that one compile.
 ///
-/// When register allocation is enabled, [`Compiler::process`] additionally
-/// runs the [`regalloc`] pass over each verified kernel and re-lints the
-/// rewritten stream before handing it to the simulator, so a miscompile
-/// in the allocator is rejected rather than silently executed.
+/// [`Compiler::process`] then runs the [`regalloc`] pass over each
+/// verified kernel and re-lints the rewritten stream before handing it to
+/// the simulator, so a miscompile in the allocator is rejected rather
+/// than silently executed. Register allocation is a fixed stage of the
+/// pipeline, as in a backend toolchain; it cannot be switched off.
 ///
 /// Every setting is fixed at construction; a different setting means a
 /// new compiler, which may share the same cache.
@@ -104,38 +104,32 @@ pub struct Compiler {
 }
 
 impl Default for Compiler {
-    /// Lint at the default level, register allocation on, analyzer off.
+    /// Lint at the default level, analyzer off.
     fn default() -> Self {
-        Compiler::new(LintLevel::default(), true, None)
+        Compiler::new(LintLevel::default(), None)
     }
 }
 
 impl Compiler {
-    /// Creates a pipeline enforcing `level`, with the register-allocation
-    /// pass on or off per `regalloc`, and a cache of its own. `analyze`
-    /// enables the opt-in abstract-interpretation gate against that launch
-    /// geometry, run alongside the structural lints: under
+    /// Creates a pipeline enforcing `level`, with a cache of its own.
+    /// `analyze` enables the opt-in abstract-interpretation gate against
+    /// that launch geometry, run alongside the structural lints: under
     /// [`LintLevel::Deny`] a kernel with a *proved* violation (SW-L501) is
     /// rejected; warnings and advisories are printed under
     /// [`LintLevel::Warn`].
-    pub fn new(level: LintLevel, regalloc: bool, analyze: Option<AnalyzeGeom>) -> Self {
-        Compiler::with_cache(level, regalloc, analyze, KernelCache::default())
+    pub fn new(level: LintLevel, analyze: Option<AnalyzeGeom>) -> Self {
+        Compiler::with_cache(level, analyze, KernelCache::default())
     }
 
     /// [`Compiler::new`], compiling into (and reusing kernels from)
     /// `cache`.
     pub(crate) fn with_cache(
         level: LintLevel,
-        regalloc: bool,
         analyze: Option<AnalyzeGeom>,
         cache: KernelCache,
     ) -> Self {
         Compiler {
-            settings: Settings {
-                level,
-                regalloc,
-                analyze,
-            },
+            settings: Settings { level, analyze },
             cache,
         }
     }
@@ -213,9 +207,6 @@ impl Compiler {
     /// The pipeline behind [`Compiler::process`], uncached.
     fn compile(&self, program: &Program) -> Result<Program, FrameworkError> {
         self.check(program)?;
-        if !self.settings.regalloc {
-            return Ok(program.clone());
-        }
         let result = regalloc::allocate(program);
         if !result.applied {
             return Ok(program.clone());

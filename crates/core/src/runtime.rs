@@ -842,7 +842,7 @@ mod tests {
             other => panic!("expected a lint rejection, got {other}"),
         }
         // Opting out lets the same kernel through to the simulator.
-        rt.set_compiler(Compiler::new(LintLevel::Off, true, None));
+        rt.set_compiler(Compiler::new(LintLevel::Off, None));
         rt.launch(program, &[]).unwrap();
     }
 

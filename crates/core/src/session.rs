@@ -119,10 +119,6 @@ pub struct Session {
     /// proved out-of-bounds) reject the kernel under
     /// [`LintLevel::Deny`]; warnings and advisories never block.
     pub analyze: bool,
-    /// Whether kernels pass through liveness-based register allocation
-    /// before launch (default on). Turning it off runs template output
-    /// verbatim — useful for A/B-ing the pass.
-    pub regalloc: bool,
     /// Deterministic fault-injection spec applied to every run (`None` =
     /// fault-free machine).
     pub inject: Option<FaultSpec>,
@@ -186,7 +182,6 @@ impl Session {
             profile: false,
             lint: LintLevel::default(),
             analyze: false,
-            regalloc: true,
             inject: None,
             inject_seed: 0,
             max_weaver_retries: crate::runtime::DEFAULT_WEAVER_RETRIES,
@@ -264,8 +259,8 @@ impl Session {
     }
 
     /// The compiler pipeline for kernels that run on `cfg`: this
-    /// session's lint level and register-allocation setting, plus the
-    /// analyzer gate at `cfg`'s geometry when [`Session::analyze`] is set.
+    /// session's lint level, plus the analyzer gate at `cfg`'s geometry
+    /// when [`Session::analyze`] is set.
     fn compiler_for(&self, cfg: &GpuConfig) -> Compiler {
         self.compiler(self.analyze.then(|| geom_of(cfg)))
     }
@@ -273,7 +268,7 @@ impl Session {
     /// This session's compiler with the analyzer gate at `analyze`,
     /// compiling into the session's kernel cache.
     fn compiler(&self, analyze: Option<AnalyzeGeom>) -> Compiler {
-        Compiler::with_cache(self.lint, self.regalloc, analyze, self.kernels.clone())
+        Compiler::with_cache(self.lint, analyze, self.kernels.clone())
     }
 
     /// Runs the abstract-interpretation analyzer over every kernel
@@ -741,22 +736,6 @@ mod tests {
     }
 
     #[test]
-    fn regalloc_toggle_does_not_change_results() {
-        let g = sparseweaver_graph::generators::powerlaw(48, 240, 1.8, 3);
-        for schedule in [Schedule::Svm, Schedule::SparseWeaver, Schedule::Scm] {
-            let mut on = Session::new(GpuConfig::small_test());
-            let mut off = Session::new(GpuConfig::small_test());
-            off.regalloc = false;
-            let r_on = on.run(&g, &PageRank::new(2), schedule).unwrap();
-            let r_off = off.run(&g, &PageRank::new(2), schedule).unwrap();
-            assert!(
-                r_on.output.approx_eq(&r_off.output, 1e-12),
-                "allocation changed {schedule:?} results"
-            );
-        }
-    }
-
-    #[test]
     fn register_file_cap_clamps_the_machine() {
         let g = sparseweaver_graph::generators::uniform(40, 160, 5);
         let mut s = Session::new(GpuConfig::regfile_limited());
@@ -1001,7 +980,7 @@ mod tests {
             .unwrap();
         assert_eq!(a.kernel_cache().len(), filled, "b compiled nothing");
         // Another setting is another key: same streams, new entries.
-        b.regalloc = false;
+        b.lint = LintLevel::Warn;
         b.run(&g, &crate::algorithms::Bfs::new(0), Schedule::SparseWeaver)
             .unwrap();
         assert!(a.kernel_cache().len() > filled);

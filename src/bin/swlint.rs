@@ -24,6 +24,9 @@
 //! Exit status: 0 when every kernel is clean, 1 when any error-severity
 //! finding fires, 2 on usage errors.
 //!
+//! Every kernel is checked after register allocation, as the runtime
+//! launches it.
+//!
 //! That the verifier still fires is checked by the seeded fixtures'
 //! unit tests: `cargo test -p sparseweaver-lint fixtures`.
 
@@ -34,6 +37,7 @@ use sparseweaver::cli::{self, usage_err, Args, CliError, FlagSpec};
 use sparseweaver::core::algorithms::{
     Algorithm, Bfs, ConnectedComponents, Gcn, PageRank, Spmv, Sssp,
 };
+use sparseweaver::core::compiler::regalloc;
 use sparseweaver::core::profile::config_fingerprint;
 use sparseweaver::core::session::geom_of;
 use sparseweaver::core::Schedule;
@@ -48,7 +52,7 @@ fn usage() -> ! {
 
 USAGE:
   swlint [--algo ALGO] [--schedule S] [--config vortex|eval|small|8core|regfile]
-         [--regalloc on|off] [--regs] [--json] [--analyze] [--facts]
+         [--regs] [--json] [--analyze] [--facts]
   swlint --version
 
   ALGO:  pr | pr-push | bfs | sssp | sssp-wl | cc | spmv | gcn   (default: all)
@@ -63,8 +67,6 @@ USAGE:
               of --config; findings carry kernel + schedule context
   --facts     with --analyze, dump the raw value/access facts the
               fixpoint computed (implies --analyze)
-  --regalloc  on|off: run liveness-based register allocation before
-              linting, as the runtime does before launching (default on)
   --regs      print one `LABEL PRE POST` register-high-water line per
               kernel instead of lint reports (drives the CI register-
               pressure budget); the exit code still reflects lint errors
@@ -77,24 +79,10 @@ interpretation)."
 }
 
 const FLAGS: FlagSpec = FlagSpec {
-    values: &["algo", "schedule", "config", "regalloc"],
+    values: &["algo", "schedule", "config"],
     switches: &["json", "regs", "analyze", "facts"],
     short: &[],
 };
-
-/// Applies register allocation when `regalloc` is on, mirroring what the
-/// runtime launches; identity when the allocator bails out.
-fn maybe_allocate(program: Program, regalloc: bool) -> Program {
-    if !regalloc {
-        return program;
-    }
-    let result = sparseweaver::core::compiler::regalloc::allocate(&program);
-    if result.applied {
-        result.program
-    } else {
-        program
-    }
-}
 
 /// An algorithm under the name `--algo` selects it by.
 type Named = (&'static str, Box<dyn Algorithm>);
@@ -151,7 +139,6 @@ fn report_line(label: &str, program: &Program, report: &LintReport, json: bool) 
 
 fn cmd_lint(flags: &Args) -> Result<i32, CliError> {
     let json = flags.has("json");
-    let regalloc = cli::on_off(flags, "regalloc", true)?;
     let regs_mode = flags.has("regs");
     let facts_mode = flags.has("facts");
     let analyze_mode = flags.has("analyze") || facts_mode;
@@ -177,7 +164,9 @@ fn cmd_lint(flags: &Args) -> Result<i32, CliError> {
     let mut diverged = 0usize;
     let mut process = |label: String, schedule: Schedule, program: Program| {
         let pre = program.register_high_water();
-        let program = maybe_allocate(program, regalloc);
+        // What the runtime launches; the input itself when the
+        // allocator bails out.
+        let program = regalloc::allocate(&program).program;
         let report = lint(&program);
         kernels += 1;
         errors += report.error_count();

@@ -33,7 +33,7 @@ USAGE:
                [--trace FILE [--trace-level warp|mem|weaver|all]] [--metrics-out FILE]
                [--sample-every N] [--trace-out FILE.jsonl] [--profile-out FILE]
                [--mem-trace-out FILE] [--lint off|warn|deny] [--analyze]
-               [--regalloc on|off] [--inject SPEC [--seed N]] [--hang-report FILE]
+               [--inject SPEC [--seed N]] [--hang-report FILE]
                [--checkpoint-out FILE [--checkpoint-every N]] [--max-wall-secs N]
                [--stop-after-launches N]
   swsim resume CKPT [--checkpoint-out FILE] [--checkpoint-every N]
@@ -82,10 +82,6 @@ LINTING:
                       printing its findings; a *proved* out-of-bounds access
                       (SW-L501) rejects the kernel under --lint deny
 
-REGISTER ALLOCATION:
-  --regalloc on|off   liveness-based register allocation before launch
-                      (default on); `off` runs template output verbatim
-
 FAULT INJECTION:
   --inject SPEC       deterministic fault injection, e.g.
                       `reg=0.001,mem=0.0005,weaver-drop=0.01`; sites:
@@ -120,8 +116,9 @@ CHECKPOINT / RESUME:
   `swsim resume` rebuilds the run from the flags embedded in the
   checkpoint; only the flags listed above may be given again (stop budgets
   are per-invocation and are not inherited). A damaged, version-1, or
-  mismatched checkpoint exits 1 with a typed error, refused before the
-  run or while the machine state is restored.
+  mismatched checkpoint, or one embedding a flag this build refuses,
+  exits 1 with a typed error, refused before the run or while the
+  machine state is restored.
 
 EXIT CODES:
   0 success | 1 run error | 2 usage error, or a kernel rejected by the
@@ -153,7 +150,6 @@ const RUN: FlagSpec = FlagSpec {
         "profile-out",
         "mem-trace-out",
         "lint",
-        "regalloc",
         "inject",
         "seed",
         "hang-report",
@@ -331,7 +327,6 @@ fn cmd_run(argv: Vec<String>, flags: Args, resume: Option<Checkpoint>) -> Result
         .map_or(Ok(LintLevel::default()), str::parse)
         .map_err(CliError::Usage)?;
     session.analyze = flags.has("analyze");
-    session.regalloc = cli::on_off(&flags, "regalloc", true)?;
     session.inject = inject;
     session.inject_seed = cli::number(&flags, "seed", 0)?;
     session.fallback = cli::on_off(&flags, "fallback", true)?;
@@ -577,7 +572,14 @@ fn cmd_resume(flags: Args) -> Result<(), CliError> {
         );
         exit(1)
     }
-    let mut eff = cli::parse(&ck.argv[1..], &RUN, "swsim run")?;
+    // The embedded argv is the checkpoint's content, not the user's
+    // command line: a flag this build refuses makes the checkpoint
+    // unusable (exit 1), not the invocation malformed (exit 2).
+    let mut eff = cli::parse(&ck.argv[1..], &RUN, "swsim run").map_err(|e| {
+        CliError::Input(format!(
+            "cannot resume from {path}: the checkpoint's embedded run is refused: {e}"
+        ))
+    })?;
     eff.flags.remove("max-wall-secs");
     eff.flags.remove("stop-after-launches");
     eff.flags.extend(flags.flags);

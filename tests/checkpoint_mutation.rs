@@ -34,10 +34,9 @@ fn mutated_machine_sections_resume_or_fail_typed() {
     let algo = PageRank::new(2);
     let mut s = Session::new(GpuConfig::small_test());
     // Keep each resume to a few milliseconds in a debug build: kernels
-    // are linted once by the golden run, and register allocation (the
-    // slowest compiler pass) is not what this test is about.
+    // are linted once by the golden run, and the clones share one kernel
+    // cache, so each stream is allocated once.
     s.lint = LintLevel::Off;
-    s.regalloc = false;
     s.trace = Some(TraceConfig {
         ring_capacity: 1 << 12,
         ..TraceConfig::default()

@@ -3,6 +3,8 @@
 
 use std::process::Command;
 
+use sparseweaver::core::Checkpoint;
+
 fn swsim() -> Command {
     Command::new(env!("CARGO_BIN_EXE_swsim"))
 }
@@ -395,6 +397,18 @@ fn bad_flag_combinations_exit_with_code_2() {
             "sw",
             "--source",
             "500",
+        ],
+        // Register allocation always runs; there is no switch.
+        &[
+            "run",
+            "--gen",
+            "uniform:40:160:1",
+            "--algo",
+            "pr",
+            "--schedule",
+            "sw",
+            "--regalloc",
+            "off",
         ],
     ];
     for args in cases {
@@ -1293,6 +1307,35 @@ fn swsim_checkpoint_flag_gates_and_corrupt_checkpoint() {
         "error must name the checkpoint: {}",
         String::from_utf8_lossy(&out.stderr)
     );
+
+    // A real checkpoint whose embedded argv holds a flag this build
+    // refuses is a bad checkpoint (exit 1), not a bad command line.
+    let ck = dir.join("run.swckpt");
+    let out = swsim()
+        .args(base)
+        .args(["--schedule", "sw", "--config", "small"])
+        .args(["--checkpoint-out", ck.to_str().unwrap()])
+        .args(["--stop-after-launches", "1"])
+        .output()
+        .expect("spawn");
+    assert_eq!(out.status.code(), Some(5));
+    let saved = Checkpoint::decode(&std::fs::read(&ck).unwrap()).unwrap();
+    for refused in [&["--no-such-flag"] as &[&str], &["--regalloc", "off"]] {
+        let mut damaged = saved.clone();
+        damaged.argv.extend(refused.iter().map(|a| a.to_string()));
+        std::fs::write(&ck, damaged.encode()).unwrap();
+        let out = swsim()
+            .args(["resume", ck.to_str().unwrap()])
+            .output()
+            .expect("spawn");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{refused:?}: {stderr}");
+        assert!(
+            stderr.contains("checkpoint") && stderr.contains(refused[0]),
+            "{refused:?}: error must name the checkpoint and the flag: {stderr}"
+        );
+        assert!(!stderr.contains("USAGE"), "{refused:?}: {stderr}");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
